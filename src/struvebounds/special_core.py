@@ -1,15 +1,28 @@
 """Reference evaluation of I_nu, L_nu and M_nu = L_nu - I_nu.
 
 Power-series evaluators with compensated summation and explicit truncation
-metadata, elementary closed forms at half-integer orders, leading small-x and
-large-x asymptotics, and an independent adaptive-quadrature oracle built on
-the integral representations
+metadata, elementary closed forms at half-integer orders, and leading small-x
+and large-x asymptotics.
+
+M_nu is the difference of two functions that grow like e^x while M itself
+grows only like a power of x, so once the direct difference would cancel it
+is recomputed from the decaying integral
+
+    M_nu(x) = -2(x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt
+
+with a fixed tanh-sinh (double-exponential) rule, Takahasi & Mori, Publ.
+RIMS 9 (1974).  Subtracting the endpoint behaviour at t = 1 analytically
+continues the integral to -3/2 < nu <= -1/2.
+
+An independent adaptive-quadrature oracle is built on
 
     I_nu(x) = 2(x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * int_0^1 (1-t^2)^(nu-1/2) cosh(xt) dt
     L_nu(x) = 2(x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * int_0^1 (1-t^2)^(nu-1/2) sinh(xt) dt
 
-valid for nu > -1/2.  The quadrature route never feeds the series route, so
-the two stay usable as independent cross-checks.
+valid for nu > -1/2.  It is the only user of scipy, which it imports on its
+first call, so importing this module does not load scipy.  The oracle never
+feeds the series route or the stable M route, so it stays usable as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.integrate import quad as _scipy_quad
+import numpy as np
 
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
@@ -47,8 +60,11 @@ class FuncValue:
 
     est_rel_error is an a-posteriori estimate: twice the first omitted term
     relative to the accumulated sum for series, the scaled quadrature error
-    estimate for integral routes.  cancellation marks results whose naive
-    evaluation would lose more than six significant digits.
+    estimate for the oracle, and for the stable M route the gap between the
+    tanh-sinh rule at two step sizes plus a rounding allowance.  terms_used
+    counts series terms, or integrand evaluations for integral routes.
+    cancellation marks results whose naive evaluation would lose more than
+    six significant digits.
     """
 
     value: float
@@ -289,8 +305,9 @@ def small_x_leading(kind: str, nu: float, x: float) -> float:
 
 def _adaptive_integral(f, hi: float) -> tuple[float, float, int]:
     """scipy adaptive quadrature of f on [0, hi] at the oracle tolerance."""
-    out = _scipy_quad(f, 0.0, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-                      limit=300, full_output=1)
+    from scipy.integrate import quad  # about 0.6 s, so only on first use
+
+    out = quad(f, 0.0, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=300, full_output=1)
     value, abserr, info = out[0], out[1], out[2]
     if len(out) > 3 or abserr > 100.0 * (_QUAD_TOL + _QUAD_TOL * abs(value)):
         raise QuadratureError(
@@ -333,14 +350,80 @@ def quad_oracle_l(nu: float, x: float) -> FuncValue:
 _CANCEL_FLAG_RATIO = 1e-6
 
 
-@lru_cache(maxsize=100_000)
-def _mv_stable(nu: float, x: float, cfg: EvalConfig) -> tuple[float, int, float]:
-    """Cancellation-free evaluation of M_nu = L_nu - I_nu.
+# Tanh-sinh nodes on [0, 1]: t(u) = 1/(1 + exp(-pi sinh u)), u = k h.  Node k
+# lies at distance r_k = 1/(1 + exp(pi sinh kh)) from t = 1 and node -k at the
+# same distance from t = 0; keeping r_k rather than 1 - t resolves both ends
+# to full relative precision.  |u| <= 3.5 puts the outermost nodes within
+# 3e-23 of the ends, far below anything the integrands carry there.
+_DE_STEP = 1.0 / 32.0
+_DE_K = 112
 
-    Closed forms at half-integer orders; for nu > -1/2 the exponentially
-    decaying integral  -2 (x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) *
-    int_0^1 (1-t^2)^(nu-1/2) e^{-xt} dt; for orders in (-3/2, -1/2) one
-    step of the recurrence M_nu = M_{nu+2} + (2(nu+1)/x) M_{nu+1} + a_{nu+1}.
+
+def _de_halves():
+    """The node set as (near-0 half, near-1 half).
+
+    Each half is (t, 1 - t, weights), where weights stacks the rule at step h
+    over the rule at step 2h (every other node, double weight), so that
+    weights @ f gives both sums at once.  The node at t = 1/2 is in the
+    near-0 half.
+    """
+    k = np.arange(_DE_K + 1)
+    u = k * _DE_STEP
+    s = np.pi * np.sinh(u)
+    r = 1.0 / (1.0 + np.exp(s))
+    q = 1.0 / (1.0 + np.exp(-s))
+    w = _DE_STEP * np.pi * np.cosh(u) * r * q  # h dt/du = h pi cosh(u) t (1-t)
+    weights = np.stack([w, np.where(k % 2 == 0, 2.0 * w, 0.0)])
+    return (r, q, weights), (q[1:], r[1:], weights[:, 1:])
+
+
+_DE_NEAR0, _DE_NEAR1 = _de_halves()
+_DE_NODES = 2 * _DE_K + 1
+_EPS = 2.0**-52
+
+
+def _stable_integral(nu: float, x: float) -> tuple[float, float]:
+    """J = int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt for nu > -3/2, and a bound on
+    its absolute error.
+
+    With a = nu - 1/2 and g(t) = (1+t)^a e^(-xt), the integrand is
+    (1-t)^a g(t).  For a >= 0 it is bounded and is summed as it stands.  For
+    a < 0 the weight (1-t)^a is unbounded at t = 1; the first two Taylor
+    terms of g there, g(1) (1 + c (1-t)) with c = x - a/2, are integrated
+    exactly, which continues J analytically to -2 < a < -1.  Near t = 1 the
+    remainder g - g(1)(1 + c (1-t)) is formed from expm1 of
+    log(g(t)/g(1)) = a log1p(-(1-t)/2) + x (1-t), near t = 0 directly.
+
+    The error bound is the gap between the sums at steps h and 2h (the rule
+    at step h is far closer than at 2h) plus rounding in the parts of J,
+    which may cancel for orders below -1/2.
+    """
+    a = nu - 0.5
+    (t0, d0, w0), (t1, d1, w1) = _DE_NEAR0, _DE_NEAR1
+    if a >= 0.0:
+        f0 = np.exp(a * np.log(d0 * (1.0 + t0)) - x * t0)
+        f1 = np.exp(a * np.log(d1 * (1.0 + t1)) - x * t1)
+        ends = (0.0, 0.0)
+    else:
+        g1 = 2.0**a * math.exp(-x)
+        c = x - 0.5 * a
+        f0 = d0**a * ((1.0 + t0) ** a * np.exp(-x * t0) - g1 * (1.0 + c * d0))
+        f1 = g1 * d1**a * (np.expm1(a * np.log1p(-0.5 * d1) + x * d1) - c * d1)
+        # 1/(a+1) and 1/(a+2) are formed from nu, which keeps them accurate
+        # next to the poles at nu = -1/2 and nu = -3/2
+        ends = (g1 / (nu + 0.5), g1 * c / (nu + 1.5))
+    fine, coarse = (w0 @ f0 + w1 @ f1).tolist()
+    size = abs(ends[0]) + abs(ends[1]) + abs(fine)
+    fine += ends[0] + ends[1]
+    coarse += ends[0] + ends[1]
+    return fine, abs(fine - coarse) + 4.0 * _EPS * size
+
+
+def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
+    """Cancellation-free evaluation of M_nu = L_nu - I_nu for nu >= -3/2.
+
+    Closed forms at half-integer orders, elsewhere the decaying integral
+    -2 (x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * J(nu, x) of _stable_integral.
     """
     pref = math.sqrt(2.0 / (math.pi * x))
     for target, form in (
@@ -350,20 +433,12 @@ def _mv_stable(nu: float, x: float, cfg: EvalConfig) -> tuple[float, int, float]
     ):
         if abs(nu - target) <= _POLE_TOL:
             return form(), 0, 1e-15
-    if nu > -0.5:
-        two_nu = 2.0 * nu
-
-        def integrand(theta: float) -> float:
-            return math.cos(theta) ** two_nu * math.exp(-x * math.sin(theta))
-
-        raw, abserr, neval = _adaptive_integral(integrand, 0.5 * math.pi)
-        coef = -2.0 * (0.5 * x) ** nu / (SQRT_PI * math.gamma(nu + 0.5))
-        est = abserr / abs(raw) if raw != 0.0 else abserr
-        return coef * raw, neval, est
-    up1 = _mv_stable(nu + 1.0, x, cfg)
-    up2 = _mv_stable(nu + 2.0, x, cfg)
-    value = up2[0] + (2.0 * (nu + 1.0) / x) * up1[0] + recurrence_term(nu + 1.0, x)
-    return value, up1[1] + up2[1], max(up1[2], up2[2]) * (1.0 + 2.0 / x + x)
+    integral, err = _stable_integral(nu, x)
+    coef = -2.0 / SQRT_PI * _first_term(nu, nu + 0.5, 1.0, x)
+    # rounding nu + 1/2 moves Gamma(nu+1/2) by up to about |nu| ln|nu| ulps
+    gamma_err = _EPS * abs(nu) * (1.0 + math.log1p(abs(nu)))
+    est = (err / abs(integral) if integral != 0.0 else err) + gamma_err
+    return coef * integral, _DE_NODES, est
 
 
 def struve_m(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue:
@@ -382,7 +457,7 @@ def struve_m(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     if scale == 0.0 or abs(diff) >= _CANCEL_FLAG_RATIO * scale:
         est = (lv.est_rel_error + iv.est_rel_error + 2.2e-16) * scale / max(abs(diff), 1e-300)
         return FuncValue(diff, terms, est, cancellation=False)
-    value, neval, est = _mv_stable(nu, x, cfg)
+    value, neval, est = _mv_stable(nu, x)
     return FuncValue(value, neval, est, cancellation=True)
 
 

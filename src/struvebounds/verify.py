@@ -212,11 +212,7 @@ TABLES: dict[int, TableSpec] = {
                  "eq46_upper", "pointwise_L", None),
 }
 
-# tables at x up to 200 need the wider overflow guard of the default config
-_TABLE_CFG = DEFAULT_CONFIG
-
-
-def relative_error_table(spec: TableSpec, cfg: EvalConfig = _TABLE_CFG) -> np.ndarray:
+def relative_error_table(spec: TableSpec, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Matrix of |approximant/exact - 1| over the table layout.
 
     The x = 0 column, when present, is filled from the table's limit rule.
@@ -296,8 +292,8 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
 
     lo, hi = x_range
     xs = np.linspace(lo, hi, 200)
-    signs = [math.copysign(1.0, diff(float(x))) if diff(float(x)) != 0.0 else 0.0
-             for x in xs]
+    signs = [math.copysign(1.0, d) if d != 0.0 else 0.0
+             for d in (diff(float(x)) for x in xs)]
     brackets = [(float(xs[i - 1]), float(xs[i]))
                 for i in range(1, len(xs))
                 if signs[i - 1] != 0.0 and signs[i] != 0.0 and signs[i] != signs[i - 1]]

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion (large criteria split per part),
 each printing a PASS/FAIL line.
 
-Three sub-checks are implemented exactly as specified and are expected to
+Five sub-checks are implemented exactly as specified and are expected to
 fail; the stated reference values/regions are disproved by independent
 high-precision computation (see the repository notes outside the package):
 
