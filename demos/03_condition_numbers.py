@@ -11,7 +11,7 @@ nu = 1.0
 print(f"condition number at order {nu} across the argument range")
 print(f"{'x':>8}  {'exact':>12}  {'eq29 bracket':>28}  {'eq30 bracket':>28}")
 for x in (0.01, 0.5, 2.0, 10.0, 50.0):
-    c = cond_exact("L", nu, x).value
+    c = cond_exact("L", nu, x)
     b29 = cond_bracket_sqrt(nu, x, "eq29")
     b30 = cond_bracket_sqrt(nu, x, "eq30")
     print(f"{x:>8}  {c:>12.6f}  [{b29.lower:>12.6f}, {b29.upper:>12.6f}]"

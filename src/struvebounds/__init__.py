@@ -21,9 +21,9 @@ from .arg_ratio import (
     pointwise_bracket,
     pointwise_prior_upper,
 )
-from .bfunc import BValue, a_coefficient, b_asym, b_csch_bracket, b_eval, b_upper_quadratic, b_value
+from .bfunc import a_coefficient, b_asym, b_csch_bracket, b_upper_quadratic, b_value
 from .brackets import BoundSpec, Bracket
-from .condition import CondValue, cond_bracket_sqrt, cond_bracket_via_bessel, cond_exact, prior_lower_bound
+from .condition import cond_bracket_sqrt, cond_bracket_via_bessel, cond_exact, prior_lower_bound
 from .config import DEFAULT_CONFIG, EvalConfig, config_from_env
 from .errors import (
     ConvergenceError,

@@ -9,8 +9,6 @@ two-sided estimates live here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
 
 from .brackets import Bracket
 from .config import DEFAULT_CONFIG, EvalConfig
@@ -18,15 +16,6 @@ from .errors import DomainError
 from .special_core import SQRT_PI, lv_value, recurrence_term
 
 _EQ_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BValue:
-    """Kernel value together with the point it was evaluated at."""
-
-    value: float
-    nu: float
-    x: float
 
 
 def a_coefficient(nu: float, x: float) -> float:
@@ -41,13 +30,14 @@ def _check_domain(nu: float, x: float) -> None:
         raise DomainError(f"kernel requires x > 0, got {x}")
 
 
-@lru_cache(maxsize=300_000)
 def b_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Value-only kernel evaluation with a log-space fallback.
+    """Kernel value; lies strictly inside (0, 1/2) for nu > -3/2, x > 0.
 
-    The direct quotient is exact enough whenever it stays normal; once the
-    numerator or quotient would leave double range the value is rebuilt as
-    exp(log-numerator - log-denominator).  L > 0 on the whole domain.
+    Not cached: L is memoized in special_core, and the rest is a power, a
+    gamma and one divide.  The direct quotient is exact enough whenever it
+    stays normal; once the numerator or quotient would leave double range the
+    value is rebuilt as exp(log-numerator - log-denominator).  L > 0 on the
+    whole domain.
     """
     _check_domain(nu, x)
     denom = SQRT_PI * math.gamma(nu + 1.5) * lv_value(nu, x, cfg)
@@ -61,15 +51,15 @@ def b_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     return math.exp(log_num - log_den)
 
 
-def b_eval(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> BValue:
-    """Kernel value; lies strictly inside (0, 1/2) for nu > -3/2, x > 0."""
-    return BValue(b_value(nu, x, cfg), nu, x)
-
-
 def b_upper_quadratic(nu: float, x: float) -> float:
     """Strict upper bound (1/2) (1 + x^2 / (3(2 nu+3)))^{-1}, nu > -3/2."""
     _check_domain(nu, x)
     return 0.5 / (1.0 + x * x / (3.0 * (2.0 * nu + 3.0)))
+
+
+def _over_sinh(c: float, z: float) -> float:
+    """c / sinh(z) for z > 0, without the OverflowError of sinh past z ~ 710."""
+    return c / math.sinh(z) if z < 710.0 else 2.0 * c * math.exp(-z)
 
 
 def b_csch_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Bracket:
@@ -80,8 +70,8 @@ def b_csch_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Bra
     nu > -1.
     """
     _check_domain(nu, x)
-    lower = 0.5 * x / math.sinh(x)
-    upper = 0.25 * x / math.sinh(x / (2.0 * nu + 3.0))
+    lower = _over_sinh(0.5 * x, x)
+    upper = _over_sinh(0.25 * x, x / (2.0 * nu + 3.0))
     return Bracket(
         lower=lower,
         upper=upper,

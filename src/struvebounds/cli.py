@@ -115,22 +115,16 @@ def _cmd_bracket(args, cfg) -> int:
 
 def _cmd_cond(args, cfg) -> int:
     _check_finite(args.nu, args.x)
-    exact = cond_exact("L", args.nu, args.x, cfg).value
+    exact = cond_exact("L", args.nu, args.x, cfg)
     print(f"exact = {exact:.17g}")
-    best_lo, best_hi = -math.inf, math.inf
-    lo_id = hi_id = ""
     for spec in registry.bounds_for_target("cond_L"):
         if not spec.valid_at(args.nu):
             continue
         value = spec.evaluate(args.nu, args.x, cfg)
         print(f"{spec.bound_id} = {value:.17g}  [{spec.side}"
               f"{_equality_mark(spec.bound_id, args.nu)}]")
-        if spec.side == "lower" and value > best_lo:
-            best_lo, lo_id = value, spec.bound_id
-        if spec.side == "upper" and value < best_hi:
-            best_hi, hi_id = value, spec.bound_id
-    if lo_id or hi_id:
-        print(f"best bracket: [{best_lo:.17g}, {best_hi:.17g}]  ({lo_id}, {hi_id})")
+    br = best_bracket(args.nu, args.x, cfg, target="cond_L")
+    print(f"best bracket: [{br.lower:.17g}, {br.upper:.17g}]  ({br.lower_id}, {br.upper_id})")
     return 0
 
 

@@ -9,7 +9,6 @@ kept as a residual cross-check only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bfunc import b_value
 from .brackets import Bracket
@@ -20,38 +19,27 @@ from .special_core import iv_value, lv_value, lv_value_extended
 _EQ_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class CondValue:
-    """A condition-number value; positive for L when nu >= -1, for I when nu >= 0."""
-
-    value: float
-    kind: str
-    nu: float
-    x: float
-
-
 def _check_x(x: float) -> None:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"x must be a finite positive real, got {x}")
 
 
 def cond_exact(kind: str, nu: float, x: float,
-               cfg: EvalConfig = DEFAULT_CONFIG) -> CondValue:
-    """Reference condition number via the downward ratio."""
+               cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+    """Reference condition number via the downward ratio; positive for L when
+    nu >= -1, for I when nu >= 0."""
     _check_x(x)
     if kind == "L":
-        value = x * lv_value_extended(nu - 1.0, x, cfg) / lv_value(nu, x, cfg) - nu
-    elif kind == "I":
-        value = x * iv_value(nu - 1.0, x, cfg) / iv_value(nu, x, cfg) - nu
-    else:
-        raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
-    return CondValue(value, kind, nu, x)
+        return x * lv_value_extended(nu - 1.0, x, cfg) / lv_value(nu, x, cfg) - nu
+    if kind == "I":
+        return x * iv_value(nu - 1.0, x, cfg) / iv_value(nu, x, cfg) - nu
+    raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
 
 
 def cond_upward_residual(nu: float, x: float,
                          cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     """|downward - upward| / |downward| for C(L); an identity residual."""
-    down = cond_exact("L", nu, x, cfg).value
+    down = cond_exact("L", nu, x, cfg)
     up = x * lv_value(nu + 1.0, x, cfg) / lv_value(nu, x, cfg) + nu \
         + 2.0 * b_value(nu, x, cfg)
     return abs(down - up) / abs(down)
@@ -64,7 +52,7 @@ def cond_bracket_via_bessel(nu: float, x: float,
     Lower side valid nu >= 1/2, upper side valid nu >= -1/2.
     """
     _check_x(x)
-    ci = cond_exact("I", nu, x, cfg).value
+    ci = cond_exact("I", nu, x, cfg)
     return Bracket(ci, ci + 2.0 * b_value(nu, x, cfg),
                    nu >= 0.5 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
                    "eq28_lower", "eq28_upper")

@@ -10,25 +10,18 @@ MAX_TERMS_ENV = "STRUVE_MAX_TERMS"
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Tolerances and caps shared by the series evaluators.
+    """The one evaluation setting: max_terms, the hard cap on series terms.
 
-    rel_tol   -- truncation target: stop once the next term drops below
-                 rel_tol times the accumulated sum
-    max_terms -- hard cap on the number of series terms
-    x_max     -- overflow guard; arguments above this are rejected outright
+    STRUVE_MAX_TERMS overrides it through config_from_env.  The truncation
+    target and the overflow guard are fixed (special_core.REL_TOL, X_MAX),
+    and the series memo is keyed on max_terms alone, not on this object.
     """
 
-    rel_tol: float = 1e-16
     max_terms: int = 500
-    x_max: float = 600.0
 
     def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1e-6):
-            raise ValueError(f"rel_tol must lie in (0, 1e-6), got {self.rel_tol}")
         if self.max_terms < 50:
             raise ValueError(f"max_terms must be >= 50, got {self.max_terms}")
-        if self.x_max <= 0.0:
-            raise ValueError(f"x_max must be positive, got {self.x_max}")
 
 
 DEFAULT_CONFIG = EvalConfig()

@@ -8,7 +8,6 @@ are only guaranteed on the recorded ranges.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 from . import arg_ratio as _ar
@@ -21,14 +20,6 @@ from .errors import UnknownBound
 from .special_core import lv_value, ratio_succ_exact
 
 
-def _b_csch_lower(nu, x, cfg=DEFAULT_CONFIG):
-    return 0.5 * x / math.sinh(x)
-
-
-def _b_csch_upper(nu, x, cfg=DEFAULT_CONFIG):
-    return 0.25 * x / math.sinh(x / (2.0 * nu + 3.0))
-
-
 def _pair(x, y):
     return _ar.ArgPair(x, y)
 
@@ -37,9 +28,11 @@ _SPECS = [
     # kernel
     BoundSpec("eq12_upper", "b_kernel", "upper", -1.5, True,
               lambda n, x, cfg=DEFAULT_CONFIG: _bf.b_upper_quadratic(n, x)),
-    BoundSpec("eq13_lower", "b_kernel", "lower", -0.5, False, _b_csch_lower,
+    BoundSpec("eq13_lower", "b_kernel", "lower", -0.5, False,
+              lambda n, x, cfg=DEFAULT_CONFIG: _bf.b_csch_bracket(n, x, cfg).lower,
               equality_at=-0.5),
-    BoundSpec("eq13_upper", "b_kernel", "upper", -1.0, True, _b_csch_upper),
+    BoundSpec("eq13_upper", "b_kernel", "upper", -1.0, True,
+              lambda n, x, cfg=DEFAULT_CONFIG: _bf.b_csch_bracket(n, x, cfg).upper),
     # product difference
     BoundSpec("eq14_positivity", "product_diff_L", "lower", 0.5, False,
               lambda n, x, cfg=DEFAULT_CONFIG: 0.0),
@@ -156,7 +149,7 @@ def exact_value(target: str, nu: float, x: float, y: float | None = None,
     if target == "succ_ratio_L":
         return ratio_succ_exact("L", nu, x, cfg)
     if target == "cond_L":
-        return _cd.cond_exact("L", nu, x, cfg).value
+        return _cd.cond_exact("L", nu, x, cfg)
     if target == "arg_ratio_L":
         if y is None:
             raise ValueError("arg_ratio_L needs a second argument y")

@@ -4,6 +4,12 @@ Power-series evaluators with compensated summation and explicit truncation
 metadata, elementary closed forms at half-integer orders, and leading small-x
 and large-x asymptotics.
 
+The series sums are the package's only memo: one lru_cache on _series, keyed
+on (kind, nu, x, max_terms).  Everything else (the kernel b, ratios,
+brackets) is a few flops over memoized I and L values and is not cached.
+The truncation target REL_TOL and the overflow guard X_MAX are constants;
+the term cap is the one setting (EvalConfig.max_terms).
+
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
 is recomputed from the decaying integral
@@ -53,6 +59,13 @@ _POLE_TOL = 1e-12
 
 _QUAD_TOL = 1e-12
 
+# Series truncation target: stop once the next term drops below REL_TOL times
+# the accumulated term magnitude.
+REL_TOL = 1e-16
+# Overflow guard shared by the series and the quadrature oracle: e^x nears
+# the top of double range past about x = 709.
+X_MAX = 600.0
+
 
 @dataclass(frozen=True)
 class FuncValue:
@@ -87,11 +100,11 @@ def _check_order(nu: float, floor: float) -> None:
         raise DomainError(f"order {nu} below supported minimum {floor}")
 
 
-def _check_x(x: float, cfg: EvalConfig) -> None:
+def _check_x(x: float) -> None:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be a finite positive real, got {x}")
-    if x > cfg.x_max:
-        raise OverflowRisk(f"argument {x} exceeds configured x_max={cfg.x_max}")
+    if x > X_MAX:
+        raise OverflowRisk(f"argument {x} exceeds x_max={X_MAX}")
 
 
 def _leading_index(shift: float) -> int:
@@ -123,57 +136,51 @@ def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
     return sign * math.exp(log_mag - math.lgamma(g1_arg) - math.lgamma(g2_arg))
 
 
-def _series(kind: str, nu: float, x: float, cfg: EvalConfig) -> tuple[float, int, float]:
+@lru_cache(maxsize=300_000)
+def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int, float]:
     """Sum the defining power series of I_nu (kind 'I') or L_nu (kind 'L').
 
     Terms are generated by the ratio recurrence, accumulated with Kahan
-    compensation, and truncated once the next term falls below rel_tol times
+    compensation, and truncated once the next term falls below REL_TOL times
     the accumulated term magnitude.  Returns (value, terms_used,
     est_rel_error).
+
+    This is the package's one memo.  Its key holds exactly the inputs that
+    decide the result: a series that converges gives the same value under
+    any cap, and a capped call that does not converge raises, which
+    lru_cache never stores.
     """
+    # the n-th term is (x/2)^(2n+power0) / (Gamma(n+g1) Gamma(n+shift))
     if kind == "I":
-        shift = nu + 1.0
-        power0 = nu
+        g1, shift, power0 = 1.0, nu + 1.0, nu
     elif kind == "L":
-        shift = nu + 1.5
-        power0 = nu + 1.0
+        g1, shift, power0 = 1.5, nu + 1.5, nu + 1.0
     else:
         raise DomainError(f"kind must be 'I' or 'L', got {kind!r}")
 
     n0 = _leading_index(shift)
-    if kind == "I":
-        term = _first_term(2 * n0 + power0, n0 + 1.0, n0 + shift, x)
-    else:
-        term = _first_term(2 * n0 + power0, n0 + 1.5, n0 + shift, x)
+    term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
 
     q = 0.25 * x * x
     total = 0.0
     comp = 0.0
     abs_total = 0.0
     n = n0
-    while n < n0 + cfg.max_terms:
+    while n < n0 + max_terms:
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         abs_total += abs(term)
-        if kind == "I":
-            term = term * q / ((n + 1.0) * (n + shift))
-        else:
-            term = term * q / ((n + 1.5) * (n + shift))
+        term = term * q / ((n + g1) * (n + shift))
         n += 1
-        if abs(term) < cfg.rel_tol * abs_total:
+        if abs(term) < REL_TOL * abs_total:
             est = 2.0 * abs(term) / abs(total) if total != 0.0 else abs(term)
             return total, n - n0, est
     raise ConvergenceError(
-        f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={cfg.rel_tol} "
-        f"within {cfg.max_terms} terms"
+        f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={REL_TOL} "
+        f"within {max_terms} terms"
     )
-
-
-@lru_cache(maxsize=300_000)
-def _series_cached(kind: str, nu: float, x: float, cfg: EvalConfig) -> tuple[float, int, float]:
-    return _series(kind, nu, x, cfg)
 
 
 def bessel_i(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue:
@@ -183,8 +190,8 @@ def bessel_i(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     positivity holds for nu > -1.
     """
     _check_order(nu, MIN_ORDER)
-    _check_x(x, cfg)
-    value, terms, est = _series_cached("I", nu, x, cfg)
+    _check_x(x)
+    value, terms, est = _series("I", nu, x, cfg.max_terms)
     return FuncValue(value, terms, est)
 
 
@@ -195,8 +202,8 @@ def struve_l(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     positivity holds for all nu > -3/2, x > 0.
     """
     _check_order(nu, MIN_ORDER)
-    _check_x(x, cfg)
-    value, terms, est = _series_cached("L", nu, x, cfg)
+    _check_x(x)
+    value, terms, est = _series("L", nu, x, cfg.max_terms)
     return FuncValue(value, terms, est)
 
 
@@ -220,8 +227,8 @@ def lv_value_extended(order: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     _check_order(order, _MIN_ORDER_EXTENDED + _POLE_TOL * 10)
     if order >= MIN_ORDER - _POLE_TOL:
         return lv_value(order, x, cfg)
-    _check_x(x, cfg)
-    return _series_cached("L", order, x, cfg)[0]
+    _check_x(x)
+    return _series("L", order, x, cfg.max_terms)[0]
 
 
 def recurrence_term(nu: float, x: float) -> float:
@@ -321,8 +328,8 @@ def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
         raise DomainError(f"integral representation requires nu > -1/2, got {nu}")
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be a finite positive real, got {x}")
-    if x > 600.0:
-        raise OverflowRisk(f"argument {x} exceeds quadrature guard 600")
+    if x > X_MAX:
+        raise OverflowRisk(f"argument {x} exceeds quadrature guard {X_MAX:g}")
     two_nu = 2.0 * nu
     hyp = math.cosh if kind == "I" else math.sinh
 
@@ -481,11 +488,6 @@ def ratio_succ_exact(kind: str, nu: float, x: float,
             raise DomainError(f"M-ratio requires nu >= 1/2, got {nu}")
         return mv_value(nu, x, cfg) / mv_value(nu - 1.0, x, cfg)
     raise DomainError(f"kind must be 'I', 'L' or 'M', got {kind!r}")
-
-
-def struve_l_prime(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """dL_nu/dx via the downward relation L'_nu = L_{nu-1} - (nu/x) L_nu."""
-    return lv_value(nu - 1.0, x, cfg) - (nu / x) * lv_value(nu, x, cfg)
 
 
 def recurrence_check(nu: float, x: float,

@@ -195,14 +195,19 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket,
                    f"refine({next_bracket.upper_id})", f"refine({next_bracket.lower_id})")
 
 
-def best_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Bracket:
-    """Tightest bracket over every registered ratio bound valid at nu."""
+def best_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG,
+                 target: str = "succ_ratio_L") -> Bracket:
+    """Tightest bracket over every registered bound on target valid at nu.
+
+    target is any target whose bounds take (nu, x), the successive ratio by
+    default; each side carries the id of the bound that attains it.
+    """
     from . import registry
 
     _check_x(x)
     best_lo, best_lo_id = -math.inf, ""
     best_hi, best_hi_id = math.inf, ""
-    for spec in registry.bounds_for_target("succ_ratio_L"):
+    for spec in registry.bounds_for_target(target):
         if not spec.valid_at(nu):
             continue
         value = spec.evaluate(nu, x, cfg)
@@ -211,6 +216,6 @@ def best_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Brack
         elif spec.side == "upper" and value < best_hi:
             best_hi, best_hi_id = value, spec.bound_id
     if not best_lo_id and not best_hi_id:
-        raise NoValidBound(f"no registered ratio bound is valid at nu={nu}")
+        raise NoValidBound(f"no registered {target} bound is valid at nu={nu}")
     return Bracket(best_lo, best_hi, bool(best_lo_id), bool(best_hi_id),
                    best_lo_id, best_hi_id)

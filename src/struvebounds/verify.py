@@ -29,6 +29,9 @@ from .special_core import (
 
 DEFAULT_TOLERANCE = 1e-12
 
+_Y_MULTIPLIERS = (1.5, 3.0, 10.0)
+_Y_CAP = 60.0
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -36,8 +39,6 @@ class Grid:
 
     nu_values: tuple[float, ...]
     x_values: tuple[float, ...]
-    y_multipliers: tuple[float, ...] = (1.5, 3.0, 10.0)
-    y_cap: float = 60.0
 
     def __post_init__(self):
         for name, vals in (("nu_values", self.nu_values), ("x_values", self.x_values)):
@@ -45,9 +46,10 @@ class Grid:
                 raise ValueError(f"{name} must be sorted strictly increasing")
 
     def y_values(self, x: float) -> list[float]:
+        """Second arguments y > x paired with x for the argument-ratio bounds."""
         ys = []
-        for m in self.y_multipliers:
-            y = min(x * m, self.y_cap)
+        for m in _Y_MULTIPLIERS:
+            y = min(x * m, _Y_CAP)
             if y > x and y not in ys:
                 ys.append(y)
         return ys

@@ -8,7 +8,6 @@ from struvebounds import (
     a_coefficient,
     b_asym,
     b_csch_bracket,
-    b_eval,
     b_upper_quadratic,
     b_value,
     lv_value,
@@ -22,7 +21,7 @@ def csch_lower(x):
 class TestBEval:
     def test_minus_half_is_csch(self):
         for x in (0.2, 2.0, 15.0):
-            assert abs(b_eval(-0.5, x).value / csch_lower(x) - 1.0) < 1e-13
+            assert abs(b_value(-0.5, x) / csch_lower(x) - 1.0) < 1e-13
 
     def test_limit_one_half(self):
         for nu in (-1.2, 0.0, 4.0):
@@ -45,9 +44,9 @@ class TestBEval:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            b_eval(-1.5, 1.0)
+            b_value(-1.5, 1.0)
         with pytest.raises(DomainError):
-            b_eval(0.0, 0.0)
+            b_value(0.0, 0.0)
 
 
 class TestQuadraticUpper:
@@ -86,6 +85,14 @@ class TestCschBracket:
         assert br.lower == pytest.approx(2.0 / math.sinh(4.0))
         assert br.upper == pytest.approx(1.0 / math.sinh(0.8))
         assert br.lower < b_value(1.0, 4.0) < br.upper
+
+    def test_no_overflow_past_sinh_range(self):
+        # sinh overflows past about 710; the sides then decay like x e^(-z)
+        br = b_csch_bracket(-1.49, 30.0)  # upper side at z = x/(2 nu+3) = 1500
+        assert br.lower == 15.0 / math.sinh(30.0)
+        assert br.upper == 0.0
+        br = b_csch_bracket(0.0, 720.0)
+        assert br.lower == pytest.approx(math.exp(math.log(720.0) - 720.0), rel=1e-12)
 
     def test_validity_flags(self):
         assert not b_csch_bracket(-0.75, 1.0).lower_valid

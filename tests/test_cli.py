@@ -165,6 +165,30 @@ class TestCrossover:
         assert float(out) == pytest.approx(2.18, abs=0.02)
 
 
+class TestEveryBound:
+    @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
+    def test_exit_code_without_traceback(self, capsys, bound_id):
+        # every registered bound, inside and outside its validity range:
+        # either a value (exit 0) or a typed error (exit 1), never a raw
+        # exception out of main()
+        spec = REGISTRY[bound_id]
+        for nu in ("-2", "-1.5", "-1", "-0.5", "0", "0.5"):
+            for x in ("1e-3", "1", "30"):
+                if spec.target == "arg_ratio_L":
+                    argv = ["argratio", "--nu", nu, "--x", x, "--y", str(2.0 * float(x))]
+                else:
+                    argv = ["bracket", "--bound", bound_id, "--nu", nu, "--x", x]
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1), (argv, code)
+                assert code == 0 or err.startswith("error:"), (argv, err)
+
+    def test_eq13_upper_at_pole_is_domain_error(self, capsys):
+        code, _, err = run(capsys, "bracket", "--bound", "eq13_upper",
+                           "--nu", "-1.5", "--x", "1")
+        assert code == 1
+        assert "nu > -3/2" in err
+
+
 class TestUsageAndEnv:
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

@@ -95,8 +95,13 @@ class TestBesselSeries:
             bessel_i(1.0, 601.0)
 
     def test_convergence_cap(self):
+        # the series memo is keyed on the cap: a value summed under the
+        # default cap must not answer a capped call, and the capped call's
+        # failure must not be remembered either
+        want = bessel_i(1.0, 300.0)
         with pytest.raises(ConvergenceError):
             bessel_i(1.0, 300.0, EvalConfig(max_terms=50))
+        assert bessel_i(1.0, 300.0) == want
 
 
 class TestStruveSeries:
