@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .brackets import Bracket
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
-from .special_core import SQRT_PI, iv_value, lv_value
+from .special_core import GAMMA_ARG_MAX, SQRT_PI, iv_value, lv_value
 
 _EQ_TOL = 1e-12
 
@@ -217,7 +217,10 @@ def pointwise_prior_upper(nu: float, x: float, variant: str,
     if variant == "eq45":
         if nu <= -0.5:
             raise DomainError(f"eq45 requires nu > -1/2, got {nu}")
-        coef = 2.0 * math.gamma(nu + 2.0) / (SQRT_PI * math.gamma(nu + 1.5))
+        if nu + 2.0 < GAMMA_ARG_MAX:
+            coef = 2.0 * math.gamma(nu + 2.0) / (SQRT_PI * math.gamma(nu + 1.5))
+        else:
+            coef = 2.0 * math.exp(math.lgamma(nu + 2.0) - math.lgamma(nu + 1.5)) / SQRT_PI
         return coef * iv_value(nu + 1.0, x, cfg)
     if variant == "eq46":
         if nu <= -0.5:

@@ -13,7 +13,7 @@ import math
 from .brackets import Bracket
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
-from .special_core import SQRT_PI, lv_value, recurrence_term
+from .special_core import GAMMA_ARG_MAX, SQRT_PI, lv_value, recurrence_term
 
 _EQ_TOL = 1e-12
 
@@ -35,19 +35,21 @@ def b_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
 
     Not cached: L is memoized in special_core, and the rest is a power, a
     gamma and one divide.  The direct quotient is exact enough whenever it
-    stays normal; once the numerator or quotient would leave double range the
-    value is rebuilt as exp(log-numerator - log-denominator).  L > 0 on the
-    whole domain.
+    stays normal; once the gamma, the numerator or the quotient would leave
+    double range the value is rebuilt as exp(log-numerator -
+    log-denominator).  L > 0 on the whole domain.
     """
     _check_domain(nu, x)
-    denom = SQRT_PI * math.gamma(nu + 1.5) * lv_value(nu, x, cfg)
-    num = (0.5 * x) ** (nu + 1.0)
-    if num > 0.0 and math.isfinite(num) and math.isfinite(denom):
-        q = num / denom
-        if math.isfinite(q) and q != 0.0:
+    lv = lv_value(nu, x, cfg)
+    if nu + 1.5 < GAMMA_ARG_MAX:
+        try:
+            q = (0.5 * x) ** (nu + 1.0) / (SQRT_PI * math.gamma(nu + 1.5) * lv)
+        except OverflowError:  # from the power
+            q = math.inf
+        if 0.0 < q < math.inf:
             return q
     log_num = (nu + 1.0) * math.log(0.5 * x)
-    log_den = math.log(SQRT_PI) + math.lgamma(nu + 1.5) + math.log(lv_value(nu, x, cfg))
+    log_den = math.log(SQRT_PI) + math.lgamma(nu + 1.5) + math.log(lv)
     return math.exp(log_num - log_den)
 
 

@@ -4,11 +4,16 @@ Power-series evaluators with compensated summation and explicit truncation
 metadata, elementary closed forms at half-integer orders, and leading small-x
 and large-x asymptotics.
 
-The series sums are the package's only memo: one lru_cache on _series, keyed
-on (kind, nu, x, max_terms).  Everything else (the kernel b, ratios,
-brackets) is a few flops over memoized I and L values and is not cached.
-The truncation target REL_TOL and the overflow guard X_MAX are constants;
-the term cap is the one setting (EvalConfig.max_terms).
+The series sums are the package's only memo: a module dict of at most
+300,000 entries, keyed on (kind, nu, x, max_terms) and cleared when full.
+Two producers fill it: the scalar kernel _series, which runs when a lookup
+misses, and fill_series_row, which sums one (kind, nu) series over a whole
+row of arguments with numpy, one lane per x, doing the scalar kernel's
+floating-point operations in the same order, so that every value it stores
+is bit-identical to the scalar result.  Everything else (the kernel b,
+ratios, brackets) is a few flops over memoized I and L values and is not
+cached.  The truncation target REL_TOL and the overflow guard X_MAX are
+constants; the term cap is the one setting (EvalConfig.max_terms).
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -34,8 +39,8 @@ independent cross-check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +70,13 @@ REL_TOL = 1e-16
 # Overflow guard shared by the series and the quadrature oracle: e^x nears
 # the top of double range past about x = 709.
 X_MAX = 600.0
+# Past these, gamma factors and powers are formed in log space: math.gamma
+# overflows just above 171.6, and e^690 is close to the top of double range.
+GAMMA_ARG_MAX = 170.0
+_LOG_MAG_MAX = 690.0
+# A zero or subnormal leading term has lost its relative precision, and
+# REL_TOL times it rounds to 0, so the series stop test could never fire.
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -125,8 +137,10 @@ def _leading_index(shift: float) -> int:
 def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
     """(x/2)^power / (Gamma(g1_arg) * Gamma(g2_arg)), with log-space fallback."""
     half_x = 0.5 * x
+    if half_x == 0.0:
+        raise DomainError(f"argument x={x} underflows: x/2 rounds to 0")
     log_mag = power * math.log(half_x)
-    if abs(log_mag) < 690.0 and g1_arg < 170.0 and g2_arg < 170.0:
+    if abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
         return half_x**power / (math.gamma(g1_arg) * math.gamma(g2_arg))
     # math.lgamma returns log|Gamma|; Gamma is negative on (-1,0), (-3,-2), ...
     sign = 1.0
@@ -136,7 +150,44 @@ def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
     return sign * math.exp(log_mag - math.lgamma(g1_arg) - math.lgamma(g2_arg))
 
 
-@lru_cache(maxsize=300_000)
+class _SeriesMemo(dict):
+    """(kind, nu, x, max_terms) -> (value, terms_used, est_rel_error).
+
+    A lookup that misses runs the scalar kernel _series, which stores its
+    result, so a hit costs one dict lookup and nothing else.
+    """
+
+    def __missing__(self, key: tuple[str, float, float, int]) -> tuple[float, int, float]:
+        return _series(*key)
+
+
+_SERIES_MEMO = _SeriesMemo()
+_SERIES_MEMO_MAX = 300_000
+
+
+def _store(key: tuple[str, float, float, int], total: float, terms: int,
+           next_term: float) -> tuple[float, int, float]:
+    """Memoize and return (value, terms_used, est_rel_error) of a series
+    that met the stop test with next_term as its first omitted term."""
+    est = 2.0 * abs(next_term) / abs(total) if total != 0.0 else abs(next_term)
+    if len(_SERIES_MEMO) >= _SERIES_MEMO_MAX:
+        _SERIES_MEMO.clear()
+    out = _SERIES_MEMO[key] = (total, terms, est)
+    return out
+
+
+def _series_setup(kind: str, nu: float) -> tuple[float, float, float, int]:
+    """(g1, shift, power0, n0): the n-th term of the series is
+    (x/2)^(2n+power0) / (Gamma(n+g1) Gamma(n+shift)), summed from n = n0."""
+    if kind == "I":
+        g1, shift, power0 = 1.0, nu + 1.0, nu
+    elif kind == "L":
+        g1, shift, power0 = 1.5, nu + 1.5, nu + 1.0
+    else:
+        raise DomainError(f"kind must be 'I' or 'L', got {kind!r}")
+    return g1, shift, power0, _leading_index(shift)
+
+
 def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int, float]:
     """Sum the defining power series of I_nu (kind 'I') or L_nu (kind 'L').
 
@@ -145,42 +196,88 @@ def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int,
     the accumulated term magnitude.  Returns (value, terms_used,
     est_rel_error).
 
-    This is the package's one memo.  Its key holds exactly the inputs that
-    decide the result: a series that converges gives the same value under
-    any cap, and a capped call that does not converge raises, which
-    lru_cache never stores.
+    The result is stored in the package's one memo, which calls this on a
+    miss.  Its key holds exactly the inputs that decide the result: a series
+    that converges gives the same value under any cap, and a capped call
+    that does not converge raises before anything is stored.  A leading
+    term that underflows raises DomainError rather than running to the cap.
     """
-    # the n-th term is (x/2)^(2n+power0) / (Gamma(n+g1) Gamma(n+shift))
-    if kind == "I":
-        g1, shift, power0 = 1.0, nu + 1.0, nu
-    elif kind == "L":
-        g1, shift, power0 = 1.5, nu + 1.5, nu + 1.0
-    else:
-        raise DomainError(f"kind must be 'I' or 'L', got {kind!r}")
-
-    n0 = _leading_index(shift)
+    g1, shift, power0, n0 = _series_setup(kind, nu)
     term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
+    mag = abs(term)
+    if mag < _TINY:
+        raise DomainError(f"{kind}-series leading term underflows at nu={nu}, x={x}")
 
     q = 0.25 * x * x
     total = 0.0
     comp = 0.0
     abs_total = 0.0
-    n = n0
-    while n < n0 + max_terms:
+    for n in range(n0, n0 + max_terms):
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        abs_total += abs(term)
+        abs_total += mag
         term = term * q / ((n + g1) * (n + shift))
-        n += 1
-        if abs(term) < REL_TOL * abs_total:
-            est = 2.0 * abs(term) / abs(total) if total != 0.0 else abs(term)
-            return total, n - n0, est
+        mag = abs(term)
+        if mag < REL_TOL * abs_total:
+            return _store((kind, nu, x, max_terms), total, n + 1 - n0, term)
     raise ConvergenceError(
         f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={REL_TOL} "
         f"within {max_terms} terms"
     )
+
+
+def fill_series_row(kind: str, nu: float, xs, max_terms: int) -> None:
+    """Sum the (kind, nu) series at every argument in xs into the memo.
+
+    One numpy lane per argument runs _series's operations in _series's
+    order, so each stored value is bit-identical to the scalar result.  A
+    lane is stored, as Python numbers, once it meets the stop test, and then
+    leaves the arrays.  Lanes whose order or argument is out of domain,
+    that are already memoized, or whose leading term underflows are skipped;
+    lanes that do not converge within max_terms are not stored, so the
+    scalar call still raises for them.  Raises only for an unknown kind.
+    """
+    if not (math.isfinite(nu) and nu >= _MIN_ORDER_EXTENDED + _POLE_TOL * 10):
+        return
+    g1, shift, power0, n0 = _series_setup(kind, nu)
+    lanes, terms = [], []
+    for x in dict.fromkeys(float(v) for v in xs):
+        if not (0.0 < x <= X_MAX) or (kind, nu, x, max_terms) in _SERIES_MEMO:
+            continue
+        try:
+            term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
+        except DomainError:
+            continue
+        if abs(term) >= _TINY:
+            lanes.append(x)
+            terms.append(term)
+    xv = np.array(lanes)
+    term = np.array(terms)
+    mag = np.abs(term)
+    q = 0.25 * xv * xv
+    total = np.zeros_like(xv)
+    comp = np.zeros_like(xv)
+    abs_total = np.zeros_like(xv)
+    for n in range(n0, n0 + max_terms):
+        if not xv.size:
+            return
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        abs_total += mag
+        term = term * q / ((n + g1) * (n + shift))
+        mag = np.abs(term)
+        done = mag < REL_TOL * abs_total
+        if not done.any():
+            continue
+        for x, tot, nxt in zip(xv[done].tolist(), total[done].tolist(), term[done].tolist()):
+            _store((kind, nu, x, max_terms), tot, n + 1 - n0, nxt)
+        keep = ~done
+        xv, q, term, mag, total, comp, abs_total = (
+            a[keep] for a in (xv, q, term, mag, total, comp, abs_total))
 
 
 def bessel_i(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue:
@@ -191,7 +288,7 @@ def bessel_i(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     """
     _check_order(nu, MIN_ORDER)
     _check_x(x)
-    value, terms, est = _series("I", nu, x, cfg.max_terms)
+    value, terms, est = _SERIES_MEMO["I", nu, x, cfg.max_terms]
     return FuncValue(value, terms, est)
 
 
@@ -203,7 +300,7 @@ def struve_l(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     """
     _check_order(nu, MIN_ORDER)
     _check_x(x)
-    value, terms, est = _series("L", nu, x, cfg.max_terms)
+    value, terms, est = _SERIES_MEMO["L", nu, x, cfg.max_terms]
     return FuncValue(value, terms, est)
 
 
@@ -228,13 +325,19 @@ def lv_value_extended(order: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     if order >= MIN_ORDER - _POLE_TOL:
         return lv_value(order, x, cfg)
     _check_x(x)
-    return _series("L", order, x, cfg.max_terms)[0]
+    return _SERIES_MEMO["L", order, x, cfg.max_terms][0]
 
 
 def recurrence_term(nu: float, x: float) -> float:
     """Inhomogeneous term (x/2)^nu / (sqrt(pi) Gamma(nu+3/2)) of the three-term
-    recurrence satisfied by L."""
-    return (0.5 * x) ** nu / (SQRT_PI * math.gamma(nu + 1.5))
+    recurrence satisfied by L; in log space once the gamma or the power
+    would overflow."""
+    if nu + 1.5 < GAMMA_ARG_MAX:
+        try:
+            return (0.5 * x) ** nu / (SQRT_PI * math.gamma(nu + 1.5))
+        except OverflowError:  # from the power
+            pass
+    return _first_term(nu, nu + 1.5, 1.0, x) / SQRT_PI
 
 
 def half_integer_closed(kind: str, nu: float, x: float) -> float:

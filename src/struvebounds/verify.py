@@ -19,6 +19,7 @@ from .bfunc import b_value
 from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import MultipleSignChanges, NoSignChange, UnknownBound
 from .special_core import (
+    fill_series_row,
     iv_value,
     lv_value,
     lv_value_extended,
@@ -103,29 +104,37 @@ class GridReport:
 
 def certify(bound_id: str, grid: Optional[Grid] = None,
             tolerance: float = DEFAULT_TOLERANCE,
-            cfg: EvalConfig = DEFAULT_CONFIG) -> GridReport:
-    """Check one registered inequality at every in-range grid point."""
+            cfg: EvalConfig = DEFAULT_CONFIG, *,
+            exact: Optional[dict] = None) -> GridReport:
+    """Check one registered inequality at every in-range grid point.
+
+    exact maps (target, nu, x, y) to the target's exact value there (y is
+    None for single-argument targets).  certify reads it before computing a
+    value and stores every value it computes, so bounds on one target that
+    share a dict compute each exact value once; certify_all passes one dict
+    to every bound.  Without it, certify uses a dict of its own.  A dict
+    holds values for one cfg only.
+    """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     spec = registry.get_bound(bound_id)
     grid = grid or default_grid()
+    exact = {} if exact is None else exact
     report = GridReport(bound_id)
+    target = spec.target
     takes_y = registry.needs_y(spec)
     for nu in grid.nu_values:
         if not spec.valid_at(nu):
             continue
         equality = spec.is_equality_at(nu)
         for x in grid.x_values:
-            if takes_y:
-                for y in grid.y_values(x):
-                    exact = registry.exact_value(spec.target, nu, x, y, cfg)
-                    bound = spec.evaluate(nu, x, y, cfg)
-                    report.record(nu, x, y, _slack(spec.side, bound, exact),
-                                  tolerance, equality)
-            else:
-                exact = registry.exact_value(spec.target, nu, x, None, cfg)
-                bound = spec.evaluate(nu, x, cfg)
-                report.record(nu, x, None, _slack(spec.side, bound, exact),
+            for y in grid.y_values(x) if takes_y else (None,):
+                key = (target, nu, x, y)
+                value = exact.get(key)
+                if value is None:
+                    value = exact[key] = registry.exact_value(target, nu, x, y, cfg)
+                bound = spec.evaluate(nu, x, y, cfg) if takes_y else spec.evaluate(nu, x, cfg)
+                report.record(nu, x, y, _slack(spec.side, bound, value),
                               tolerance, equality)
     return report
 
@@ -139,7 +148,10 @@ def _slack(side: str, bound: float, exact: float) -> float:
 
 def certify_all(grid: Optional[Grid] = None, tolerance: float = DEFAULT_TOLERANCE,
                 cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
-    return [certify(bid, grid, tolerance, cfg) for bid in registry.bound_ids()]
+    """Certify every registered bound, computing each exact value once."""
+    grid = grid or default_grid()
+    exact: dict = {}
+    return [certify(bid, grid, tolerance, cfg, exact=exact) for bid in registry.bound_ids()]
 
 
 def certify_eq14_extension(grid: Optional[Grid] = None,
@@ -354,6 +366,7 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
     xs_lin = [round(0.1 + 0.05 * k, 10) for k in range(999)]  # 0.1 .. 50
     pairs = []
     for nu in grid.nu_values:
+        fill_series_row("L", nu, xs_lin, cfg.max_terms)
         prev = b_value(nu, xs_lin[0], cfg)
         for x in xs_lin[1:]:
             cur = b_value(nu, x, cfg)

@@ -191,6 +191,15 @@ class TestPointwisePriorUppers:
         assert pointwise_prior_upper(nu, x, "eq45") == pytest.approx(want, rel=1e-13)
         assert want > lv_value(nu, x)
 
+    def test_eq45_past_gamma_overflow(self):
+        # Gamma(nu+2) alone overflows a double here; the ratio does not
+        from struvebounds import iv_value
+
+        nu, x = 200.0, 500.0
+        ratio = math.exp(math.lgamma(nu + 2.0) - math.lgamma(nu + 1.5))
+        want = 2.0 * ratio / SQRT_PI * iv_value(nu + 1.0, x)
+        assert pointwise_prior_upper(nu, x, "eq45") == pytest.approx(want, rel=1e-12)
+
     def test_domains(self):
         with pytest.raises(DomainError):
             pointwise_prior_upper(-0.1, 1.0, "eq43")

@@ -42,6 +42,20 @@ class TestBEval:
         v = b_value(0.5, 590.0)
         assert 0.0 < v < 1e-200
 
+    @pytest.mark.parametrize("nu,x", [(130.0, 600.0), (169.0, 300.0), (200.0, 500.0)])
+    def test_large_orders(self, nu, x):
+        # the power or Gamma(nu+3/2) leaves double range; b and a do not
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        a = (mpmath.mpf(x) / 2) ** nu / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu + 1.5))
+        assert a_coefficient(nu, x) == pytest.approx(float(a), rel=1e-12)
+        want = float(a * x / (2 * mpmath.mpf(lv_value(nu, x))))
+        assert b_value(nu, x) == pytest.approx(want, rel=1e-12)
+
+    def test_huge_order_underflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="underflow"):
+            b_value(1e6, 1.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             b_value(-1.5, 1.0)

@@ -168,19 +168,31 @@ class TestCrossover:
 class TestEveryBound:
     @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
     def test_exit_code_without_traceback(self, capsys, bound_id):
-        # every registered bound, inside and outside its validity range:
-        # either a value (exit 0) or a typed error (exit 1), never a raw
-        # exception out of main()
+        # every registered bound, inside and outside its validity range, and
+        # at orders where Gamma(nu+3/2) leaves double range and every series
+        # underflows: either a value (exit 0) or a typed error (exit 1),
+        # never a raw exception out of main()
         spec = REGISTRY[bound_id]
-        for nu in ("-2", "-1.5", "-1", "-0.5", "0", "0.5"):
-            for x in ("1e-3", "1", "30"):
-                if spec.target == "arg_ratio_L":
-                    argv = ["argratio", "--nu", nu, "--x", x, "--y", str(2.0 * float(x))]
-                else:
-                    argv = ["bracket", "--bound", bound_id, "--nu", nu, "--x", x]
-                code, _, err = run(capsys, *argv)
-                assert code in (0, 1), (argv, code)
-                assert code == 0 or err.startswith("error:"), (argv, err)
+        points = [(nu, x) for nu in ("-2", "-1.5", "-1", "-0.5", "0", "0.5")
+                  for x in ("1e-3", "1", "30")]
+        for nu, x in points + [("300", "1"), ("1e6", "1")]:
+            if spec.target == "arg_ratio_L":
+                argv = ["argratio", "--nu", nu, "--x", x, "--y", str(2.0 * float(x))]
+            else:
+                argv = ["bracket", "--bound", bound_id, "--nu", nu, "--x", x]
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1), (argv, code)
+            assert code == 0 or err.startswith("error:"), (argv, err)
+
+    @pytest.mark.parametrize("argv", [
+        ("cond", "--nu", "300", "--x", "2"),
+        ("argratio", "--nu", "1", "--x", "1e-320", "--y", "1"),
+        ("eval", "--kind", "L", "--nu", "0", "--x", "5e-324"),
+    ])
+    def test_underflow_is_reported_as_underflow(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "underflow" in err
 
     def test_eq13_upper_at_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bracket", "--bound", "eq13_upper",

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import iv as scipy_iv
 from scipy.special import modstruve as scipy_modstruve
 
+from struvebounds import special_core
 from struvebounds import (
     ConvergenceError,
     DomainError,
@@ -102,6 +103,52 @@ class TestBesselSeries:
         with pytest.raises(ConvergenceError):
             bessel_i(1.0, 300.0, EvalConfig(max_terms=50))
         assert bessel_i(1.0, 300.0) == want
+
+    def test_leading_term_underflow_is_domain_error(self):
+        # a zero or subnormal leading term is underflow, not non-convergence
+        for fn, nu, x in ((bessel_i, 300.0, 1.0), (struve_l, 150.0, 1.0),
+                          (struve_l, 1.0, 1e-320), (struve_l, 0.0, 5e-324)):
+            with pytest.raises(DomainError, match="underflow"):
+                fn(nu, x)
+
+
+class TestSeriesRow:
+    ORDERS = (-2.4, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5, 10.0, 60.0)
+
+    @pytest.mark.parametrize("kind", ["I", "L"])
+    def test_bit_identical_to_scalar(self, kind):
+        xs = np.logspace(-3.0, math.log10(600.0), 200).tolist()
+        for nu in self.ORDERS:
+            special_core._SERIES_MEMO.clear()
+            special_core.fill_series_row(kind, nu, xs, 500)
+            filled = dict(special_core._SERIES_MEMO)
+            special_core._SERIES_MEMO.clear()
+            assert len(filled) == len(xs), nu
+            for key, out in filled.items():
+                assert special_core._series(*key) == out, key
+
+    def test_skips_memoized_and_out_of_domain_lanes(self):
+        special_core._SERIES_MEMO.clear()
+        first = special_core._series("L", 1.0, 2.0, 500)
+        special_core.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320], 500)
+        assert special_core._SERIES_MEMO == {("L", 1.0, 2.0, 500): first}
+        special_core.fill_series_row("L", -3.0, [1.0], 500)
+        special_core.fill_series_row("L", math.nan, [1.0], 500)
+        assert len(special_core._SERIES_MEMO) == 1
+
+    def test_memo_is_cleared_when_full(self, monkeypatch):
+        special_core._SERIES_MEMO.clear()
+        monkeypatch.setattr(special_core, "_SERIES_MEMO_MAX", 3)
+        special_core.fill_series_row("L", 1.0, [1.0, 2.0, 3.0, 4.0, 5.0], 500)
+        assert list(special_core._SERIES_MEMO) == [("L", 1.0, 4.0, 500), ("L", 1.0, 5.0, 500)]
+
+    def test_unconverged_lanes_are_not_stored(self):
+        special_core._SERIES_MEMO.clear()
+        special_core.fill_series_row("I", 1.0, [1.0, 300.0], 50)
+        assert ("I", 1.0, 1.0, 50) in special_core._SERIES_MEMO
+        assert ("I", 1.0, 300.0, 50) not in special_core._SERIES_MEMO
+        with pytest.raises(ConvergenceError):
+            bessel_i(1.0, 300.0, EvalConfig(max_terms=50))
 
 
 class TestStruveSeries:

@@ -71,6 +71,33 @@ class TestCertify:
         assert rep.clean
         assert all(r[2] is not None for r in rep.rows)
 
+    def test_shared_exact_values_change_no_report(self, small_grid):
+        shared = certify_all(small_grid)
+        alone = [certify(bid, small_grid) for bid in REGISTRY]
+        assert len(shared) == len(alone)
+        for a, b in zip(shared, alone):
+            assert a.bound_id == b.bound_id
+            assert a.rows == b.rows
+            assert a.violations == b.violations
+            assert a.worst_slack == b.worst_slack
+            assert a.max_rel_gap == b.max_rel_gap
+            assert a.points_checked == b.points_checked
+
+    def test_each_exact_value_computed_once(self, small_grid, monkeypatch):
+        from struvebounds import registry
+
+        calls = []
+        original = registry.exact_value
+
+        def counting(target, nu, x, y, *rest):
+            calls.append((target, nu, x, y))
+            return original(target, nu, x, y, *rest)
+
+        monkeypatch.setattr(registry, "exact_value", counting)
+        certify_all(small_grid)
+        assert calls
+        assert len(calls) == len(set(calls))
+
     def test_full_registry_clean_on_default_grid(self):
         reports = certify_all()
         assert all(rep.clean for rep in reports)
