@@ -24,7 +24,6 @@ from .arg_ratio import (
 from .bfunc import a_coefficient, b_asym, b_csch_bracket, b_upper_quadratic, b_value
 from .brackets import BoundSpec, Bracket
 from .condition import cond_bracket_sqrt, cond_bracket_via_bessel, cond_exact, prior_lower_bound
-from .config import DEFAULT_CONFIG, EvalConfig, config_from_env
 from .errors import (
     ConvergenceError,
     DomainError,

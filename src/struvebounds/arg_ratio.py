@@ -9,10 +9,10 @@ log space and exponentiated once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .brackets import Bracket
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
 from .special_core import GAMMA_ARG_MAX, SQRT_PI, iv_value, lv_value
 
@@ -55,19 +55,20 @@ def _log_cosh(u: float) -> float:
 
 
 def _log_tanh_half(u: float) -> float:
-    return math.log(math.tanh(0.5 * u))
+    # once u/2 is subnormal it is inexact, and 0 at the smallest u
+    half = 0.5 * u
+    return (math.log(math.tanh(half)) if half >= sys.float_info.min
+            else math.log(u) - math.log(2.0))
 
 
-def arg_ratio_exact(nu: float, pair: ArgPair,
-                    cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def arg_ratio_exact(nu: float, pair: ArgPair) -> float:
     """L_nu(x)/L_nu(y) from the reference evaluator; in (0, 1] for x <= y."""
     if pair.degenerate:
         return 1.0
-    return lv_value(nu, pair.x, cfg) / lv_value(nu, pair.y, cfg)
+    return lv_value(nu, pair.x) / lv_value(nu, pair.y)
 
 
-def arg_ratio_bessel_bracket(nu: float, pair: ArgPair,
-                             cfg: EvalConfig = DEFAULT_CONFIG) -> Bracket:
+def arg_ratio_bessel_bracket(nu: float, pair: ArgPair) -> Bracket:
     """Bracket through the Bessel argument ratio.
 
     lower: (x/y) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) * I_nu(x)/I_nu(y),
@@ -77,7 +78,7 @@ def arg_ratio_bessel_bracket(nu: float, pair: ArgPair,
     if pair.degenerate:
         return Bracket(1.0, 1.0, True, True, "eq37_lower", "eq37_upper")
     x, y = pair.x, pair.y
-    r = iv_value(nu, x, cfg) / iv_value(nu, y, cfg)
+    r = iv_value(nu, x) / iv_value(nu, y)
     s = 3.0 * (2.0 * nu + 3.0)
     lower = (x / y) * math.sqrt((s + y * y) / (s + x * x)) * r
     return Bracket(lower, r, nu >= -0.5 - _EQ_TOL, nu >= 0.5 - _EQ_TOL,
@@ -194,8 +195,7 @@ def arg_ratio_prior_bounds(nu: float, pair: ArgPair, variant: str) -> float:
     raise DomainError(f"unknown variant {variant!r}")
 
 
-def pointwise_prior_upper(nu: float, x: float, variant: str,
-                          cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def pointwise_prior_upper(nu: float, x: float, variant: str) -> float:
     """One-sided pointwise upper bounds kept for comparison.
 
     eq43: simplification of the explicit upper bound,        nu >= 0
@@ -221,7 +221,7 @@ def pointwise_prior_upper(nu: float, x: float, variant: str,
             coef = 2.0 * math.gamma(nu + 2.0) / (SQRT_PI * math.gamma(nu + 1.5))
         else:
             coef = 2.0 * math.exp(math.lgamma(nu + 2.0) - math.lgamma(nu + 1.5)) / SQRT_PI
-        return coef * iv_value(nu + 1.0, x, cfg)
+        return coef * iv_value(nu + 1.0, x)
     if variant == "eq46":
         if nu <= -0.5:
             raise DomainError(f"eq46 requires nu > -1/2, got {nu}")

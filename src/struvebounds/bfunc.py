@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 
 from .brackets import Bracket
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
-from .special_core import GAMMA_ARG_MAX, SQRT_PI, lv_value, recurrence_term
+from .special_core import GAMMA_ARG_MAX, SQRT_PI, _first_term, lv_value, recurrence_term
 
 _EQ_TOL = 1e-12
 
@@ -30,7 +29,7 @@ def _check_domain(nu: float, x: float) -> None:
         raise DomainError(f"kernel requires x > 0, got {x}")
 
 
-def b_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def b_value(nu: float, x: float) -> float:
     """Kernel value; lies strictly inside (0, 1/2) for nu > -3/2, x > 0.
 
     Not cached: L is memoized in special_core, and the rest is a power, a
@@ -40,7 +39,7 @@ def b_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     log-denominator).  L > 0 on the whole domain.
     """
     _check_domain(nu, x)
-    lv = lv_value(nu, x, cfg)
+    lv = lv_value(nu, x)
     if nu + 1.5 < GAMMA_ARG_MAX:
         try:
             q = (0.5 * x) ** (nu + 1.0) / (SQRT_PI * math.gamma(nu + 1.5) * lv)
@@ -59,12 +58,21 @@ def b_upper_quadratic(nu: float, x: float) -> float:
     return 0.5 / (1.0 + x * x / (3.0 * (2.0 * nu + 3.0)))
 
 
-def _over_sinh(c: float, z: float) -> float:
-    """c / sinh(z) for z > 0, without the OverflowError of sinh past z ~ 710."""
+def _x_csch(scale: float, x: float, k: float) -> float:
+    """scale * x / sinh(x/k) for x, k > 0.
+
+    Below z = x/k = 1e-8, sinh(z) = z in double precision and the value is
+    its limit scale * k (there scale * x may underflow, even to 0); past
+    z ~ 710, where sinh overflows, it is 2 scale x e^(-z).
+    """
+    z = x / k
+    if z < 1e-8:
+        return scale * k
+    c = scale * x
     return c / math.sinh(z) if z < 710.0 else 2.0 * c * math.exp(-z)
 
 
-def b_csch_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Bracket:
+def b_csch_bracket(nu: float, x: float) -> Bracket:
     """Hyperbolic bracket (x/2) csch(x) <= b_nu(x) < (x/4) csch(x/(2 nu+3)).
 
     The lower side is valid for nu >= -1/2 (equality exactly at nu = -1/2,
@@ -72,8 +80,8 @@ def b_csch_bracket(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> Bra
     nu > -1.
     """
     _check_domain(nu, x)
-    lower = _over_sinh(0.5 * x, x)
-    upper = _over_sinh(0.25 * x, x / (2.0 * nu + 3.0))
+    lower = _x_csch(0.5, x, 1.0)
+    upper = _x_csch(0.25, x, 2.0 * nu + 3.0)
     return Bracket(
         lower=lower,
         upper=upper,
@@ -96,5 +104,7 @@ def b_asym(nu: float, x: float, regime: str) -> float:
     if regime == "small":
         return 0.5 - x * x / (6.0 * (2.0 * nu + 3.0))
     if regime == "large":
-        return x ** (nu + 1.5) * math.exp(-x) / (2.0 ** (nu + 0.5) * math.gamma(nu + 1.5))
+        if x == 0.0:
+            return 0.0
+        return 2.0 * math.exp(-x) * _first_term(nu + 1.5, nu + 1.5, 1.0, x)
     raise DomainError(f"regime must be 'small' or 'large', got {regime!r}")

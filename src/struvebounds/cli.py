@@ -2,7 +2,8 @@
 
 Subcommands: eval, bracket, cond, argratio, table, verify, crossover.
 Exit codes: 0 success, 1 domain or usage error, 2 when verification finds
-violations.  STRUVE_MAX_TERMS overrides the series term cap.
+violations.  Nothing is configurable: no option or environment variable
+changes how a value is computed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional, Sequence
 from . import registry, verify
 from .arg_ratio import ArgPair, arg_ratio_exact
 from .condition import cond_exact
-from .config import config_from_env
 from .errors import StruveBoundsError
 from .special_core import bessel_i, struve_l, struve_m
 from .succ_ratio import best_bracket
@@ -77,10 +77,10 @@ def _check_finite(*values: float) -> None:
             raise StruveBoundsError(f"numeric flags must be finite, got {v}")
 
 
-def _cmd_eval(args, cfg) -> int:
+def _cmd_eval(args) -> int:
     _check_finite(args.nu, args.x)
     fn = {"I": bessel_i, "L": struve_l, "M": struve_m}[args.kind]
-    out = fn(args.nu, args.x, cfg)
+    out = fn(args.nu, args.x)
     print(f"{out.value:.17g}")
     note = "  cancellation-prone (stable route used)" if out.cancellation else ""
     print(f"terms_used={out.terms_used} est_rel_error={out.est_rel_error:.3g}{note}")
@@ -94,18 +94,18 @@ def _equality_mark(bound_id: str, nu: float) -> str:
     return " (equality)" if spec.is_equality_at(nu) else ""
 
 
-def _cmd_bracket(args, cfg) -> int:
+def _cmd_bracket(args) -> int:
     _check_finite(args.nu, args.x)
     if args.bound:
         spec = registry.get_bound(args.bound)
         if registry.needs_y(spec):
             raise StruveBoundsError(f"{args.bound} needs --y; use the argratio command")
-        value = spec.evaluate(args.nu, args.x, cfg)
+        value = spec.evaluate(args.nu, args.x)
         valid = "valid" if spec.valid_at(args.nu) else "outside validity range"
         print(f"{args.bound} = {value:.17g}  [{spec.side} bound, {valid}"
               f"{_equality_mark(args.bound, args.nu)}]")
         return 0
-    br = best_bracket(args.nu, args.x, cfg)
+    br = best_bracket(args.nu, args.x)
     if br.lower_valid:
         print(f"lower = {br.lower:.17g}  [{br.lower_id}{_equality_mark(br.lower_id, args.nu)}]")
     if br.upper_valid:
@@ -113,38 +113,38 @@ def _cmd_bracket(args, cfg) -> int:
     return 0
 
 
-def _cmd_cond(args, cfg) -> int:
+def _cmd_cond(args) -> int:
     _check_finite(args.nu, args.x)
-    exact = cond_exact("L", args.nu, args.x, cfg)
+    exact = cond_exact("L", args.nu, args.x)
     print(f"exact = {exact:.17g}")
     for spec in registry.bounds_for_target("cond_L"):
         if not spec.valid_at(args.nu):
             continue
-        value = spec.evaluate(args.nu, args.x, cfg)
+        value = spec.evaluate(args.nu, args.x)
         print(f"{spec.bound_id} = {value:.17g}  [{spec.side}"
               f"{_equality_mark(spec.bound_id, args.nu)}]")
-    br = best_bracket(args.nu, args.x, cfg, target="cond_L")
+    br = best_bracket(args.nu, args.x, target="cond_L")
     print(f"best bracket: [{br.lower:.17g}, {br.upper:.17g}]  ({br.lower_id}, {br.upper_id})")
     return 0
 
 
-def _cmd_argratio(args, cfg) -> int:
+def _cmd_argratio(args) -> int:
     _check_finite(args.nu, args.x, args.y)
     pair = ArgPair(args.x, args.y)
-    exact = arg_ratio_exact(args.nu, pair, cfg)
+    exact = arg_ratio_exact(args.nu, pair)
     print(f"exact = {exact:.17g}")
     for spec in registry.bounds_for_target("arg_ratio_L"):
         if not spec.valid_at(args.nu):
             continue
-        value = spec.evaluate(args.nu, args.x, args.y, cfg)
+        value = spec.evaluate(args.nu, args.x, args.y)
         print(f"{spec.bound_id} = {value:.17g}  [{spec.side}"
               f"{_equality_mark(spec.bound_id, args.nu)}]")
     return 0
 
 
-def _cmd_table(args, cfg) -> int:
+def _cmd_table(args) -> int:
     spec = verify.table_by_id(args.table_id)
-    matrix = verify.relative_error_table(spec, cfg)
+    matrix = verify.relative_error_table(spec)
     if args.format == "csv":
         print(verify.render_table_csv(spec, matrix))
     else:
@@ -152,10 +152,10 @@ def _cmd_table(args, cfg) -> int:
     return 0
 
 
-def _cmd_verify(args, cfg) -> int:
+def _cmd_verify(args) -> int:
     grid = verify.default_grid()
-    reports = (verify.certify_all(grid, cfg=cfg) + verify.monotonicity_suite(cfg)
-               if args.all else [verify.certify(args.bound, grid, cfg=cfg)])
+    reports = (verify.certify_all(grid) + verify.monotonicity_suite()
+               if args.all else [verify.certify(args.bound, grid)])
     exit_code = 0
     if args.format == "csv":
         first = True
@@ -177,16 +177,16 @@ def _cmd_verify(args, cfg) -> int:
                 for v in rep.violations[:5]:
                     print(f"    violated at {v}")
     if args.experimental:
-        rep = verify.certify_eq14_extension(grid, cfg=cfg)
+        rep = verify.certify_eq14_extension(grid)
         status = "holds on probe grid" if rep.clean else \
             f"fails at {len(rep.violations)} points"
         print(f"[experimental] {rep.bound_id}: points={rep.points_checked} {status}")
     return exit_code
 
 
-def _cmd_crossover(args, cfg) -> int:
+def _cmd_crossover(args) -> int:
     _check_finite(args.nu, args.xmin, args.xmax)
-    x_star = verify.crossover(args.a, args.b, args.nu, (args.xmin, args.xmax), cfg)
+    x_star = verify.crossover(args.a, args.b, args.nu, (args.xmin, args.xmax))
     print(f"{x_star:.4f}")
     return 0
 
@@ -209,8 +209,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return 0 if exc.code == 0 else 1
     try:
-        cfg = config_from_env()
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except (StruveBoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,6 @@ import math
 
 from .bfunc import b_value
 from .brackets import Bracket
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import DomainError
 from .special_core import iv_value, lv_value, lv_value_extended
 
@@ -24,48 +23,38 @@ def _check_x(x: float) -> None:
         raise DomainError(f"x must be a finite positive real, got {x}")
 
 
-def cond_exact(kind: str, nu: float, x: float,
-               cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def cond_exact(kind: str, nu: float, x: float) -> float:
     """Reference condition number via the downward ratio; positive for L when
     nu >= -1, for I when nu >= 0."""
     _check_x(x)
     if kind == "L":
-        return x * lv_value_extended(nu - 1.0, x, cfg) / lv_value(nu, x, cfg) - nu
+        return x * lv_value_extended(nu - 1.0, x) / lv_value(nu, x) - nu
     if kind == "I":
-        return x * iv_value(nu - 1.0, x, cfg) / iv_value(nu, x, cfg) - nu
+        return x * iv_value(nu - 1.0, x) / iv_value(nu, x) - nu
     raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
 
 
-def cond_upward_residual(nu: float, x: float,
-                         cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def cond_upward_residual(nu: float, x: float) -> float:
     """|downward - upward| / |downward| for C(L); an identity residual."""
-    down = cond_exact("L", nu, x, cfg)
-    up = x * lv_value(nu + 1.0, x, cfg) / lv_value(nu, x, cfg) + nu \
-        + 2.0 * b_value(nu, x, cfg)
+    down = cond_exact("L", nu, x)
+    up = x * lv_value(nu + 1.0, x) / lv_value(nu, x) + nu \
+        + 2.0 * b_value(nu, x)
     return abs(down - up) / abs(down)
 
 
-def cond_bracket_via_bessel(nu: float, x: float,
-                            cfg: EvalConfig = DEFAULT_CONFIG) -> Bracket:
+def cond_bracket_via_bessel(nu: float, x: float) -> Bracket:
     """C(I_nu) < C(L_nu) < C(I_nu) + 2 b_nu(x).
 
     Lower side valid nu >= 1/2, upper side valid nu >= -1/2.
     """
     _check_x(x)
-    ci = cond_exact("I", nu, x, cfg)
-    return Bracket(ci, ci + 2.0 * b_value(nu, x, cfg),
+    ci = cond_exact("I", nu, x)
+    return Bracket(ci, ci + 2.0 * b_value(nu, x),
                    nu >= 0.5 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
                    "eq28_lower", "eq28_upper")
 
 
-def _sqrt_bracket_eq29(nu, x, b0):
-    lower = math.hypot(nu - 0.5, x) - 0.5
-    upper = math.hypot(nu + b0, x) + b0
-    return lower, upper
-
-
-def cond_bracket_sqrt(nu: float, x: float, variant: str,
-                      cfg: EvalConfig = DEFAULT_CONFIG) -> Bracket:
+def cond_bracket_sqrt(nu: float, x: float, variant: str) -> Bracket:
     """Algebraic brackets for C(L_nu), one per published inequality.
 
     eq29:  [sqrt((nu-1/2)^2+x^2) - 1/2, sqrt((nu+b)^2+x^2) + b]
@@ -81,25 +70,25 @@ def cond_bracket_sqrt(nu: float, x: float, variant: str,
     """
     _check_x(x)
     if variant == "eq29":
-        b0 = b_value(nu, x, cfg) if nu > -1.5 else math.nan
-        lower, upper = _sqrt_bracket_eq29(nu, x, b0)
-        return Bracket(lower, upper, nu >= 0.5 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
+        b0 = b_value(nu, x) if nu > -1.5 else math.nan
+        return Bracket(math.hypot(nu - 0.5, x) - 0.5, math.hypot(nu + b0, x) + b0,
+                       nu >= 0.5 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
                        "eq29_lower", "eq29_upper")
     if variant == "eq30":
-        b0 = b_value(nu, x, cfg)
-        b1 = b_value(nu + 1.0, x, cfg)
+        b0 = b_value(nu, x)
+        b1 = b_value(nu + 1.0, x)
         lower = math.hypot(nu + 1.0 + b1, x) + 2.0 * b0 - b1 - 1.0
         upper = math.hypot(nu + 0.5, x) + 2.0 * b0 - 0.5
         return Bracket(lower, upper, nu >= -1.0 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
                        "eq30_lower", "eq30_upper")
     if variant == "eq31":
-        b0 = b_value(nu, x, cfg)
-        b1 = b_value(nu + 1.0, x, cfg)
+        b0 = b_value(nu, x)
+        b1 = b_value(nu + 1.0, x)
         lower = nu + 2.0 * b0 + x * x / (nu + 0.5 + 2.0 * b1 + math.hypot(nu + 1.5, x))
         return Bracket(lower, math.inf, nu >= -1.0 - _EQ_TOL, False,
                        "eq31_lower", "")
     if variant == "apti":
-        b0 = b_value(nu, x, cfg)
+        b0 = b_value(nu, x)
         upper = math.sqrt(x * x + nu * nu + 2.0 * (2.0 * nu + 1.0) * b0)
         return Bracket(-math.inf, upper, False, nu > -1.5, "", "eq27_upper")
     if variant == "prior":
@@ -135,5 +124,6 @@ def prior_lower_bound(nu: float, x: float, name: str) -> float:
     if name == "prior_xminus":
         return x - nu
     if name == "prior_coth":
-        return x / math.tanh(0.5 * x) - nu
+        # x coth(x/2) = 2 in double precision below x = 1e-8, where x/2 may underflow
+        return (2.0 if x < 1e-8 else x / math.tanh(0.5 * x)) - nu
     raise DomainError(f"unknown prior bound {name!r}")

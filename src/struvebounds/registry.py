@@ -15,7 +15,6 @@ from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
 from .brackets import BoundSpec
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import UnknownBound
 from .special_core import lv_value, ratio_succ_exact
 
@@ -26,99 +25,93 @@ def _pair(x, y):
 
 _SPECS = [
     # kernel
-    BoundSpec("eq12_upper", "b_kernel", "upper", -1.5, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _bf.b_upper_quadratic(n, x)),
+    BoundSpec("eq12_upper", "b_kernel", "upper", -1.5, True, _bf.b_upper_quadratic),
     BoundSpec("eq13_lower", "b_kernel", "lower", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _bf.b_csch_bracket(n, x, cfg).lower,
+              lambda n, x: _bf.b_csch_bracket(n, x).lower,
               equality_at=-0.5),
     BoundSpec("eq13_upper", "b_kernel", "upper", -1.0, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _bf.b_csch_bracket(n, x, cfg).upper),
+              lambda n, x: _bf.b_csch_bracket(n, x).upper),
     # product difference
     BoundSpec("eq14_positivity", "product_diff_L", "lower", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: 0.0),
+              lambda n, x: 0.0),
     BoundSpec("eq15_upper", "product_diff_L", "upper", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.product_difference_cap(n, x, "via_nu", cfg)),
+              lambda n, x: _sr.product_difference_cap(n, x, "via_nu")),
     BoundSpec("eq16_upper", "product_diff_L", "upper", 1.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.product_difference_cap(n, x, "via_num1", cfg)),
+              lambda n, x: _sr.product_difference_cap(n, x, "via_num1")),
     # successive-order ratio
     BoundSpec("eq17_lower", "succ_ratio_L", "lower", 0.0, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_bracket_via_bessel(n, x, cfg).lower),
+              lambda n, x: _sr.ratio_bracket_via_bessel(n, x).lower),
     BoundSpec("eq17_upper", "succ_ratio_L", "upper", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_bracket_via_bessel(n, x, cfg).upper),
+              lambda n, x: _sr.ratio_bracket_via_bessel(n, x).upper),
     BoundSpec("eq18_lower", "succ_ratio_L", "lower", 0.0, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_bracket_segura_form(n, x, cfg).lower),
+              lambda n, x: _sr.ratio_bracket_segura_form(n, x).lower),
     BoundSpec("eq18_upper", "succ_ratio_L", "upper", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_bracket_segura_form(n, x, cfg).upper),
-    BoundSpec("eq19_lower", "succ_ratio_L", "lower", 0.5, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_lower_tanh(n, x, cfg)),
-    BoundSpec("eq20_upper", "succ_ratio_L", "upper", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_upper_tanh_half(n, x),
+              lambda n, x: _sr.ratio_bracket_segura_form(n, x).upper),
+    BoundSpec("eq19_lower", "succ_ratio_L", "lower", 0.5, True, _sr.ratio_lower_tanh),
+    BoundSpec("eq20_upper", "succ_ratio_L", "upper", 0.5, False, _sr.ratio_upper_tanh_half,
               equality_at=0.5),
-    BoundSpec("eq21_lower", "succ_ratio_L", "lower", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_lower_turan(n, x, cfg)),
-    BoundSpec("eq22_lower", "succ_ratio_L", "lower", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_lower_tanh_half(n, x, cfg),
+    BoundSpec("eq21_lower", "succ_ratio_L", "lower", -0.5, False, _sr.ratio_lower_turan),
+    BoundSpec("eq22_lower", "succ_ratio_L", "lower", 0.5, False, _sr.ratio_lower_tanh_half,
               equality_at=0.5),
-    BoundSpec("eq24_upper", "succ_ratio_L", "upper", 0.0, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _sr.ratio_upper_refined(n, x, cfg)),
+    BoundSpec("eq24_upper", "succ_ratio_L", "upper", 0.0, False, _sr.ratio_upper_refined),
     # condition number
     BoundSpec("eq27_upper", "cond_L", "upper", -1.5, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_sqrt(n, x, "apti", cfg).upper),
+              lambda n, x: _cd.cond_bracket_sqrt(n, x, "apti").upper),
     BoundSpec("eq28_lower", "cond_L", "lower", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_via_bessel(n, x, cfg).lower),
+              lambda n, x: _cd.cond_bracket_via_bessel(n, x).lower),
     BoundSpec("eq28_upper", "cond_L", "upper", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_via_bessel(n, x, cfg).upper),
+              lambda n, x: _cd.cond_bracket_via_bessel(n, x).upper),
     BoundSpec("eq29_lower", "cond_L", "lower", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_sqrt(n, x, "eq29", cfg).lower),
+              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq29").lower),
     BoundSpec("eq29_upper", "cond_L", "upper", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_sqrt(n, x, "eq29", cfg).upper),
+              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq29").upper),
     BoundSpec("eq30_lower", "cond_L", "lower", -1.0, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_sqrt(n, x, "eq30", cfg).lower),
+              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq30").lower),
     BoundSpec("eq30_upper", "cond_L", "upper", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_sqrt(n, x, "eq30", cfg).upper),
+              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq30").upper),
     BoundSpec("eq31_lower", "cond_L", "lower", -1.0, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.cond_bracket_sqrt(n, x, "eq31", cfg).lower),
+              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq31").lower),
     BoundSpec("prior_nup1", "cond_L", "lower", -1.5, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.prior_lower_bound(n, x, "prior_nup1")),
+              lambda n, x: _cd.prior_lower_bound(n, x, "prior_nup1")),
     # recorded range deviates from the published one: x - nu fails below 1/2
     # (e.g. order 0, x = 10: condition number 9.4863 < 10) and holds at and
     # above 1/2, where it follows from the tanh(x/2) ratio bound
     BoundSpec("prior_xminus", "cond_L", "lower", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.prior_lower_bound(n, x, "prior_xminus")),
+              lambda n, x: _cd.prior_lower_bound(n, x, "prior_xminus")),
     BoundSpec("prior_coth", "cond_L", "lower", 0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _cd.prior_lower_bound(n, x, "prior_coth"),
+              lambda n, x: _cd.prior_lower_bound(n, x, "prior_coth"),
               equality_at=0.5),
     # argument ratio
     BoundSpec("eq33a_upper", "arg_ratio_L", "upper", -1.5, True,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq33a")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq33a")),
     BoundSpec("eq33b_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq33b")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq33b")),
     BoundSpec("eq34_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq34"),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq34"),
               equality_at=0.5),
     BoundSpec("eq37_lower", "arg_ratio_L", "lower", -0.5, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_bessel_bracket(n, _pair(x, y), cfg).lower),
+              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, _pair(x, y)).lower),
     BoundSpec("eq37_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_bessel_bracket(n, _pair(x, y), cfg).upper),
+              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, _pair(x, y)).upper),
     BoundSpec("eq38_lower", "arg_ratio_L", "lower", -0.5, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_explicit_bracket(n, _pair(x, y)).lower),
+              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, _pair(x, y)).lower),
     BoundSpec("eq38_upper", "arg_ratio_L", "upper", -0.5, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_explicit_bracket(n, _pair(x, y)).upper),
+              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, _pair(x, y)).upper),
     BoundSpec("eq40_lower", "arg_ratio_L", "lower", -0.5, True,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "hbv_combined")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "hbv_combined")),
     BoundSpec("eq42_lower", "arg_ratio_L", "lower", 0.0, False,
-              lambda n, x, y, cfg=DEFAULT_CONFIG: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq42")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq42")),
     # pointwise
     BoundSpec("eq39_lower", "pointwise_L", "lower", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _ar.pointwise_bracket(n, x).lower),
+              lambda n, x: _ar.pointwise_bracket(n, x).lower),
     BoundSpec("eq39_upper", "pointwise_L", "upper", -0.5, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _ar.pointwise_bracket(n, x).upper),
+              lambda n, x: _ar.pointwise_bracket(n, x).upper),
     BoundSpec("eq43_upper", "pointwise_L", "upper", 0.0, False,
-              lambda n, x, cfg=DEFAULT_CONFIG: _ar.pointwise_prior_upper(n, x, "eq43")),
+              lambda n, x: _ar.pointwise_prior_upper(n, x, "eq43")),
     BoundSpec("eq45_upper", "pointwise_L", "upper", -0.5, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _ar.pointwise_prior_upper(n, x, "eq45", cfg)),
+              lambda n, x: _ar.pointwise_prior_upper(n, x, "eq45")),
     BoundSpec("eq46_upper", "pointwise_L", "upper", -0.5, True,
-              lambda n, x, cfg=DEFAULT_CONFIG: _ar.pointwise_prior_upper(n, x, "eq46")),
+              lambda n, x: _ar.pointwise_prior_upper(n, x, "eq46")),
 ]
 
 REGISTRY: dict[str, BoundSpec] = {spec.bound_id: spec for spec in _SPECS}
@@ -143,21 +136,20 @@ def needs_y(spec: BoundSpec) -> bool:
     return spec.target == "arg_ratio_L"
 
 
-def exact_value(target: str, nu: float, x: float, y: float | None = None,
-                cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def exact_value(target: str, nu: float, x: float, y: float | None = None) -> float:
     """Reference value of a target quantity, always from the series route."""
     if target == "succ_ratio_L":
-        return ratio_succ_exact("L", nu, x, cfg)
+        return ratio_succ_exact("L", nu, x)
     if target == "cond_L":
-        return _cd.cond_exact("L", nu, x, cfg)
+        return _cd.cond_exact("L", nu, x)
     if target == "arg_ratio_L":
         if y is None:
             raise ValueError("arg_ratio_L needs a second argument y")
-        return _ar.arg_ratio_exact(nu, _pair(x, y), cfg)
+        return _ar.arg_ratio_exact(nu, _pair(x, y))
     if target == "pointwise_L":
-        return lv_value(nu, x, cfg)
+        return lv_value(nu, x)
     if target == "b_kernel":
-        return _bf.b_value(nu, x, cfg)
+        return _bf.b_value(nu, x)
     if target == "product_diff_L":
-        return _sr.product_difference(nu, x, cfg)
+        return _sr.product_difference(nu, x)
     raise ValueError(f"unknown target {target!r}")

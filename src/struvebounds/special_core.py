@@ -5,15 +5,18 @@ metadata, elementary closed forms at half-integer orders, and leading small-x
 and large-x asymptotics.
 
 The series sums are the package's only memo: a module dict of at most
-300,000 entries, keyed on (kind, nu, x, max_terms) and cleared when full.
-Two producers fill it: the scalar kernel _series, which runs when a lookup
+300,000 entries, keyed on (kind, nu, x) and cleared when full.  Two
+producers fill it: the scalar kernel _series, which runs when a lookup
 misses, and fill_series_row, which sums one (kind, nu) series over a whole
 row of arguments with numpy, one lane per x, doing the scalar kernel's
 floating-point operations in the same order, so that every value it stores
 is bit-identical to the scalar result.  Everything else (the kernel b,
 ratios, brackets) is a few flops over memoized I and L values and is not
-cached.  The truncation target REL_TOL and the overflow guard X_MAX are
-constants; the term cap is the one setting (EvalConfig.max_terms).
+cached.  Nothing is configurable: the truncation target REL_TOL, the
+overflow guard X_MAX and the term cap MAX_TERMS are constants.  Up to
+x = X_MAX every series meets REL_TOL within 407 terms (the most is at order
+-2.49, x = 600), so the cap of 500 is a safety net: a series that reaches
+it raises ConvergenceError.
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -70,6 +72,8 @@ REL_TOL = 1e-16
 # Overflow guard shared by the series and the quadrature oracle: e^x nears
 # the top of double range past about x = 709.
 X_MAX = 600.0
+# Hard cap on series terms; no series up to X_MAX needs more than 407.
+MAX_TERMS = 500
 # Past these, gamma factors and powers are formed in log space: math.gamma
 # overflows just above 171.6, and e^690 is close to the top of double range.
 GAMMA_ARG_MAX = 170.0
@@ -147,17 +151,22 @@ def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
     for arg in (g1_arg, g2_arg):
         if arg < 0.0 and math.floor(arg) % 2 != 0:
             sign = -sign
-    return sign * math.exp(log_mag - math.lgamma(g1_arg) - math.lgamma(g2_arg))
+    try:
+        return sign * math.exp(log_mag - math.lgamma(g1_arg) - math.lgamma(g2_arg))
+    except OverflowError:
+        raise DomainError(
+            f"leading term (x/2)^{power:g} / (Gamma({g1_arg:g}) Gamma({g2_arg:g})) "
+            f"overflows at x={x}") from None
 
 
 class _SeriesMemo(dict):
-    """(kind, nu, x, max_terms) -> (value, terms_used, est_rel_error).
+    """(kind, nu, x) -> (value, terms_used, est_rel_error).
 
     A lookup that misses runs the scalar kernel _series, which stores its
     result, so a hit costs one dict lookup and nothing else.
     """
 
-    def __missing__(self, key: tuple[str, float, float, int]) -> tuple[float, int, float]:
+    def __missing__(self, key: tuple[str, float, float]) -> tuple[float, int, float]:
         return _series(*key)
 
 
@@ -165,7 +174,7 @@ _SERIES_MEMO = _SeriesMemo()
 _SERIES_MEMO_MAX = 300_000
 
 
-def _store(key: tuple[str, float, float, int], total: float, terms: int,
+def _store(key: tuple[str, float, float], total: float, terms: int,
            next_term: float) -> tuple[float, int, float]:
     """Memoize and return (value, terms_used, est_rel_error) of a series
     that met the stop test with next_term as its first omitted term."""
@@ -188,7 +197,7 @@ def _series_setup(kind: str, nu: float) -> tuple[float, float, float, int]:
     return g1, shift, power0, _leading_index(shift)
 
 
-def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int, float]:
+def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
     """Sum the defining power series of I_nu (kind 'I') or L_nu (kind 'L').
 
     Terms are generated by the ratio recurrence, accumulated with Kahan
@@ -197,10 +206,9 @@ def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int,
     est_rel_error).
 
     The result is stored in the package's one memo, which calls this on a
-    miss.  Its key holds exactly the inputs that decide the result: a series
-    that converges gives the same value under any cap, and a capped call
-    that does not converge raises before anything is stored.  A leading
-    term that underflows raises DomainError rather than running to the cap.
+    miss.  A series that does not converge within MAX_TERMS raises
+    ConvergenceError before anything is stored.  A leading term that
+    underflows raises DomainError rather than running to the cap.
     """
     g1, shift, power0, n0 = _series_setup(kind, nu)
     term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
@@ -212,7 +220,7 @@ def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int,
     total = 0.0
     comp = 0.0
     abs_total = 0.0
-    for n in range(n0, n0 + max_terms):
+    for n in range(n0, n0 + MAX_TERMS):
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -221,14 +229,14 @@ def _series(kind: str, nu: float, x: float, max_terms: int) -> tuple[float, int,
         term = term * q / ((n + g1) * (n + shift))
         mag = abs(term)
         if mag < REL_TOL * abs_total:
-            return _store((kind, nu, x, max_terms), total, n + 1 - n0, term)
+            return _store((kind, nu, x), total, n + 1 - n0, term)
     raise ConvergenceError(
         f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={REL_TOL} "
-        f"within {max_terms} terms"
+        f"within {MAX_TERMS} terms"
     )
 
 
-def fill_series_row(kind: str, nu: float, xs, max_terms: int) -> None:
+def fill_series_row(kind: str, nu: float, xs) -> None:
     """Sum the (kind, nu) series at every argument in xs into the memo.
 
     One numpy lane per argument runs _series's operations in _series's
@@ -236,7 +244,7 @@ def fill_series_row(kind: str, nu: float, xs, max_terms: int) -> None:
     lane is stored, as Python numbers, once it meets the stop test, and then
     leaves the arrays.  Lanes whose order or argument is out of domain,
     that are already memoized, or whose leading term underflows are skipped;
-    lanes that do not converge within max_terms are not stored, so the
+    lanes that do not converge within MAX_TERMS are not stored, so the
     scalar call still raises for them.  Raises only for an unknown kind.
     """
     if not (math.isfinite(nu) and nu >= _MIN_ORDER_EXTENDED + _POLE_TOL * 10):
@@ -244,7 +252,7 @@ def fill_series_row(kind: str, nu: float, xs, max_terms: int) -> None:
     g1, shift, power0, n0 = _series_setup(kind, nu)
     lanes, terms = [], []
     for x in dict.fromkeys(float(v) for v in xs):
-        if not (0.0 < x <= X_MAX) or (kind, nu, x, max_terms) in _SERIES_MEMO:
+        if not (0.0 < x <= X_MAX) or (kind, nu, x) in _SERIES_MEMO:
             continue
         try:
             term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
@@ -260,7 +268,7 @@ def fill_series_row(kind: str, nu: float, xs, max_terms: int) -> None:
     total = np.zeros_like(xv)
     comp = np.zeros_like(xv)
     abs_total = np.zeros_like(xv)
-    for n in range(n0, n0 + max_terms):
+    for n in range(n0, n0 + MAX_TERMS):
         if not xv.size:
             return
         y = term - comp
@@ -274,13 +282,13 @@ def fill_series_row(kind: str, nu: float, xs, max_terms: int) -> None:
         if not done.any():
             continue
         for x, tot, nxt in zip(xv[done].tolist(), total[done].tolist(), term[done].tolist()):
-            _store((kind, nu, x, max_terms), tot, n + 1 - n0, nxt)
+            _store((kind, nu, x), tot, n + 1 - n0, nxt)
         keep = ~done
         xv, q, term, mag, total, comp, abs_total = (
             a[keep] for a in (xv, q, term, mag, total, comp, abs_total))
 
 
-def bessel_i(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue:
+def bessel_i(nu: float, x: float) -> FuncValue:
     """Modified Bessel function of the first kind, by its power series.
 
     Orders down to -3/2 are accepted (the n=0 term vanishes at nu=-1);
@@ -288,11 +296,11 @@ def bessel_i(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     """
     _check_order(nu, MIN_ORDER)
     _check_x(x)
-    value, terms, est = _SERIES_MEMO["I", nu, x, cfg.max_terms]
+    value, terms, est = _SERIES_MEMO["I", nu, x]
     return FuncValue(value, terms, est)
 
 
-def struve_l(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue:
+def struve_l(nu: float, x: float) -> FuncValue:
     """Modified Struve function of the first kind, by its power series.
 
     Orders down to -3/2 are accepted (the n=0 term vanishes at nu=-3/2);
@@ -300,21 +308,21 @@ def struve_l(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     """
     _check_order(nu, MIN_ORDER)
     _check_x(x)
-    value, terms, est = _SERIES_MEMO["L", nu, x, cfg.max_terms]
+    value, terms, est = _SERIES_MEMO["L", nu, x]
     return FuncValue(value, terms, est)
 
 
-def iv_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def iv_value(nu: float, x: float) -> float:
     """Value-only shortcut for bessel_i."""
-    return bessel_i(nu, x, cfg).value
+    return bessel_i(nu, x).value
 
 
-def lv_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def lv_value(nu: float, x: float) -> float:
     """Value-only shortcut for struve_l."""
-    return struve_l(nu, x, cfg).value
+    return struve_l(nu, x).value
 
 
-def lv_value_extended(order: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def lv_value_extended(order: float, x: float) -> float:
     """L at orders in (-5/2, -3/2), needed by recurrences at low orders.
 
     The leading gamma factor is negative there, so the value may change sign
@@ -323,9 +331,9 @@ def lv_value_extended(order: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     """
     _check_order(order, _MIN_ORDER_EXTENDED + _POLE_TOL * 10)
     if order >= MIN_ORDER - _POLE_TOL:
-        return lv_value(order, x, cfg)
+        return lv_value(order, x)
     _check_x(x)
-    return _SERIES_MEMO["L", order, x, cfg.max_terms][0]
+    return _SERIES_MEMO["L", order, x][0]
 
 
 def recurrence_term(nu: float, x: float) -> float:
@@ -335,7 +343,7 @@ def recurrence_term(nu: float, x: float) -> float:
     if nu + 1.5 < GAMMA_ARG_MAX:
         try:
             return (0.5 * x) ** nu / (SQRT_PI * math.gamma(nu + 1.5))
-        except OverflowError:  # from the power
+        except (OverflowError, ZeroDivisionError):  # from the power
             pass
     return _first_term(nu, nu + 1.5, 1.0, x) / SQRT_PI
 
@@ -404,11 +412,12 @@ def small_x_leading(kind: str, nu: float, x: float) -> float:
     if kind == "I":
         if nu <= -1.0:
             raise DomainError(f"I leading term requires nu > -1, got {nu}")
-        return (0.5 * x) ** nu / math.gamma(nu + 1.0)
+        return _first_term(nu, 1.0, nu + 1.0, x)
     if kind == "L":
         if nu <= -1.5:
             raise DomainError(f"L leading term requires nu > -3/2, got {nu}")
-        lead = (0.5 * x) ** nu * x / (SQRT_PI * math.gamma(nu + 1.5))
+        # Gamma(3/2) = sqrt(pi)/2 turns (x/2)^(nu+1) into (x/2)^nu x / sqrt(pi)
+        lead = _first_term(nu + 1.0, 1.5, nu + 1.5, x)
         return lead * (1.0 + x * x / (3.0 * (2.0 * nu + 3.0)))
     raise DomainError(f"kind must be 'I' or 'L', got {kind!r}")
 
@@ -441,8 +450,7 @@ def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
         return math.cos(theta) ** two_nu * hyp(x * math.sin(theta))
 
     raw, abserr, neval = _adaptive_integral(integrand, 0.5 * math.pi)
-    pref = 2.0 * (0.5 * x) ** nu / (SQRT_PI * math.gamma(nu + 0.5))
-    value = pref * raw
+    value = 2.0 / SQRT_PI * _first_term(nu, nu + 0.5, 1.0, x) * raw
     est = abserr / abs(raw) if raw != 0.0 else abserr
     return FuncValue(value, neval, est)
 
@@ -551,7 +559,7 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
     return coef * integral, _DE_NODES, est
 
 
-def struve_m(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue:
+def struve_m(nu: float, x: float) -> FuncValue:
     """M_nu(x) = L_nu(x) - I_nu(x); negative for nu >= -1/2, x > 0.
 
     The direct difference loses all precision once x is moderately large (the
@@ -559,8 +567,8 @@ def struve_m(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     difference would cancel past six digits the cancellation flag is set and
     the value is recomputed through a cancellation-free route.
     """
-    lv = struve_l(nu, x, cfg)
-    iv = bessel_i(nu, x, cfg)
+    lv = struve_l(nu, x)
+    iv = bessel_i(nu, x)
     diff = lv.value - iv.value
     scale = abs(lv.value) + abs(iv.value)
     terms = lv.terms_used + iv.terms_used
@@ -571,30 +579,28 @@ def struve_m(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> FuncValue
     return FuncValue(value, neval, est, cancellation=True)
 
 
-def mv_value(nu: float, x: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def mv_value(nu: float, x: float) -> float:
     """Value-only shortcut for struve_m."""
-    return struve_m(nu, x, cfg).value
+    return struve_m(nu, x).value
 
 
-def ratio_succ_exact(kind: str, nu: float, x: float,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+def ratio_succ_exact(kind: str, nu: float, x: float) -> float:
     """Successive-order ratio f_nu(x) / f_{nu-1}(x) from the reference evaluator.
 
     For kind 'M' both orders must give negative values, hence nu >= 1/2.
     """
     if kind == "I":
-        return iv_value(nu, x, cfg) / iv_value(nu - 1.0, x, cfg)
+        return iv_value(nu, x) / iv_value(nu - 1.0, x)
     if kind == "L":
-        return lv_value(nu, x, cfg) / lv_value(nu - 1.0, x, cfg)
+        return lv_value(nu, x) / lv_value(nu - 1.0, x)
     if kind == "M":
         if nu < 0.5 - _POLE_TOL:
             raise DomainError(f"M-ratio requires nu >= 1/2, got {nu}")
-        return mv_value(nu, x, cfg) / mv_value(nu - 1.0, x, cfg)
+        return mv_value(nu, x) / mv_value(nu - 1.0, x)
     raise DomainError(f"kind must be 'I', 'L' or 'M', got {kind!r}")
 
 
-def recurrence_check(nu: float, x: float,
-                     cfg: EvalConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def recurrence_check(nu: float, x: float) -> tuple[float, float]:
     """Residuals of the two three-term relations, normalized by L_{nu-1}.
 
     First:  |L_{nu-1} - L_{nu+1} - (2 nu/x) L_nu - a_nu|
@@ -603,9 +609,9 @@ def recurrence_check(nu: float, x: float,
     """
     if nu <= -0.5:
         raise DomainError(f"recurrence residuals need nu > -1/2, got {nu}")
-    lm = lv_value(nu - 1.0, x, cfg)
-    l0 = lv_value(nu, x, cfg)
-    lp = lv_value(nu + 1.0, x, cfg)
+    lm = lv_value(nu - 1.0, x)
+    l0 = lv_value(nu, x)
+    lp = lv_value(nu + 1.0, x)
     a = recurrence_term(nu, x)
     r1 = abs(lm - lp - (2.0 * nu / x) * l0 - a) / lm
     deriv = lm - (nu / x) * l0

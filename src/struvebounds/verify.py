@@ -16,7 +16,6 @@ import numpy as np
 
 from . import registry
 from .bfunc import b_value
-from .config import DEFAULT_CONFIG, EvalConfig
 from .errors import MultipleSignChanges, NoSignChange, UnknownBound
 from .special_core import (
     fill_series_row,
@@ -103,8 +102,7 @@ class GridReport:
 
 
 def certify(bound_id: str, grid: Optional[Grid] = None,
-            tolerance: float = DEFAULT_TOLERANCE,
-            cfg: EvalConfig = DEFAULT_CONFIG, *,
+            tolerance: float = DEFAULT_TOLERANCE, *,
             exact: Optional[dict] = None) -> GridReport:
     """Check one registered inequality at every in-range grid point.
 
@@ -112,8 +110,7 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     None for single-argument targets).  certify reads it before computing a
     value and stores every value it computes, so bounds on one target that
     share a dict compute each exact value once; certify_all passes one dict
-    to every bound.  Without it, certify uses a dict of its own.  A dict
-    holds values for one cfg only.
+    to every bound.  Without it, certify uses a dict of its own.
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -132,8 +129,8 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
                 key = (target, nu, x, y)
                 value = exact.get(key)
                 if value is None:
-                    value = exact[key] = registry.exact_value(target, nu, x, y, cfg)
-                bound = spec.evaluate(nu, x, y, cfg) if takes_y else spec.evaluate(nu, x, cfg)
+                    value = exact[key] = registry.exact_value(target, nu, x, y)
+                bound = spec.evaluate(nu, x, y) if takes_y else spec.evaluate(nu, x)
                 report.record(nu, x, y, _slack(spec.side, bound, value),
                               tolerance, equality)
     return report
@@ -146,17 +143,16 @@ def _slack(side: str, bound: float, exact: float) -> float:
     return (exact - bound) / scale
 
 
-def certify_all(grid: Optional[Grid] = None, tolerance: float = DEFAULT_TOLERANCE,
-                cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
+def certify_all(grid: Optional[Grid] = None,
+                tolerance: float = DEFAULT_TOLERANCE) -> list[GridReport]:
     """Certify every registered bound, computing each exact value once."""
     grid = grid or default_grid()
     exact: dict = {}
-    return [certify(bid, grid, tolerance, cfg, exact=exact) for bid in registry.bound_ids()]
+    return [certify(bid, grid, tolerance, exact=exact) for bid in registry.bound_ids()]
 
 
 def certify_eq14_extension(grid: Optional[Grid] = None,
-                           tolerance: float = DEFAULT_TOLERANCE,
-                           cfg: EvalConfig = DEFAULT_CONFIG) -> GridReport:
+                           tolerance: float = DEFAULT_TOLERANCE) -> GridReport:
     """Probe the conjectured extension of the product-difference positivity
     down to order -1/2.  Informational only; no invariant is asserted here."""
     from .succ_ratio import product_difference
@@ -167,7 +163,7 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
         if not (-0.5 - 1e-12 <= nu < 0.5):
             continue
         for x in grid.x_values:
-            pd = product_difference(nu, x, cfg)
+            pd = product_difference(nu, x)
             scale = abs(pd) if pd != 0.0 else 1e-300
             report.record(nu, x, None, pd / scale, tolerance, False)
     return report
@@ -226,7 +222,7 @@ TABLES: dict[int, TableSpec] = {
                  "eq46_upper", "pointwise_L", None),
 }
 
-def relative_error_table(spec: TableSpec, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def relative_error_table(spec: TableSpec) -> np.ndarray:
     """Matrix of |approximant/exact - 1| over the table layout.
 
     The x = 0 column, when present, is filled from the table's limit rule.
@@ -238,8 +234,8 @@ def relative_error_table(spec: TableSpec, cfg: EvalConfig = DEFAULT_CONFIG) -> n
             if x == 0.0:
                 out[i, j] = spec.zero_column(nu)
                 continue
-            exact = registry.exact_value(spec.exact_id, nu, x, None, cfg)
-            out[i, j] = abs(bound.evaluate(nu, x, cfg) / exact - 1.0)
+            exact = registry.exact_value(spec.exact_id, nu, x)
+            out[i, j] = abs(bound.evaluate(nu, x) / exact - 1.0)
     return out
 
 
@@ -291,8 +287,7 @@ def parse_table_csv(text: str) -> dict[tuple[float, float], float]:
 # ---------------------------------------------------------------------------
 
 def crossover(bound_id_a: str, bound_id_b: str, nu: float,
-              x_range: tuple[float, float] = (0.01, 50.0),
-              cfg: EvalConfig = DEFAULT_CONFIG) -> float:
+              x_range: tuple[float, float] = (0.01, 50.0)) -> float:
     """Argument at which two competing bounds exchange dominance.
 
     A 200-point pre-scan must find exactly one sign change of the difference
@@ -302,7 +297,7 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
     spec_b = registry.get_bound(bound_id_b)
 
     def diff(x: float) -> float:
-        return spec_a.evaluate(nu, x, cfg) - spec_b.evaluate(nu, x, cfg)
+        return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
 
     lo, hi = x_range
     xs = np.linspace(lo, hi, 200)
@@ -350,7 +345,7 @@ def _comparison_report(name: str, pairs: Iterable[tuple[float, float, float, flo
     return report
 
 
-def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
+def monotonicity_suite() -> list[GridReport]:
     """Structural properties checked on well-separated grids (spacing >= 0.05,
     strict comparisons at tolerance 0):
 
@@ -366,10 +361,10 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
     xs_lin = [round(0.1 + 0.05 * k, 10) for k in range(999)]  # 0.1 .. 50
     pairs = []
     for nu in grid.nu_values:
-        fill_series_row("L", nu, xs_lin, cfg.max_terms)
-        prev = b_value(nu, xs_lin[0], cfg)
+        fill_series_row("L", nu, xs_lin)
+        prev = b_value(nu, xs_lin[0])
         for x in xs_lin[1:]:
-            cur = b_value(nu, x, cfg)
+            cur = b_value(nu, x)
             pairs.append((nu, x, cur, prev))  # decreasing: b(x) < b(prev x)
             prev = cur
     reports.append(_comparison_report("mono_b_decreasing_in_x", pairs))
@@ -377,9 +372,9 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
     nus_lin = [round(-1.4 + 0.05 * k, 10) for k in range(229)]  # -1.4 .. 10
     pairs = []
     for x in (0.5, 2.0, 10.0):
-        prev = b_value(nus_lin[0], x, cfg)
+        prev = b_value(nus_lin[0], x)
         for nu in nus_lin[1:]:
-            cur = b_value(nu, x, cfg)
+            cur = b_value(nu, x)
             pairs.append((nu, x, prev, cur))  # increasing: b(prev nu) < b(nu)
             prev = cur
     reports.append(_comparison_report("mono_b_increasing_in_nu", pairs))
@@ -387,9 +382,9 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
     ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
     pairs = []
     for x in (0.5, 2.0, 10.0, 30.0):
-        prev = ratio_succ_exact("L", ratio_nus[0] + 1.0, x, cfg)
+        prev = ratio_succ_exact("L", ratio_nus[0] + 1.0, x)
         for nu in ratio_nus[1:]:
-            cur = ratio_succ_exact("L", nu + 1.0, x, cfg)
+            cur = ratio_succ_exact("L", nu + 1.0, x)
             pairs.append((nu, x, cur, prev))  # decreasing in the order
             prev = cur
     reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", pairs))
@@ -397,8 +392,8 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
     pairs = []
     for nu in grid.nu_values:
         for x in grid.x_values:
-            left = lv_value_extended(nu - 1.0, x, cfg) * lv_value(nu + 1.0, x, cfg)
-            right = lv_value(nu, x, cfg) ** 2
+            left = lv_value_extended(nu - 1.0, x) * lv_value(nu + 1.0, x)
+            right = lv_value(nu, x) ** 2
             pairs.append((nu, x, left, right))
     reports.append(_comparison_report("turan_product", pairs))
 
@@ -409,8 +404,8 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
         for x in grid.x_values:
             if x > 30.0:
                 continue
-            m_ratio = mv_value(nu, x, cfg) / mv_value(nu - 1.0, x, cfg)
-            i_ratio = iv_value(nu, x, cfg) / iv_value(nu - 1.0, x, cfg)
+            m_ratio = mv_value(nu, x) / mv_value(nu - 1.0, x)
+            i_ratio = iv_value(nu, x) / iv_value(nu - 1.0, x)
             pairs.append((nu, x, i_ratio, m_ratio))  # I-ratio < M-ratio
     reports.append(_comparison_report("m_ratio_dominates_bessel_ratio", pairs))
 
@@ -419,7 +414,7 @@ def monotonicity_suite(cfg: EvalConfig = DEFAULT_CONFIG) -> list[GridReport]:
         if nu <= -0.5:
             continue
         for x in grid.x_values:
-            r1, r2 = recurrence_check(nu, x, cfg)
+            r1, r2 = recurrence_check(nu, x)
             report.record(nu, x, None, DEFAULT_TOLERANCE - max(r1, r2),
                           0.0, False)
     reports.append(report)

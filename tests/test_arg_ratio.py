@@ -114,6 +114,12 @@ class TestPointwiseBracket:
         up = pointwise_bracket(10.0, 0.5).upper
         assert abs(up / lv_value(10.0, 0.5) - 1.0) == pytest.approx(0.0005, abs=2e-4)
 
+    def test_subnormal_argument(self):
+        # x/2 underflows at the smallest subnormal: tanh(x/2) is taken as x/2
+        for nu in (0.0, 1.0):
+            br = pointwise_bracket(nu, 5e-324)
+            assert 0.0 <= br.lower <= br.upper
+
     def test_tight_at_small_x(self):
         br = pointwise_bracket(1.0, 1e-4)
         lead = small_x_leading("L", 1.0, 1e-4)

@@ -100,6 +100,12 @@ class TestCschBracket:
         assert br.upper == pytest.approx(1.0 / math.sinh(0.8))
         assert br.lower < b_value(1.0, 4.0) < br.upper
 
+    def test_subnormal_argument_gives_the_limits(self):
+        # x/2 and x/(2 nu+3) round to 0 at the smallest subnormal; the sides
+        # are their x -> 0 limits 1/2 and (2 nu + 3)/4
+        br = b_csch_bracket(1.0, 5e-324)
+        assert (br.lower, br.upper) == (0.5, 1.25)
+
     def test_no_overflow_past_sinh_range(self):
         # sinh overflows past about 710; the sides then decay like x e^(-z)
         br = b_csch_bracket(-1.49, 30.0)  # upper side at z = x/(2 nu+3) = 1500
@@ -133,6 +139,14 @@ class TestAsym:
 
     def test_small_at_zero(self):
         assert b_asym(3.3, 0.0, "small") == 0.5
+
+    def test_large_past_gamma_overflow(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        nu, x = 200.0, 300.0
+        want = mpmath.mpf(x) ** (nu + 1.5) * mpmath.exp(-x) \
+            / (2 ** (mpmath.mpf(nu) + 0.5) * mpmath.gamma(nu + 1.5))
+        assert b_asym(nu, x, "large") == pytest.approx(float(want), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

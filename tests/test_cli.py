@@ -128,7 +128,7 @@ class TestVerify:
     def test_exit_code_two_on_violation(self, capsys):
         REGISTRY["fake_bad_upper"] = BoundSpec(
             "fake_bad_upper", "b_kernel", "upper", -1.5, True,
-            lambda n, x, cfg=None: 0.0)
+            lambda n, x: 0.0)
         try:
             code, out, _ = run(capsys, "verify", "--bound", "fake_bad_upper")
         finally:
@@ -174,7 +174,7 @@ class TestEveryBound:
         # never a raw exception out of main()
         spec = REGISTRY[bound_id]
         points = [(nu, x) for nu in ("-2", "-1.5", "-1", "-0.5", "0", "0.5")
-                  for x in ("1e-3", "1", "30")]
+                  for x in ("5e-324", "1e-3", "1", "30")]
         for nu, x in points + [("300", "1"), ("1e6", "1")]:
             if spec.target == "arg_ratio_L":
                 argv = ["argratio", "--nu", nu, "--x", x, "--y", str(2.0 * float(x))]
@@ -194,6 +194,11 @@ class TestEveryBound:
         assert code == 1
         assert err.startswith("error:") and "underflow" in err
 
+    def test_leading_term_overflow_is_reported_as_overflow(self, capsys):
+        code, _, err = run(capsys, "eval", "--kind", "I", "--nu", "-1.2", "--x", "1e-300")
+        assert code == 1
+        assert err.startswith("error:") and "overflows" in err
+
     def test_eq13_upper_at_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bracket", "--bound", "eq13_upper",
                            "--nu", "-1.5", "--x", "1")
@@ -210,23 +215,3 @@ class TestUsageAndEnv:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
-
-    def test_env_cap_triggers_convergence_error(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRUVE_MAX_TERMS", "60")
-        code, _, err = run(capsys, "eval", "--kind", "L", "--nu", "1", "--x", "200")
-        assert code == 1
-        assert "60 terms" in err
-
-    def test_env_cap_allows_small_arguments(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRUVE_MAX_TERMS", "60")
-        code, out, _ = run(capsys, "eval", "--kind", "L", "--nu", "1", "--x", "2")
-        assert code == 0
-        assert float(out.splitlines()[0]) == pytest.approx(lv_value(1.0, 2.0))
-
-    def test_env_cap_invalid_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRUVE_MAX_TERMS", "abc")
-        assert run(capsys, "eval", "--kind", "L", "--nu", "1", "--x", "2")[0] == 1
-
-    def test_env_cap_below_minimum(self, capsys, monkeypatch):
-        monkeypatch.setenv("STRUVE_MAX_TERMS", "10")
-        assert run(capsys, "eval", "--kind", "L", "--nu", "1", "--x", "2")[0] == 1

@@ -113,6 +113,10 @@ class TestPriorBounds:
         assert prior_lower_bound(0.5, 2.0, "prior_coth") == pytest.approx(
             2.0 / math.tanh(1.0) - 0.5)
 
+    def test_coth_limit_at_subnormal_argument(self):
+        # x/2 underflows at the smallest subnormal; x coth(x/2) -> 2
+        assert prior_lower_bound(0.5, 5e-324, "prior_coth") == 1.5
+
     def test_coth_equality_at_half(self):
         for x in (0.5, 3.0):
             assert prior_lower_bound(0.5, x, "prior_coth") == pytest.approx(

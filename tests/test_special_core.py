@@ -9,7 +9,7 @@ from struvebounds import special_core
 from struvebounds import (
     ConvergenceError,
     DomainError,
-    EvalConfig,
+    cond_exact,
     OverflowRisk,
     asym_large_x,
     bessel_i,
@@ -95,14 +95,41 @@ class TestBesselSeries:
         with pytest.raises(OverflowRisk):
             bessel_i(1.0, 601.0)
 
-    def test_convergence_cap(self):
-        # the series memo is keyed on the cap: a value summed under the
-        # default cap must not answer a capped call, and the capped call's
-        # failure must not be remembered either
+    def test_convergence_cap(self, monkeypatch):
+        # a series that reaches the term cap raises, and its failure is not
+        # remembered: the same call under the real cap still succeeds
         want = bessel_i(1.0, 300.0)
-        with pytest.raises(ConvergenceError):
-            bessel_i(1.0, 300.0, EvalConfig(max_terms=50))
+        special_core._SERIES_MEMO.clear()
+        monkeypatch.setattr(special_core, "MAX_TERMS", 50)
+        with pytest.raises(ConvergenceError, match="50 terms"):
+            bessel_i(1.0, 300.0)
+        assert ("I", 1.0, 300.0) not in special_core._SERIES_MEMO
+        monkeypatch.undo()
         assert bessel_i(1.0, 300.0) == want
+
+    def test_no_series_reaches_the_cap_on_the_domain(self):
+        # on orders [-2.49, 150] and x up to X_MAX every series stops on
+        # REL_TOL, so the cap never decides a value; the most terms, 407,
+        # are taken at the lowest order and the largest argument
+        most = 0
+        for kind in ("I", "L"):
+            for nu in np.linspace(-2.49, 150.0, 61).tolist() + [-2.0, -1.5, -1.0]:
+                for x in (1e-3, 1.0, 30.0, 150.0, 300.0, 450.0, 599.0, 600.0):
+                    try:
+                        _, terms, _ = special_core._series(kind, nu, x)
+                    except DomainError:  # leading term underflows
+                        continue
+                    most = max(most, terms)
+        assert 400 < most < special_core.MAX_TERMS
+
+    def test_leading_term_overflow_is_domain_error(self):
+        # at negative orders and tiny x the leading term (x/2)^nu / Gamma
+        # itself leaves double range
+        for fn, args in ((bessel_i, (-1.2, 1e-300)), (struve_m, (-1.2, 1e-300)),
+                         (ratio_succ_exact, ("I", -0.2, 1e-300)),
+                         (cond_exact, ("L", -1.2, 1e-300))):
+            with pytest.raises(DomainError, match="overflows"):
+                fn(*args)
 
     def test_leading_term_underflow_is_domain_error(self):
         # a zero or subnormal leading term is underflow, not non-convergence
@@ -120,7 +147,7 @@ class TestSeriesRow:
         xs = np.logspace(-3.0, math.log10(600.0), 200).tolist()
         for nu in self.ORDERS:
             special_core._SERIES_MEMO.clear()
-            special_core.fill_series_row(kind, nu, xs, 500)
+            special_core.fill_series_row(kind, nu, xs)
             filled = dict(special_core._SERIES_MEMO)
             special_core._SERIES_MEMO.clear()
             assert len(filled) == len(xs), nu
@@ -129,26 +156,27 @@ class TestSeriesRow:
 
     def test_skips_memoized_and_out_of_domain_lanes(self):
         special_core._SERIES_MEMO.clear()
-        first = special_core._series("L", 1.0, 2.0, 500)
-        special_core.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320], 500)
-        assert special_core._SERIES_MEMO == {("L", 1.0, 2.0, 500): first}
-        special_core.fill_series_row("L", -3.0, [1.0], 500)
-        special_core.fill_series_row("L", math.nan, [1.0], 500)
+        first = special_core._series("L", 1.0, 2.0)
+        special_core.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320])
+        assert special_core._SERIES_MEMO == {("L", 1.0, 2.0): first}
+        special_core.fill_series_row("L", -3.0, [1.0])
+        special_core.fill_series_row("L", math.nan, [1.0])
         assert len(special_core._SERIES_MEMO) == 1
 
     def test_memo_is_cleared_when_full(self, monkeypatch):
         special_core._SERIES_MEMO.clear()
         monkeypatch.setattr(special_core, "_SERIES_MEMO_MAX", 3)
-        special_core.fill_series_row("L", 1.0, [1.0, 2.0, 3.0, 4.0, 5.0], 500)
-        assert list(special_core._SERIES_MEMO) == [("L", 1.0, 4.0, 500), ("L", 1.0, 5.0, 500)]
+        special_core.fill_series_row("L", 1.0, [1.0, 2.0, 3.0, 4.0, 5.0])
+        assert list(special_core._SERIES_MEMO) == [("L", 1.0, 4.0), ("L", 1.0, 5.0)]
 
-    def test_unconverged_lanes_are_not_stored(self):
+    def test_unconverged_lanes_are_not_stored(self, monkeypatch):
         special_core._SERIES_MEMO.clear()
-        special_core.fill_series_row("I", 1.0, [1.0, 300.0], 50)
-        assert ("I", 1.0, 1.0, 50) in special_core._SERIES_MEMO
-        assert ("I", 1.0, 300.0, 50) not in special_core._SERIES_MEMO
+        monkeypatch.setattr(special_core, "MAX_TERMS", 50)
+        special_core.fill_series_row("I", 1.0, [1.0, 300.0])
+        assert ("I", 1.0, 1.0) in special_core._SERIES_MEMO
+        assert ("I", 1.0, 300.0) not in special_core._SERIES_MEMO
         with pytest.raises(ConvergenceError):
-            bessel_i(1.0, 300.0, EvalConfig(max_terms=50))
+            bessel_i(1.0, 300.0)
 
 
 class TestStruveSeries:
@@ -222,6 +250,32 @@ class TestAsymptotics:
 
     def test_struve_large(self):
         assert rel(asym_large_x("L", 2.5, 100.0), lv_value(2.5, 100.0)) < 1e-4
+
+
+class TestLargeOrderPrefactors:
+    # past nu ~ 169 math.gamma overflows; these prefactors go through the
+    # log-space route of the one (x/2)^p / Gamma routine instead
+    NU = 200.0
+
+    def test_small_x_leading(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        x = 100.0
+        half = mpmath.mpf(x) / 2
+        want_l = half ** (self.NU + 1) / (mpmath.gamma(1.5) * mpmath.gamma(self.NU + 1.5)) \
+            * (1 + mpmath.mpf(x) ** 2 / (3 * (2 * self.NU + 3)))
+        want_i = half ** self.NU / mpmath.gamma(self.NU + 1)
+        assert rel(small_x_leading("L", self.NU, x), float(want_l)) < 1e-12
+        assert rel(small_x_leading("I", self.NU, x), float(want_i)) < 1e-12
+        # the leading term underflows at x = 1: its double value is 0
+        assert small_x_leading("L", self.NU, 1.0) == 0.0
+
+    def test_quad_oracle(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        x = 300.0
+        assert rel(quad_oracle_i(self.NU, x).value, float(mpmath.besseli(self.NU, x))) < 1e-12
+        assert rel(quad_oracle_l(self.NU, x).value, float(mpmath.struvel(self.NU, x))) < 1e-12
 
 
 class TestSmallX:

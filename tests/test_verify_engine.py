@@ -182,10 +182,10 @@ class TestCrossover:
     def test_multiple_sign_changes(self):
         REGISTRY["fake_osc"] = BoundSpec(
             "fake_osc", "b_kernel", "upper", -1.5, True,
-            lambda n, x, cfg=None: math.sin(x))
+            lambda n, x: math.sin(x))
         REGISTRY["fake_zero"] = BoundSpec(
             "fake_zero", "b_kernel", "upper", -1.5, True,
-            lambda n, x, cfg=None: 0.0)
+            lambda n, x: 0.0)
         try:
             with pytest.raises(MultipleSignChanges):
                 crossover("fake_osc", "fake_zero", 0.0, (0.1, 20.0))
