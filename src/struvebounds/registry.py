@@ -14,13 +14,10 @@ from . import arg_ratio as _ar
 from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
+from .arg_ratio import ArgPair
 from .brackets import BoundSpec
 from .errors import UnknownBound
 from .special_core import lv_value, ratio_succ_exact
-
-
-def _pair(x, y):
-    return _ar.ArgPair(x, y)
 
 
 _SPECS = [
@@ -83,24 +80,24 @@ _SPECS = [
               equality_at=0.5),
     # argument ratio
     BoundSpec("eq33a_upper", "arg_ratio_L", "upper", -1.5, True,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq33a")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq33a")),
     BoundSpec("eq33b_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq33b")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq33b")),
     BoundSpec("eq34_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq34"),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq34"),
               equality_at=0.5),
     BoundSpec("eq37_lower", "arg_ratio_L", "lower", -0.5, False,
-              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, _pair(x, y)).lower),
+              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, ArgPair(x, y)).lower),
     BoundSpec("eq37_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, _pair(x, y)).upper),
+              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, ArgPair(x, y)).upper),
     BoundSpec("eq38_lower", "arg_ratio_L", "lower", -0.5, False,
-              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, _pair(x, y)).lower),
+              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, ArgPair(x, y)).lower),
     BoundSpec("eq38_upper", "arg_ratio_L", "upper", -0.5, False,
-              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, _pair(x, y)).upper),
+              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, ArgPair(x, y)).upper),
     BoundSpec("eq40_lower", "arg_ratio_L", "lower", -0.5, True,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "hbv_combined")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "hbv_combined")),
     BoundSpec("eq42_lower", "arg_ratio_L", "lower", 0.0, False,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, _pair(x, y), "eq42")),
+              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq42")),
     # pointwise
     BoundSpec("eq39_lower", "pointwise_L", "lower", -0.5, False,
               lambda n, x: _ar.pointwise_bracket(n, x).lower),
@@ -145,7 +142,7 @@ def exact_value(target: str, nu: float, x: float, y: float | None = None) -> flo
     if target == "arg_ratio_L":
         if y is None:
             raise ValueError("arg_ratio_L needs a second argument y")
-        return _ar.arg_ratio_exact(nu, _pair(x, y))
+        return _ar.arg_ratio_exact(nu, ArgPair(x, y))
     if target == "pointwise_L":
         return lv_value(nu, x)
     if target == "b_kernel":

@@ -39,12 +39,6 @@ def transfer_lower(nu: float, x: float, r: float) -> float:
     return 1.0 / (1.0 / r + 2.0 * b_value(nu, x) / x) if r else 0.0
 
 
-def _refine(nu: float, x: float, h_next: float) -> float:
-    """The recurrence h_nu = 1 / ((2 nu + 2 b_nu(x))/x + h_{nu+1}); it
-    decreases in h_{nu+1}, so it turns a lower bound into an upper one."""
-    return 1.0 / ((2.0 * nu + 2.0 * b_value(nu, x)) / x + h_next)
-
-
 def bessel_ratio_bounds(nu: float, x: float) -> Bracket:
     """Algebraic bracket for I_nu(x)/I_{nu-1}(x).
 
@@ -114,13 +108,16 @@ def ratio_bracket_via_bessel(nu: float, x: float) -> Bracket:
 
 
 def ratio_bracket_segura_form(nu: float, x: float) -> Bracket:
-    """Fully algebraic bracket for h_nu: the transfer of bessel_ratio_bounds.
+    """Fully algebraic bracket for h_nu: bessel_ratio_bounds, lower side
+    transferred (expanded: it rounds within 3 ulps of transfer_lower, and
+    perfbench/reference.json holds its values to 1e-12).
 
     lower: x / (nu - 1/2 + 2 b_nu(x) + sqrt((nu+1/2)^2 + x^2)), valid nu >= 0
     upper: x / (nu - 1/2 + sqrt((nu-1/2)^2 + x^2)),             valid nu >= 1/2
     """
     br = bessel_ratio_bounds(nu, x)
-    lower = transfer_lower(nu, x, br.lower) if nu > -1.5 else math.nan
+    lower = x / (nu - 0.5 + 2.0 * b_value(nu, x) + math.hypot(nu + 0.5, x)) \
+        if nu > -1.5 else math.nan
     return Bracket(lower, br.upper, nu >= -_EQ_TOL, nu >= 0.5 - _EQ_TOL,
                    "eq18_lower", "eq18_upper")
 
@@ -166,12 +163,15 @@ def ratio_upper_refined(nu: float, x: float) -> float:
     """One recurrence step applied to the Turan lower bound at order nu+1:
 
     x / (nu - 1 + 2 b_nu - b_{nu+1} + sqrt((nu+1+b_{nu+1})^2 + x^2)) > h_nu,
-    valid nu >= 0.
+    valid nu >= 0.  This is ratio_refine_step's map on ratio_lower_turan at
+    nu+1, expanded for the reason given in ratio_bracket_segura_form.
     """
     _check_x(x)
     if nu < -_EQ_TOL:
         raise DomainError(f"refined upper bound requires nu >= 0, got {nu}")
-    return _refine(nu, x, ratio_lower_turan(nu + 1.0, x))
+    b0 = b_value(nu, x)
+    b1 = b_value(nu + 1.0, x)
+    return x / (nu - 1.0 + 2.0 * b0 - b1 + math.hypot(nu + 1.0 + b1, x))
 
 
 def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
@@ -188,8 +188,10 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
         raise InvalidBracket(
             f"bracket sides out of order: [{next_bracket.lower}, {next_bracket.upper}]"
         )
-    return Bracket(_refine(nu, x, next_bracket.upper), _refine(nu, x, next_bracket.lower),
-                   next_bracket.upper_valid, next_bracket.lower_valid,
+    base = (2.0 * nu + 2.0 * b_value(nu, x)) / x
+    lower = 1.0 / (base + next_bracket.upper)
+    upper = 1.0 / (base + next_bracket.lower)
+    return Bracket(lower, upper, next_bracket.upper_valid, next_bracket.lower_valid,
                    f"refine({next_bracket.upper_id})", f"refine({next_bracket.lower_id})")
 
 
