@@ -12,19 +12,20 @@ import math
 
 from .brackets import Bracket
 from .errors import DomainError
-from .special_core import GAMMA_ARG_MAX, SQRT_PI, _first_term, lv_value, recurrence_term
-
-_EQ_TOL = 1e-12
-
+from .special_core import Point, _first_term, kernel_b, lv_value, recurrence_term
 
 def a_coefficient(nu: float, x: float) -> float:
     """(x/2)^nu / (sqrt(pi) Gamma(nu+3/2)); satisfies b = x * a / (2 L)."""
     return recurrence_term(nu, x)
 
 
-def _check_domain(nu: float, x: float) -> None:
+def _check_nu(nu: float) -> None:
     if not math.isfinite(nu) or nu <= -1.5:
         raise DomainError(f"kernel requires nu > -3/2, got {nu}")
+
+
+def _check_domain(nu: float, x: float) -> None:
+    _check_nu(nu)
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"kernel requires x > 0, got {x}")
 
@@ -32,29 +33,17 @@ def _check_domain(nu: float, x: float) -> None:
 def b_value(nu: float, x: float) -> float:
     """Kernel value; lies strictly inside (0, 1/2) for nu > -3/2, x > 0.
 
-    Not cached: L is memoized in special_core, and the rest is a power, a
-    gamma and one divide.  The direct quotient is exact enough whenever it
-    stays normal; once the gamma, the numerator or the quotient would leave
-    double range the value is rebuilt as exp(log-numerator -
-    log-denominator).  L > 0 on the whole domain.
+    Not cached: L is memoized in special_core, and the rest is
+    special_core.kernel_b, a power, a gamma and one divide.  L > 0 on the
+    whole domain.
     """
     _check_domain(nu, x)
-    lv = lv_value(nu, x)
-    if nu + 1.5 < GAMMA_ARG_MAX:
-        try:
-            q = (0.5 * x) ** (nu + 1.0) / (SQRT_PI * math.gamma(nu + 1.5) * lv)
-        except OverflowError:  # from the power
-            q = math.inf
-        if 0.0 < q < math.inf:
-            return q
-    log_num = (nu + 1.0) * math.log(0.5 * x)
-    log_den = math.log(SQRT_PI) + math.lgamma(nu + 1.5) + math.log(lv)
-    return math.exp(log_num - log_den)
+    return kernel_b(nu, x, lv_value(nu, x))
 
 
-def b_upper_quadratic(nu: float, x: float) -> float:
+def eq12_upper(nu, x, P):
     """Strict upper bound (1/2) (1 + x^2 / (3(2 nu+3)))^{-1}, nu > -3/2."""
-    _check_domain(nu, x)
+    _check_nu(nu)
     return 0.5 / (1.0 + x * x / (3.0 * (2.0 * nu + 3.0)))
 
 
@@ -72,6 +61,24 @@ def _x_csch(scale: float, x: float, k: float) -> float:
     return c / math.sinh(z) if z < 710.0 else 2.0 * c * math.exp(-z)
 
 
+def eq13_lower(nu, x, P):
+    """(x/2) csch(x) <= b_nu(x), valid nu >= -1/2 (equality at -1/2)."""
+    _check_nu(nu)
+    return P.map(_x_csch, 0.5, x, 1.0)
+
+
+def eq13_upper(nu, x, P):
+    """b_nu(x) < (x/4) csch(x/(2 nu+3)), valid nu > -1."""
+    _check_nu(nu)
+    return P.map(_x_csch, 0.25, x, 2.0 * nu + 3.0)
+
+
+def b_upper_quadratic(nu: float, x: float) -> float:
+    """eq12_upper at a point."""
+    _check_domain(nu, x)
+    return eq12_upper(nu, x, Point(nu, x))
+
+
 def b_csch_bracket(nu: float, x: float) -> Bracket:
     """Hyperbolic bracket (x/2) csch(x) <= b_nu(x) < (x/4) csch(x/(2 nu+3)).
 
@@ -79,17 +86,9 @@ def b_csch_bracket(nu: float, x: float) -> Bracket:
     and the comparison reverses below -1/2); the upper side is valid for
     nu > -1.
     """
+    from .registry import bracket
     _check_domain(nu, x)
-    lower = _x_csch(0.5, x, 1.0)
-    upper = _x_csch(0.25, x, 2.0 * nu + 3.0)
-    return Bracket(
-        lower=lower,
-        upper=upper,
-        lower_valid=nu >= -0.5 - _EQ_TOL,
-        upper_valid=nu > -1.0,
-        lower_id="eq13_lower",
-        upper_id="eq13_upper",
-    )
+    return bracket("eq13_lower", "eq13_upper", nu, x)
 
 
 def b_asym(nu: float, x: float, regime: str) -> float:

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .special_core import Point
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -61,6 +63,12 @@ TARGETS = (
 class BoundSpec:
     """Registry entry binding a named inequality to its target quantity.
 
+    formula(nu, x, P), or formula(nu, x, y, P) for the argument ratio, is
+    the bound's one formula: P is a special_core.Point at a single point or
+    a special_core.Row over numpy lanes, and the formula reads its
+    primitives and elementary functions from P.  It checks its own order
+    range where the formula needs one; P checks the arguments.
+
     nu_min / nu_min_strict encode the published validity range (all ranges
     are half-lines in the order).  equality_at marks the single order at
     which the inequality degenerates to an equality; certification treats
@@ -72,7 +80,7 @@ class BoundSpec:
     side: str  # "lower" | "upper"
     nu_min: float
     nu_min_strict: bool
-    evaluate: Callable[..., float]
+    formula: Callable[..., float]
     equality_at: Optional[float] = None
 
     def __post_init__(self):
@@ -80,6 +88,11 @@ class BoundSpec:
             raise ValueError(f"unknown target {self.target!r}")
         if self.side not in ("lower", "upper"):
             raise ValueError(f"side must be 'lower' or 'upper', got {self.side!r}")
+
+    def evaluate(self, nu: float, x: float, y: Optional[float] = None) -> float:
+        """The bound at one point, as a Python float."""
+        args = (nu, x) if y is None else (nu, x, y)
+        return float(self.formula(*args, Point(nu, x, y)))
 
     def valid_at(self, nu: float) -> bool:
         if self.nu_min_strict:

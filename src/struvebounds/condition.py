@@ -13,9 +13,10 @@ import math
 from .bfunc import b_value
 from .brackets import Bracket
 from .errors import DomainError
-from .special_core import iv_value, lv_value, lv_value_extended
+from .special_core import _MIN_ORDER_EXTENDED, _POLE_TOL, Point, lv_value
 
 _EQ_TOL = 1e-12
+_L_FLOOR = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
 
 
 def _check_x(x: float) -> None:
@@ -23,15 +24,23 @@ def _check_x(x: float) -> None:
         raise DomainError(f"x must be a finite positive real, got {x}")
 
 
+def cond_L(nu, x, P):
+    """C(L_nu)(x) = x L_{nu-1}(x)/L_nu(x) - nu, the downward relation."""
+    return x * P.L(nu - 1.0, floor=_L_FLOOR) / P.L(nu) - nu
+
+
+def eq28_lower(nu, x, P):
+    """C(I_nu) = x I_{nu-1}/I_nu - nu < C(L_nu), valid nu >= 1/2."""
+    return x * P.I(nu - 1.0) / P.I(nu) - nu
+
+
 def cond_exact(kind: str, nu: float, x: float) -> float:
     """Reference condition number via the downward ratio; positive for L when
     nu >= -1, for I when nu >= 0."""
     _check_x(x)
-    if kind == "L":
-        return x * lv_value_extended(nu - 1.0, x) / lv_value(nu, x) - nu
-    if kind == "I":
-        return x * iv_value(nu - 1.0, x) / iv_value(nu, x) - nu
-    raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
+    if kind not in ("L", "I"):
+        raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
+    return (cond_L if kind == "L" else eq28_lower)(nu, x, Point(nu, x))
 
 
 def cond_upward_residual(nu: float, x: float) -> float:
@@ -42,16 +51,73 @@ def cond_upward_residual(nu: float, x: float) -> float:
     return abs(down - up) / abs(down)
 
 
+def eq28_upper(nu, x, P):
+    return eq28_lower(nu, x, P) + 2.0 * P.b(nu)
+
+
+def eq29_lower(nu, x, P):
+    return P.hypot(nu - 0.5, x) - 0.5
+
+
+def eq29_upper(nu, x, P):
+    b0 = P.b(nu) if nu > -1.5 else math.nan
+    return P.hypot(nu + b0, x) + b0
+
+
+def eq30_lower(nu, x, P):
+    b1 = P.b(nu + 1.0)
+    return P.hypot(nu + 1.0 + b1, x) + 2.0 * P.b(nu) - b1 - 1.0
+
+
+def eq30_upper(nu, x, P):
+    return P.hypot(nu + 0.5, x) + 2.0 * P.b(nu) - 0.5
+
+
+def eq31_lower(nu, x, P):
+    return nu + 2.0 * P.b(nu) + x * x / (nu + 0.5 + 2.0 * P.b(nu + 1.0) + P.hypot(nu + 1.5, x))
+
+
+def _eq27_small(nu: float, x: float) -> float:
+    """eq27_upper for -3/2 < nu < -1/2 and x < 2, as hypot(nu+1, x sqrt(c)).
+
+    The radicand is (nu+1)^2 + x^2 - (2 nu+1)(1 - 2b), and 1 - 2b cancels as
+    b -> 1/2.  Here 1 - 2b = (L - t0)/L = q u/(1 + q u) with q = x^2/4, t0
+    the first term of the L series and u = (L - t0)/(q t0) the series
+    sum_{n>=1} q^(n-1) / prod_{k<=n} (k+1/2)(k+nu+1/2) of positive terms,
+    so c = 1 - (2 nu+1) u / (4 (1 + q u)) >= 1 loses nothing.
+    """
+    q = 0.25 * x * x
+    term = u = 1.0 / (1.5 * (nu + 1.5))
+    k = 2
+    while term > 1e-17 * u:
+        term *= q / ((k + 0.5) * (k + nu + 0.5))
+        u += term
+        k += 1
+    c = 1.0 - (2.0 * nu + 1.0) * u / (4.0 * (1.0 + q * u))
+    return math.hypot(nu + 1.0, x * math.sqrt(c))
+
+
+def eq27_upper(nu, x, P):
+    """sqrt(x^2 + nu^2 + 2(2 nu+1) b); _eq27_small where the sum cancels."""
+    rad = x * x + nu * nu + 2.0 * (2.0 * nu + 1.0) * P.b(nu)
+    if nu >= -0.5:
+        return P.sqrt(rad)
+    small = x < 2.0
+    return P.where(small, lambda: P.map(_eq27_small, nu, x),
+                   lambda: P.sqrt(P.where(small, lambda: 1.0, lambda: rad)))
+
+
 def cond_bracket_via_bessel(nu: float, x: float) -> Bracket:
     """C(I_nu) < C(L_nu) < C(I_nu) + 2 b_nu(x).
 
     Lower side valid nu >= 1/2, upper side valid nu >= -1/2.
     """
-    _check_x(x)
-    ci = cond_exact("I", nu, x)
-    return Bracket(ci, ci + 2.0 * b_value(nu, x),
-                   nu >= 0.5 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
-                   "eq28_lower", "eq28_upper")
+    from .registry import bracket
+    return bracket("eq28_lower", "eq28_upper", nu, x)
+
+
+_SQRT_BRACKETS = {"eq29": ("eq29_lower", "eq29_upper"), "eq30": ("eq30_lower", "eq30_upper"),
+                  "eq31": ("eq31_lower", ""), "apti": ("", "eq27_upper")}
 
 
 def cond_bracket_sqrt(nu: float, x: float, variant: str) -> Bracket:
@@ -63,43 +129,23 @@ def cond_bracket_sqrt(nu: float, x: float, variant: str) -> Bracket:
            lower nu >= -1, upper nu >= -1/2   (b' = b at order nu+1)
     eq31:  lower only: nu + 2b + x^2/(nu + 1/2 + 2b' + sqrt((nu+3/2)^2+x^2)),
            nu >= -1
-    apti:  upper only: sqrt(x^2 + nu^2 + 2(2 nu+1) b), nu > -3/2
+    apti:  upper only: sqrt(x^2 + nu^2 + 2(2 nu+1) b), nu > -3/2 (eq27)
     prior: lower only: max of nu+1 (nu > -3/2) and the hyperbolic
            x coth(x/2) - nu (nu >= 1/2, equality at nu = 1/2); see
            prior_lower_bound for the individual members.
     """
+    from .registry import bracket
     _check_x(x)
-    if variant == "eq29":
-        b0 = b_value(nu, x) if nu > -1.5 else math.nan
-        return Bracket(math.hypot(nu - 0.5, x) - 0.5, math.hypot(nu + b0, x) + b0,
-                       nu >= 0.5 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
-                       "eq29_lower", "eq29_upper")
-    if variant == "eq30":
-        b0 = b_value(nu, x)
-        b1 = b_value(nu + 1.0, x)
-        lower = math.hypot(nu + 1.0 + b1, x) + 2.0 * b0 - b1 - 1.0
-        upper = math.hypot(nu + 0.5, x) + 2.0 * b0 - 0.5
-        return Bracket(lower, upper, nu >= -1.0 - _EQ_TOL, nu >= -0.5 - _EQ_TOL,
-                       "eq30_lower", "eq30_upper")
-    if variant == "eq31":
-        b0 = b_value(nu, x)
-        b1 = b_value(nu + 1.0, x)
-        lower = nu + 2.0 * b0 + x * x / (nu + 0.5 + 2.0 * b1 + math.hypot(nu + 1.5, x))
-        return Bracket(lower, math.inf, nu >= -1.0 - _EQ_TOL, False,
-                       "eq31_lower", "")
-    if variant == "apti":
-        b0 = b_value(nu, x)
-        upper = math.sqrt(x * x + nu * nu + 2.0 * (2.0 * nu + 1.0) * b0)
-        return Bracket(-math.inf, upper, False, nu > -1.5, "", "eq27_upper")
-    if variant == "prior":
-        candidates = [(prior_lower_bound(nu, x, name), name)
-                      for name in ("prior_nup1", "prior_xminus", "prior_coth")
-                      if _prior_valid(nu, name)]
-        if not candidates:
-            return Bracket(-math.inf, math.inf, False, False, "", "")
-        lower, name = max(candidates)
-        return Bracket(lower, math.inf, True, False, name, "")
-    raise DomainError(f"unknown variant {variant!r}")
+    if variant in _SQRT_BRACKETS:
+        return bracket(*_SQRT_BRACKETS[variant], nu, x)
+    if variant != "prior":
+        raise DomainError(f"unknown variant {variant!r}")
+    candidates = [(PRIORS[name](nu, x, Point(nu, x)), name) for name in PRIORS
+                  if _prior_valid(nu, name)]
+    if not candidates:
+        return Bracket(-math.inf, math.inf, False, False, "", "")
+    lower, name = max(candidates)
+    return Bracket(lower, math.inf, True, False, name, "")
 
 
 def _prior_valid(nu: float, name: str) -> bool:
@@ -107,6 +153,34 @@ def _prior_valid(nu: float, name: str) -> bool:
         return nu > -1.5
     # both remaining members are consequences of the tanh(x/2) ratio bound
     return nu >= 0.5 - _EQ_TOL
+
+
+def _x_coth_half(x: float) -> float:
+    # x coth(x/2) = 2 in double precision below x = 1e-8, where x/2 may underflow
+    return 2.0 if x < 1e-8 else x / math.tanh(0.5 * x)
+
+
+def _check_prior(nu: float, name: str) -> None:
+    if not _prior_valid(nu, name):
+        raise DomainError(f"{name} is not valid at nu={nu}")
+
+
+def prior_nup1(nu, x, P):
+    _check_prior(nu, "prior_nup1")
+    return nu + 1.0
+
+
+def prior_xminus(nu, x, P):
+    _check_prior(nu, "prior_xminus")
+    return x - nu
+
+
+def prior_coth(nu, x, P):
+    _check_prior(nu, "prior_coth")
+    return P.map(_x_coth_half, x) - nu
+
+
+PRIORS = {f.__name__: f for f in (prior_nup1, prior_xminus, prior_coth)}
 
 
 def prior_lower_bound(nu: float, x: float, name: str) -> float:
@@ -117,13 +191,6 @@ def prior_lower_bound(nu: float, x: float, name: str) -> float:
     prior_coth:   x coth(x/2) - nu,    nu >= 1/2 (equality at nu = 1/2)
     """
     _check_x(x)
-    if not _prior_valid(nu, name):
-        raise DomainError(f"{name} is not valid at nu={nu}")
-    if name == "prior_nup1":
-        return nu + 1.0
-    if name == "prior_xminus":
-        return x - nu
-    if name == "prior_coth":
-        # x coth(x/2) = 2 in double precision below x = 1e-8, where x/2 may underflow
-        return (2.0 if x < 1e-8 else x / math.tanh(0.5 * x)) - nu
-    raise DomainError(f"unknown prior bound {name!r}")
+    if name not in PRIORS:
+        raise DomainError(f"unknown prior bound {name!r}")
+    return PRIORS[name](nu, x, Point(nu, x))

@@ -1,117 +1,100 @@
 """Registry of every certified inequality, keyed by stable bound id.
 
 Each entry records the target quantity, the side it bounds, the published
-validity half-line in the order, and the single equality order if one exists.
-Validity ranges are data, not caller-overridable arguments: the inequalities
-are only guaranteed on the recorded ranges.
+validity half-line in the order, the single equality order if one exists,
+and the bound's one formula f(nu, x, P) (f(nu, x, y, P) for the argument
+ratio), named after the bound id in its home module.  EXACT holds each
+target's exact value as a formula of the same shape.  P is a
+special_core.Point for one point (BoundSpec.evaluate, exact_value, bracket)
+or a special_core.Row over numpy lanes (bound_row, exact_row, used by
+verify).  Validity ranges are data, not caller-overridable arguments: the
+inequalities are only guaranteed on the recorded ranges.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
+
+import numpy as np
 
 from . import arg_ratio as _ar
 from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
-from .arg_ratio import ArgPair
-from .brackets import BoundSpec
+from .brackets import BoundSpec, Bracket
 from .errors import UnknownBound
-from .special_core import lv_value, ratio_succ_exact
+from .special_core import Point
+
+
+def _bound(bound_id, target, side, nu_min, strict, module, equality_at=None):
+    return BoundSpec(bound_id, target, side, nu_min, strict, getattr(module, bound_id),
+                     equality_at)
 
 
 _SPECS = [
     # kernel
-    BoundSpec("eq12_upper", "b_kernel", "upper", -1.5, True, _bf.b_upper_quadratic),
-    BoundSpec("eq13_lower", "b_kernel", "lower", -0.5, False,
-              lambda n, x: _bf.b_csch_bracket(n, x).lower,
-              equality_at=-0.5),
-    BoundSpec("eq13_upper", "b_kernel", "upper", -1.0, True,
-              lambda n, x: _bf.b_csch_bracket(n, x).upper),
+    _bound("eq12_upper", "b_kernel", "upper", -1.5, True, _bf),
+    _bound("eq13_lower", "b_kernel", "lower", -0.5, False, _bf, equality_at=-0.5),
+    _bound("eq13_upper", "b_kernel", "upper", -1.0, True, _bf),
     # product difference
-    BoundSpec("eq14_positivity", "product_diff_L", "lower", 0.5, False,
-              lambda n, x: 0.0),
-    BoundSpec("eq15_upper", "product_diff_L", "upper", -0.5, False,
-              lambda n, x: _sr.product_difference_cap(n, x, "via_nu")),
-    BoundSpec("eq16_upper", "product_diff_L", "upper", 1.5, False,
-              lambda n, x: _sr.product_difference_cap(n, x, "via_num1")),
+    _bound("eq14_positivity", "product_diff_L", "lower", 0.5, False, _sr),
+    _bound("eq15_upper", "product_diff_L", "upper", -0.5, False, _sr),
+    _bound("eq16_upper", "product_diff_L", "upper", 1.5, False, _sr),
     # successive-order ratio
-    BoundSpec("eq17_lower", "succ_ratio_L", "lower", 0.0, False,
-              lambda n, x: _sr.ratio_bracket_via_bessel(n, x).lower),
-    BoundSpec("eq17_upper", "succ_ratio_L", "upper", 0.5, False,
-              lambda n, x: _sr.ratio_bracket_via_bessel(n, x).upper),
-    BoundSpec("eq18_lower", "succ_ratio_L", "lower", 0.0, False,
-              lambda n, x: _sr.ratio_bracket_segura_form(n, x).lower),
-    BoundSpec("eq18_upper", "succ_ratio_L", "upper", 0.5, False,
-              lambda n, x: _sr.ratio_bracket_segura_form(n, x).upper),
-    BoundSpec("eq19_lower", "succ_ratio_L", "lower", 0.5, True, _sr.ratio_lower_tanh),
-    BoundSpec("eq20_upper", "succ_ratio_L", "upper", 0.5, False, _sr.ratio_upper_tanh_half,
-              equality_at=0.5),
-    BoundSpec("eq21_lower", "succ_ratio_L", "lower", -0.5, False, _sr.ratio_lower_turan),
-    BoundSpec("eq22_lower", "succ_ratio_L", "lower", 0.5, False, _sr.ratio_lower_tanh_half,
-              equality_at=0.5),
-    BoundSpec("eq24_upper", "succ_ratio_L", "upper", 0.0, False, _sr.ratio_upper_refined),
+    _bound("eq17_lower", "succ_ratio_L", "lower", 0.0, False, _sr),
+    _bound("eq17_upper", "succ_ratio_L", "upper", 0.5, False, _sr),
+    _bound("eq18_lower", "succ_ratio_L", "lower", 0.0, False, _sr),
+    _bound("eq18_upper", "succ_ratio_L", "upper", 0.5, False, _sr),
+    _bound("eq19_lower", "succ_ratio_L", "lower", 0.5, True, _sr),
+    _bound("eq20_upper", "succ_ratio_L", "upper", 0.5, False, _sr, equality_at=0.5),
+    _bound("eq21_lower", "succ_ratio_L", "lower", -0.5, False, _sr),
+    _bound("eq22_lower", "succ_ratio_L", "lower", 0.5, False, _sr, equality_at=0.5),
+    _bound("eq24_upper", "succ_ratio_L", "upper", 0.0, False, _sr),
     # condition number
-    BoundSpec("eq27_upper", "cond_L", "upper", -1.5, True,
-              lambda n, x: _cd.cond_bracket_sqrt(n, x, "apti").upper),
-    BoundSpec("eq28_lower", "cond_L", "lower", 0.5, False,
-              lambda n, x: _cd.cond_bracket_via_bessel(n, x).lower),
-    BoundSpec("eq28_upper", "cond_L", "upper", -0.5, False,
-              lambda n, x: _cd.cond_bracket_via_bessel(n, x).upper),
-    BoundSpec("eq29_lower", "cond_L", "lower", 0.5, False,
-              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq29").lower),
-    BoundSpec("eq29_upper", "cond_L", "upper", -0.5, False,
-              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq29").upper),
-    BoundSpec("eq30_lower", "cond_L", "lower", -1.0, False,
-              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq30").lower),
-    BoundSpec("eq30_upper", "cond_L", "upper", -0.5, False,
-              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq30").upper),
-    BoundSpec("eq31_lower", "cond_L", "lower", -1.0, False,
-              lambda n, x: _cd.cond_bracket_sqrt(n, x, "eq31").lower),
-    BoundSpec("prior_nup1", "cond_L", "lower", -1.5, True,
-              lambda n, x: _cd.prior_lower_bound(n, x, "prior_nup1")),
+    _bound("eq27_upper", "cond_L", "upper", -1.5, True, _cd),
+    _bound("eq28_lower", "cond_L", "lower", 0.5, False, _cd),
+    _bound("eq28_upper", "cond_L", "upper", -0.5, False, _cd),
+    _bound("eq29_lower", "cond_L", "lower", 0.5, False, _cd),
+    _bound("eq29_upper", "cond_L", "upper", -0.5, False, _cd),
+    _bound("eq30_lower", "cond_L", "lower", -1.0, False, _cd),
+    _bound("eq30_upper", "cond_L", "upper", -0.5, False, _cd),
+    _bound("eq31_lower", "cond_L", "lower", -1.0, False, _cd),
+    _bound("prior_nup1", "cond_L", "lower", -1.5, True, _cd),
     # recorded range deviates from the published one: x - nu fails below 1/2
     # (e.g. order 0, x = 10: condition number 9.4863 < 10) and holds at and
     # above 1/2, where it follows from the tanh(x/2) ratio bound
-    BoundSpec("prior_xminus", "cond_L", "lower", 0.5, False,
-              lambda n, x: _cd.prior_lower_bound(n, x, "prior_xminus")),
-    BoundSpec("prior_coth", "cond_L", "lower", 0.5, False,
-              lambda n, x: _cd.prior_lower_bound(n, x, "prior_coth"),
-              equality_at=0.5),
+    _bound("prior_xminus", "cond_L", "lower", 0.5, False, _cd),
+    _bound("prior_coth", "cond_L", "lower", 0.5, False, _cd, equality_at=0.5),
     # argument ratio
-    BoundSpec("eq33a_upper", "arg_ratio_L", "upper", -1.5, True,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq33a")),
-    BoundSpec("eq33b_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq33b")),
-    BoundSpec("eq34_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq34"),
-              equality_at=0.5),
-    BoundSpec("eq37_lower", "arg_ratio_L", "lower", -0.5, False,
-              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, ArgPair(x, y)).lower),
-    BoundSpec("eq37_upper", "arg_ratio_L", "upper", 0.5, False,
-              lambda n, x, y: _ar.arg_ratio_bessel_bracket(n, ArgPair(x, y)).upper),
-    BoundSpec("eq38_lower", "arg_ratio_L", "lower", -0.5, False,
-              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, ArgPair(x, y)).lower),
-    BoundSpec("eq38_upper", "arg_ratio_L", "upper", -0.5, False,
-              lambda n, x, y: _ar.arg_ratio_explicit_bracket(n, ArgPair(x, y)).upper),
-    BoundSpec("eq40_lower", "arg_ratio_L", "lower", -0.5, True,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "hbv_combined")),
-    BoundSpec("eq42_lower", "arg_ratio_L", "lower", 0.0, False,
-              lambda n, x, y: _ar.arg_ratio_prior_bounds(n, ArgPair(x, y), "eq42")),
+    _bound("eq33a_upper", "arg_ratio_L", "upper", -1.5, True, _ar),
+    _bound("eq33b_upper", "arg_ratio_L", "upper", 0.5, False, _ar),
+    _bound("eq34_upper", "arg_ratio_L", "upper", 0.5, False, _ar, equality_at=0.5),
+    _bound("eq37_lower", "arg_ratio_L", "lower", -0.5, False, _ar),
+    _bound("eq37_upper", "arg_ratio_L", "upper", 0.5, False, _ar),
+    _bound("eq38_lower", "arg_ratio_L", "lower", -0.5, False, _ar),
+    _bound("eq38_upper", "arg_ratio_L", "upper", -0.5, False, _ar),
+    _bound("eq40_lower", "arg_ratio_L", "lower", -0.5, True, _ar),
+    _bound("eq42_lower", "arg_ratio_L", "lower", 0.0, False, _ar),
     # pointwise
-    BoundSpec("eq39_lower", "pointwise_L", "lower", -0.5, False,
-              lambda n, x: _ar.pointwise_bracket(n, x).lower),
-    BoundSpec("eq39_upper", "pointwise_L", "upper", -0.5, False,
-              lambda n, x: _ar.pointwise_bracket(n, x).upper),
-    BoundSpec("eq43_upper", "pointwise_L", "upper", 0.0, False,
-              lambda n, x: _ar.pointwise_prior_upper(n, x, "eq43")),
-    BoundSpec("eq45_upper", "pointwise_L", "upper", -0.5, True,
-              lambda n, x: _ar.pointwise_prior_upper(n, x, "eq45")),
-    BoundSpec("eq46_upper", "pointwise_L", "upper", -0.5, True,
-              lambda n, x: _ar.pointwise_prior_upper(n, x, "eq46")),
+    _bound("eq39_lower", "pointwise_L", "lower", -0.5, False, _ar),
+    _bound("eq39_upper", "pointwise_L", "upper", -0.5, False, _ar),
+    _bound("eq43_upper", "pointwise_L", "upper", 0.0, False, _ar),
+    _bound("eq45_upper", "pointwise_L", "upper", -0.5, True, _ar),
+    _bound("eq46_upper", "pointwise_L", "upper", -0.5, True, _ar),
 ]
 
 REGISTRY: dict[str, BoundSpec] = {spec.bound_id: spec for spec in _SPECS}
+
+# the exact value of each target, as a formula of the same shape
+EXACT = {
+    "succ_ratio_L": lambda nu, x, P: P.L(nu) / P.L(nu - 1.0),
+    "cond_L": _cd.cond_L,
+    "arg_ratio_L": _ar.arg_ratio_L,
+    "pointwise_L": lambda nu, x, P: P.L(nu),
+    "b_kernel": lambda nu, x, P: P.b(nu),
+    "product_diff_L": _sr.product_diff,
+}
 
 
 def bound_ids() -> list[str]:
@@ -133,20 +116,49 @@ def needs_y(spec: BoundSpec) -> bool:
     return spec.target == "arg_ratio_L"
 
 
+def _args(P):
+    return (P.nu, P.x, P) if P.y is None else (P.nu, P.x, P.y, P)
+
+
 def exact_value(target: str, nu: float, x: float, y: float | None = None) -> float:
-    """Reference value of a target quantity, always from the series route."""
-    if target == "succ_ratio_L":
-        return ratio_succ_exact("L", nu, x)
-    if target == "cond_L":
-        return _cd.cond_exact("L", nu, x)
-    if target == "arg_ratio_L":
-        if y is None:
-            raise ValueError("arg_ratio_L needs a second argument y")
-        return _ar.arg_ratio_exact(nu, ArgPair(x, y))
-    if target == "pointwise_L":
-        return lv_value(nu, x)
-    if target == "b_kernel":
-        return _bf.b_value(nu, x)
-    if target == "product_diff_L":
-        return _sr.product_difference(nu, x)
-    raise ValueError(f"unknown target {target!r}")
+    """Reference value of a target quantity at one point, always from the
+    series route."""
+    if target not in EXACT:
+        raise ValueError(f"unknown target {target!r}")
+    if target != "arg_ratio_L":
+        y = None
+    elif y is None:
+        raise ValueError("arg_ratio_L needs a second argument y")
+    return float(EXACT[target](*_args(Point(nu, x, y))))
+
+
+def bracket(lower_id: str, upper_id: str, nu: float, x: float,
+            y: float | None = None) -> Bracket:
+    """Two registered bounds at one point as a Bracket: each side's value,
+    its validity at nu and its id.  An empty id leaves that side open."""
+    P = Point(nu, x, y)
+
+    def side(bound_id: str, open_value: float) -> tuple[float, bool]:
+        if not bound_id:
+            return open_value, False
+        spec = REGISTRY[bound_id]
+        return spec.formula(*_args(P)), spec.valid_at(nu)
+
+    (lower, lower_ok), (upper, upper_ok) = side(lower_id, -math.inf), side(upper_id, math.inf)
+    return Bracket(lower, upper, lower_ok, upper_ok, lower_id, upper_id)
+
+
+def _row(value, P) -> np.ndarray:
+    if isinstance(value, np.ndarray) and value.shape == P.x.shape:
+        return value
+    return np.broadcast_to(value, P.x.shape)
+
+
+def exact_row(target: str, P) -> np.ndarray:
+    """The exact values of target over the lanes of a special_core.Row."""
+    return _row(EXACT[target](*_args(P)), P)
+
+
+def bound_row(spec: BoundSpec, P) -> np.ndarray:
+    """spec's bound over the lanes of a special_core.Row."""
+    return _row(spec.formula(*_args(P)), P)

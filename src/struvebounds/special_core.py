@@ -7,16 +7,22 @@ and large-x asymptotics.
 The series sums are the package's only memo: a module dict of at most
 300,000 entries, keyed on (kind, nu, x) and cleared when full.  Two
 producers fill it: the scalar kernel _series, which runs when a lookup
-misses, and fill_series_row, which sums one (kind, nu) series over a whole
-row of arguments with numpy, one lane per x, doing the scalar kernel's
-floating-point operations in the same order, so that every value it stores
-is bit-identical to the scalar result.  Everything else (the kernel b,
-ratios, brackets) is a few flops over memoized I and L values and is not
-cached.  Nothing is configurable: the truncation target REL_TOL, the
-overflow guard X_MAX and the term cap MAX_TERMS are constants.  Up to
-x = X_MAX every series meets REL_TOL within 407 terms (the most is at order
--2.49, x = 600), so the cap of 500 is a safety net: a series that reaches
-it raises ConvergenceError.
+misses, and fill_series_row, which sums many series at once with numpy,
+one lane per (nu, x), doing the scalar kernel's floating-point operations
+in the same order, so that every value and error estimate it stores is
+bit-identical to the scalar result.  Nothing is configurable: the
+truncation target REL_TOL, the overflow guard X_MAX and the term cap
+MAX_TERMS are constants.  Up to x = X_MAX every series meets REL_TOL within
+407 terms (the most is at order -2.49, x = 600), so the cap of 500 is a
+safety net: a series that reaches it raises ConvergenceError.
+
+Point and Row are the primitives every bound formula reads: I, L and M at
+any order, the kernel b (kernel_b) and the recurrence term, computed on
+first use and kept for the life of the object, which is one evaluation at
+a point or one (bound, order) row of a certification grid.  They are not a
+cache: nothing outlives them.  A Row does its arithmetic in numpy and its
+elementary functions with math lane by lane, so a formula gives the same
+bits at a point and in a row.
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -44,6 +50,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -81,6 +89,7 @@ _LOG_MAG_MAX = 690.0
 # A zero or subnormal leading term has lost its relative precision, and
 # REL_TOL times it rounds to 0, so the series stop test could never fire.
 _TINY = sys.float_info.min
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,9 @@ class FuncValue:
     est_rel_error is an a-posteriori estimate: twice the first omitted term
     relative to the accumulated sum for series, the scaled quadrature error
     estimate for the oracle, and for the stable M route the gap between the
-    tanh-sinh rule at two step sizes plus a rounding allowance.  terms_used
+    tanh-sinh rule at two step sizes plus a rounding allowance; each adds
+    the rounding of its leading (x/2)^p / Gamma factor (_lead_err), which
+    grows with the order.  terms_used
     counts series terms, or integrand evaluations for integral routes.
     cancellation marks results whose naive evaluation would lose more than
     six significant digits.
@@ -159,6 +170,13 @@ def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
             f"overflows at x={x}") from None
 
 
+def _lead_err(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
+    """Relative rounding of _first_term: about eps times the magnitudes of
+    the log of the power and of the log-gammas, whose arguments are rounded."""
+    return _EPS * (abs(power * math.log(0.5 * x)) + abs(math.lgamma(g1_arg))
+                   + abs(math.lgamma(g2_arg)))
+
+
 class _SeriesMemo(dict):
     """(kind, nu, x) -> (value, terms_used, est_rel_error).
 
@@ -175,13 +193,14 @@ _SERIES_MEMO_MAX = 300_000
 
 
 def _store(key: tuple[str, float, float], total: float, terms: int,
-           next_term: float) -> tuple[float, int, float]:
+           next_term: float, lead_err: float) -> tuple[float, int, float]:
     """Memoize and return (value, terms_used, est_rel_error) of a series
-    that met the stop test with next_term as its first omitted term."""
+    that met the stop test with next_term as its first omitted term; the
+    estimate is twice that term relative to the sum plus lead_err."""
     est = 2.0 * abs(next_term) / abs(total) if total != 0.0 else abs(next_term)
     if len(_SERIES_MEMO) >= _SERIES_MEMO_MAX:
         _SERIES_MEMO.clear()
-    out = _SERIES_MEMO[key] = (total, terms, est)
+    out = _SERIES_MEMO[key] = (total, terms, est + lead_err)
     return out
 
 
@@ -211,7 +230,8 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
     underflows raises DomainError rather than running to the cap.
     """
     g1, shift, power0, n0 = _series_setup(kind, nu)
-    term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
+    lead = (2 * n0 + power0, n0 + g1, n0 + shift, x)
+    term = _first_term(*lead)
     mag = abs(term)
     if mag < _TINY:
         raise DomainError(f"{kind}-series leading term underflows at nu={nu}, x={x}")
@@ -229,63 +249,95 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
         term = term * q / ((n + g1) * (n + shift))
         mag = abs(term)
         if mag < REL_TOL * abs_total:
-            return _store((kind, nu, x), total, n + 1 - n0, term)
+            return _store((kind, nu, x), total, n + 1 - n0, term, _lead_err(*lead))
     raise ConvergenceError(
         f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={REL_TOL} "
         f"within {MAX_TERMS} terms"
     )
 
 
-def fill_series_row(kind: str, nu: float, xs) -> None:
-    """Sum the (kind, nu) series at every argument in xs into the memo.
+def fill_series_row(kind: str, nus, xs) -> None:
+    """Sum the kind series at every lane (nu, x) of nus and xs into the memo.
 
-    One numpy lane per argument runs _series's operations in _series's
-    order, so each stored value is bit-identical to the scalar result.  A
-    lane is stored, as Python numbers, once it meets the stop test, and then
-    leaves the arrays.  Lanes whose order or argument is out of domain,
-    that are already memoized, or whose leading term underflows are skipped;
-    lanes that do not converge within MAX_TERMS are not stored, so the
-    scalar call still raises for them.  Raises only for an unknown kind.
+    nus holds one order per lane, or one for all.  The lanes run _series's
+    operations in _series's order with numpy, so each stored value and
+    estimate is bit-identical to the scalar result.  Lanes out of domain,
+    already memoized, whose leading term underflows, or that do not converge
+    within MAX_TERMS are not stored (the scalar call raises for the last
+    two).  Raises only for an unknown kind.
     """
-    if not (math.isfinite(nu) and nu >= _MIN_ORDER_EXTENDED + _POLE_TOL * 10):
+    g1 = _series_setup(kind, 0.0)[0]
+    xs = np.asarray(xs, dtype=float)
+    nus = np.broadcast_to(np.asarray(nus, dtype=float), xs.shape)
+    for start in range(0, xs.size, _ROW_CHUNK):  # bounds the transient memory
+        _fill_lanes(kind, g1, nus[start:start + _ROW_CHUNK], xs[start:start + _ROW_CHUNK])
+
+
+_ROW_CHUNK = 4096
+
+
+def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
+    floor = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
+    ok = (nus >= floor) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
+    lanes = [k[1:] for k in dict.fromkeys(zip(repeat(kind), nus[ok].tolist(), xs[ok].tolist()))
+             if k not in _SERIES_MEMO]
+    if not lanes:
         return
-    g1, shift, power0, n0 = _series_setup(kind, nu)
-    lanes, terms = [], []
-    for x in dict.fromkeys(float(v) for v in xs):
-        if not (0.0 < x <= X_MAX) or (kind, nu, x) in _SERIES_MEMO:
-            continue
+    nuv, xv = (np.array(c) for c in zip(*lanes))
+    orders, inv = np.unique(nuv, return_inverse=True)
+    shift, nv, power, a1, a2, lg1, lg2, gg = (np.array(c, dtype=float)[inv] for c in zip(
+        *(_lane_setup(kind, g1, nu) for nu in orders.tolist())))
+    # _first_term and _lead_err, with the gammas formed once per order
+    log_mag = power * _map_lanes(math.log, 0.5 * xv)
+    term = np.zeros_like(xv)
+    direct = (gg != 0.0) & (np.abs(log_mag) < _LOG_MAG_MAX)
+    term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gg[direct]
+    for i in np.flatnonzero(~direct).tolist():
         try:
-            term = _first_term(2 * n0 + power0, n0 + g1, n0 + shift, x)
+            term[i] = _first_term(power[i], a1[i], a2[i], xv[i])
         except DomainError:
-            continue
-        if abs(term) >= _TINY:
-            lanes.append(x)
-            terms.append(term)
-    xv = np.array(lanes)
-    term = np.array(terms)
-    mag = np.abs(term)
-    q = 0.25 * xv * xv
-    total = np.zeros_like(xv)
-    comp = np.zeros_like(xv)
-    abs_total = np.zeros_like(xv)
-    for n in range(n0, n0 + MAX_TERMS):
-        if not xv.size:
-            return
+            pass
+    lead = _EPS * (np.abs(log_mag) + lg1 + lg2)
+    live = np.abs(term) >= _TINY
+    nuv, xv, shift, nv, term, lead = (c[live] for c in (nuv, xv, shift, nv, term, lead))
+    mag, q, total, comp, abs_total = np.abs(term), 0.25 * xv * xv, *np.zeros((3, xv.size))
+    active = np.ones(xv.size, dtype=bool)
+    for k in range(MAX_TERMS if xv.size else 0):
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         abs_total += mag
-        term = term * q / ((n + g1) * (n + shift))
+        term = term * q / ((nv + g1) * (nv + shift))
+        nv += 1.0
         mag = np.abs(term)
-        done = mag < REL_TOL * abs_total
+        done = (mag < REL_TOL * abs_total) & active
         if not done.any():
             continue
-        for x, tot, nxt in zip(xv[done].tolist(), total[done].tolist(), term[done].tolist()):
-            _store((kind, nu, x), tot, n + 1 - n0, nxt)
-        keep = ~done
-        xv, q, term, mag, total, comp, abs_total = (
-            a[keep] for a in (xv, q, term, mag, total, comp, abs_total))
+        tot, nxt = total[done], term[done]  # _store, lane by lane
+        est = np.where(tot != 0.0, 2.0 * np.abs(nxt) / np.where(tot != 0.0, np.abs(tot), 1.0),
+                       np.abs(nxt)) + lead[done]
+        for row in zip(nuv[done].tolist(), xv[done].tolist(), tot.tolist(), est.tolist()):
+            if len(_SERIES_MEMO) >= _SERIES_MEMO_MAX:
+                _SERIES_MEMO.clear()
+            _SERIES_MEMO[kind, row[0], row[1]] = (row[2], k + 1, row[3])
+        active &= ~done
+        if 2 * np.count_nonzero(active) < active.size:  # drop the finished lanes
+            nuv, xv, shift, nv, q, term, mag, total, comp, abs_total, lead = (
+                c[active] for c in (nuv, xv, shift, nv, q, term, mag, total, comp, abs_total,
+                                    lead))
+            active = active[active]
+            if not active.size:
+                return
+
+
+def _lane_setup(kind: str, g1: float, nu: float) -> tuple:
+    """(shift, n0, power, the two gamma arguments of the first term, |lgamma|
+    of each, and their gamma product where both are in range, else 0)."""
+    _, shift, power0, n0 = _series_setup(kind, nu)
+    a1, a2 = n0 + g1, n0 + shift
+    gg = math.gamma(a1) * math.gamma(a2) if max(a1, a2) < GAMMA_ARG_MAX else 0.0
+    return (shift, n0, 2 * n0 + power0, a1, a2, abs(math.lgamma(a1)), abs(math.lgamma(a2)), gg)
 
 
 def bessel_i(nu: float, x: float) -> FuncValue:
@@ -451,7 +503,7 @@ def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
 
     raw, abserr, neval = _adaptive_integral(integrand, 0.5 * math.pi)
     value = 2.0 / SQRT_PI * _first_term(nu, nu + 0.5, 1.0, x) * raw
-    est = abserr / abs(raw) if raw != 0.0 else abserr
+    est = (abserr / abs(raw) if raw != 0.0 else abserr) + _lead_err(nu, nu + 0.5, 1.0, x)
     return FuncValue(value, neval, est)
 
 
@@ -497,7 +549,6 @@ def _de_halves():
 
 _DE_NEAR0, _DE_NEAR1 = _de_halves()
 _DE_NODES = 2 * _DE_K + 1
-_EPS = 2.0**-52
 
 
 def _stable_integral(nu: float, x: float) -> tuple[float, float]:
@@ -553,9 +604,7 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
             return form(), 0, 1e-15
     integral, err = _stable_integral(nu, x)
     coef = -2.0 / SQRT_PI * _first_term(nu, nu + 0.5, 1.0, x)
-    # rounding nu + 1/2 moves Gamma(nu+1/2) by up to about |nu| ln|nu| ulps
-    gamma_err = _EPS * abs(nu) * (1.0 + math.log1p(abs(nu)))
-    est = (err / abs(integral) if integral != 0.0 else err) + gamma_err
+    est = (err / abs(integral) if integral != 0.0 else err) + _lead_err(nu, nu + 0.5, 1.0, x)
     return coef * integral, _DE_NODES, est
 
 
@@ -617,3 +666,143 @@ def recurrence_check(nu: float, x: float) -> tuple[float, float]:
     deriv = lm - (nu / x) * l0
     r2 = abs(lm + lp - 2.0 * deriv + a) / lm
     return r1, r2
+
+
+def kernel_b(nu: float, x: float, lv: float) -> float:
+    """b_nu(x) from lv = L_nu(x): the direct quotient while it stays normal,
+    else exp(log-numerator - log-denominator)."""
+    if nu + 1.5 < GAMMA_ARG_MAX:
+        try:
+            q = (0.5 * x) ** (nu + 1.0) / (SQRT_PI * math.gamma(nu + 1.5) * lv)
+        except OverflowError:  # from the power
+            q = math.inf
+        if 0.0 < q < math.inf:
+            return q
+    log_num = (nu + 1.0) * math.log(0.5 * x)
+    log_den = math.log(SQRT_PI) + math.lgamma(nu + 1.5) + math.log(lv)
+    return math.exp(log_num - log_den)
+
+
+def _lazy(method):
+    """Compute a primitive on its first request and keep it in self._got."""
+    def get(self, *args, **kwargs):
+        key = (method, args, *kwargs.items())
+        got = self._got.get(key)
+        if got is None:
+            got = self._got[key] = method(self, *args, **kwargs)
+        return got
+    return get
+
+
+_ELEMENTARY = ("log", "exp", "tanh", "hypot", "sqrt", "pow")
+
+
+class Point:
+    """The primitives bound formulas read at one order nu and argument x
+    (and y for the argument ratio): I, L and M at any order, the kernel b
+    and the recurrence term a, each computed on first use.  The elementary
+    functions are math's, map(f, *args) applies a scalar helper, of(f,
+    *lanes) one to the named arguments (kept per Row), and where(cond, a, b) calls a or b, both
+    zero-argument functions (a row calls both and selects lane by lane).  Row has the
+    same names over numpy lanes, so one formula f(nu, x, P) serves both.
+    """
+
+    log, exp, tanh, hypot, sqrt, pow = (staticmethod(getattr(math, n)) for n in _ELEMENTARY)
+    map = staticmethod(lambda f, *args: f(*args))
+    where = staticmethod(lambda cond, a, b: a() if cond else b())
+    _positive = staticmethod(lambda v: math.isfinite(v) and v > 0.0)
+    _ordered = staticmethod(lambda x, y: x <= y)
+
+    def __init__(self, nu: float, x, y=None):
+        self.nu, self.x, self.y, self._got = nu, x, y, {}
+        if not (self._positive(x) and (y is None or self._positive(y) and self._ordered(x, y))):
+            raise DomainError(f"need finite 0 < x <= y, got x={x}, y={y}" if y is not None
+                              else f"x must be a finite positive real, got {x}")
+
+    @_lazy
+    def I(self, order: float, at_y: bool = False):
+        """I at order over x, or over y."""
+        return self._series("I", order, self.y if at_y else self.x, MIN_ORDER)
+
+    @_lazy
+    def L(self, order: float, at_y: bool = False, floor: float = MIN_ORDER):
+        """L at order over x, or over y; floor is the lowest order allowed."""
+        return self._series("L", order, self.y if at_y else self.x, floor)
+
+    @staticmethod
+    def _series(kind, order, v, floor):
+        _check_order(order, floor)
+        _check_x(v)
+        return _SERIES_MEMO[kind, order, v][0]
+
+    def of(self, f, *lanes: str):
+        return f(*[getattr(self, n) for n in lanes])
+
+    @_lazy
+    def M(self, order: float):
+        return self.map(mv_value, order, self.x)
+
+    @_lazy
+    def a(self, order: float):
+        """(x/2)^order / (sqrt(pi) Gamma(order+3/2))."""
+        return self.map(recurrence_term, order, self.x)
+
+    @_lazy
+    def b(self, order: float):
+        if not math.isfinite(order) or order <= -1.5:
+            raise DomainError(f"kernel requires nu > -3/2, got {order}")
+        return self._b(order, self.L(order))
+
+    def _b(self, order, lv):
+        return kernel_b(order, self.x, lv)
+
+
+def _map_lanes(f, *args):
+    """f applied lane by lane over the array arguments, scalars repeated."""
+    if not any(isinstance(a, np.ndarray) for a in args):
+        return f(*args)
+    return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
+                                for a in args)), float)
+
+
+class Row(Point):
+    """Point's primitives at one order over numpy lanes x (and y).
+
+    Arithmetic runs in numpy, which rounds as Python does; the elementary
+    functions are math's lane by lane, because numpy's exp, tanh, log, hypot
+    and pow differ from math's by an ulp on a few percent of arguments, and
+    a row must give a point's bits.  A (kind, order) series row missing from
+    the memo is filled in one fill_series_row pass.
+    """
+
+    log, exp, tanh, hypot, sqrt, pow = (staticmethod(partial(_map_lanes, getattr(math, n)))
+                                        for n in _ELEMENTARY)
+    map = staticmethod(_map_lanes)
+    where = staticmethod(lambda cond, a, b: np.where(cond, a(), b()))
+    _positive = staticmethod(lambda v: bool(np.all(np.isfinite(v) & (v > 0.0))))
+    _ordered = staticmethod(lambda x, y: bool(np.all(x <= y)))
+
+    @_lazy
+    def of(self, f, *lanes: str):
+        return _map_lanes(f, *[getattr(self, n) for n in lanes])
+
+    @staticmethod
+    def _series(kind, order, v, floor):
+        _check_order(order, floor)
+        _check_x(float(v.max()))
+        got = [_SERIES_MEMO.get((kind, order, u)) for u in v.tolist()]
+        if None in got:
+            fill_series_row(kind, order, v)
+            got = [_SERIES_MEMO[kind, order, u] for u in v.tolist()]
+        return np.array([g[0] for g in got])
+
+    def _b(self, order, lv):
+        q = np.zeros_like(lv)
+        if order + 1.5 < GAMMA_ARG_MAX:
+            try:
+                q = self.pow(0.5 * self.x, order + 1.0) / (SQRT_PI * math.gamma(order + 1.5) * lv)
+            except (OverflowError, ValueError):
+                pass
+        bad = ~((q > 0.0) & (q < math.inf))
+        q[bad] = self.map(kernel_b, order, self.x[bad], lv[bad])
+        return q

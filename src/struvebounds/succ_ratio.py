@@ -7,7 +7,9 @@ The central device: for the modified Bessel ratio r = I_nu/I_{nu-1},
 (lower side nu >= 0, upper side nu >= 1/2), which converts any published
 Bessel-ratio bound into a Struve-ratio bound.  The remaining bounds come
 from the Turan inequality and the monotonicity of the ratio in the order,
-plus one step of refinement through the three-term recurrence.
+plus one step of refinement through the three-term recurrence.  Each
+registered bound is one formula f(nu, x, P) over a special_core.Point or
+Row P; the public functions evaluate them at a point.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 from .bfunc import b_value
 from .brackets import Bracket
 from .errors import DomainError, InvalidBracket, NoValidBound
-from .special_core import iv_value, mv_value, recurrence_term
+from .special_core import Point
 
 _EQ_TOL = 1e-12
 
@@ -27,16 +29,33 @@ def _check_x(x: float) -> None:
         raise DomainError(f"x must be a finite positive real, got {x}")
 
 
+def _check_nu(nu: float, floor: float, what: str) -> None:
+    if nu < floor - _EQ_TOL:
+        raise DomainError(f"{what} requires nu >= {floor:g}, got {nu}")
+
+
 def _x_over(x: float, d: float) -> float:
     """x / d, or +inf where d rounds to 0 (at small x, where x/d -> +inf)."""
     return x / d if d else math.inf
+
+
+def _inverse_sum(r: float, t: float) -> float:
+    return 1.0 / (1.0 / r + t) if r else 0.0
+
+
+def _transfer(nu, x, r, P):
+    return P.map(_inverse_sum, r, 2.0 * P.b(nu) / x)
 
 
 def transfer_lower(nu: float, x: float, r: float) -> float:
     """The transfer theorem: a lower bound r on I_nu/I_{nu-1} gives the
     lower bound (1/r + 2 b_nu(x)/x)^{-1} on h_nu, valid where r is and
     nu >= 0.  The map increases in r; r = 0 gives 0."""
-    return 1.0 / (1.0 / r + 2.0 * b_value(nu, x) / x) if r else 0.0
+    return _transfer(nu, x, r, Point(nu, x))
+
+
+def _bessel_sqrt(nu, x, c, P):
+    return P.map(_x_over, x, nu - 0.5 + P.hypot(c, x))
 
 
 def bessel_ratio_bounds(nu: float, x: float) -> Bracket:
@@ -45,52 +64,69 @@ def bessel_ratio_bounds(nu: float, x: float) -> Bracket:
     lower: x / (nu - 1/2 + sqrt((nu+1/2)^2 + x^2)), valid nu >= 0
     upper: x / (nu - 1/2 + sqrt((nu-1/2)^2 + x^2)), valid nu >= 1/2
     """
-    _check_x(x)
-    lower = _x_over(x, nu - 0.5 + math.hypot(nu + 0.5, x))
-    upper = _x_over(x, nu - 0.5 + math.hypot(nu - 0.5, x))
-    return Bracket(lower, upper, nu >= -_EQ_TOL, nu >= 0.5 - _EQ_TOL,
-                   "bessel_sqrt_lower", "bessel_sqrt_upper")
+    P = Point(nu, x)
+    return Bracket(_bessel_sqrt(nu, x, nu + 0.5, P), _bessel_sqrt(nu, x, nu - 0.5, P),
+                   nu >= -_EQ_TOL, nu >= 0.5 - _EQ_TOL, "bessel_sqrt_lower", "bessel_sqrt_upper")
+
+
+def _bessel_tanh(nu, x, P):
+    if nu <= 0.5:
+        raise DomainError(f"tanh lower bound requires nu > 1/2, got {nu}")
+    t = P.tanh(x)
+    return x * t / (x + (2.0 * nu - 1.0) * t)
 
 
 def bessel_ratio_lower_tanh(nu: float, x: float) -> float:
     """Hyperbolic lower bound x tanh(x) / (x + (2 nu-1) tanh(x)) for
     I_nu/I_{nu-1}, valid nu > 1/2."""
-    _check_x(x)
-    if nu <= 0.5:
-        raise DomainError(f"tanh lower bound requires nu > 1/2, got {nu}")
-    t = math.tanh(x)
-    return x * t / (x + (2.0 * nu - 1.0) * t)
+    return _bessel_tanh(nu, x, Point(nu, x))
+
+
+def product_diff(nu, x, P):
+    """I_nu L_{nu-1} - I_{nu-1} L_nu as I_nu M_{nu-1} - I_{nu-1} M_nu (the e^x
+    parts cancel exactly), accurate where the direct form loses every digit."""
+    _check_nu(nu, -0.5, "product difference")
+    return P.I(nu) * P.M(nu - 1.0) - P.I(nu - 1.0) * P.M(nu)
 
 
 def product_difference(nu: float, x: float) -> float:
-    """I_nu L_{nu-1} - I_{nu-1} L_nu; positive for nu >= 1/2.
+    """I_nu L_{nu-1} - I_{nu-1} L_nu; positive for nu >= 1/2 (product_diff)."""
+    return product_diff(nu, x, Point(nu, x))
 
-    Computed as I_nu M_{nu-1} - I_{nu-1} M_nu (the e^x parts cancel exactly),
-    which stays accurate where the direct form loses every digit.
-    """
-    _check_x(x)
-    if nu - 1.0 < -1.5 - _EQ_TOL:
-        raise DomainError(f"product difference needs nu >= -1/2, got {nu}")
-    return (iv_value(nu, x) * mv_value(nu - 1.0, x)
-            - iv_value(nu - 1.0, x) * mv_value(nu, x))
+
+def eq14_positivity(nu, x, P):
+    return 0.0
+
+
+def eq15_upper(nu, x, P):
+    _check_nu(nu, -0.5, "cap 'via_nu'")
+    return P.a(nu) * P.I(nu)
+
+
+def eq16_upper(nu, x, P):
+    _check_nu(nu, 1.5, "cap 'via_num1'")
+    return P.a(nu - 1.0) * P.I(nu - 1.0)
 
 
 def product_difference_cap(nu: float, x: float, which: str) -> float:
     """Published upper caps on the product difference.
 
-    'via_nu':   (x/2)^nu I_nu / (sqrt(pi) Gamma(nu+3/2)),        nu >= -1/2
-    'via_num1': (x/2)^(nu-1) I_{nu-1} / (sqrt(pi) Gamma(nu+1/2)), nu >= 3/2
+    'via_nu':   (x/2)^nu I_nu / (sqrt(pi) Gamma(nu+3/2)),        nu >= -1/2 (eq15)
+    'via_num1': (x/2)^(nu-1) I_{nu-1} / (sqrt(pi) Gamma(nu+1/2)), nu >= 3/2 (eq16)
     """
-    _check_x(x)
-    if which == "via_nu":
-        if nu < -0.5 - _EQ_TOL:
-            raise DomainError(f"cap 'via_nu' requires nu >= -1/2, got {nu}")
-        return recurrence_term(nu, x) * iv_value(nu, x)
-    if which == "via_num1":
-        if nu < 1.5 - _EQ_TOL:
-            raise DomainError(f"cap 'via_num1' requires nu >= 3/2, got {nu}")
-        return recurrence_term(nu - 1.0, x) * iv_value(nu - 1.0, x)
-    raise DomainError(f"unknown cap {which!r}")
+    caps = {"via_nu": eq15_upper, "via_num1": eq16_upper}
+    if which not in caps:
+        raise DomainError(f"unknown cap {which!r}")
+    return caps[which](nu, x, Point(nu, x))
+
+
+def eq17_upper(nu, x, P):
+    _check_nu(nu, -0.5, "Bessel-ratio bracket")
+    return P.I(nu) / P.I(nu - 1.0)
+
+
+def eq17_lower(nu, x, P):
+    return _transfer(nu, x, eq17_upper(nu, x, P), P)
 
 
 def ratio_bracket_via_bessel(nu: float, x: float) -> Bracket:
@@ -99,79 +135,82 @@ def ratio_bracket_via_bessel(nu: float, x: float) -> Bracket:
     lower: (I_{nu-1}/I_nu + 2 b_nu(x)/x)^{-1}, valid nu >= 0
     upper: I_nu/I_{nu-1},                      valid nu >= 1/2
     """
-    _check_x(x)
-    if nu - 1.0 < -1.5 - _EQ_TOL:
-        raise DomainError(f"Bessel-ratio bracket needs nu >= -1/2, got {nu}")
-    r = iv_value(nu, x) / iv_value(nu - 1.0, x)
-    return Bracket(transfer_lower(nu, x, r), r, nu >= -_EQ_TOL, nu >= 0.5 - _EQ_TOL,
-                   "eq17_lower", "eq17_upper")
+    from .registry import bracket
+    return bracket("eq17_lower", "eq17_upper", nu, x)
+
+
+def eq18_lower(nu, x, P):
+    # bessel_ratio_bounds' lower side transferred, written out: it rounds
+    # within 3 ulps of _transfer, and perfbench/reference.json holds it to 1e-12
+    if nu <= -1.5:
+        return math.nan
+    return x / (nu - 0.5 + 2.0 * P.b(nu) + P.hypot(nu + 0.5, x))
+
+
+def eq18_upper(nu, x, P):
+    return _bessel_sqrt(nu, x, nu - 0.5, P)
 
 
 def ratio_bracket_segura_form(nu: float, x: float) -> Bracket:
     """Fully algebraic bracket for h_nu: bessel_ratio_bounds, lower side
-    transferred (expanded: it rounds within 3 ulps of transfer_lower, and
-    perfbench/reference.json holds its values to 1e-12).
+    transferred.
 
     lower: x / (nu - 1/2 + 2 b_nu(x) + sqrt((nu+1/2)^2 + x^2)), valid nu >= 0
     upper: x / (nu - 1/2 + sqrt((nu-1/2)^2 + x^2)),             valid nu >= 1/2
     """
-    br = bessel_ratio_bounds(nu, x)
-    lower = x / (nu - 0.5 + 2.0 * b_value(nu, x) + math.hypot(nu + 0.5, x)) \
-        if nu > -1.5 else math.nan
-    return Bracket(lower, br.upper, nu >= -_EQ_TOL, nu >= 0.5 - _EQ_TOL,
-                   "eq18_lower", "eq18_upper")
+    from .registry import bracket
+    return bracket("eq18_lower", "eq18_upper", nu, x)
 
 
-def ratio_lower_tanh(nu: float, x: float) -> float:
+def eq19_lower(nu, x, P):
     """x tanh(x) / (x + (2 nu-1) tanh(x) + 2 b_nu(x) tanh(x)) < h_nu, nu > 1/2:
     the transfer of bessel_ratio_lower_tanh."""
-    return transfer_lower(nu, x, bessel_ratio_lower_tanh(nu, x))
+    return _transfer(nu, x, _bessel_tanh(nu, x, P), P)
 
 
-def ratio_upper_tanh_half(nu: float, x: float) -> float:
+def eq20_upper(nu, x, P):
     """tanh(x/2) >= h_nu for nu >= 1/2, with equality exactly at nu = 1/2."""
-    _check_x(x)
-    if nu < 0.5 - _EQ_TOL:
-        raise DomainError(f"tanh(x/2) upper bound requires nu >= 1/2, got {nu}")
-    return math.tanh(0.5 * x)
+    _check_nu(nu, 0.5, "tanh(x/2) upper bound")
+    return P.tanh(0.5 * x)
 
 
-def ratio_lower_turan(nu: float, x: float) -> float:
+def eq21_lower(nu, x, P):
     """Turan-derived lower bound x / (nu + b + sqrt((nu+b)^2 + x^2)), nu >= -1/2."""
-    _check_x(x)
-    if nu < -0.5 - _EQ_TOL:
-        raise DomainError(f"Turan lower bound requires nu >= -1/2, got {nu}")
-    c = nu + b_value(nu, x)
-    return x / (c + math.hypot(c, x))
+    _check_nu(nu, -0.5, "Turan lower bound")
+    c = nu + P.b(nu)
+    return x / (c + P.hypot(c, x))
 
 
-def ratio_lower_tanh_half(nu: float, x: float) -> float:
-    """Monotonicity-derived lower bound with tanh(x/2); equality at nu = 1/2.
-
-    x tanh(x/2) / (x + (2 nu-1) tanh(x/2) + 2 (b_nu - b_{1/2}) tanh(x/2)),
-    valid nu >= 1/2.
-    """
-    _check_x(x)
-    if nu < 0.5 - _EQ_TOL:
-        raise DomainError(f"tanh(x/2) lower bound requires nu >= 1/2, got {nu}")
-    t = math.tanh(0.5 * x)
-    gap = b_value(nu, x) - b_value(0.5, x)
+def eq22_lower(nu, x, P):
+    """x tanh(x/2) / (x + (2 nu-1) tanh(x/2) + 2 (b_nu - b_{1/2}) tanh(x/2)),
+    from the monotonicity in the order; valid nu >= 1/2, equality at 1/2."""
+    _check_nu(nu, 0.5, "tanh(x/2) lower bound")
+    t = P.tanh(0.5 * x)
+    gap = P.b(nu) - P.b(0.5)
     return x * t / (x + (2.0 * nu - 1.0) * t + 2.0 * gap * t)
 
 
-def ratio_upper_refined(nu: float, x: float) -> float:
-    """One recurrence step applied to the Turan lower bound at order nu+1:
+def eq24_upper(nu, x, P):
+    """x / (nu - 1 + 2 b_nu - b_{nu+1} + sqrt((nu+1+b_{nu+1})^2 + x^2)) > h_nu,
+    nu >= 0: ratio_refine_step's map on eq21_lower at nu+1, written out for
+    the reason given at eq18_lower."""
+    _check_nu(nu, 0.0, "refined upper bound")
+    b1 = P.b(nu + 1.0)
+    return x / (nu - 1.0 + 2.0 * P.b(nu) - b1 + P.hypot(nu + 1.0 + b1, x))
 
-    x / (nu - 1 + 2 b_nu - b_{nu+1} + sqrt((nu+1+b_{nu+1})^2 + x^2)) > h_nu,
-    valid nu >= 0.  This is ratio_refine_step's map on ratio_lower_turan at
-    nu+1, expanded for the reason given in ratio_bracket_segura_form.
-    """
-    _check_x(x)
-    if nu < -_EQ_TOL:
-        raise DomainError(f"refined upper bound requires nu >= 0, got {nu}")
-    b0 = b_value(nu, x)
-    b1 = b_value(nu + 1.0, x)
-    return x / (nu - 1.0 + 2.0 * b0 - b1 + math.hypot(nu + 1.0 + b1, x))
+
+def _point_view(formula):
+    def view(nu: float, x: float) -> float:
+        return formula(nu, x, Point(nu, x))
+    view.__name__, view.__doc__ = formula.__name__, formula.__doc__
+    return view
+
+
+ratio_lower_tanh = _point_view(eq19_lower)
+ratio_upper_tanh_half = _point_view(eq20_upper)
+ratio_lower_turan = _point_view(eq21_lower)
+ratio_lower_tanh_half = _point_view(eq22_lower)
+ratio_upper_refined = _point_view(eq24_upper)
 
 
 def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:

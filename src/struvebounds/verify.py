@@ -1,9 +1,15 @@
 """Grid certification of every registered inequality, reference error tables,
 crossover location, and the monotonicity/Turan property suites.
 
-Exact values inside certification always come from the power-series route;
-the quadrature oracle is reserved for cross-validating the series itself, so
-a certification failure can never be self-confirming.
+Certification works a row at a time: for each (bound, order) one
+special_core.Row over the grid's (x[, y]) lanes, on which the bound's
+formula and its target's exact formula each run once as numpy arrays, and
+one GridReport.record call takes the row.  certify_all first sums every
+series the grid reads in one fill_series_row pass per kind, and shares the
+rows and the exact rows among all bounds.  Exact values inside
+certification always come from the power-series route; the quadrature
+oracle is reserved for cross-validating the series itself, so a
+certification failure can never be self-confirming.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from . import registry
 from .bfunc import b_value
 from .errors import MultipleSignChanges, NoSignChange, UnknownBound
 from .special_core import (
+    Row,
     fill_series_row,
     iv_value,
     lv_value,
@@ -80,92 +87,122 @@ class GridReport:
     max_rel_gap: float = -math.inf
     rows: list[tuple] = field(default_factory=list)
 
-    def record(self, nu: float, x: float, y: Optional[float], slack: float,
-               tolerance: float, equality: bool) -> None:
-        self.points_checked += 1
-        if equality:
-            status = "equality"
-            slack = 0.0
-        elif slack < -tolerance:
-            status = "violation"
+    def record(self, nu, x, y, slack, tolerance: float, equality: bool) -> None:
+        """Add one point, or one row of points: nu, x, y (None for
+        single-argument targets) and slack may each be arrays or lists of
+        one length."""
+        slack = np.atleast_1d(np.asarray(slack, dtype=float))
+        n = slack.size
+        sl = [0.0] * n if equality else slack.tolist()
+        nus, xs, ys = (v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list)
+                       else [v] * n for v in (nu, x, y))
+        self.points_checked += n
+        self.worst_slack = min(self.worst_slack, *sl)
+        self.max_rel_gap = max(self.max_rel_gap, *sl)
+        bad = slack < -tolerance
+        if equality or not bad.any():
+            status = ["equality" if equality else "ok"] * n
         else:
-            status = "ok"
-        self.worst_slack = min(self.worst_slack, slack)
-        self.max_rel_gap = max(self.max_rel_gap, slack)
-        if status == "violation":
-            self.violations.append((nu, x, y, slack) if y is not None else (nu, x, slack))
-        self.rows.append((nu, x, y, slack, status))
+            status = np.where(bad, "violation", "ok").tolist()
+            for i in np.flatnonzero(bad).tolist():
+                self.violations.append((nus[i], xs[i], ys[i], sl[i]) if y is not None
+                                       else (nus[i], xs[i], sl[i]))
+        self.rows.extend(zip(nus, xs, ys, sl, status))
 
     @property
     def clean(self) -> bool:
         return not self.violations
 
 
+def _grid_row(grid: Grid, nu: float, takes_y: bool) -> tuple[Row, list, Optional[list]]:
+    """The lanes certify checks at order nu, x or (x, y) pairs in x order,
+    as a Row and as lists of the grid's own floats."""
+    if not takes_y:
+        xs = list(grid.x_values)
+        return Row(nu, np.array(xs)), xs, None
+    xs, ys = (list(c) for c in zip(*[(x, y) for x in grid.x_values for y in grid.y_values(x)]))
+    return Row(nu, np.array(xs), np.array(ys)), xs, ys
+
+
 def certify(bound_id: str, grid: Optional[Grid] = None,
             tolerance: float = DEFAULT_TOLERANCE, *,
-            exact: Optional[dict] = None) -> GridReport:
+            shared: Optional[dict] = None) -> GridReport:
     """Check one registered inequality at every in-range grid point.
 
-    exact maps (target, nu, x, y) to the target's exact value there (y is
-    None for single-argument targets).  certify reads it before computing a
-    value and stores every value it computes, so bounds on one target that
-    share a dict compute each exact value once; certify_all passes one dict
-    to every bound.  Without it, certify uses a dict of its own.
+    Each in-range order is one row: the bound's formula and its target's
+    exact formula (registry.exact_row) run once over the row's lanes.
+    shared maps (nu, takes_y) to the Row and (target, nu) to its exact row;
+    certify reads it before building either and stores what it builds, so
+    bounds that share the dict share rows and compute each exact row once.
+    certify_all passes one dict to every bound.
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     spec = registry.get_bound(bound_id)
     grid = grid or default_grid()
-    exact = {} if exact is None else exact
+    shared = {} if shared is None else shared
     report = GridReport(bound_id)
-    target = spec.target
     takes_y = registry.needs_y(spec)
     for nu in grid.nu_values:
         if not spec.valid_at(nu):
             continue
-        equality = spec.is_equality_at(nu)
-        for x in grid.x_values:
-            for y in grid.y_values(x) if takes_y else (None,):
-                key = (target, nu, x, y)
-                value = exact.get(key)
-                if value is None:
-                    value = exact[key] = registry.exact_value(target, nu, x, y)
-                bound = spec.evaluate(nu, x, y) if takes_y else spec.evaluate(nu, x)
-                report.record(nu, x, y, _slack(spec.side, bound, value),
-                              tolerance, equality)
+        row = shared.get((nu, takes_y))
+        if row is None:
+            row = shared[nu, takes_y] = _grid_row(grid, nu, takes_y)
+        P, xs, ys = row
+        exact = shared.get((spec.target, nu))
+        if exact is None:
+            exact = shared[spec.target, nu] = registry.exact_row(spec.target, P)
+        report.record(nu, xs, ys, _slack(spec.side, registry.bound_row(spec, P), exact),
+                      tolerance, spec.is_equality_at(nu))
     return report
 
 
-def _slack(side: str, bound: float, exact: float) -> float:
-    scale = abs(exact) if exact != 0.0 else 1e-300
-    if side == "upper":
-        return (bound - exact) / scale
-    return (exact - bound) / scale
+def _relative(diff, ref):
+    """diff / |ref| lane by lane, with 1e-300 in place of a zero ref."""
+    return diff / np.where(ref != 0.0, np.abs(ref), 1e-300)
+
+
+def _slack(side: str, bound, exact):
+    return _relative(bound - exact if side == "upper" else exact - bound, exact)
+
+
+def _fill_grid(grid: Grid) -> None:
+    """Sum every series certify_all reads, in one pass per kind: I and L at
+    orders nu - 1, nu and nu + 1 over the x lanes, L at 1/2 for b_{1/2}, and
+    I and L at nu over the y lanes."""
+    xs = list(grid.x_values)
+    ys = sorted({y for x in xs for y in grid.y_values(x)})
+    lanes = [(0.5, x) for x in xs]
+    for nu in grid.nu_values:
+        lanes += [(nu + k, x) for k in (-1.0, 0.0, 1.0) for x in xs]
+        lanes += [(nu, y) for y in ys]
+    nus, args = zip(*lanes)
+    for kind in ("L", "I"):
+        fill_series_row(kind, nus, args)
 
 
 def certify_all(grid: Optional[Grid] = None,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[GridReport]:
-    """Certify every registered bound, computing each exact value once."""
+    """Certify every registered bound, computing each exact row once."""
     grid = grid or default_grid()
-    exact: dict = {}
-    return [certify(bid, grid, tolerance, exact=exact) for bid in registry.bound_ids()]
+    _fill_grid(grid)
+    shared: dict = {}
+    return [certify(bid, grid, tolerance, shared=shared) for bid in registry.bound_ids()]
 
 
 def certify_eq14_extension(grid: Optional[Grid] = None,
                            tolerance: float = DEFAULT_TOLERANCE) -> GridReport:
     """Probe the conjectured extension of the product-difference positivity
     down to order -1/2.  Informational only; no invariant is asserted here."""
-    from .succ_ratio import product_difference
-
     grid = grid or default_grid()
     report = GridReport("eq14_extension_experiment")
     for nu in grid.nu_values:
         if not (-0.5 - 1e-12 <= nu < 0.5):
             continue
-        for x in grid.x_values:
-            pd = product_difference(nu, x)
-            scale = abs(pd) if pd != 0.0 else 1e-300
-            report.record(nu, x, None, pd / scale, tolerance, False)
+        P, xs, _ = _grid_row(grid, nu, False)
+        pd = registry.exact_row("product_diff_L", P)
+        report.record(nu, xs, None, _relative(pd, pd), tolerance, False)
     return report
 
 
@@ -300,9 +337,10 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
         return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
 
     lo, hi = x_range
-    xs = np.linspace(lo, hi, 200)
-    signs = [math.copysign(1.0, d) if d != 0.0 else 0.0
-             for d in (diff(float(x)) for x in xs)]
+    P = Row(nu, np.linspace(lo, hi, 200))
+    xs = P.x
+    d = registry.bound_row(spec_a, P) - registry.bound_row(spec_b, P)
+    signs = np.where(d != 0.0, np.copysign(1.0, d), 0.0).tolist()
     brackets = [(float(xs[i - 1]), float(xs[i]))
                 for i in range(1, len(xs))
                 if signs[i - 1] != 0.0 and signs[i] != 0.0 and signs[i] != signs[i - 1]]
@@ -333,16 +371,20 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
 # monotonicity / structural property suites
 # ---------------------------------------------------------------------------
 
-def _comparison_report(name: str, pairs: Iterable[tuple[float, float, float, float]],
+def _comparison_report(name: str, rows: Iterable[tuple],
                        tolerance: float = 0.0) -> GridReport:
-    """Strict-inequality report: each item is (nu, x, lhs, rhs) requiring
-    lhs < rhs; slack is (rhs - lhs)/|rhs|."""
+    """Strict-inequality report: each row is (nu, x, lhs, rhs), each a scalar,
+    list or array of one length, requiring lhs < rhs; slack is (rhs - lhs)/|rhs|."""
     report = GridReport(name)
-    for nu, x, lhs, rhs in pairs:
-        scale = abs(rhs) if rhs != 0.0 else 1e-300
-        slack = (rhs - lhs) / scale
-        report.record(nu, x, None, slack, tolerance, False)
+    for nu, x, lhs, rhs in rows:
+        rhs = np.asarray(rhs, dtype=float)
+        report.record(nu, x, None, _relative(rhs - lhs, rhs), tolerance, False)
     return report
+
+
+def _one_row(pairs: list[tuple]) -> list[tuple]:
+    """A list of (nu, x, lhs, rhs) points as one row of lists."""
+    return [tuple(map(list, zip(*pairs)))]
 
 
 def monotonicity_suite() -> list[GridReport]:
@@ -359,15 +401,12 @@ def monotonicity_suite() -> list[GridReport]:
     reports = []
 
     xs_lin = [round(0.1 + 0.05 * k, 10) for k in range(999)]  # 0.1 .. 50
-    pairs = []
+    fill_series_row("L", np.repeat(grid.nu_values, len(xs_lin)), xs_lin * len(grid.nu_values))
+    rows = []
     for nu in grid.nu_values:
-        fill_series_row("L", nu, xs_lin)
-        prev = b_value(nu, xs_lin[0])
-        for x in xs_lin[1:]:
-            cur = b_value(nu, x)
-            pairs.append((nu, x, cur, prev))  # decreasing: b(x) < b(prev x)
-            prev = cur
-    reports.append(_comparison_report("mono_b_decreasing_in_x", pairs))
+        b = Row(nu, np.array(xs_lin)).b(nu)
+        rows.append((nu, xs_lin[1:], b[1:], b[:-1]))  # decreasing: b(x) < b(prev x)
+    reports.append(_comparison_report("mono_b_decreasing_in_x", rows))
 
     nus_lin = [round(-1.4 + 0.05 * k, 10) for k in range(229)]  # -1.4 .. 10
     pairs = []
@@ -377,7 +416,7 @@ def monotonicity_suite() -> list[GridReport]:
             cur = b_value(nu, x)
             pairs.append((nu, x, prev, cur))  # increasing: b(prev nu) < b(nu)
             prev = cur
-    reports.append(_comparison_report("mono_b_increasing_in_nu", pairs))
+    reports.append(_comparison_report("mono_b_increasing_in_nu", _one_row(pairs)))
 
     ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
     pairs = []
@@ -387,7 +426,7 @@ def monotonicity_suite() -> list[GridReport]:
             cur = ratio_succ_exact("L", nu + 1.0, x)
             pairs.append((nu, x, cur, prev))  # decreasing in the order
             prev = cur
-    reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", pairs))
+    reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", _one_row(pairs)))
 
     pairs = []
     for nu in grid.nu_values:
@@ -395,7 +434,7 @@ def monotonicity_suite() -> list[GridReport]:
             left = lv_value_extended(nu - 1.0, x) * lv_value(nu + 1.0, x)
             right = lv_value(nu, x) ** 2
             pairs.append((nu, x, left, right))
-    reports.append(_comparison_report("turan_product", pairs))
+    reports.append(_comparison_report("turan_product", _one_row(pairs)))
 
     pairs = []
     for nu in grid.nu_values:
@@ -407,15 +446,12 @@ def monotonicity_suite() -> list[GridReport]:
             m_ratio = mv_value(nu, x) / mv_value(nu - 1.0, x)
             i_ratio = iv_value(nu, x) / iv_value(nu - 1.0, x)
             pairs.append((nu, x, i_ratio, m_ratio))  # I-ratio < M-ratio
-    reports.append(_comparison_report("m_ratio_dominates_bessel_ratio", pairs))
+    reports.append(_comparison_report("m_ratio_dominates_bessel_ratio", _one_row(pairs)))
 
     report = GridReport("recurrence_residuals")
-    for nu in grid.nu_values:
-        if nu <= -0.5:
-            continue
-        for x in grid.x_values:
-            r1, r2 = recurrence_check(nu, x)
-            report.record(nu, x, None, DEFAULT_TOLERANCE - max(r1, r2),
-                          0.0, False)
+    points = [(nu, x, DEFAULT_TOLERANCE - max(recurrence_check(nu, x)))
+              for nu in grid.nu_values if nu > -0.5 for x in grid.x_values]
+    nus, xs, slack = (list(c) for c in zip(*points))
+    report.record(nus, xs, None, slack, 0.0, False)
     reports.append(report)
     return reports

@@ -120,6 +120,18 @@ class TestPointwiseBracket:
             br = pointwise_bracket(nu, 5e-324)
             assert 0.0 <= br.lower <= br.upper
 
+    def test_sides_stay_in_order_near_zero(self):
+        # below x = 1e-8 both sides share their (nu+1) log x term, which is
+        # near -700 here; formed apart they disagreed by about 5e-14
+        for nu in (-0.5, 0.0, 2.5):
+            for x in (1e-310, 1e-300, 1e-200, 1e-9):
+                br = pointwise_bracket(nu, x)
+                assert br.lower <= br.upper * (1.0 + 1e-15)
+        for nu in (0.0, 1.0, 10.0):
+            for x, y in ((1e-300, 2e-300), (1e-300, 1e-7), (1e-300, 1.0), (1e-9, 1e-8)):
+                br = arg_ratio_explicit_bracket(nu, ArgPair(x, y))
+                assert br.lower <= br.upper * (1.0 + 1e-15)
+
     def test_tight_at_small_x(self):
         br = pointwise_bracket(1.0, 1e-4)
         lead = small_x_leading("L", 1.0, 1e-4)

@@ -128,7 +128,7 @@ class TestVerify:
     def test_exit_code_two_on_violation(self, capsys):
         REGISTRY["fake_bad_upper"] = BoundSpec(
             "fake_bad_upper", "b_kernel", "upper", -1.5, True,
-            lambda n, x: 0.0)
+            lambda n, x, P: 0.0)
         try:
             code, out, _ = run(capsys, "verify", "--bound", "fake_bad_upper")
         finally:
@@ -175,7 +175,7 @@ class TestEveryBound:
         spec = REGISTRY[bound_id]
         points = [(nu, x) for nu in ("-2", "-1.5", "-1", "-0.5", "0", "0.5")
                   for x in ("5e-324", "1e-3", "1", "30")]
-        for nu, x in points + [("300", "1"), ("1e6", "1")]:
+        for nu, x in points + [("300", "1"), ("1e6", "1"), ("-1", "1e-12")]:
             if spec.target == "arg_ratio_L":
                 argv = ["argratio", "--nu", nu, "--x", x, "--y", str(2.0 * float(x))]
             else:
@@ -198,6 +198,18 @@ class TestEveryBound:
         code, _, err = run(capsys, "eval", "--kind", "I", "--nu", "-1.2", "--x", "1e-300")
         assert code == 1
         assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("argratio", "--nu", "0", "--x", "1e-300", "--y", "2e-300"),
+        ("bracket", "--bound", "eq39_lower", "--nu", "-0.5", "--x", "1e-310"),
+        ("bracket", "--bound", "eq27_upper", "--nu", "-1", "--x", "1e-12"),
+    ])
+    def test_tight_sides_near_zero(self, capsys, argv):
+        # both sides of these bounds meet as x -> 0, where their logs are
+        # near -700; the sides are formed so that they stay in order
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert "error" not in err
 
     def test_eq13_upper_at_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bracket", "--bound", "eq13_upper",

@@ -94,6 +94,23 @@ class TestSqrtBrackets:
         assert br.upper == pytest.approx(50.0 + 1.0 / 100.0, abs=1e-4)
         assert CL(1.0, 50.0) < br.upper
 
+    def test_apti_where_its_sum_cancels(self):
+        # below nu = -1/2, x^2 + nu^2 + 2(2 nu+1) b cancels as b -> 1/2; the
+        # bound keeps full precision and never drops below the true value
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 60  # 1 - 2b is about x^2, so the reference needs 2 log10(1/x) digits
+        for nu in (-1.4, -1.0, -0.75):
+            for x in (1e-12, 1e-3, 0.5, 1.99, 2.0, 5.0):
+                got = cond_bracket_sqrt(nu, x, "apti").upper
+                X, NU = mpmath.mpf(x), mpmath.mpf(nu)
+                b = (X / 2) ** (NU + 1) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(NU + 1.5)
+                                           * mpmath.struvel(NU, X))
+                want = mpmath.sqrt(X ** 2 + NU ** 2 + 2 * (2 * NU + 1) * b)
+                assert abs(float((got - want) / want)) < 1e-14, (nu, x)
+        for x in (1e-300, 1e-12):  # at nu = -1 the bound is x sqrt(4/3) to O(x^3)
+            assert cond_bracket_sqrt(-1.0, x, "apti").upper == pytest.approx(
+                x * math.sqrt(4.0 / 3.0), rel=1e-15)
+
     def test_prior_variant_picks_max(self):
         br = cond_bracket_sqrt(1.0, 0.1, "prior")
         # near zero the constant bound nu+1 beats both hyperbolic ones

@@ -154,6 +154,18 @@ class TestSeriesRow:
             for key, out in filled.items():
                 assert special_core._series(*key) == out, key
 
+    def test_one_order_per_lane(self):
+        # one pass over lanes of many orders stores what the scalar kernel does
+        nus = [-2.4, -1.0, 0.5, 10.0, 60.0] * 40
+        xs = np.logspace(-3.0, math.log10(600.0), 200).tolist()
+        for kind in ("I", "L"):
+            special_core._SERIES_MEMO.clear()
+            special_core.fill_series_row(kind, nus, xs)
+            filled = dict(special_core._SERIES_MEMO)
+            special_core._SERIES_MEMO.clear()
+            assert len(filled) == len(xs)
+            assert all(special_core._series(*key) == out for key, out in filled.items())
+
     def test_skips_memoized_and_out_of_domain_lanes(self):
         special_core._SERIES_MEMO.clear()
         first = special_core._series("L", 1.0, 2.0)
@@ -276,6 +288,20 @@ class TestLargeOrderPrefactors:
         x = 300.0
         assert rel(quad_oracle_i(self.NU, x).value, float(mpmath.besseli(self.NU, x))) < 1e-12
         assert rel(quad_oracle_l(self.NU, x).value, float(mpmath.struvel(self.NU, x))) < 1e-12
+
+    @pytest.mark.parametrize("nu", [100.0, 150.0, 200.0])
+    def test_estimate_covers_the_leading_factor(self, nu):
+        # the leading (x/2)^p / Gamma factor carries rounding of about eps
+        # times the logs it is formed from; the estimate must cover it
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for x in (300.0, 500.0, 600.0):
+            for fn, ref in ((bessel_i, mpmath.besseli), (struve_l, mpmath.struvel),
+                            (quad_oracle_i, mpmath.besseli), (quad_oracle_l, mpmath.struvel)):
+                out = fn(nu, x)
+                want = ref(nu, x)
+                err = abs(float((mpmath.mpf(out.value) - want) / want))
+                assert err <= out.est_rel_error, (fn.__name__, nu, x, err, out.est_rel_error)
 
 
 class TestSmallX:

@@ -1,4 +1,7 @@
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,14 +89,15 @@ class TestCertify:
     def test_each_exact_value_computed_once(self, small_grid, monkeypatch):
         from struvebounds import registry
 
+        # certify computes exact values a (target, order) row at a time
         calls = []
-        original = registry.exact_value
+        original = registry.exact_row
 
-        def counting(target, nu, x, y, *rest):
-            calls.append((target, nu, x, y))
-            return original(target, nu, x, y, *rest)
+        def counting(target, P):
+            calls.append((target, P.nu))
+            return original(target, P)
 
-        monkeypatch.setattr(registry, "exact_value", counting)
+        monkeypatch.setattr(registry, "exact_row", counting)
         certify_all(small_grid)
         assert calls
         assert len(calls) == len(set(calls))
@@ -182,10 +186,10 @@ class TestCrossover:
     def test_multiple_sign_changes(self):
         REGISTRY["fake_osc"] = BoundSpec(
             "fake_osc", "b_kernel", "upper", -1.5, True,
-            lambda n, x: math.sin(x))
+            lambda n, x, P: P.map(math.sin, x))
         REGISTRY["fake_zero"] = BoundSpec(
             "fake_zero", "b_kernel", "upper", -1.5, True,
-            lambda n, x: 0.0)
+            lambda n, x, P: 0.0)
         try:
             with pytest.raises(MultipleSignChanges):
                 crossover("fake_osc", "fake_zero", 0.0, (0.1, 20.0))
@@ -222,3 +226,78 @@ class TestDefaultGrid:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             Grid((1.0, 0.5), (1.0, 2.0))
+
+
+class TestRows:
+    """A row formula is the point formula over numpy lanes: arithmetic is
+    IEEE in both, and the elementary functions are math's lane by lane (numpy's
+    exp, tanh, log and hypot differ from math's by an ulp on a few percent of
+    arguments), so every registered bound and exact value agrees bit for bit."""
+
+    def test_rows_match_points_on_the_default_grid(self):
+        from struvebounds import registry, verify
+
+        grid = default_grid()
+        for spec in REGISTRY.values():
+            takes_y = registry.needs_y(spec)
+            for nu in grid.nu_values:
+                if not spec.valid_at(nu):
+                    continue
+                row = verify._grid_row(grid, nu, takes_y)[0]
+                bound = registry.bound_row(spec, row)
+                exact = registry.exact_row(spec.target, row)
+                ys = row.y.tolist() if takes_y else [None] * row.x.size
+                for x, y, b, e in zip(row.x.tolist(), ys, bound.tolist(), exact.tolist()):
+                    args = (nu, x) if y is None else (nu, x, y)
+                    assert spec.evaluate(*args) == b, (spec.bound_id, nu, x, y)
+                    assert registry.exact_value(spec.target, *args) == e, (spec.target, nu, x, y)
+
+    def test_point_values_are_python_floats(self):
+        import struvebounds as sb
+        from struvebounds.succ_ratio import transfer_lower
+
+        for spec in REGISTRY.values():  # every registered range includes order 2
+            args = (2.0, 2.0, 3.0) if spec.target == "arg_ratio_L" else (2.0, 2.0)
+            assert type(spec.evaluate(*args)) is float, spec.bound_id
+            assert type(sb.exact_value(spec.target, *args)) is float, spec.target
+        pair = sb.ArgPair(2.0, 3.0)
+        values = [sb.b_value(1.0, 2.0), sb.b_upper_quadratic(1.0, 2.0), sb.cond_exact("L", 1.0, 2.0),
+                  transfer_lower(1.0, 2.0, 0.5),
+                  sb.bessel_ratio_lower_tanh(1.0, 2.0), sb.product_difference(1.0, 2.0),
+                  sb.product_difference_cap(2.0, 2.0, "via_nu"), sb.prior_lower_bound(1.0, 2.0, "prior_coth"),
+                  sb.arg_ratio_exact(1.0, pair), sb.arg_ratio_prior_bounds(1.0, pair, "eq42"),
+                  sb.pointwise_prior_upper(1.0, 2.0, "eq46"), sb.ratio_lower_tanh(1.0, 2.0),
+                  sb.ratio_upper_tanh_half(1.0, 2.0), sb.ratio_lower_turan(1.0, 2.0),
+                  sb.ratio_lower_tanh_half(1.0, 2.0), sb.ratio_upper_refined(1.0, 2.0)]
+        for br in (sb.b_csch_bracket(1.0, 2.0), sb.bessel_ratio_bounds(1.0, 2.0),
+                   sb.ratio_bracket_via_bessel(1.0, 2.0), sb.ratio_bracket_segura_form(1.0, 2.0),
+                   sb.cond_bracket_via_bessel(1.0, 2.0), sb.cond_bracket_sqrt(1.0, 2.0, "eq30"),
+                   sb.arg_ratio_bessel_bracket(1.0, pair), sb.arg_ratio_explicit_bracket(1.0, pair),
+                   sb.pointwise_bracket(1.0, 2.0), sb.best_bracket(1.0, 2.0)):
+            values += [br.lower, br.upper]
+        assert all(type(v) is float for v in values)
+
+
+class TestBenchReference:
+    def test_sweep_matches_the_bench_reference(self):
+        # the certify-grid sweep of perfbench/worker.py::job_sweep, checked
+        # the way the benchmark checks it: 46 reports, 52,519 points and no
+        # violation
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        sys.path.insert(0, str(bench))
+        try:
+            import gate
+            import workloads
+        finally:
+            sys.path.remove(str(bench))
+        from struvebounds import verify
+
+        reference = json.loads((bench / "reference.json").read_text())
+        tables = [relative_error_table(table_by_id(i)) for i in workloads.TABLE_IDS]
+        roots = [crossover(a, b, nu, xr) for a, b, nu, xr in workloads.CROSSOVERS]
+        reports = certify_all() + monotonicity_suite()
+        fingerprint = gate.certify_fingerprint(reports, tables, roots)
+        assert gate.compare_certify(reference["certify_grid"], fingerprint) == []
+        assert len(reports) == 46 and sum(r.points_checked for r in reports) == 52519
+        assert not any(r.violations for r in reports)
+        assert verify.certify_all is certify_all
