@@ -100,7 +100,7 @@ class FuncValue:
     relative to the accumulated sum for series, the scaled quadrature error
     estimate for the oracle, and for the stable M route the gap between the
     tanh-sinh rule at two step sizes plus a rounding allowance; each adds
-    the rounding of its leading (x/2)^p / Gamma factor (_lead_err), which
+    the rounding of its leading (x/2)^p / Gamma factor (_first_term_err), which
     grows with the order.  terms_used
     counts series terms, or integrand evaluations for integral routes.
     cancellation marks results whose naive evaluation would lose more than
@@ -151,30 +151,35 @@ def _leading_index(shift: float) -> int:
 
 def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
     """(x/2)^power / (Gamma(g1_arg) * Gamma(g2_arg)), with log-space fallback."""
+    return _first_term_err(power, g1_arg, g2_arg, x)[0]
+
+
+def _first_term_err(power: float, g1_arg: float, g2_arg: float,
+                    x: float) -> tuple[float, float]:
+    """_first_term and its relative rounding: the power and the gammas are
+    exponentials of logs whose arguments are rounded, so eps times the
+    magnitudes of log (x/2)^power, log|Gamma(g1_arg)| and log|Gamma(g2_arg)|."""
     half_x = 0.5 * x
     if half_x == 0.0:
         raise DomainError(f"argument x={x} underflows: x/2 rounds to 0")
     log_mag = power * math.log(half_x)
     if abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
-        return half_x**power / (math.gamma(g1_arg) * math.gamma(g2_arg))
+        gamma1, gamma2 = math.gamma(g1_arg), math.gamma(g2_arg)
+        return half_x**power / (gamma1 * gamma2), _EPS * (
+            abs(log_mag) + abs(math.log(abs(gamma1))) + abs(math.log(abs(gamma2))))
     # math.lgamma returns log|Gamma|; Gamma is negative on (-1,0), (-3,-2), ...
     sign = 1.0
     for arg in (g1_arg, g2_arg):
         if arg < 0.0 and math.floor(arg) % 2 != 0:
             sign = -sign
+    lgamma1, lgamma2 = math.lgamma(g1_arg), math.lgamma(g2_arg)
     try:
-        return sign * math.exp(log_mag - math.lgamma(g1_arg) - math.lgamma(g2_arg))
+        term = sign * math.exp(log_mag - lgamma1 - lgamma2)
     except OverflowError:
         raise DomainError(
             f"leading term (x/2)^{power:g} / (Gamma({g1_arg:g}) Gamma({g2_arg:g})) "
             f"overflows at x={x}") from None
-
-
-def _lead_err(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
-    """Relative rounding of _first_term: about eps times the magnitudes of
-    the log of the power and of the log-gammas, whose arguments are rounded."""
-    return _EPS * (abs(power * math.log(0.5 * x)) + abs(math.lgamma(g1_arg))
-                   + abs(math.lgamma(g2_arg)))
+    return term, _EPS * (abs(log_mag) + abs(lgamma1) + abs(lgamma2))
 
 
 class _SeriesMemo(dict):
@@ -230,8 +235,7 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
     underflows raises DomainError rather than running to the cap.
     """
     g1, shift, power0, n0 = _series_setup(kind, nu)
-    lead = (2 * n0 + power0, n0 + g1, n0 + shift, x)
-    term = _first_term(*lead)
+    term, lead_err = _first_term_err(2 * n0 + power0, n0 + g1, n0 + shift, x)
     mag = abs(term)
     if mag < _TINY:
         raise DomainError(f"{kind}-series leading term underflows at nu={nu}, x={x}")
@@ -249,7 +253,7 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
         term = term * q / ((n + g1) * (n + shift))
         mag = abs(term)
         if mag < REL_TOL * abs_total:
-            return _store((kind, nu, x), total, n + 1 - n0, term, _lead_err(*lead))
+            return _store((kind, nu, x), total, n + 1 - n0, term, lead_err)
     raise ConvergenceError(
         f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={REL_TOL} "
         f"within {MAX_TERMS} terms"
@@ -285,19 +289,21 @@ def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
         return
     nuv, xv = (np.array(c) for c in zip(*lanes))
     orders, inv = np.unique(nuv, return_inverse=True)
-    shift, nv, power, a1, a2, lg1, lg2, gg = (np.array(c, dtype=float)[inv] for c in zip(
-        *(_lane_setup(kind, g1, nu) for nu in orders.tolist())))
-    # _first_term and _lead_err, with the gammas formed once per order
+    shift, nv, power, a1, a2, gamma1, gamma2, log1, log2 = (
+        np.array(c, dtype=float)[inv] for c in zip(
+            *(_lane_setup(kind, g1, nu) for nu in orders.tolist())))
+    # _first_term_err, with the gammas formed once per order
     log_mag = power * _map_lanes(math.log, 0.5 * xv)
-    term = np.zeros_like(xv)
-    direct = (gg != 0.0) & (np.abs(log_mag) < _LOG_MAG_MAX)
-    term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gg[direct]
+    term, lead = np.zeros_like(xv), np.zeros_like(xv)
+    direct = (gamma1 != 0.0) & (np.abs(log_mag) < _LOG_MAG_MAX)
+    term[direct] = (_map_lanes(math.pow, 0.5 * xv[direct], power[direct])
+                    / (gamma1[direct] * gamma2[direct]))
+    lead[direct] = _EPS * (np.abs(log_mag[direct]) + log1[direct] + log2[direct])
     for i in np.flatnonzero(~direct).tolist():
         try:
-            term[i] = _first_term(power[i], a1[i], a2[i], xv[i])
+            term[i], lead[i] = _first_term_err(power[i], a1[i], a2[i], xv[i])
         except DomainError:
             pass
-    lead = _EPS * (np.abs(log_mag) + lg1 + lg2)
     live = np.abs(term) >= _TINY
     nuv, xv, shift, nv, term, lead = (c[live] for c in (nuv, xv, shift, nv, term, lead))
     mag, q, total, comp, abs_total = np.abs(term), 0.25 * xv * xv, *np.zeros((3, xv.size))
@@ -332,12 +338,15 @@ def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
 
 
 def _lane_setup(kind: str, g1: float, nu: float) -> tuple:
-    """(shift, n0, power, the two gamma arguments of the first term, |lgamma|
-    of each, and their gamma product where both are in range, else 0)."""
+    """(shift, n0, power, the two gamma arguments of the first term, and, where
+    both gammas are in range, the gammas and |log| of each, else zeros)."""
     _, shift, power0, n0 = _series_setup(kind, nu)
     a1, a2 = n0 + g1, n0 + shift
-    gg = math.gamma(a1) * math.gamma(a2) if max(a1, a2) < GAMMA_ARG_MAX else 0.0
-    return (shift, n0, 2 * n0 + power0, a1, a2, abs(math.lgamma(a1)), abs(math.lgamma(a2)), gg)
+    gammas = (0.0, 0.0)
+    if max(a1, a2) < GAMMA_ARG_MAX:
+        gammas = (math.gamma(a1), math.gamma(a2))
+    logs = tuple(abs(math.log(abs(g))) if g else 0.0 for g in gammas)
+    return (shift, n0, 2 * n0 + power0, a1, a2, *gammas, *logs)
 
 
 def bessel_i(nu: float, x: float) -> FuncValue:
@@ -502,8 +511,9 @@ def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
         return math.cos(theta) ** two_nu * hyp(x * math.sin(theta))
 
     raw, abserr, neval = _adaptive_integral(integrand, 0.5 * math.pi)
-    value = 2.0 / SQRT_PI * _first_term(nu, nu + 0.5, 1.0, x) * raw
-    est = (abserr / abs(raw) if raw != 0.0 else abserr) + _lead_err(nu, nu + 0.5, 1.0, x)
+    lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
+    value = 2.0 / SQRT_PI * lead * raw
+    est = (abserr / abs(raw) if raw != 0.0 else abserr) + lead_err
     return FuncValue(value, neval, est)
 
 
@@ -603,8 +613,9 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
         if abs(nu - target) <= _POLE_TOL:
             return form(), 0, 1e-15
     integral, err = _stable_integral(nu, x)
-    coef = -2.0 / SQRT_PI * _first_term(nu, nu + 0.5, 1.0, x)
-    est = (err / abs(integral) if integral != 0.0 else err) + _lead_err(nu, nu + 0.5, 1.0, x)
+    lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
+    coef = -2.0 / SQRT_PI * lead
+    est = (err / abs(integral) if integral != 0.0 else err) + lead_err
     return coef * integral, _DE_NODES, est
 
 
