@@ -158,15 +158,16 @@ def _first_term_err(power: float, g1_arg: float, g2_arg: float,
                     x: float) -> tuple[float, float]:
     """_first_term and its relative rounding: the power and the gammas are
     exponentials of logs whose arguments are rounded, so eps times the
-    magnitudes of log (x/2)^power, log|Gamma(g1_arg)| and log|Gamma(g2_arg)|."""
+    magnitudes of log (x/2)^power and of the log-gammas.  Only log-gammas
+    of arguments in (1, 2) are negative, and above -0.13, so in range the
+    log of the gamma product plus 1/4 stands for their magnitudes' sum."""
     half_x = 0.5 * x
     if half_x == 0.0:
         raise DomainError(f"argument x={x} underflows: x/2 rounds to 0")
     log_mag = power * math.log(half_x)
     if abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
-        gamma1, gamma2 = math.gamma(g1_arg), math.gamma(g2_arg)
-        return half_x**power / (gamma1 * gamma2), _EPS * (
-            abs(log_mag) + abs(math.log(abs(gamma1))) + abs(math.log(abs(gamma2))))
+        gammas = math.gamma(g1_arg) * math.gamma(g2_arg)
+        return half_x**power / gammas, _EPS * (abs(log_mag) + abs(math.log(abs(gammas))) + 0.25)
     # math.lgamma returns log|Gamma|; Gamma is negative on (-1,0), (-3,-2), ...
     sign = 1.0
     for arg in (g1_arg, g2_arg):
@@ -289,16 +290,15 @@ def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
         return
     nuv, xv = (np.array(c) for c in zip(*lanes))
     orders, inv = np.unique(nuv, return_inverse=True)
-    shift, nv, power, a1, a2, gamma1, gamma2, log1, log2 = (
+    shift, nv, power, a1, a2, gammas, log_gammas = (
         np.array(c, dtype=float)[inv] for c in zip(
             *(_lane_setup(kind, g1, nu) for nu in orders.tolist())))
     # _first_term_err, with the gammas formed once per order
     log_mag = power * _map_lanes(math.log, 0.5 * xv)
     term, lead = np.zeros_like(xv), np.zeros_like(xv)
-    direct = (gamma1 != 0.0) & (np.abs(log_mag) < _LOG_MAG_MAX)
-    term[direct] = (_map_lanes(math.pow, 0.5 * xv[direct], power[direct])
-                    / (gamma1[direct] * gamma2[direct]))
-    lead[direct] = _EPS * (np.abs(log_mag[direct]) + log1[direct] + log2[direct])
+    direct = (gammas != 0.0) & (np.abs(log_mag) < _LOG_MAG_MAX)
+    term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
+    lead[direct] = _EPS * (np.abs(log_mag[direct]) + log_gammas[direct] + 0.25)
     for i in np.flatnonzero(~direct).tolist():
         try:
             term[i], lead[i] = _first_term_err(power[i], a1[i], a2[i], xv[i])
@@ -339,14 +339,13 @@ def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
 
 def _lane_setup(kind: str, g1: float, nu: float) -> tuple:
     """(shift, n0, power, the two gamma arguments of the first term, and, where
-    both gammas are in range, the gammas and |log| of each, else zeros)."""
+    both gammas are in range, their product and its |log|, else zeros)."""
     _, shift, power0, n0 = _series_setup(kind, nu)
     a1, a2 = n0 + g1, n0 + shift
-    gammas = (0.0, 0.0)
-    if max(a1, a2) < GAMMA_ARG_MAX:
-        gammas = (math.gamma(a1), math.gamma(a2))
-    logs = tuple(abs(math.log(abs(g))) if g else 0.0 for g in gammas)
-    return (shift, n0, 2 * n0 + power0, a1, a2, *gammas, *logs)
+    if max(a1, a2) >= GAMMA_ARG_MAX:
+        return shift, n0, 2 * n0 + power0, a1, a2, 0.0, 0.0
+    gammas = math.gamma(a1) * math.gamma(a2)
+    return shift, n0, 2 * n0 + power0, a1, a2, gammas, abs(math.log(abs(gammas)))
 
 
 def bessel_i(nu: float, x: float) -> FuncValue:
