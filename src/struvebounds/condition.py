@@ -97,14 +97,14 @@ def _eq27_small(nu: float, x: float) -> float:
     return math.hypot(nu + 1.0, x * math.sqrt(c))
 
 
+def _eq27(nu: float, x: float, rad: float) -> float:
+    return _eq27_small(nu, x) if x < 2.0 else math.sqrt(rad)
+
+
 def eq27_upper(nu, x, P):
     """sqrt(x^2 + nu^2 + 2(2 nu+1) b); _eq27_small where the sum cancels."""
     rad = x * x + nu * nu + 2.0 * (2.0 * nu + 1.0) * P.b(nu)
-    if nu >= -0.5:
-        return P.sqrt(rad)
-    small = x < 2.0
-    return P.where(small, lambda: P.map(_eq27_small, nu, x),
-                   lambda: P.sqrt(P.where(small, lambda: 1.0, lambda: rad)))
+    return P.sqrt(rad) if nu >= -0.5 else P.map(_eq27, nu, x, rad)
 
 
 def cond_bracket_via_bessel(nu: float, x: float) -> Bracket:

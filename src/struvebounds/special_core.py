@@ -100,11 +100,10 @@ class FuncValue:
     relative to the accumulated sum for series, the scaled quadrature error
     estimate for the oracle, and for the stable M route the gap between the
     tanh-sinh rule at two step sizes plus a rounding allowance; each adds
-    the rounding of its leading (x/2)^p / Gamma factor (_first_term_err), which
-    grows with the order.  terms_used
-    counts series terms, or integrand evaluations for integral routes.
-    cancellation marks results whose naive evaluation would lose more than
-    six significant digits.
+    the rounding of its leading (x/2)^p / Gamma factor (_first_term_err),
+    which grows with the order.  terms_used counts series terms, or
+    integrand evaluations for integral routes.  cancellation marks results
+    whose naive evaluation would lose more than six significant digits.
     """
 
     value: float
@@ -151,7 +150,23 @@ def _leading_index(shift: float) -> int:
 
 def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
     """(x/2)^power / (Gamma(g1_arg) * Gamma(g2_arg)), with log-space fallback."""
-    return _first_term_err(power, g1_arg, g2_arg, x)[0]
+    half_x = 0.5 * x
+    if half_x == 0.0:
+        raise DomainError(f"argument x={x} underflows: x/2 rounds to 0")
+    log_mag = power * math.log(half_x)
+    if abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
+        return half_x**power / (math.gamma(g1_arg) * math.gamma(g2_arg))
+    # math.lgamma returns log|Gamma|; Gamma is negative on (-1,0), (-3,-2), ...
+    sign = 1.0
+    for arg in (g1_arg, g2_arg):
+        if arg < 0.0 and math.floor(arg) % 2 != 0:
+            sign = -sign
+    try:
+        return sign * math.exp(log_mag - math.lgamma(g1_arg) - math.lgamma(g2_arg))
+    except OverflowError:
+        raise DomainError(
+            f"leading term (x/2)^{power:g} / (Gamma({g1_arg:g}) Gamma({g2_arg:g})) "
+            f"overflows at x={x}") from None
 
 
 def _first_term_err(power: float, g1_arg: float, g2_arg: float,
@@ -162,25 +177,12 @@ def _first_term_err(power: float, g1_arg: float, g2_arg: float,
     of arguments in (1, 2) are negative, and above -0.13, so in range the
     log of the gamma product plus 1/4 stands for their magnitudes' sum."""
     half_x = 0.5 * x
-    if half_x == 0.0:
-        raise DomainError(f"argument x={x} underflows: x/2 rounds to 0")
-    log_mag = power * math.log(half_x)
-    if abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
+    log_mag = abs(power * math.log(half_x)) if half_x > 0.0 else math.inf
+    if log_mag < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
         gammas = math.gamma(g1_arg) * math.gamma(g2_arg)
-        return half_x**power / gammas, _EPS * (abs(log_mag) + abs(math.log(abs(gammas))) + 0.25)
-    # math.lgamma returns log|Gamma|; Gamma is negative on (-1,0), (-3,-2), ...
-    sign = 1.0
-    for arg in (g1_arg, g2_arg):
-        if arg < 0.0 and math.floor(arg) % 2 != 0:
-            sign = -sign
-    lgamma1, lgamma2 = math.lgamma(g1_arg), math.lgamma(g2_arg)
-    try:
-        term = sign * math.exp(log_mag - lgamma1 - lgamma2)
-    except OverflowError:
-        raise DomainError(
-            f"leading term (x/2)^{power:g} / (Gamma({g1_arg:g}) Gamma({g2_arg:g})) "
-            f"overflows at x={x}") from None
-    return term, _EPS * (abs(log_mag) + abs(lgamma1) + abs(lgamma2))
+        return half_x**power / gammas, _EPS * (log_mag + abs(math.log(abs(gammas))) + 0.25)
+    term = _first_term(power, g1_arg, g2_arg, x)  # raises where x/2 underflows
+    return term, _EPS * (log_mag + abs(math.lgamma(g1_arg)) + abs(math.lgamma(g2_arg)))
 
 
 class _SeriesMemo(dict):
@@ -283,32 +285,30 @@ _ROW_CHUNK = 4096
 
 def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
     floor = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
-    ok = (nus >= floor) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
-    lanes = [k[1:] for k in dict.fromkeys(zip(repeat(kind), nus[ok].tolist(), xs[ok].tolist()))
-             if k not in _SERIES_MEMO]
-    if not lanes:
-        return
-    nuv, xv = (np.array(c) for c in zip(*lanes))
-    orders, inv = np.unique(nuv, return_inverse=True)
-    shift, nv, power, a1, a2, gammas, log_gammas = (
-        np.array(c, dtype=float)[inv] for c in zip(
-            *(_lane_setup(kind, g1, nu) for nu in orders.tolist())))
-    # _first_term_err, with the gammas formed once per order
-    log_mag = power * _map_lanes(math.log, 0.5 * xv)
-    term, lead = np.zeros_like(xv), np.zeros_like(xv)
-    direct = (gammas != 0.0) & (np.abs(log_mag) < _LOG_MAG_MAX)
-    term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
-    lead[direct] = _EPS * (np.abs(log_mag[direct]) + log_gammas[direct] + 0.25)
-    for i in np.flatnonzero(~direct).tolist():
+    ok = (nus >= floor) & (nus < math.inf) & (xs > 0.0) & (xs <= X_MAX)
+    setup = {}
+    heads = []  # (key, shift, n0, first term, its rounding) of each live lane
+    for key in dict.fromkeys(zip(repeat(kind), nus[ok].tolist(), xs[ok].tolist())):
+        if key in _SERIES_MEMO:
+            continue
+        if key[1] not in setup:
+            setup[key[1]] = _series_setup(kind, key[1])
+        _, shift, power0, n0 = setup[key[1]]
         try:
-            term[i], lead[i] = _first_term_err(power[i], a1[i], a2[i], xv[i])
+            term, lead = _first_term_err(2 * n0 + power0, n0 + g1, n0 + shift, key[2])
         except DomainError:
-            pass
-    live = np.abs(term) >= _TINY
-    nuv, xv, shift, nv, term, lead = (c[live] for c in (nuv, xv, shift, nv, term, lead))
+            continue
+        if abs(term) >= _TINY:
+            heads.append((key, shift, n0, term, lead))
+    if not heads:
+        return
+    keys, shift, nv, term, lead = zip(*heads)
+    shift, nv, term = (np.array(c, dtype=float) for c in (shift, nv, term))
+    xv = np.array([k[2] for k in keys])
+    lane = np.arange(xv.size)
     mag, q, total, comp, abs_total = np.abs(term), 0.25 * xv * xv, *np.zeros((3, xv.size))
     active = np.ones(xv.size, dtype=bool)
-    for k in range(MAX_TERMS if xv.size else 0):
+    for k in range(MAX_TERMS):
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -320,32 +320,15 @@ def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
         done = (mag < REL_TOL * abs_total) & active
         if not done.any():
             continue
-        tot, nxt = total[done], term[done]  # _store, lane by lane
-        est = np.where(tot != 0.0, 2.0 * np.abs(nxt) / np.where(tot != 0.0, np.abs(tot), 1.0),
-                       np.abs(nxt)) + lead[done]
-        for row in zip(nuv[done].tolist(), xv[done].tolist(), tot.tolist(), est.tolist()):
-            if len(_SERIES_MEMO) >= _SERIES_MEMO_MAX:
-                _SERIES_MEMO.clear()
-            _SERIES_MEMO[kind, row[0], row[1]] = (row[2], k + 1, row[3])
+        for i, tot, nxt in zip(lane[done].tolist(), total[done].tolist(), term[done].tolist()):
+            _store(keys[i], tot, k + 1, nxt, lead[i])
         active &= ~done
         if 2 * np.count_nonzero(active) < active.size:  # drop the finished lanes
-            nuv, xv, shift, nv, q, term, mag, total, comp, abs_total, lead = (
-                c[active] for c in (nuv, xv, shift, nv, q, term, mag, total, comp, abs_total,
-                                    lead))
+            lane, shift, nv, q, term, mag, total, comp, abs_total = (
+                c[active] for c in (lane, shift, nv, q, term, mag, total, comp, abs_total))
             active = active[active]
             if not active.size:
                 return
-
-
-def _lane_setup(kind: str, g1: float, nu: float) -> tuple:
-    """(shift, n0, power, the two gamma arguments of the first term, and, where
-    both gammas are in range, their product and its |log|, else zeros)."""
-    _, shift, power0, n0 = _series_setup(kind, nu)
-    a1, a2 = n0 + g1, n0 + shift
-    if max(a1, a2) >= GAMMA_ARG_MAX:
-        return shift, n0, 2 * n0 + power0, a1, a2, 0.0, 0.0
-    gammas = math.gamma(a1) * math.gamma(a2)
-    return shift, n0, 2 * n0 + power0, a1, a2, gammas, abs(math.log(abs(gammas)))
 
 
 def bessel_i(nu: float, x: float) -> FuncValue:
@@ -761,10 +744,7 @@ class Point:
     def b(self, order: float):
         if not math.isfinite(order) or order <= -1.5:
             raise DomainError(f"kernel requires nu > -3/2, got {order}")
-        return self._b(order, self.L(order))
-
-    def _b(self, order, lv):
-        return kernel_b(order, self.x, lv)
+        return self.map(kernel_b, order, self.x, self.L(order))
 
 
 def _map_lanes(f, *args):
@@ -805,14 +785,3 @@ class Row(Point):
             fill_series_row(kind, order, v)
             got = [_SERIES_MEMO[kind, order, u] for u in v.tolist()]
         return np.array([g[0] for g in got])
-
-    def _b(self, order, lv):
-        q = np.zeros_like(lv)
-        if order + 1.5 < GAMMA_ARG_MAX:
-            try:
-                q = self.pow(0.5 * self.x, order + 1.0) / (SQRT_PI * math.gamma(order + 1.5) * lv)
-            except (OverflowError, ValueError):
-                pass
-        bad = ~((q > 0.0) & (q < math.inf))
-        q[bad] = self.map(kernel_b, order, self.x[bad], lv[bad])
-        return q

@@ -97,8 +97,8 @@ class GridReport:
         nus, xs, ys = (v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list)
                        else [v] * n for v in (nu, x, y))
         self.points_checked += n
-        self.worst_slack = min(self.worst_slack, *sl)
-        self.max_rel_gap = max(self.max_rel_gap, *sl)
+        self.worst_slack = min([self.worst_slack, *sl])
+        self.max_rel_gap = max([self.max_rel_gap, *sl])
         bad = slack < -tolerance
         if equality or not bad.any():
             status = ["equality" if equality else "ok"] * n
@@ -114,13 +114,16 @@ class GridReport:
         return not self.violations
 
 
-def _grid_row(grid: Grid, nu: float, takes_y: bool) -> tuple[Row, list, Optional[list]]:
+def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[tuple[Row, list, Optional[list]]]:
     """The lanes certify checks at order nu, x or (x, y) pairs in x order,
-    as a Row and as lists of the grid's own floats."""
+    as a Row and as lists of the grid's own floats; None if there are none."""
     if not takes_y:
         xs = list(grid.x_values)
-        return Row(nu, np.array(xs)), xs, None
-    xs, ys = (list(c) for c in zip(*[(x, y) for x in grid.x_values for y in grid.y_values(x)]))
+        return (Row(nu, np.array(xs)), xs, None) if xs else None
+    pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
+    if not pairs:
+        return None
+    xs, ys = (list(c) for c in zip(*pairs))
     return Row(nu, np.array(xs), np.array(ys)), xs, ys
 
 
@@ -146,10 +149,11 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     for nu in grid.nu_values:
         if not spec.valid_at(nu):
             continue
-        row = shared.get((nu, takes_y))
-        if row is None:
-            row = shared[nu, takes_y] = _grid_row(grid, nu, takes_y)
-        P, xs, ys = row
+        if (nu, takes_y) not in shared:
+            shared[nu, takes_y] = _grid_row(grid, nu, takes_y)
+        if shared[nu, takes_y] is None:
+            continue
+        P, xs, ys = shared[nu, takes_y]
         exact = shared.get((spec.target, nu))
         if exact is None:
             exact = shared[spec.target, nu] = registry.exact_row(spec.target, P)
@@ -177,7 +181,7 @@ def _fill_grid(grid: Grid) -> None:
     for nu in grid.nu_values:
         lanes += [(nu + k, x) for k in (-1.0, 0.0, 1.0) for x in xs]
         lanes += [(nu, y) for y in ys]
-    nus, args = zip(*lanes)
+    nus, args = zip(*lanes) if lanes else ((), ())
     for kind in ("L", "I"):
         fill_series_row(kind, nus, args)
 
@@ -198,7 +202,7 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
     grid = grid or default_grid()
     report = GridReport("eq14_extension_experiment")
     for nu in grid.nu_values:
-        if not (-0.5 - 1e-12 <= nu < 0.5):
+        if not (-0.5 - 1e-12 <= nu < 0.5) or not grid.x_values:
             continue
         P, xs, _ = _grid_row(grid, nu, False)
         pd = registry.exact_row("product_diff_L", P)

@@ -102,6 +102,16 @@ class TestCertify:
         assert calls
         assert len(calls) == len(set(calls))
 
+    def test_rows_without_lanes_are_skipped(self):
+        # every y is capped at 60, so x = 100 has no (x, y) pair
+        no_pairs = Grid((1.0,), (100.0,))
+        rep = certify("eq38_lower", no_pairs)
+        assert rep.points_checked == 0 and rep.clean and rep.worst_slack == math.inf
+        assert certify("eq17_upper", no_pairs).points_checked == 1
+        no_args = Grid((0.0, 1.0), ())
+        assert sum(r.points_checked for r in certify_all(no_args)) == 0
+        assert certify_eq14_extension(no_args).points_checked == 0
+
     def test_full_registry_clean_on_default_grid(self):
         reports = certify_all()
         assert all(rep.clean for rep in reports)
