@@ -169,18 +169,27 @@ def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
             f"overflows at x={x}") from None
 
 
+def _gamma_pair(g1_arg: float, g2_arg: float) -> tuple[float, float]:
+    """Gamma(g1_arg) Gamma(g2_arg) and its rounding weight, or (0, 0) once an
+    argument reaches GAMMA_ARG_MAX.  The weight stands for the sum of the
+    |log-gammas|: only log-gammas of arguments in (1, 2) are negative, and
+    above -0.13, so |log of the product| + 1/4 bounds that sum."""
+    if g1_arg >= GAMMA_ARG_MAX or g2_arg >= GAMMA_ARG_MAX:
+        return 0.0, 0.0
+    gammas = math.gamma(g1_arg) * math.gamma(g2_arg)
+    return gammas, abs(math.log(abs(gammas))) + 0.25
+
+
 def _first_term_err(power: float, g1_arg: float, g2_arg: float,
                     x: float) -> tuple[float, float]:
     """_first_term and its relative rounding: the power and the gammas are
     exponentials of logs whose arguments are rounded, so eps times the
-    magnitudes of log (x/2)^power and of the log-gammas.  Only log-gammas
-    of arguments in (1, 2) are negative, and above -0.13, so in range the
-    log of the gamma product plus 1/4 stands for their magnitudes' sum."""
+    magnitudes of log (x/2)^power and of the log-gammas."""
     half_x = 0.5 * x
     log_mag = abs(power * math.log(half_x)) if half_x > 0.0 else math.inf
-    if log_mag < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
-        gammas = math.gamma(g1_arg) * math.gamma(g2_arg)
-        return half_x**power / gammas, _EPS * (log_mag + abs(math.log(abs(gammas))) + 0.25)
+    gammas, weight = _gamma_pair(g1_arg, g2_arg)
+    if gammas != 0.0 and log_mag < _LOG_MAG_MAX:
+        return half_x**power / gammas, _EPS * (log_mag + weight)
     term = _first_term(power, g1_arg, g2_arg, x)  # raises where x/2 underflows
     return term, _EPS * (log_mag + abs(math.lgamma(g1_arg)) + abs(math.lgamma(g2_arg)))
 
@@ -266,12 +275,14 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
 def fill_series_row(kind: str, nus, xs) -> None:
     """Sum the kind series at every lane (nu, x) of nus and xs into the memo.
 
-    nus holds one order per lane, or one for all.  The lanes run _series's
-    operations in _series's order with numpy, so each stored value and
-    estimate is bit-identical to the scalar result.  Lanes out of domain,
-    already memoized, whose leading term underflows, or that do not converge
-    within MAX_TERMS are not stored (the scalar call raises for the last
-    two).  Raises only for an unknown kind.
+    nus holds one order per lane, or one for all.  Each lane forms its
+    leading term and its rounding as _first_term_err does, with the gamma
+    product once per order (_gamma_pair), runs _series's term recurrence in
+    _series's order with numpy, and is stored by _store, so each stored
+    value and estimate is bit-identical to the scalar result.  Lanes out of
+    domain, already memoized, whose leading term underflows, or that do not
+    converge within MAX_TERMS are not stored (the scalar call raises for the
+    last two).  Raises only for an unknown kind.
     """
     g1 = _series_setup(kind, 0.0)[0]
     xs = np.asarray(xs, dtype=float)
@@ -285,30 +296,36 @@ _ROW_CHUNK = 4096
 
 def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
     floor = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
-    ok = (nus >= floor) & (nus < math.inf) & (xs > 0.0) & (xs <= X_MAX)
-    setup = {}
-    heads = []  # (key, shift, n0, first term, its rounding) of each live lane
-    for key in dict.fromkeys(zip(repeat(kind), nus[ok].tolist(), xs[ok].tolist())):
-        if key in _SERIES_MEMO:
-            continue
-        if key[1] not in setup:
-            setup[key[1]] = _series_setup(kind, key[1])
-        _, shift, power0, n0 = setup[key[1]]
-        try:
-            term, lead = _first_term_err(2 * n0 + power0, n0 + g1, n0 + shift, key[2])
-        except DomainError:
-            continue
-        if abs(term) >= _TINY:
-            heads.append((key, shift, n0, term, lead))
-    if not heads:
+    ok = (nus >= floor) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
+    keys = [k for k in dict.fromkeys(zip(repeat(kind), nus[ok].tolist(), xs[ok].tolist()))
+            if k not in _SERIES_MEMO]
+    if not keys:
         return
-    keys, shift, nv, term, lead = zip(*heads)
-    shift, nv, term = (np.array(c, dtype=float) for c in (shift, nv, term))
+    setup = {}
+    for nu in {k[1] for k in keys}:
+        _, shift, power0, n0 = _series_setup(kind, nu)
+        setup[nu] = (shift, n0, 2 * n0 + power0, n0 + g1, n0 + shift,
+                     *_gamma_pair(n0 + g1, n0 + shift))
+    shift, nv, power, a1, a2, gammas, weight = (
+        np.array(c) for c in zip(*[setup[k[1]] for k in keys]))
     xv = np.array([k[2] for k in keys])
-    lane = np.arange(xv.size)
+    # _first_term_err lane by lane, with the gammas formed once per order
+    log_mag = np.abs(power * _map_lanes(math.log, 0.5 * xv))
+    term, lead = np.zeros_like(xv), np.zeros_like(xv)
+    direct = (gammas != 0.0) & (log_mag < _LOG_MAG_MAX)
+    term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
+    lead[direct] = _EPS * (log_mag[direct] + weight[direct])
+    for i in np.flatnonzero(~direct).tolist():
+        try:
+            term[i], lead[i] = _first_term_err(power[i], a1[i], a2[i], xv[i])
+        except DomainError:
+            pass
+    lead = lead.tolist()
+    lane = np.flatnonzero(np.abs(term) >= _TINY)
+    shift, nv, term, xv = shift[lane], nv[lane].astype(float), term[lane], xv[lane]
     mag, q, total, comp, abs_total = np.abs(term), 0.25 * xv * xv, *np.zeros((3, xv.size))
     active = np.ones(xv.size, dtype=bool)
-    for k in range(MAX_TERMS):
+    for k in range(MAX_TERMS if xv.size else 0):
         y = term - comp
         t = total + y
         comp = (t - total) - y

@@ -134,10 +134,11 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
 
     Each in-range order is one row: the bound's formula and its target's
     exact formula (registry.exact_row) run once over the row's lanes.
-    shared maps (nu, takes_y) to the Row and (target, nu) to its exact row;
-    certify reads it before building either and stores what it builds, so
-    bounds that share the dict share rows and compute each exact row once.
-    certify_all passes one dict to every bound.
+    shared maps (nu, takes_y) to the Row (None if the grid gives that
+    order no lanes) and (target, nu) to its exact row; certify reads it
+    before building either and stores what it builds, so bounds that share
+    the dict share rows and compute each exact row once.  certify_all
+    passes one dict to every bound.
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
