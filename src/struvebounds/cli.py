@@ -19,7 +19,7 @@ from .arg_ratio import ArgPair, arg_ratio_exact
 from .condition import cond_exact
 from .errors import StruveBoundsError
 from .special_core import bessel_i, struve_l, struve_m
-from .succ_ratio import best_bracket
+from .succ_ratio import best_bracket, tightest_bracket
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,17 +113,19 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
+def _print_values(values, nu: float) -> None:
+    for spec, value in values:
+        print(f"{spec.bound_id} = {value:.17g}  [{spec.side}"
+              f"{_equality_mark(spec.bound_id, nu)}]")
+
+
 def _cmd_cond(args) -> int:
     _check_finite(args.nu, args.x)
     exact = cond_exact("L", args.nu, args.x)
     print(f"exact = {exact:.17g}")
-    for spec in registry.bounds_for_target("cond_L"):
-        if not spec.valid_at(args.nu):
-            continue
-        value = spec.evaluate(args.nu, args.x)
-        print(f"{spec.bound_id} = {value:.17g}  [{spec.side}"
-              f"{_equality_mark(spec.bound_id, args.nu)}]")
-    br = best_bracket(args.nu, args.x, target="cond_L")
+    values = registry.evaluate_valid("cond_L", args.nu, args.x)
+    _print_values(values, args.nu)
+    br = tightest_bracket(values, "cond_L", args.nu)
     print(f"best bracket: [{br.lower:.17g}, {br.upper:.17g}]  ({br.lower_id}, {br.upper_id})")
     return 0
 
@@ -133,12 +135,7 @@ def _cmd_argratio(args) -> int:
     pair = ArgPair(args.x, args.y)
     exact = arg_ratio_exact(args.nu, pair)
     print(f"exact = {exact:.17g}")
-    for spec in registry.bounds_for_target("arg_ratio_L"):
-        if not spec.valid_at(args.nu):
-            continue
-        value = spec.evaluate(args.nu, args.x, args.y)
-        print(f"{spec.bound_id} = {value:.17g}  [{spec.side}"
-              f"{_equality_mark(spec.bound_id, args.nu)}]")
+    _print_values(registry.evaluate_valid("arg_ratio_L", args.nu, args.x, args.y), args.nu)
     return 0
 
 

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 
-from .bfunc import b_value
 from .brackets import Bracket
 from .errors import DomainError
-from .special_core import _MIN_ORDER_EXTENDED, _POLE_TOL, Point, lv_value
+from .special_core import _L_FLOOR, Point
 
 _EQ_TOL = 1e-12
-_L_FLOOR = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
 
 
 def _check_x(x: float) -> None:
@@ -46,8 +44,8 @@ def cond_exact(kind: str, nu: float, x: float) -> float:
 def cond_upward_residual(nu: float, x: float) -> float:
     """|downward - upward| / |downward| for C(L); an identity residual."""
     down = cond_exact("L", nu, x)
-    up = x * lv_value(nu + 1.0, x) / lv_value(nu, x) + nu \
-        + 2.0 * b_value(nu, x)
+    P = Point(nu, x)
+    up = x * P.L(nu + 1.0) / P.L(nu) + nu + 2.0 * P.b(nu)
     return abs(down - up) / abs(down)
 
 

@@ -5,10 +5,11 @@ validity half-line in the order, the single equality order if one exists,
 and the bound's one formula f(nu, x, P) (f(nu, x, y, P) for the argument
 ratio), named after the bound id in its home module.  EXACT holds each
 target's exact value as a formula of the same shape.  P is a
-special_core.Point for one point (BoundSpec.evaluate, exact_value, bracket)
-or a special_core.Row over numpy lanes (bound_row, exact_row, used by
-verify).  Validity ranges are data, not caller-overridable arguments: the
-inequalities are only guaranteed on the recorded ranges.
+special_core.Point for one point (BoundSpec.evaluate, exact_value, bracket,
+evaluate_valid) or a special_core.Row over numpy lanes (bound_row,
+exact_row, used by verify).  Validity ranges are data, not
+caller-overridable arguments: the inequalities are only guaranteed on the
+recorded ranges.
 """
 
 from __future__ import annotations
@@ -130,6 +131,16 @@ def exact_value(target: str, nu: float, x: float, y: float | None = None) -> flo
     elif y is None:
         raise ValueError("arg_ratio_L needs a second argument y")
     return float(EXACT[target](*_args(Point(nu, x, y))))
+
+
+def evaluate_valid(target: str, nu: float, x: float,
+                   y: float | None = None) -> list[tuple[BoundSpec, float]]:
+    """Every bound on target valid at nu, evaluated at one point as
+    (spec, value) pairs in registry order.  The bounds share one Point, so
+    each primitive is computed once; y is for the argument ratio only."""
+    P = Point(nu, x, y)
+    return [(spec, float(spec.formula(*_args(P)))) for spec in bounds_for_target(target)
+            if spec.valid_at(nu)]
 
 
 def bracket(lower_id: str, upper_id: str, nu: float, x: float,

@@ -5,24 +5,28 @@ metadata, elementary closed forms at half-integer orders, and leading small-x
 and large-x asymptotics.
 
 The series sums are the package's only memo: a module dict of at most
-300,000 entries, keyed on (kind, nu, x) and cleared when full.  Two
-producers fill it: the scalar kernel _series, which runs when a lookup
-misses, and fill_series_row, which sums many series at once with numpy,
-one lane per (nu, x), doing the scalar kernel's floating-point operations
-in the same order, so that every value and error estimate it stores is
-bit-identical to the scalar result.  Nothing is configurable: the
-truncation target REL_TOL, the overflow guard X_MAX and the term cap
-MAX_TERMS are constants.  Up to x = X_MAX every series meets REL_TOL within
-407 terms (the most is at order -2.49, x = 600), so the cap of 500 is a
-safety net: a series that reaches it raises ConvergenceError.
+4,096 entries, keyed on (kind, nu, x) and cleared when full.  It serves the
+separate calls of one point query, which read the same few sums (a
+condition-number query reads L_nu in six bounds and in the exact value); a
+lookup that misses runs the scalar kernel _series and stores its result.
+Sweeps bypass it: fill_series_row sums many series at once with numpy, one
+lane per (nu, x), doing the scalar kernel's floating-point operations in
+the same order, so every value it returns is bit-identical to the scalar
+value, and stores nothing.  Nothing is configurable: the truncation target
+REL_TOL, the overflow guard X_MAX and the term cap MAX_TERMS are constants.
+Up to x = X_MAX every series meets REL_TOL within 407 terms (the most is at
+order -2.49, x = 600), so the cap of 500 is a safety net: a series that
+reaches it raises ConvergenceError.
 
 Point and Row are the primitives every bound formula reads: I, L and M at
 any order, the kernel b (kernel_b) and the recurrence term, computed on
 first use and kept for the life of the object, which is one evaluation at
-a point or one (bound, order) row of a certification grid.  They are not a
-cache: nothing outlives them.  A Row does its arithmetic in numpy and its
-elementary functions with math lane by lane, so a formula gives the same
-bits at a point and in a row.
+a point or one (bound, order) row of a sweep.  They are not a cache:
+nothing outlives them.  A Point reads its series from the memo; a Row reads
+the arrays its sweep summed for all of its Rows (fill_rows) or sums its
+own, and never touches the memo.  A Row does its arithmetic in numpy and
+its elementary functions with math lane by lane, so a formula gives the
+same bits at a point and in a row.
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -64,13 +68,13 @@ from .errors import (
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Series evaluators accept orders down to -3/2; the extended internal entry
-# point goes to -5/2 (exclusive) for recurrence residuals and condition
-# numbers at low orders.  Positivity is only guaranteed for nu > -1 (I) and
-# nu >= -1 (L).
+# Series evaluators accept orders down to -3/2; formulas may read L down to
+# _L_FLOOR, just above -5/2, for the Turan product and condition numbers at
+# low orders.  Positivity is only guaranteed for nu > -1 (I) and nu >= -1 (L).
 MIN_ORDER = -1.5
 _MIN_ORDER_EXTENDED = -2.5
 _POLE_TOL = 1e-12
+_L_FLOOR = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
 
 _QUAD_TOL = 1e-12
 
@@ -197,28 +201,23 @@ def _first_term_err(power: float, g1_arg: float, g2_arg: float,
 class _SeriesMemo(dict):
     """(kind, nu, x) -> (value, terms_used, est_rel_error).
 
-    A lookup that misses runs the scalar kernel _series, which stores its
-    result, so a hit costs one dict lookup and nothing else.
+    A lookup that misses runs the scalar kernel _series and stores its
+    result, clearing the dict first once it holds _SERIES_MEMO_MAX entries,
+    so a hit costs one dict lookup and nothing else.  A series that raises
+    is not stored.
     """
 
     def __missing__(self, key: tuple[str, float, float]) -> tuple[float, int, float]:
-        return _series(*key)
+        out = _series(*key)
+        if len(self) >= _SERIES_MEMO_MAX:
+            self.clear()
+        self[key] = out
+        return out
 
 
 _SERIES_MEMO = _SeriesMemo()
-_SERIES_MEMO_MAX = 300_000
-
-
-def _store(key: tuple[str, float, float], total: float, terms: int,
-           next_term: float, lead_err: float) -> tuple[float, int, float]:
-    """Memoize and return (value, terms_used, est_rel_error) of a series
-    that met the stop test with next_term as its first omitted term; the
-    estimate is twice that term relative to the sum plus lead_err."""
-    est = 2.0 * abs(next_term) / abs(total) if total != 0.0 else abs(next_term)
-    if len(_SERIES_MEMO) >= _SERIES_MEMO_MAX:
-        _SERIES_MEMO.clear()
-    out = _SERIES_MEMO[key] = (total, terms, est + lead_err)
-    return out
+# a point query holds at most 422 entries (a crossover's bisection)
+_SERIES_MEMO_MAX = 4096
 
 
 def _series_setup(kind: str, nu: float) -> tuple[float, float, float, int]:
@@ -239,12 +238,11 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
     Terms are generated by the ratio recurrence, accumulated with Kahan
     compensation, and truncated once the next term falls below REL_TOL times
     the accumulated term magnitude.  Returns (value, terms_used,
-    est_rel_error).
-
-    The result is stored in the package's one memo, which calls this on a
-    miss.  A series that does not converge within MAX_TERMS raises
-    ConvergenceError before anything is stored.  A leading term that
-    underflows raises DomainError rather than running to the cap.
+    est_rel_error), the estimate being twice the first omitted term relative
+    to the sum plus the rounding of the leading term.  Stores nothing: the
+    memo calls this on a miss.  A series that does not converge within
+    MAX_TERMS raises ConvergenceError; a leading term that underflows raises
+    DomainError rather than running to the cap.
     """
     g1, shift, power0, n0 = _series_setup(kind, nu)
     term, lead_err = _first_term_err(2 * n0 + power0, n0 + g1, n0 + shift, x)
@@ -265,67 +263,57 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
         term = term * q / ((n + g1) * (n + shift))
         mag = abs(term)
         if mag < REL_TOL * abs_total:
-            return _store((kind, nu, x), total, n + 1 - n0, term, lead_err)
+            est = 2.0 * mag / abs(total) if total != 0.0 else mag
+            return total, n + 1 - n0, est + lead_err
     raise ConvergenceError(
         f"{kind}-series for nu={nu}, x={x} did not reach rel_tol={REL_TOL} "
         f"within {MAX_TERMS} terms"
     )
 
 
-def fill_series_row(kind: str, nus, xs) -> None:
-    """Sum the kind series at every lane (nu, x) of nus and xs into the memo.
+def fill_series_row(kind: str, nus, xs) -> np.ndarray:
+    """The kind series summed at every lane (nu, x) of nus and xs.
 
-    nus holds one order per lane, or one for all.  Each lane forms its
-    leading term and its rounding as _first_term_err does, with the gamma
-    product once per order (_gamma_pair), runs _series's term recurrence in
-    _series's order with numpy, and is stored by _store, so each stored
-    value and estimate is bit-identical to the scalar result.  Lanes out of
-    domain, already memoized, whose leading term underflows, or that do not
-    converge within MAX_TERMS are not stored (the scalar call raises for the
-    last two).  Raises only for an unknown kind.
+    nus holds one order per lane, or one for all.  Each distinct lane is
+    summed once, its leading term formed as _series forms it (the gamma
+    product once per order) and _series's recurrence run in _series's order
+    with numpy, so every value is bit-identical to _series's.  A lane out of
+    domain, whose leading term underflows, or that does not converge within
+    MAX_TERMS is NaN (_series raises for the last two).  Stores nothing and
+    forms no error estimate.  Raises only for an unknown kind.
     """
     g1 = _series_setup(kind, 0.0)[0]
     xs = np.asarray(xs, dtype=float)
     nus = np.broadcast_to(np.asarray(nus, dtype=float), xs.shape)
-    for start in range(0, xs.size, _ROW_CHUNK):  # bounds the transient memory
-        _fill_lanes(kind, g1, nus[start:start + _ROW_CHUNK], xs[start:start + _ROW_CHUNK])
-
-
-_ROW_CHUNK = 4096
-
-
-def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
-    floor = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
-    ok = (nus >= floor) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
-    keys = [k for k in dict.fromkeys(zip(repeat(kind), nus[ok].tolist(), xs[ok].tolist()))
-            if k not in _SERIES_MEMO]
-    if not keys:
-        return
+    ok = (nus >= _L_FLOOR) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
+    index: dict = {}  # each distinct in-domain lane once
+    unique = [index.setdefault(k, len(index)) for k in zip(nus[ok].tolist(), xs[ok].tolist())]
+    out = np.full(xs.shape, math.nan)
+    if not index:
+        return out
+    keys, sums = list(index), np.full(len(index), math.nan)
     setup = {}
-    for nu in {k[1] for k in keys}:
+    for nu in {k[0] for k in keys}:
         _, shift, power0, n0 = _series_setup(kind, nu)
-        setup[nu] = (shift, n0, 2 * n0 + power0, n0 + g1, n0 + shift,
-                     *_gamma_pair(n0 + g1, n0 + shift))
-    shift, nv, power, a1, a2, gammas, weight = (
-        np.array(c) for c in zip(*[setup[k[1]] for k in keys]))
-    xv = np.array([k[2] for k in keys])
-    # _first_term_err lane by lane, with the gammas formed once per order
+        setup[nu] = (shift, n0, 2 * n0 + power0, _gamma_pair(n0 + g1, n0 + shift)[0])
+    shift, nv, power, gammas = (np.array(c, dtype=float) for c in zip(*[setup[k[0]] for k in keys]))
+    xv = np.array([k[1] for k in keys])
+    # _first_term_err's value lane by lane, with the gammas formed once per order
     log_mag = np.abs(power * _map_lanes(math.log, 0.5 * xv))
-    term, lead = np.zeros_like(xv), np.zeros_like(xv)
+    term = np.zeros_like(xv)
     direct = (gammas != 0.0) & (log_mag < _LOG_MAG_MAX)
     term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
-    lead[direct] = _EPS * (log_mag[direct] + weight[direct])
     for i in np.flatnonzero(~direct).tolist():
         try:
-            term[i], lead[i] = _first_term_err(power[i], a1[i], a2[i], xv[i])
+            term[i] = _first_term(power[i], nv[i] + g1, nv[i] + shift[i], xv[i])
         except DomainError:
             pass
-    lead = lead.tolist()
     lane = np.flatnonzero(np.abs(term) >= _TINY)
-    shift, nv, term, xv = shift[lane], nv[lane].astype(float), term[lane], xv[lane]
-    mag, q, total, comp, abs_total = np.abs(term), 0.25 * xv * xv, *np.zeros((3, xv.size))
-    active = np.ones(xv.size, dtype=bool)
-    for k in range(MAX_TERMS if xv.size else 0):
+    shift, nv, term, xv = shift[lane], nv[lane], term[lane], xv[lane]
+    q = 0.25 * xv * xv
+    mag, total, comp, abs_total = np.abs(term), *np.zeros((3, lane.size))
+    active = np.ones(lane.size, dtype=bool)
+    for _ in range(MAX_TERMS if lane.size else 0):
         y = term - comp
         t = total + y
         comp = (t - total) - y
@@ -337,15 +325,16 @@ def _fill_lanes(kind: str, g1: float, nus: np.ndarray, xs: np.ndarray) -> None:
         done = (mag < REL_TOL * abs_total) & active
         if not done.any():
             continue
-        for i, tot, nxt in zip(lane[done].tolist(), total[done].tolist(), term[done].tolist()):
-            _store(keys[i], tot, k + 1, nxt, lead[i])
+        sums[lane[done]] = total[done]
         active &= ~done
         if 2 * np.count_nonzero(active) < active.size:  # drop the finished lanes
             lane, shift, nv, q, term, mag, total, comp, abs_total = (
                 c[active] for c in (lane, shift, nv, q, term, mag, total, comp, abs_total))
             active = active[active]
             if not active.size:
-                return
+                break
+    out[ok] = sums[unique]
+    return out
 
 
 def bessel_i(nu: float, x: float) -> FuncValue:
@@ -380,20 +369,6 @@ def iv_value(nu: float, x: float) -> float:
 def lv_value(nu: float, x: float) -> float:
     """Value-only shortcut for struve_l."""
     return struve_l(nu, x).value
-
-
-def lv_value_extended(order: float, x: float) -> float:
-    """L at orders in (-5/2, -3/2), needed by recurrences at low orders.
-
-    The leading gamma factor is negative there, so the value may change sign
-    in x; the truncation rule is therefore relative to the accumulated term
-    magnitude rather than the (possibly tiny) signed sum.
-    """
-    _check_order(order, _MIN_ORDER_EXTENDED + _POLE_TOL * 10)
-    if order >= MIN_ORDER - _POLE_TOL:
-        return lv_value(order, x)
-    _check_x(x)
-    return _SERIES_MEMO["L", order, x][0]
 
 
 def recurrence_term(nu: float, x: float) -> float:
@@ -618,6 +593,18 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
     return coef * integral, _DE_NODES, est
 
 
+def _cancels(lv: float, iv: float) -> bool:
+    """struve_m's rule: L - I would lose more than six digits, so M takes
+    the stable route."""
+    scale = abs(lv) + abs(iv)
+    return scale != 0.0 and abs(lv - iv) < _CANCEL_FLAG_RATIO * scale
+
+
+def _m_value(nu: float, x: float, lv: float, iv: float) -> float:
+    """M from L and I by struve_m's rule."""
+    return _mv_stable(nu, x)[0] if _cancels(lv, iv) else lv - iv
+
+
 def struve_m(nu: float, x: float) -> FuncValue:
     """M_nu(x) = L_nu(x) - I_nu(x); negative for nu >= -1/2, x > 0.
 
@@ -628,14 +615,13 @@ def struve_m(nu: float, x: float) -> FuncValue:
     """
     lv = struve_l(nu, x)
     iv = bessel_i(nu, x)
+    if _cancels(lv.value, iv.value):
+        value, neval, est = _mv_stable(nu, x)
+        return FuncValue(value, neval, est, cancellation=True)
     diff = lv.value - iv.value
     scale = abs(lv.value) + abs(iv.value)
-    terms = lv.terms_used + iv.terms_used
-    if scale == 0.0 or abs(diff) >= _CANCEL_FLAG_RATIO * scale:
-        est = (lv.est_rel_error + iv.est_rel_error + 2.2e-16) * scale / max(abs(diff), 1e-300)
-        return FuncValue(diff, terms, est, cancellation=False)
-    value, neval, est = _mv_stable(nu, x)
-    return FuncValue(value, neval, est, cancellation=True)
+    est = (lv.est_rel_error + iv.est_rel_error + 2.2e-16) * scale / max(abs(diff), 1e-300)
+    return FuncValue(diff, lv.terms_used + iv.terms_used, est, cancellation=False)
 
 
 def mv_value(nu: float, x: float) -> float:
@@ -648,19 +634,17 @@ def ratio_succ_exact(kind: str, nu: float, x: float) -> float:
 
     For kind 'M' both orders must give negative values, hence nu >= 1/2.
     """
-    if kind == "I":
-        return iv_value(nu, x) / iv_value(nu - 1.0, x)
-    if kind == "L":
-        return lv_value(nu, x) / lv_value(nu - 1.0, x)
-    if kind == "M":
-        if nu < 0.5 - _POLE_TOL:
-            raise DomainError(f"M-ratio requires nu >= 1/2, got {nu}")
-        return mv_value(nu, x) / mv_value(nu - 1.0, x)
-    raise DomainError(f"kind must be 'I', 'L' or 'M', got {kind!r}")
+    if kind not in ("I", "L", "M"):
+        raise DomainError(f"kind must be 'I', 'L' or 'M', got {kind!r}")
+    if kind == "M" and nu < 0.5 - _POLE_TOL:
+        raise DomainError(f"M-ratio requires nu >= 1/2, got {nu}")
+    f = getattr(Point(nu, x), kind)
+    return f(nu) / f(nu - 1.0)
 
 
-def recurrence_check(nu: float, x: float) -> tuple[float, float]:
-    """Residuals of the two three-term relations, normalized by L_{nu-1}.
+def recurrence_residuals(nu, x, P):
+    """Residuals of the two three-term relations over a Point or Row P,
+    normalized by L_{nu-1}.
 
     First:  |L_{nu-1} - L_{nu+1} - (2 nu/x) L_nu - a_nu|
     Second: |L_{nu-1} + L_{nu+1} - 2 L'_nu + a_nu|, with L' from the
@@ -668,14 +652,16 @@ def recurrence_check(nu: float, x: float) -> tuple[float, float]:
     """
     if nu <= -0.5:
         raise DomainError(f"recurrence residuals need nu > -1/2, got {nu}")
-    lm = lv_value(nu - 1.0, x)
-    l0 = lv_value(nu, x)
-    lp = lv_value(nu + 1.0, x)
-    a = recurrence_term(nu, x)
+    lm, l0, lp = P.L(nu - 1.0), P.L(nu), P.L(nu + 1.0)
+    a = P.a(nu)
     r1 = abs(lm - lp - (2.0 * nu / x) * l0 - a) / lm
     deriv = lm - (nu / x) * l0
-    r2 = abs(lm + lp - 2.0 * deriv + a) / lm
-    return r1, r2
+    return r1, abs(lm + lp - 2.0 * deriv + a) / lm
+
+
+def recurrence_check(nu: float, x: float) -> tuple[float, float]:
+    """recurrence_residuals at one point."""
+    return recurrence_residuals(nu, x, Point(nu, x))
 
 
 def kernel_b(nu: float, x: float, lv: float) -> float:
@@ -710,11 +696,12 @@ _ELEMENTARY = ("log", "exp", "tanh", "hypot", "sqrt", "pow")
 class Point:
     """The primitives bound formulas read at one order nu and argument x
     (and y for the argument ratio): I, L and M at any order, the kernel b
-    and the recurrence term a, each computed on first use.  The elementary
-    functions are math's, map(f, *args) applies a scalar helper, of(f,
-    *lanes) one to the named arguments (kept per Row), and where(cond, a, b) calls a or b, both
-    zero-argument functions (a row calls both and selects lane by lane).  Row has the
-    same names over numpy lanes, so one formula f(nu, x, P) serves both.
+    and the recurrence term a, each computed on first use; the series come
+    from the memo.  The elementary functions are math's, map(f, *args)
+    applies a scalar helper, of(f, *lanes) one to the named arguments (kept
+    per Row), and where(cond, a, b) calls a or b, both zero-argument
+    functions (a row calls both and selects lane by lane).  Row has the same
+    names over numpy lanes, so one formula f(nu, x, P) serves both.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(getattr(math, n)) for n in _ELEMENTARY)
@@ -732,15 +719,15 @@ class Point:
     @_lazy
     def I(self, order: float, at_y: bool = False):
         """I at order over x, or over y."""
-        return self._series("I", order, self.y if at_y else self.x, MIN_ORDER)
+        return self._series("I", order, at_y, MIN_ORDER)
 
     @_lazy
     def L(self, order: float, at_y: bool = False, floor: float = MIN_ORDER):
         """L at order over x, or over y; floor is the lowest order allowed."""
-        return self._series("L", order, self.y if at_y else self.x, floor)
+        return self._series("L", order, at_y, floor)
 
-    @staticmethod
-    def _series(kind, order, v, floor):
+    def _series(self, kind, order, at_y, floor):
+        v = self.y if at_y else self.x
         _check_order(order, floor)
         _check_x(v)
         return _SERIES_MEMO[kind, order, v][0]
@@ -750,7 +737,8 @@ class Point:
 
     @_lazy
     def M(self, order: float):
-        return self.map(mv_value, order, self.x)
+        """struve_m's value from this object's own L and I, lane by lane."""
+        return self.map(_m_value, order, self.x, self.L(order), self.I(order))
 
     @_lazy
     def a(self, order: float):
@@ -778,8 +766,11 @@ class Row(Point):
     Arithmetic runs in numpy, which rounds as Python does; the elementary
     functions are math's lane by lane, because numpy's exp, tanh, log, hypot
     and pow differ from math's by an ulp on a few percent of arguments, and
-    a row must give a point's bits.  A (kind, order) series row missing from
-    the memo is filled in one fill_series_row pass.
+    a row must give a point's bits.  A row never touches the memo.  given
+    maps (kind, order, at_y) to a series row a sweep handed in (fill_rows);
+    a series it was not given is summed by one fill_series_row call.  Lanes
+    the batch could not sum are summed again by the scalar kernel, which
+    raises the typed error.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(partial(_map_lanes, getattr(math, n)))
@@ -789,16 +780,35 @@ class Row(Point):
     _positive = staticmethod(lambda v: bool(np.all(np.isfinite(v) & (v > 0.0))))
     _ordered = staticmethod(lambda x, y: bool(np.all(x <= y)))
 
+    def __init__(self, nu: float, x, y=None):
+        super().__init__(nu, x, y)
+        self.given: dict = {}
+
     @_lazy
     def of(self, f, *lanes: str):
         return _map_lanes(f, *[getattr(self, n) for n in lanes])
 
-    @staticmethod
-    def _series(kind, order, v, floor):
+    def _series(self, kind, order, at_y, floor):
+        v = self.y if at_y else self.x
         _check_order(order, floor)
         _check_x(float(v.max()))
-        got = [_SERIES_MEMO.get((kind, order, u)) for u in v.tolist()]
-        if None in got:
-            fill_series_row(kind, order, v)
-            got = [_SERIES_MEMO[kind, order, u] for u in v.tolist()]
-        return np.array([g[0] for g in got])
+        got = self.given.get((kind, order, at_y))
+        if got is None:
+            got = fill_series_row(kind, order, v)
+        for i in np.flatnonzero(np.isnan(got)).tolist():
+            got[i] = _series(kind, order, v[i].item())[0]
+        return got
+
+
+def fill_rows(wants) -> None:
+    """Hand Rows the series they will read, summed with one fill_series_row
+    per kind: wants lists (row, kind, order, at_y), and each row gets the
+    values over its x lanes (at_y false) or y lanes in row.given."""
+    for kind in ("L", "I"):
+        mine = [(P, order, at_y, P.y if at_y else P.x) for P, k, order, at_y in wants if k == kind]
+        if mine:
+            sums = fill_series_row(kind, np.concatenate([np.full(v.size, o) for _, o, _, v in mine]),
+                                   np.concatenate([v for *_, v in mine]))
+            ends = np.cumsum([v.size for *_, v in mine])
+            for (P, order, at_y, _), part in zip(mine, np.split(sums, ends[:-1])):
+                P.given[kind, order, at_y] = part

@@ -234,21 +234,12 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
                    f"refine({next_bracket.upper_id})", f"refine({next_bracket.lower_id})")
 
 
-def best_bracket(nu: float, x: float, target: str = "succ_ratio_L") -> Bracket:
-    """Tightest bracket over every registered bound on target valid at nu.
-
-    target is any target whose bounds take (nu, x), the successive ratio by
-    default; each side carries the id of the bound that attains it.
-    """
-    from . import registry
-
-    _check_x(x)
+def tightest_bracket(values, target: str, nu: float) -> Bracket:
+    """The tightest bracket among the (spec, value) pairs of
+    registry.evaluate_valid; each side carries its bound's id."""
     best_lo, best_lo_id = -math.inf, ""
     best_hi, best_hi_id = math.inf, ""
-    for spec in registry.bounds_for_target(target):
-        if not spec.valid_at(nu):
-            continue
-        value = spec.evaluate(nu, x)
+    for spec, value in values:
         if spec.side == "lower" and value > best_lo:
             best_lo, best_lo_id = value, spec.bound_id
         elif spec.side == "upper" and value < best_hi:
@@ -257,3 +248,14 @@ def best_bracket(nu: float, x: float, target: str = "succ_ratio_L") -> Bracket:
         raise NoValidBound(f"no registered {target} bound is valid at nu={nu}")
     return Bracket(best_lo, best_hi, bool(best_lo_id), bool(best_hi_id),
                    best_lo_id, best_hi_id)
+
+
+def best_bracket(nu: float, x: float, target: str = "succ_ratio_L") -> Bracket:
+    """Tightest bracket over every registered bound on target valid at nu.
+
+    target is any target whose bounds take (nu, x), the successive ratio by
+    default; each side carries the id of the bound that attains it.
+    """
+    from . import registry
+
+    return tightest_bracket(registry.evaluate_valid(target, nu, x), target, nu)

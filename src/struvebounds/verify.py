@@ -4,11 +4,14 @@ crossover location, and the monotonicity/Turan property suites.
 Certification works a row at a time: for each (bound, order) one
 special_core.Row over the grid's (x[, y]) lanes, on which the bound's
 formula and its target's exact formula each run once as numpy arrays, and
-one GridReport.record call takes the row.  certify_all first sums every
-series the grid reads in one fill_series_row pass per kind, and shares the
-rows and the exact rows among all bounds.  Exact values inside
-certification always come from the power-series route; the quadrature
-oracle is reserved for cross-validating the series itself, so a
+one GridReport.record call takes the row.  The sweeps, certify_all and
+monotonicity_suite, own their series: each builds all of its Rows first,
+sums every series they read with one fill_series_row per kind
+(special_core.fill_rows) and hands each Row its arrays, so neither reads
+nor writes the point memo.  certify_all shares the rows and the exact rows
+among all bounds; certify alone lets each row sum its own series.  Exact
+values inside certification always come from the power-series route; the
+quadrature oracle is reserved for cross-validating the series itself, so a
 certification failure can never be self-confirming.
 """
 
@@ -21,18 +24,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import registry
-from .bfunc import b_value
-from .errors import MultipleSignChanges, NoSignChange, UnknownBound
-from .special_core import (
-    Row,
-    fill_series_row,
-    iv_value,
-    lv_value,
-    lv_value_extended,
-    mv_value,
-    ratio_succ_exact,
-    recurrence_check,
-)
+from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
+from .special_core import _L_FLOOR, Row, fill_rows, recurrence_residuals
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -114,17 +107,13 @@ class GridReport:
         return not self.violations
 
 
-def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[tuple[Row, list, Optional[list]]]:
+def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[Row]:
     """The lanes certify checks at order nu, x or (x, y) pairs in x order,
-    as a Row and as lists of the grid's own floats; None if there are none."""
+    as a Row; None if there are none."""
     if not takes_y:
-        xs = list(grid.x_values)
-        return (Row(nu, np.array(xs)), xs, None) if xs else None
+        return Row(nu, np.array(grid.x_values)) if grid.x_values else None
     pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
-    if not pairs:
-        return None
-    xs, ys = (list(c) for c in zip(*pairs))
-    return Row(nu, np.array(xs), np.array(ys)), xs, ys
+    return Row(nu, *np.array(pairs).T) if pairs else None
 
 
 def certify(bound_id: str, grid: Optional[Grid] = None,
@@ -152,13 +141,13 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
             continue
         if (nu, takes_y) not in shared:
             shared[nu, takes_y] = _grid_row(grid, nu, takes_y)
-        if shared[nu, takes_y] is None:
+        P = shared[nu, takes_y]
+        if P is None:
             continue
-        P, xs, ys = shared[nu, takes_y]
         exact = shared.get((spec.target, nu))
         if exact is None:
             exact = shared[spec.target, nu] = registry.exact_row(spec.target, P)
-        report.record(nu, xs, ys, _slack(spec.side, registry.bound_row(spec, P), exact),
+        report.record(nu, P.x, P.y, _slack(spec.side, registry.bound_row(spec, P), exact),
                       tolerance, spec.is_equality_at(nu))
     return report
 
@@ -172,27 +161,23 @@ def _slack(side: str, bound, exact):
     return _relative(bound - exact if side == "upper" else exact - bound, exact)
 
 
-def _fill_grid(grid: Grid) -> None:
-    """Sum every series certify_all reads, in one pass per kind: I and L at
-    orders nu - 1, nu and nu + 1 over the x lanes, L at 1/2 for b_{1/2}, and
-    I and L at nu over the y lanes."""
-    xs = list(grid.x_values)
-    ys = sorted({y for x in xs for y in grid.y_values(x)})
-    lanes = [(0.5, x) for x in xs]
-    for nu in grid.nu_values:
-        lanes += [(nu + k, x) for k in (-1.0, 0.0, 1.0) for x in xs]
-        lanes += [(nu, y) for y in ys]
-    nus, args = zip(*lanes) if lanes else ((), ())
-    for kind in ("L", "I"):
-        fill_series_row(kind, nus, args)
+def _certify_reads(P: Row) -> list[tuple[str, float, bool]]:
+    """(kind, order, at_y) of the series the registry's formulas read on a
+    grid row at order nu: I and L at nu - 1, nu and nu + 1 and L at 1/2 (for
+    b_{1/2}) over x, and I and L at nu over both arguments of the pairs."""
+    if P.y is not None:
+        return [(kind, P.nu, at_y) for kind in "IL" for at_y in (False, True)]
+    return [(kind, P.nu + k, False) for kind in "IL" for k in (-1.0, 0.0, 1.0)] + [("L", 0.5, False)]
 
 
 def certify_all(grid: Optional[Grid] = None,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[GridReport]:
-    """Certify every registered bound, computing each exact row once."""
+    """Certify every registered bound, computing each exact row once.  All
+    rows are built and their series summed up front, one pass per kind."""
     grid = grid or default_grid()
-    _fill_grid(grid)
-    shared: dict = {}
+    shared = {(nu, takes_y): _grid_row(grid, nu, takes_y)
+              for nu in grid.nu_values for takes_y in (False, True)}
+    fill_rows([(P, *read) for P in shared.values() if P is not None for read in _certify_reads(P)])
     return [certify(bid, grid, tolerance, shared=shared) for bid in registry.bound_ids()]
 
 
@@ -205,9 +190,9 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
     for nu in grid.nu_values:
         if not (-0.5 - 1e-12 <= nu < 0.5) or not grid.x_values:
             continue
-        P, xs, _ = _grid_row(grid, nu, False)
+        P = _grid_row(grid, nu, False)
         pd = registry.exact_row("product_diff_L", P)
-        report.record(nu, xs, None, _relative(pd, pd), tolerance, False)
+        report.record(nu, P.x, None, _relative(pd, pd), tolerance, False)
     return report
 
 
@@ -227,9 +212,8 @@ def report_csv_rows(report: GridReport) -> Iterable[str]:
 class TableSpec:
     """Layout of one built-in relative-error table.
 
-    zero_column_rule: 'zero' (entry is exactly 0 in the x -> 0 limit),
-    'limit_formula' (entry is zero_column(nu), possibly infinite), or None
-    when the table has no x = 0 column.
+    zero_column(nu) is the entry in the x -> 0 limit (possibly infinite),
+    or None when the table has no x = 0 column.
     """
 
     table_id: int
@@ -237,31 +221,30 @@ class TableSpec:
     x_cols: tuple[float, ...]
     approximant_id: str
     exact_id: str
-    zero_column_rule: Optional[str]
     zero_column: Optional[Callable[[float], float]] = None
 
 
 TABLES: dict[int, TableSpec] = {
     1: TableSpec(1, (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0),
-                 "eq17_lower", "succ_ratio_L", "zero", lambda nu: 0.0),
+                 "eq17_lower", "succ_ratio_L", lambda nu: 0.0),
     2: TableSpec(2, (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0),
-                 "eq17_upper", "succ_ratio_L", "limit_formula",
+                 "eq17_upper", "succ_ratio_L",
                  lambda nu: math.inf if nu == 0.0 else 1.0 / (2.0 * nu)),
     3: TableSpec(3, (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0),
-                 "eq18_lower", "succ_ratio_L", "zero", lambda nu: 0.0),
+                 "eq18_lower", "succ_ratio_L", lambda nu: 0.0),
     4: TableSpec(4, (0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0),
-                 "eq18_upper", "succ_ratio_L", "limit_formula",
+                 "eq18_upper", "succ_ratio_L",
                  lambda nu: math.inf if nu == 0.5 else 2.0 / (2.0 * nu - 1.0)),
     5: TableSpec(5, (0.0, 1.0, 2.5, 5.0, 10.0),
                  (0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0),
-                 "eq39_upper", "pointwise_L", None),
+                 "eq39_upper", "pointwise_L"),
     6: TableSpec(6, (0.0, 1.0, 2.5, 5.0, 10.0),
                  (0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0),
-                 "eq46_upper", "pointwise_L", None),
+                 "eq46_upper", "pointwise_L"),
 }
 
 def relative_error_table(spec: TableSpec) -> np.ndarray:
@@ -332,16 +315,24 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
               x_range: tuple[float, float] = (0.01, 50.0)) -> float:
     """Argument at which two competing bounds exchange dominance.
 
-    A 200-point pre-scan must find exactly one sign change of the difference
-    on x_range; the root is then bisected to absolute tolerance 1e-4.
+    Both bounds take one argument, and x_range is finite with
+    0 < xmin < xmax.  A 200-point pre-scan must find exactly one sign change
+    of the difference on x_range; the root is then bisected to absolute
+    tolerance 1e-4.
     """
     spec_a = registry.get_bound(bound_id_a)
     spec_b = registry.get_bound(bound_id_b)
+    for spec in (spec_a, spec_b):
+        if registry.needs_y(spec):
+            raise DomainError(f"crossover compares single-argument bounds; {spec.bound_id} "
+                              f"bounds the argument ratio L_nu(x)/L_nu(y)")
+    lo, hi = x_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise DomainError(f"crossover needs a finite range 0 < xmin < xmax, got {x_range}")
 
     def diff(x: float) -> float:
         return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
 
-    lo, hi = x_range
     P = Row(nu, np.linspace(lo, hi, 200))
     xs = P.x
     d = registry.bound_row(spec_a, P) - registry.bound_row(spec_b, P)
@@ -376,20 +367,23 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
 # monotonicity / structural property suites
 # ---------------------------------------------------------------------------
 
-def _comparison_report(name: str, rows: Iterable[tuple],
-                       tolerance: float = 0.0) -> GridReport:
+def _comparison_report(name: str, rows: Iterable[tuple]) -> GridReport:
     """Strict-inequality report: each row is (nu, x, lhs, rhs), each a scalar,
-    list or array of one length, requiring lhs < rhs; slack is (rhs - lhs)/|rhs|."""
+    list or array of one length, requiring lhs < rhs at tolerance 0; slack is
+    (rhs - lhs)/|rhs|."""
     report = GridReport(name)
     for nu, x, lhs, rhs in rows:
         rhs = np.asarray(rhs, dtype=float)
-        report.record(nu, x, None, _relative(rhs - lhs, rhs), tolerance, False)
+        report.record(nu, x, None, _relative(rhs - lhs, rhs), 0.0, False)
     return report
 
 
-def _one_row(pairs: list[tuple]) -> list[tuple]:
-    """A list of (nu, x, lhs, rhs) points as one row of lists."""
-    return [tuple(map(list, zip(*pairs)))]
+def _adjacent_orders(nus: list, xs: tuple, values: list) -> tuple:
+    """(nu, x, value at the previous order, value at nu) over every pair of
+    adjacent orders, x-major as the point-by-point suites ran; values[k] is
+    the row at nus[k] over the lanes xs."""
+    v = np.array(values)
+    return nus[1:] * len(xs), np.repeat(xs, len(nus) - 1), v[:-1].T.ravel(), v[1:].T.ravel()
 
 
 def monotonicity_suite() -> list[GridReport]:
@@ -401,62 +395,47 @@ def monotonicity_suite() -> list[GridReport]:
     - the Turan product inequality
     - domination of the Bessel ratio by the M-ratio from order 1/2 up
     - both three-term recurrence residuals stay at rounding level
+
+    All run on Rows whose series are summed up front, one fill per kind.
     """
     grid = default_grid()
+    xs = np.array(grid.x_values)
+    xs_lin = np.array([round(0.1 + 0.05 * k, 10) for k in range(999)])  # 0.1 .. 50
+    nus_lin = [round(-1.4 + 0.05 * k, 10) for k in range(229)]  # -1.4 .. 10
+    ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
+    b_x_rows = [Row(nu, xs_lin) for nu in grid.nu_values]
+    b_nu_rows = [Row(nu, np.array((0.5, 2.0, 10.0))) for nu in nus_lin]
+    ratio_rows = [Row(nu, np.array((0.5, 2.0, 10.0, 30.0))) for nu in ratio_nus]
+    grid_rows = [Row(nu, xs) for nu in grid.nu_values]  # Turan and the recurrences
+    m_rows = [Row(nu, xs[xs <= 30.0]) for nu in grid.nu_values if nu >= 0.5]
+    fill_rows([(P, "L", P.nu, False) for P in b_x_rows + b_nu_rows + ratio_rows]
+              + [(P, "L", P.nu + 1.0, False) for P in ratio_rows]
+              + [(P, "L", P.nu + k, False) for P in grid_rows for k in (-1.0, 0.0, 1.0)]
+              + [(P, kind, P.nu + k, False) for P in m_rows for kind in "IL" for k in (-1.0, 0.0)])
     reports = []
 
-    xs_lin = [round(0.1 + 0.05 * k, 10) for k in range(999)]  # 0.1 .. 50
-    fill_series_row("L", np.repeat(grid.nu_values, len(xs_lin)), xs_lin * len(grid.nu_values))
-    rows = []
-    for nu in grid.nu_values:
-        b = Row(nu, np.array(xs_lin)).b(nu)
-        rows.append((nu, xs_lin[1:], b[1:], b[:-1]))  # decreasing: b(x) < b(prev x)
-    reports.append(_comparison_report("mono_b_decreasing_in_x", rows))
+    reports.append(_comparison_report("mono_b_decreasing_in_x", [  # b(x) < b(prev x)
+        (P.nu, P.x[1:], b[1:], b[:-1]) for P in b_x_rows for b in [P.b(P.nu)]]))
 
-    nus_lin = [round(-1.4 + 0.05 * k, 10) for k in range(229)]  # -1.4 .. 10
-    pairs = []
-    for x in (0.5, 2.0, 10.0):
-        prev = b_value(nus_lin[0], x)
-        for nu in nus_lin[1:]:
-            cur = b_value(nu, x)
-            pairs.append((nu, x, prev, cur))  # increasing: b(prev nu) < b(nu)
-            prev = cur
-    reports.append(_comparison_report("mono_b_increasing_in_nu", _one_row(pairs)))
+    reports.append(_comparison_report("mono_b_increasing_in_nu", [  # b(prev nu) < b(nu)
+        _adjacent_orders(nus_lin, (0.5, 2.0, 10.0), [P.b(P.nu) for P in b_nu_rows])]))
 
-    ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
-    pairs = []
-    for x in (0.5, 2.0, 10.0, 30.0):
-        prev = ratio_succ_exact("L", ratio_nus[0] + 1.0, x)
-        for nu in ratio_nus[1:]:
-            cur = ratio_succ_exact("L", nu + 1.0, x)
-            pairs.append((nu, x, cur, prev))  # decreasing in the order
-            prev = cur
-    reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", _one_row(pairs)))
+    nu, x, prev, cur = _adjacent_orders(ratio_nus, (0.5, 2.0, 10.0, 30.0),
+                                        [P.L(P.nu + 1.0) / P.L(P.nu) for P in ratio_rows])
+    # decreasing in the order
+    reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", [(nu, x, cur, prev)]))
 
-    pairs = []
-    for nu in grid.nu_values:
-        for x in grid.x_values:
-            left = lv_value_extended(nu - 1.0, x) * lv_value(nu + 1.0, x)
-            right = lv_value(nu, x) ** 2
-            pairs.append((nu, x, left, right))
-    reports.append(_comparison_report("turan_product", _one_row(pairs)))
+    reports.append(_comparison_report("turan_product", [
+        (P.nu, P.x, P.L(P.nu - 1.0, floor=_L_FLOOR) * P.L(P.nu + 1.0), P.pow(P.L(P.nu), 2.0))
+        for P in grid_rows]))
 
-    pairs = []
-    for nu in grid.nu_values:
-        if nu < 0.5:
-            continue
-        for x in grid.x_values:
-            if x > 30.0:
-                continue
-            m_ratio = mv_value(nu, x) / mv_value(nu - 1.0, x)
-            i_ratio = iv_value(nu, x) / iv_value(nu - 1.0, x)
-            pairs.append((nu, x, i_ratio, m_ratio))  # I-ratio < M-ratio
-    reports.append(_comparison_report("m_ratio_dominates_bessel_ratio", _one_row(pairs)))
+    reports.append(_comparison_report("m_ratio_dominates_bessel_ratio", [  # I-ratio < M-ratio
+        (P.nu, P.x, P.I(P.nu) / P.I(P.nu - 1.0), P.M(P.nu) / P.M(P.nu - 1.0)) for P in m_rows]))
 
     report = GridReport("recurrence_residuals")
-    points = [(nu, x, DEFAULT_TOLERANCE - max(recurrence_check(nu, x)))
-              for nu in grid.nu_values if nu > -0.5 for x in grid.x_values]
-    nus, xs, slack = (list(c) for c in zip(*points))
-    report.record(nus, xs, None, slack, 0.0, False)
+    for P in grid_rows:
+        if P.nu > -0.5:
+            r1, r2 = recurrence_residuals(P.nu, P.x, P)
+            report.record(P.nu, P.x, None, DEFAULT_TOLERANCE - np.maximum(r1, r2), 0.0, False)
     reports.append(report)
     return reports

@@ -1,8 +1,10 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from struvebounds import lv_value, mv_value
+from struvebounds import lv_value, mv_value, special_core
 from struvebounds.brackets import BoundSpec
 from struvebounds.cli import main
 from struvebounds.registry import REGISTRY
@@ -77,6 +79,29 @@ class TestCondAndArgRatio:
         want = (math.cosh(1.0) - 1.0) * math.sqrt(2.0) / (math.cosh(2.0) - 1.0)
         assert float(out.splitlines()[0].split()[2]) == pytest.approx(want, rel=1e-13)
         assert "eq38_upper" in out
+
+    @pytest.mark.parametrize("argv", [("cond", "--nu", "1", "--x", "5"),
+                                      ("argratio", "--nu", "1", "--x", "1", "--y", "2")])
+    def test_each_bound_is_evaluated_once(self, capsys, argv):
+        # the listing and the best bracket share one evaluation per bound
+        calls = []
+        originals = {spec.bound_id: spec.formula for spec in REGISTRY.values()}
+
+        def counting(bound_id, formula):
+            def counted(*args):
+                calls.append(bound_id)
+                return formula(*args)
+            return counted
+
+        for spec in REGISTRY.values():
+            object.__setattr__(spec, "formula", counting(spec.bound_id, spec.formula))
+        try:
+            code, out, _ = run(capsys, *argv)
+        finally:
+            for spec in REGISTRY.values():
+                object.__setattr__(spec, "formula", originals[spec.bound_id])
+        listed = [line.split()[0] for line in out.splitlines() if line.split()[0] in originals]
+        assert code == 0 and listed and sorted(calls) == sorted(listed)
 
     def test_argratio_rejects_reversed_pair(self, capsys):
         code, _, err = run(capsys, "argratio", "--nu", "0.5", "--x", "3", "--y", "1")
@@ -163,6 +188,34 @@ class TestCrossover:
                            "--xmin", "0.5", "--xmax", "10")
         assert code == 0
         assert float(out) == pytest.approx(2.18, abs=0.02)
+
+
+    @pytest.mark.parametrize("flags,cause", [
+        (("--xmin", "20", "--xmax", "0.05"), "0 < xmin < xmax"),  # reversed range
+        (("--xmin", "0"), "0 < xmin < xmax"),
+        (("--a", "eq38_lower", "--b", "eq38_upper"), "argument ratio"),
+    ])
+    def test_inputs_it_cannot_answer_are_errors(self, capsys, flags, cause):
+        code, out, err = run(capsys, "crossover", "--a", "eq20_upper", "--b", "eq18_upper",
+                             "--nu", "0.75", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and cause in err and "Traceback" not in err
+        assert len(err) < 200  # names the cause, not the pre-scan's arguments
+
+
+class TestMemoCap:
+    def test_point_commands_stay_far_below_the_memo_cap(self, capsys):
+        # one command of each kind from the benchmark's reference pool, each
+        # from an empty memo; the largest are a table (208 entries) and a
+        # crossover's bisection (24), while verify sums its rows itself
+        pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                           / "reference.json").read_text())["cli_pool"]
+        assert len(pool) == 7
+        for kind, commands in pool.items():
+            special_core._SERIES_MEMO.clear()
+            assert main(commands[0][0]) == 0, kind
+            capsys.readouterr()
+            assert len(special_core._SERIES_MEMO) < special_core._SERIES_MEMO_MAX // 4, kind
 
 
 class TestEveryBound:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from struvebounds import (
+    DomainError,
     Grid,
     MultipleSignChanges,
     NoSignChange,
@@ -16,7 +17,9 @@ from struvebounds import (
     certify_eq14_extension,
     crossover,
     default_grid,
+    lv_value,
     monotonicity_suite,
+    special_core,
     relative_error_table,
     table_by_id,
 )
@@ -193,6 +196,19 @@ class TestCrossover:
         with pytest.raises(NoSignChange):
             crossover("eq20_upper", "eq18_upper", 3.0)
 
+    @pytest.mark.parametrize("a,b,x_range,cause", [
+        ("eq20_upper", "eq18_upper", (20.0, 0.05), "0 < xmin < xmax"),
+        ("eq20_upper", "eq18_upper", (0.0, 20.0), "0 < xmin < xmax"),
+        ("eq20_upper", "eq18_upper", (0.05, math.inf), "0 < xmin < xmax"),
+        ("eq20_upper", "eq18_upper", (math.nan, 20.0), "0 < xmin < xmax"),
+        ("eq38_lower", "eq38_upper", (0.05, 20.0), "eq38_lower bounds the argument ratio"),
+    ])
+    def test_rejects_inputs_it_cannot_answer(self, a, b, x_range, cause):
+        # a reversed range once skipped the bisection (3.3082 for 3.2638),
+        # x = 0 failed in the pre-scan and argument-ratio ids with a TypeError
+        with pytest.raises(DomainError, match=cause):
+            crossover(a, b, 0.75, x_range)
+
     def test_multiple_sign_changes(self):
         REGISTRY["fake_osc"] = BoundSpec(
             "fake_osc", "b_kernel", "upper", -1.5, True,
@@ -206,6 +222,26 @@ class TestCrossover:
         finally:
             del REGISTRY["fake_osc"]
             del REGISTRY["fake_zero"]
+
+
+class TestSweepsOwnTheirSeries:
+    def test_sweeps_leave_the_memo_as_they_found_it(self):
+        special_core._SERIES_MEMO.clear()
+        lv_value(1.0, 2.0)
+        before = dict(special_core._SERIES_MEMO)
+        certify_all()
+        monotonicity_suite()
+        assert special_core._SERIES_MEMO == before
+
+    def test_sweeps_never_read_the_memo(self, monkeypatch, small_grid):
+        class NoMemo(dict):
+            def __getitem__(self, key):
+                raise AssertionError(f"memo read at {key}")
+
+            get = __contains__ = __getitem__
+
+        monkeypatch.setattr(special_core, "_SERIES_MEMO", NoMemo())
+        assert all(rep.clean for rep in certify_all(small_grid) + monotonicity_suite())
 
 
 class TestMonotonicitySuite:
@@ -253,7 +289,7 @@ class TestRows:
             for nu in grid.nu_values:
                 if not spec.valid_at(nu):
                     continue
-                row = verify._grid_row(grid, nu, takes_y)[0]
+                row = verify._grid_row(grid, nu, takes_y)
                 bound = registry.bound_row(spec, row)
                 exact = registry.exact_row(spec.target, row)
                 ys = row.y.tolist() if takes_y else [None] * row.x.size
