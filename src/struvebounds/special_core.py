@@ -216,7 +216,7 @@ class _SeriesMemo(dict):
 
 
 _SERIES_MEMO = _SeriesMemo()
-# a point query holds at most 422 entries (a crossover's bisection)
+# one command holds at most a few hundred entries (a table: 208)
 _SERIES_MEMO_MAX = 4096
 
 

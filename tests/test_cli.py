@@ -189,7 +189,6 @@ class TestCrossover:
         assert code == 0
         assert float(out) == pytest.approx(2.18, abs=0.02)
 
-
     @pytest.mark.parametrize("flags,cause", [
         (("--xmin", "20", "--xmax", "0.05"), "0 < xmin < xmax"),  # reversed range
         (("--xmin", "0"), "0 < xmin < xmax"),

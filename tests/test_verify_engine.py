@@ -19,8 +19,8 @@ from struvebounds import (
     default_grid,
     lv_value,
     monotonicity_suite,
-    special_core,
     relative_error_table,
+    special_core,
     table_by_id,
 )
 from struvebounds.brackets import BoundSpec
