@@ -425,6 +425,7 @@ def monotonicity_suite() -> list[GridReport]:
     # decreasing in the order
     reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", [(nu, x, cur, prev)]))
 
+    # L_nu^2 by math's pow, which a float's ** 2 calls; x * x differs from it by an ulp at times
     reports.append(_comparison_report("turan_product", [
         (P.nu, P.x, P.L(P.nu - 1.0, floor=_L_FLOOR) * P.L(P.nu + 1.0), P.pow(P.L(P.nu), 2.0))
         for P in grid_rows]))
