@@ -28,7 +28,7 @@ for kind, nu, x in [("I", 0.5, 2.0), ("L", -0.5, 3.0), ("L", -1.5, 0.7)]:
     print(f"  {kind}_{nu}({x}): series {series:.15e} vs closed {closed:.15e} "
           f"(rel dev {abs(series / closed - 1):.1e})")
 
-print("\nindependent quadrature oracle (integral representation, t = sin theta)")
+print("\nindependent quadrature oracle (integral representation, tanh-sinh rule)")
 for nu, x in [(0.3, 0.5), (2.5, 5.0)]:
     q = quad_oracle_l(nu, x)
     s = struve_l(nu, x)

@@ -32,7 +32,6 @@ from .errors import (
     NoSignChange,
     NoValidBound,
     OverflowRisk,
-    QuadratureError,
     StruveBoundsError,
     UnknownBound,
 )

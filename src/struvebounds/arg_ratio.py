@@ -12,11 +12,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .brackets import Bracket
+from .brackets import ORDER_TOL, Bracket
 from .errors import DomainError
 from .special_core import GAMMA_ARG_MAX, SQRT_PI, Point
-
-_EQ_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ def arg_ratio_bessel_bracket(nu: float, pair: ArgPair) -> Bracket:
 
 
 def _check_explicit(nu: float) -> None:
-    if nu < -0.5 - _EQ_TOL:
+    if nu < -0.5 - ORDER_TOL:
         raise DomainError(f"explicit bound requires nu >= -1/2, got {nu}")
 
 
@@ -207,12 +205,12 @@ def eq33a_upper(nu, x, y, P):
 
 
 def eq33b_upper(nu, x, y, P):
-    _check_nu(nu, nu >= 0.5 - _EQ_TOL, "eq33b", ">= 1/2")
+    _check_nu(nu, nu >= 0.5 - ORDER_TOL, "eq33b", ">= 1/2")
     return P.exp((x - y) - nu * P.of(_log_ratio, "x", "y"))
 
 
 def eq34_upper(nu, x, y, P):
-    _check_nu(nu, nu >= 0.5 - _EQ_TOL, "eq34", ">= 1/2")
+    _check_nu(nu, nu >= 0.5 - ORDER_TOL, "eq34", ">= 1/2")
     log_num = math.log(2.0) + 2.0 * P.of(_log_sinh_half, "x")
     log_den = math.log(2.0) + 2.0 * P.of(_log_sinh_half, "y")
     return P.exp(log_num - log_den - nu * P.of(_log_ratio, "x", "y"))
@@ -225,7 +223,7 @@ def eq40_lower(nu, x, y, P):
 
 
 def eq42_lower(nu, x, y, P):
-    _check_nu(nu, nu >= -_EQ_TOL, "eq42", ">= 0")
+    _check_nu(nu, nu >= -ORDER_TOL, "eq42", ">= 0")
     shift = nu * (P.log(y + nu) - P.log(x + nu)) if nu > 0.0 else 0.0
     return P.exp((x - y) + shift + (nu + 1.0) * P.of(_log_ratio, "x", "y")
                  + _half_log(nu, x, y, P))
@@ -254,7 +252,7 @@ def arg_ratio_prior_bounds(nu: float, pair: ArgPair, variant: str) -> float:
 
 
 def eq43_upper(nu, x, P):
-    _check_nu(nu, nu >= -_EQ_TOL, "eq43", ">= 0")
+    _check_nu(nu, nu >= -ORDER_TOL, "eq43", ">= 0")
     g = 3.0 * (2.0 * nu + 3.0)
     shift = nu * (math.log(nu) - P.log(x + nu)) if nu > 0.0 else 0.0
     log_out = shift + 0.5 * (math.log(g) - P.log(g + x * x)) \

@@ -8,6 +8,10 @@ from typing import Callable, Optional
 
 from .special_core import Point
 
+# An order within ORDER_TOL of a validity range's end or of an equality
+# order counts as on it, in every bound module.
+ORDER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Bracket:
@@ -97,7 +101,7 @@ class BoundSpec:
     def valid_at(self, nu: float) -> bool:
         if self.nu_min_strict:
             return nu > self.nu_min
-        return nu >= self.nu_min - 1e-12
+        return nu >= self.nu_min - ORDER_TOL
 
     def is_equality_at(self, nu: float) -> bool:
-        return self.equality_at is not None and abs(nu - self.equality_at) <= 1e-12
+        return self.equality_at is not None and abs(nu - self.equality_at) <= ORDER_TOL

@@ -14,8 +14,6 @@ from .brackets import Bracket
 from .errors import DomainError
 from .special_core import _L_FLOOR, Point
 
-_EQ_TOL = 1e-12
-
 
 def _check_x(x: float) -> None:
     if not math.isfinite(x) or x <= 0.0:
@@ -132,25 +130,18 @@ def cond_bracket_sqrt(nu: float, x: float, variant: str) -> Bracket:
            x coth(x/2) - nu (nu >= 1/2, equality at nu = 1/2); see
            prior_lower_bound for the individual members.
     """
-    from .registry import bracket
+    from .registry import REGISTRY, bracket
     _check_x(x)
     if variant in _SQRT_BRACKETS:
         return bracket(*_SQRT_BRACKETS[variant], nu, x)
     if variant != "prior":
         raise DomainError(f"unknown variant {variant!r}")
     candidates = [(PRIORS[name](nu, x, Point(nu, x)), name) for name in PRIORS
-                  if _prior_valid(nu, name)]
+                  if REGISTRY[name].valid_at(nu)]
     if not candidates:
         return Bracket(-math.inf, math.inf, False, False, "", "")
     lower, name = max(candidates)
     return Bracket(lower, math.inf, True, False, name, "")
-
-
-def _prior_valid(nu: float, name: str) -> bool:
-    if name == "prior_nup1":
-        return nu > -1.5
-    # both remaining members are consequences of the tanh(x/2) ratio bound
-    return nu >= 0.5 - _EQ_TOL
 
 
 def _x_coth_half(x: float) -> float:
@@ -159,7 +150,8 @@ def _x_coth_half(x: float) -> float:
 
 
 def _check_prior(nu: float, name: str) -> None:
-    if not _prior_valid(nu, name):
+    from .registry import REGISTRY
+    if not REGISTRY[name].valid_at(nu):
         raise DomainError(f"{name} is not valid at nu={nu}")
 
 

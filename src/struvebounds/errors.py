@@ -17,10 +17,6 @@ class OverflowRisk(StruveBoundsError):
     """The argument is large enough that double precision would degrade."""
 
 
-class QuadratureError(StruveBoundsError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class InvalidBracket(StruveBoundsError):
     """A bracket with lower > upper was supplied where a valid one is required."""
 

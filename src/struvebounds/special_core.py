@@ -38,15 +38,15 @@ with a fixed tanh-sinh (double-exponential) rule, Takahasi & Mori, Publ.
 RIMS 9 (1974).  Subtracting the endpoint behaviour at t = 1 analytically
 continues the integral to -3/2 < nu <= -1/2.
 
-An independent adaptive-quadrature oracle is built on
+The quadrature oracle sums the same integral at -x and at x with the same
+rule, since cosh and sinh of xt are half-sums of e^(xt) and e^(-xt):
 
     I_nu(x) = 2(x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * int_0^1 (1-t^2)^(nu-1/2) cosh(xt) dt
     L_nu(x) = 2(x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * int_0^1 (1-t^2)^(nu-1/2) sinh(xt) dt
 
-valid for nu > -1/2.  It is the only user of scipy, which it imports on its
-first call, so importing this module does not load scipy.  The oracle never
-feeds the series route or the stable M route, so it stays usable as an
-independent cross-check.
+valid for nu > -1/2.  It shares no code with the series route and never
+feeds it or the stable M route, so it stays usable as an independent
+cross-check of the series.
 """
 
 from __future__ import annotations
@@ -59,12 +59,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    OverflowRisk,
-    QuadratureError,
-)
+from .errors import ConvergenceError, DomainError, OverflowRisk
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -75,8 +70,6 @@ MIN_ORDER = -1.5
 _MIN_ORDER_EXTENDED = -2.5
 _POLE_TOL = 1e-12
 _L_FLOOR = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
-
-_QUAD_TOL = 1e-12
 
 # Series truncation target: stop once the next term drops below REL_TOL times
 # the accumulated term magnitude.
@@ -101,13 +94,13 @@ class FuncValue:
     """An evaluated function value plus convergence metadata.
 
     est_rel_error is an a-posteriori estimate: twice the first omitted term
-    relative to the accumulated sum for series, the scaled quadrature error
-    estimate for the oracle, and for the stable M route the gap between the
-    tanh-sinh rule at two step sizes plus a rounding allowance; each adds
-    the rounding of its leading (x/2)^p / Gamma factor (_first_term_err),
-    which grows with the order.  terms_used counts series terms, or
-    integrand evaluations for integral routes.  cancellation marks results
-    whose naive evaluation would lose more than six significant digits.
+    relative to the accumulated sum for series, and for the integral routes
+    (the oracle and the stable M route) the gap between the tanh-sinh rule
+    at two step sizes plus a rounding allowance; each adds the rounding of
+    its leading (x/2)^p / Gamma factor (_first_term_err), which grows with
+    the order.  terms_used counts series terms, or integrand evaluations
+    for integral routes.  cancellation marks results whose naive evaluation
+    would lose more than six significant digits.
     """
 
     value: float
@@ -457,50 +450,6 @@ def small_x_leading(kind: str, nu: float, x: float) -> float:
     raise DomainError(f"kind must be 'I' or 'L', got {kind!r}")
 
 
-def _adaptive_integral(f, hi: float) -> tuple[float, float, int]:
-    """scipy adaptive quadrature of f on [0, hi] at the oracle tolerance."""
-    from scipy.integrate import quad  # about 0.6 s, so only on first use
-
-    out = quad(f, 0.0, hi, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=300, full_output=1)
-    value, abserr, info = out[0], out[1], out[2]
-    if len(out) > 3 or abserr > 100.0 * (_QUAD_TOL + _QUAD_TOL * abs(value)):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr} too large for value {value}"
-        )
-    return value, abserr, int(info["neval"])
-
-
-def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
-    if not math.isfinite(nu) or nu <= -0.5:
-        raise DomainError(f"integral representation requires nu > -1/2, got {nu}")
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x}")
-    if x > X_MAX:
-        raise OverflowRisk(f"argument {x} exceeds quadrature guard {X_MAX:g}")
-    two_nu = 2.0 * nu
-    hyp = math.cosh if kind == "I" else math.sinh
-
-    # t = sin(theta) keeps the endpoint weight regular for -1/2 < nu < 1/2
-    def integrand(theta: float) -> float:
-        return math.cos(theta) ** two_nu * hyp(x * math.sin(theta))
-
-    raw, abserr, neval = _adaptive_integral(integrand, 0.5 * math.pi)
-    lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
-    value = 2.0 / SQRT_PI * lead * raw
-    est = (abserr / abs(raw) if raw != 0.0 else abserr) + lead_err
-    return FuncValue(value, neval, est)
-
-
-def quad_oracle_i(nu: float, x: float) -> FuncValue:
-    """I_nu by adaptive quadrature of its integral representation (nu > -1/2)."""
-    return _quad_oracle("I", nu, x)
-
-
-def quad_oracle_l(nu: float, x: float) -> FuncValue:
-    """L_nu by adaptive quadrature of its integral representation (nu > -1/2)."""
-    return _quad_oracle("L", nu, x)
-
-
 _CANCEL_FLAG_RATIO = 1e-6
 
 
@@ -536,8 +485,8 @@ _DE_NODES = 2 * _DE_K + 1
 
 
 def _stable_integral(nu: float, x: float) -> tuple[float, float]:
-    """J = int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt for nu > -3/2, and a bound on
-    its absolute error.
+    """J = int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt for nu > -3/2 and real x of
+    either sign, and a bound on its absolute error.
 
     With a = nu - 1/2 and g(t) = (1+t)^a e^(-xt), the integrand is
     (1-t)^a g(t).  For a >= 0 it is bounded and is summed as it stands.  For
@@ -570,6 +519,35 @@ def _stable_integral(nu: float, x: float) -> tuple[float, float]:
     fine += ends[0] + ends[1]
     coarse += ends[0] + ends[1]
     return fine, abs(fine - coarse) + 4.0 * _EPS * size
+
+
+def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
+    if not math.isfinite(nu) or nu <= -0.5:
+        raise DomainError(f"integral representation requires nu > -1/2, got {nu}")
+    if not math.isfinite(x) or x <= 0.0:
+        raise DomainError(f"argument must be a finite positive real, got {x}")
+    if x > X_MAX:
+        raise OverflowRisk(f"argument {x} exceeds quadrature guard {X_MAX:g}")
+    grow, grow_err = _stable_integral(nu, -x)
+    decay, decay_err = _stable_integral(nu, x)
+    raw = grow + decay if kind == "I" else grow - decay
+    lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
+    # eps x |J(nu, -x)| covers e^(xt) taken at a rounded xt
+    err = grow_err + decay_err + _EPS * x * abs(grow)
+    est = (err / abs(raw) if raw != 0.0 else err) + lead_err
+    return FuncValue(lead / SQRT_PI * raw, 2 * _DE_NODES, est)
+
+
+def quad_oracle_i(nu: float, x: float) -> FuncValue:
+    """I_nu from its integral representation (nu > -1/2), by the tanh-sinh
+    rule of the stable M route."""
+    return _quad_oracle("I", nu, x)
+
+
+def quad_oracle_l(nu: float, x: float) -> FuncValue:
+    """L_nu from its integral representation (nu > -1/2), by the tanh-sinh
+    rule of the stable M route."""
+    return _quad_oracle("L", nu, x)
 
 
 def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
@@ -781,6 +759,8 @@ class Row(Point):
     _ordered = staticmethod(lambda x, y: bool(np.all(x <= y)))
 
     def __init__(self, nu: float, x, y=None):
+        if not np.size(x):
+            raise DomainError("a row needs at least one lane, got an empty x array")
         super().__init__(nu, x, y)
         self.given: dict = {}
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 import math
 
 from .bfunc import b_value
-from .brackets import Bracket
+from .brackets import ORDER_TOL, Bracket
 from .errors import DomainError, InvalidBracket, NoValidBound
 from .special_core import Point
-
-_EQ_TOL = 1e-12
 
 
 def _check_x(x: float) -> None:
@@ -30,7 +28,7 @@ def _check_x(x: float) -> None:
 
 
 def _check_nu(nu: float, floor: float, what: str) -> None:
-    if nu < floor - _EQ_TOL:
+    if nu < floor - ORDER_TOL:
         raise DomainError(f"{what} requires nu >= {floor:g}, got {nu}")
 
 
@@ -66,7 +64,8 @@ def bessel_ratio_bounds(nu: float, x: float) -> Bracket:
     """
     P = Point(nu, x)
     return Bracket(_bessel_sqrt(nu, x, nu + 0.5, P), _bessel_sqrt(nu, x, nu - 0.5, P),
-                   nu >= -_EQ_TOL, nu >= 0.5 - _EQ_TOL, "bessel_sqrt_lower", "bessel_sqrt_upper")
+                   nu >= -ORDER_TOL, nu >= 0.5 - ORDER_TOL,
+                   "bessel_sqrt_lower", "bessel_sqrt_upper")
 
 
 def _bessel_tanh(nu, x, P):
@@ -221,7 +220,7 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
     h_{nu+1} becomes a lower bound on h_nu and vice versa.
     """
     _check_x(x)
-    if nu < -_EQ_TOL:
+    if nu < -ORDER_TOL:
         raise DomainError(f"refinement step requires nu >= 0, got {nu}")
     if next_bracket.lower > next_bracket.upper:
         raise InvalidBracket(

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import registry
+from .brackets import ORDER_TOL
 from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
 from .special_core import _L_FLOOR, Row, fill_rows, recurrence_residuals
 
@@ -188,7 +189,7 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
     grid = grid or default_grid()
     report = GridReport("eq14_extension_experiment")
     for nu in grid.nu_values:
-        if not (-0.5 - 1e-12 <= nu < 0.5) or not grid.x_values:
+        if not (-0.5 - ORDER_TOL <= nu < 0.5) or not grid.x_values:
             continue
         P = _grid_row(grid, nu, False)
         pd = registry.exact_row("product_diff_L", P)
@@ -315,10 +316,10 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
               x_range: tuple[float, float] = (0.01, 50.0)) -> float:
     """Argument at which two competing bounds exchange dominance.
 
-    Both bounds take one argument, and x_range is finite with
-    0 < xmin < xmax.  A 200-point pre-scan must find exactly one sign change
-    of the difference on x_range; the root is then bisected to absolute
-    tolerance 1e-4.
+    Both bounds take one argument and are valid at nu, and x_range is
+    finite with 0 < xmin < xmax.  A 200-point pre-scan must find exactly one
+    sign change of the difference on x_range; the root is then bisected to
+    absolute tolerance 1e-4.
     """
     spec_a = registry.get_bound(bound_id_a)
     spec_b = registry.get_bound(bound_id_b)
@@ -326,6 +327,8 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
         if registry.needs_y(spec):
             raise DomainError(f"crossover compares single-argument bounds; {spec.bound_id} "
                               f"bounds the argument ratio L_nu(x)/L_nu(y)")
+        if not spec.valid_at(nu):
+            raise DomainError(f"{spec.bound_id} is not valid at nu={nu}")
     lo, hi = x_range
     if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
         raise DomainError(f"crossover needs a finite range 0 < xmin < xmax, got {x_range}")

@@ -193,6 +193,7 @@ class TestCrossover:
         (("--xmin", "20", "--xmax", "0.05"), "0 < xmin < xmax"),  # reversed range
         (("--xmin", "0"), "0 < xmin < xmax"),
         (("--a", "eq38_lower", "--b", "eq38_upper"), "argument ratio"),
+        (("--a", "eq24_upper", "--nu", "0.25"), "eq18_upper is not valid at nu=0.25"),
     ])
     def test_inputs_it_cannot_answer_are_errors(self, capsys, flags, cause):
         code, out, err = run(capsys, "crossover", "--a", "eq20_upper", "--b", "eq18_upper",

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -187,6 +188,11 @@ class TestSeriesRow:
             special_core.fill_series_row(kind, [1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
         assert special_core._SERIES_MEMO == before
 
+    def test_empty_row_is_a_domain_error(self):
+        # it once reached numpy's max of an empty array and raised ValueError
+        with pytest.raises(DomainError, match="at least one lane"):
+            special_core.Row(1.0, np.array([])).L(1.0)
+
     def test_row_sums_what_it_was_not_given(self):
         # a handed series is read as given; any other is summed by the row,
         # and a lane the batch cannot sum raises the scalar kernel's error
@@ -358,6 +364,33 @@ class TestQuadratureOracle:
             for x in (0.5, 1.0, 2.5, 5.0, 10.0, 20.0):
                 assert rel(quad_oracle_l(nu, x).value, lv_value(nu, x)) < 1e-10
                 assert rel(quad_oracle_i(nu, x).value, iv_value(nu, x)) < 1e-10
+
+    def test_mpmath_sweep(self):
+        # seeded points over the whole domain, orders down to 1e-9 above -1/2:
+        # every error within its estimate, and within 1e-10 at the scale of
+        # acceptance criterion 2 (nu <= 10, x <= 20)
+        mpmath = pytest.importorskip("mpmath")
+        pick = random.Random(1803)
+        log_x = (math.log10(20.0), math.log10(600.0))
+        points = [(-0.5 + 10.0 ** pick.uniform(-9.0, math.log10(10.5)),
+                   10.0 ** pick.uniform(-3.0, log_x[0])) for _ in range(400)]
+        points += [(pick.uniform(-0.5, 60.0), 10.0 ** pick.uniform(-3.0, log_x[1]))
+                   for _ in range(700)]
+        points += [(pick.uniform(60.0, 200.0), 10.0 ** pick.uniform(0.0, log_x[1]))
+                   for _ in range(150)]
+        checked = 0
+        with mpmath.workdps(40):
+            for nu, x in points:
+                for fn, ref in ((quad_oracle_i, mpmath.besseli), (quad_oracle_l, mpmath.struvel)):
+                    want = ref(nu, x)
+                    if want < 1e-290:  # the double result has lost its precision
+                        continue
+                    out = fn(nu, x)
+                    err = abs(float((mpmath.mpf(out.value) - want) / want))
+                    assert err <= out.est_rel_error, (fn.__name__, nu, x, err, out.est_rel_error)
+                    assert nu > 10.0 or x > 20.0 or err <= 1e-10, (fn.__name__, nu, x, err)
+                    checked += 1
+        assert checked >= 2000
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """The cancellation-free M route: accuracy against mpmath, honesty of its
-error estimate, and a package import that leaves scipy unloaded."""
+error estimate, and a package whose import, CLI and quadrature oracle leave
+scipy unloaded."""
 
 import json
 import math
@@ -11,7 +12,7 @@ import mpmath
 import pytest
 
 import struvebounds
-from struvebounds import lv_value, struve_m
+from struvebounds import iv_value, lv_value, struve_m
 
 
 def mpmath_m(nu, x):
@@ -63,7 +64,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     report[argv[0]] = [code, "scipy" in sys.modules]
-report["oracle"] = struvebounds.quad_oracle_l(1.0, 2.0).value
+report["oracle"] = [struvebounds.quad_oracle_l(1.0, 2.0).value,
+                    struvebounds.quad_oracle_i(1.0, 2.0).value, "scipy" in sys.modules]
 print(json.dumps(report))
 """
 
@@ -90,4 +92,16 @@ def test_import_and_cli_leave_scipy_unloaded():
     assert report["import"] is False
     for argv in GUARD_COMMANDS:
         assert report[argv[0]] == [0, False], argv
-    assert rel(report["oracle"], lv_value(1.0, 2.0)) < 1e-10
+    oracle_l, oracle_i, loaded = report["oracle"]
+    assert rel(oracle_l, lv_value(1.0, 2.0)) < 1e-10
+    assert rel(oracle_i, iv_value(1.0, 2.0)) < 1e-10
+    assert loaded is False  # nor do the quadrature oracles load it
+
+
+def test_runtime_dependencies_name_no_scipy():
+    # scipy is a test-only reference (test_special_core.py::test_against_scipy)
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert not [d for d in project["dependencies"] if d.lower().startswith("scipy")]

@@ -196,18 +196,20 @@ class TestCrossover:
         with pytest.raises(NoSignChange):
             crossover("eq20_upper", "eq18_upper", 3.0)
 
-    @pytest.mark.parametrize("a,b,x_range,cause", [
-        ("eq20_upper", "eq18_upper", (20.0, 0.05), "0 < xmin < xmax"),
-        ("eq20_upper", "eq18_upper", (0.0, 20.0), "0 < xmin < xmax"),
-        ("eq20_upper", "eq18_upper", (0.05, math.inf), "0 < xmin < xmax"),
-        ("eq20_upper", "eq18_upper", (math.nan, 20.0), "0 < xmin < xmax"),
-        ("eq38_lower", "eq38_upper", (0.05, 20.0), "eq38_lower bounds the argument ratio"),
+    @pytest.mark.parametrize("a,b,x_range,cause,nu", [
+        ("eq20_upper", "eq18_upper", (20.0, 0.05), "0 < xmin < xmax", 0.75),
+        ("eq20_upper", "eq18_upper", (0.0, 20.0), "0 < xmin < xmax", 0.75),
+        ("eq20_upper", "eq18_upper", (0.05, math.inf), "0 < xmin < xmax", 0.75),
+        ("eq20_upper", "eq18_upper", (math.nan, 20.0), "0 < xmin < xmax", 0.75),
+        ("eq38_lower", "eq38_upper", (0.05, 20.0), "eq38_lower bounds the argument ratio", 0.75),
+        ("eq24_upper", "eq18_upper", (0.05, 30.0), "eq18_upper is not valid at nu=0.25", 0.25),
     ])
-    def test_rejects_inputs_it_cannot_answer(self, a, b, x_range, cause):
+    def test_rejects_inputs_it_cannot_answer(self, a, b, x_range, cause, nu):
         # a reversed range once skipped the bisection (3.3082 for 3.2638),
-        # x = 0 failed in the pre-scan and argument-ratio ids with a TypeError
+        # x = 0 failed in the pre-scan and argument-ratio ids with a TypeError,
+        # and a bound outside its range (eq18_upper holds from 1/2) gave 3.0958
         with pytest.raises(DomainError, match=cause):
-            crossover(a, b, 0.75, x_range)
+            crossover(a, b, nu, x_range)
 
     def test_multiple_sign_changes(self):
         REGISTRY["fake_osc"] = BoundSpec(
