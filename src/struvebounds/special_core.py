@@ -524,10 +524,7 @@ def _stable_integral(nu: float, x: float) -> tuple[float, float]:
 def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
     if not math.isfinite(nu) or nu <= -0.5:
         raise DomainError(f"integral representation requires nu > -1/2, got {nu}")
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x}")
-    if x > X_MAX:
-        raise OverflowRisk(f"argument {x} exceeds quadrature guard {X_MAX:g}")
+    _check_x(x)
     grow, grow_err = _stable_integral(nu, -x)
     decay, decay_err = _stable_integral(nu, x)
     raw = grow + decay if kind == "I" else grow - decay
