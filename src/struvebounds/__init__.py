@@ -68,18 +68,18 @@ from .succ_ratio import (
     ratio_upper_refined,
     ratio_upper_tanh_half,
 )
-from .verify import (
-    Grid,
-    GridReport,
-    TableSpec,
-    certify,
-    certify_all,
-    certify_eq14_extension,
-    crossover,
-    default_grid,
-    monotonicity_suite,
-    relative_error_table,
-    table_by_id,
-)
+
+# verify loads numpy, which a point query never needs: import it on first use (PEP 562)
+_VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
+                 "certify_eq14_extension", "crossover", "default_grid", "monotonicity_suite",
+                 "relative_error_table", "table_by_id")
+
+
+def __getattr__(name: str):
+    if name in _VERIFY_NAMES:
+        from . import verify
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

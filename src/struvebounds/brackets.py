@@ -69,7 +69,7 @@ class BoundSpec:
 
     formula(nu, x, P), or formula(nu, x, y, P) for the argument ratio, is
     the bound's one formula: P is a special_core.Point at a single point or
-    a special_core.Row over numpy lanes, and the formula reads its
+    a rows.Row over numpy lanes, and the formula reads its
     primitives and elementary functions from P.  It checks its own order
     range where the formula needs one; P checks the arguments.
 

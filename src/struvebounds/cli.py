@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import registry, verify
+from . import registry
 from .arg_ratio import ArgPair, arg_ratio_exact
 from .condition import cond_exact
 from .errors import StruveBoundsError
@@ -140,6 +140,7 @@ def _cmd_argratio(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import verify
     spec = verify.table_by_id(args.table_id)
     matrix = verify.relative_error_table(spec)
     if args.format == "csv":
@@ -150,6 +151,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     grid = verify.default_grid()
     reports = (verify.certify_all(grid) + verify.monotonicity_suite()
                if args.all else [verify.certify(args.bound, grid)])
@@ -182,6 +184,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
+    from . import verify
     _check_finite(args.nu, args.xmin, args.xmax)
     x_star = verify.crossover(args.a, args.b, args.nu, (args.xmin, args.xmax))
     print(f"{x_star:.4f}")

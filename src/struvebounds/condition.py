@@ -12,7 +12,7 @@ import math
 
 from .brackets import Bracket
 from .errors import DomainError
-from .special_core import _L_FLOOR, Point
+from .special_core import _L_FLOOR, _POLE_TOL, MIN_ORDER, Point
 
 
 def _check_x(x: float) -> None:
@@ -20,13 +20,22 @@ def _check_x(x: float) -> None:
         raise DomainError(f"x must be a finite positive real, got {x}")
 
 
+def _check_reads_below(kind: str, nu: float, floor: float, need: str) -> None:
+    """Name the caller's nu, not the order nu - 1, when f_{nu-1} is out of range."""
+    if nu - 1.0 < floor - _POLE_TOL:
+        raise DomainError(f"the condition number of {kind}_nu reads {kind}_(nu-1), summed "
+                          f"for nu-1 >= {floor}, so it needs {need}; got nu={nu}")
+
+
 def cond_L(nu, x, P):
     """C(L_nu)(x) = x L_{nu-1}(x)/L_nu(x) - nu, the downward relation."""
+    _check_reads_below("L", nu, _L_FLOOR, "nu > -3/2")
     return x * P.L(nu - 1.0, floor=_L_FLOOR) / P.L(nu) - nu
 
 
 def eq28_lower(nu, x, P):
     """C(I_nu) = x I_{nu-1}/I_nu - nu < C(L_nu), valid nu >= 1/2."""
+    _check_reads_below("I", nu, MIN_ORDER, "nu >= -1/2")
     return x * P.I(nu - 1.0) / P.I(nu) - nu
 
 

@@ -6,8 +6,8 @@ and the bound's one formula f(nu, x, P) (f(nu, x, y, P) for the argument
 ratio), named after the bound id in its home module.  EXACT holds each
 target's exact value as a formula of the same shape.  P is a
 special_core.Point for one point (BoundSpec.evaluate, exact_value, bracket,
-evaluate_valid) or a special_core.Row over numpy lanes (bound_row,
-exact_row, used by verify).  Validity ranges are data, not
+evaluate_valid) or a rows.Row over numpy lanes (rows.bound_row and
+rows.exact_row, used by verify).  Validity ranges are data, not
 caller-overridable arguments: the inequalities are only guaranteed on the
 recorded ranges.
 """
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 from typing import Iterable
-
-import numpy as np
 
 from . import arg_ratio as _ar
 from . import bfunc as _bf
@@ -158,18 +156,3 @@ def bracket(lower_id: str, upper_id: str, nu: float, x: float,
     (lower, lower_ok), (upper, upper_ok) = side(lower_id, -math.inf), side(upper_id, math.inf)
     return Bracket(lower, upper, lower_ok, upper_ok, lower_id, upper_id)
 
-
-def _row(value, P) -> np.ndarray:
-    if isinstance(value, np.ndarray) and value.shape == P.x.shape:
-        return value
-    return np.broadcast_to(value, P.x.shape)
-
-
-def exact_row(target: str, P) -> np.ndarray:
-    """The exact values of target over the lanes of a special_core.Row."""
-    return _row(EXACT[target](*_args(P)), P)
-
-
-def bound_row(spec: BoundSpec, P) -> np.ndarray:
-    """spec's bound over the lanes of a special_core.Row."""
-    return _row(spec.formula(*_args(P)), P)

@@ -9,24 +9,18 @@ The series sums are the package's only memo: a module dict of at most
 separate calls of one point query, which read the same few sums (a
 condition-number query reads L_nu in six bounds and in the exact value); a
 lookup that misses runs the scalar kernel _series and stores its result.
-Sweeps bypass it: fill_series_row sums many series at once with numpy, one
-lane per (nu, x), doing the scalar kernel's floating-point operations in
-the same order, so every value it returns is bit-identical to the scalar
-value, and stores nothing.  Nothing is configurable: the truncation target
-REL_TOL, the overflow guard X_MAX and the term cap MAX_TERMS are constants.
-Up to x = X_MAX every series meets REL_TOL within 407 terms (the most is at
-order -2.49, x = 600), so the cap of 500 is a safety net: a series that
-reaches it raises ConvergenceError.
+Sweeps bypass it and sum their series with rows.fill_series_row.  Nothing
+is configurable: the truncation target REL_TOL, the overflow guard X_MAX
+and the term cap MAX_TERMS are constants.  Up to x = X_MAX every series
+meets REL_TOL within 407 terms (the most is at order -2.49, x = 600), so
+the cap of 500 is a safety net: a series that reaches it raises
+ConvergenceError.
 
-Point and Row are the primitives every bound formula reads: I, L and M at
-any order, the kernel b (kernel_b) and the recurrence term, computed on
-first use and kept for the life of the object, which is one evaluation at
-a point or one (bound, order) row of a sweep.  They are not a cache:
-nothing outlives them.  A Point reads its series from the memo; a Row reads
-the arrays its sweep summed for all of its Rows (fill_rows) or sums its
-own, and never touches the memo.  A Row does its arithmetic in numpy and
-its elementary functions with math lane by lane, so a formula gives the
-same bits at a point and in a row.
+Point holds the primitives every bound formula reads at one point: I, L and
+M at any order, the kernel b (kernel_b) and the recurrence term, computed
+on first use from the memo and kept for the life of the object; rows.Row is
+the same over numpy lanes.  Only the tanh-sinh rule uses arrays here, and it
+imports numpy on first use, so most point queries never load it.
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -54,10 +48,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
-
-import numpy as np
+from functools import cache
 
 from .errors import ConvergenceError, DomainError, OverflowRisk
 
@@ -264,72 +255,6 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
     )
 
 
-def fill_series_row(kind: str, nus, xs) -> np.ndarray:
-    """The kind series summed at every lane (nu, x) of nus and xs.
-
-    nus holds one order per lane, or one for all.  Each distinct lane is
-    summed once, its leading term formed as _series forms it (the gamma
-    product once per order) and _series's recurrence run in _series's order
-    with numpy, so every value is bit-identical to _series's.  A lane out of
-    domain, whose leading term underflows, or that does not converge within
-    MAX_TERMS is NaN (_series raises for the last two).  Stores nothing and
-    forms no error estimate.  Raises only for an unknown kind.
-    """
-    g1 = _series_setup(kind, 0.0)[0]
-    xs = np.asarray(xs, dtype=float)
-    nus = np.broadcast_to(np.asarray(nus, dtype=float), xs.shape)
-    ok = (nus >= _L_FLOOR) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
-    index: dict = {}  # each distinct in-domain lane once
-    unique = [index.setdefault(k, len(index)) for k in zip(nus[ok].tolist(), xs[ok].tolist())]
-    out = np.full(xs.shape, math.nan)
-    if not index:
-        return out
-    keys, sums = list(index), np.full(len(index), math.nan)
-    setup = {}
-    for nu in {k[0] for k in keys}:
-        _, shift, power0, n0 = _series_setup(kind, nu)
-        setup[nu] = (shift, n0, 2 * n0 + power0, _gamma_pair(n0 + g1, n0 + shift)[0])
-    shift, nv, power, gammas = (np.array(c, dtype=float) for c in zip(*[setup[k[0]] for k in keys]))
-    xv = np.array([k[1] for k in keys])
-    # _first_term_err's value lane by lane, with the gammas formed once per order
-    log_mag = np.abs(power * _map_lanes(math.log, 0.5 * xv))
-    term = np.zeros_like(xv)
-    direct = (gammas != 0.0) & (log_mag < _LOG_MAG_MAX)
-    term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
-    for i in np.flatnonzero(~direct).tolist():
-        try:
-            term[i] = _first_term(power[i], nv[i] + g1, nv[i] + shift[i], xv[i])
-        except DomainError:
-            pass
-    lane = np.flatnonzero(np.abs(term) >= _TINY)
-    shift, nv, term, xv = shift[lane], nv[lane], term[lane], xv[lane]
-    q = 0.25 * xv * xv
-    mag, total, comp, abs_total = np.abs(term), *np.zeros((3, lane.size))
-    active = np.ones(lane.size, dtype=bool)
-    for _ in range(MAX_TERMS if lane.size else 0):
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        abs_total += mag
-        term = term * q / ((nv + g1) * (nv + shift))
-        nv += 1.0
-        mag = np.abs(term)
-        done = (mag < REL_TOL * abs_total) & active
-        if not done.any():
-            continue
-        sums[lane[done]] = total[done]
-        active &= ~done
-        if 2 * np.count_nonzero(active) < active.size:  # drop the finished lanes
-            lane, shift, nv, q, term, mag, total, comp, abs_total = (
-                c[active] for c in (lane, shift, nv, q, term, mag, total, comp, abs_total))
-            active = active[active]
-            if not active.size:
-                break
-    out[ok] = sums[unique]
-    return out
-
-
 def bessel_i(nu: float, x: float) -> FuncValue:
     """Modified Bessel function of the first kind, by its power series.
 
@@ -462,14 +387,16 @@ _DE_STEP = 1.0 / 32.0
 _DE_K = 112
 
 
+@cache
 def _de_halves():
-    """The node set as (near-0 half, near-1 half).
+    """The node set as (near-0 half, near-1 half), built on first use.
 
     Each half is (t, 1 - t, weights), where weights stacks the rule at step h
     over the rule at step 2h (every other node, double weight), so that
     weights @ f gives both sums at once.  The node at t = 1/2 is in the
     near-0 half.
     """
+    import numpy as np
     k = np.arange(_DE_K + 1)
     u = k * _DE_STEP
     s = np.pi * np.sinh(u)
@@ -480,7 +407,6 @@ def _de_halves():
     return (r, q, weights), (q[1:], r[1:], weights[:, 1:])
 
 
-_DE_NEAR0, _DE_NEAR1 = _de_halves()
 _DE_NODES = 2 * _DE_K + 1
 
 
@@ -500,8 +426,9 @@ def _stable_integral(nu: float, x: float) -> tuple[float, float]:
     at step h is far closer than at 2h) plus rounding in the parts of J,
     which may cancel for orders below -1/2.
     """
+    import numpy as np
     a = nu - 0.5
-    (t0, d0, w0), (t1, d1, w1) = _DE_NEAR0, _DE_NEAR1
+    (t0, d0, w0), (t1, d1, w1) = _de_halves()
     if a >= 0.0:
         f0 = np.exp(a * np.log(d0 * (1.0 + t0)) - x * t0)
         f1 = np.exp(a * np.log(d1 * (1.0 + t1)) - x * t1)
@@ -675,8 +602,8 @@ class Point:
     from the memo.  The elementary functions are math's, map(f, *args)
     applies a scalar helper, of(f, *lanes) one to the named arguments (kept
     per Row), and where(cond, a, b) calls a or b, both zero-argument
-    functions (a row calls both and selects lane by lane).  Row has the same
-    names over numpy lanes, so one formula f(nu, x, P) serves both.
+    functions (a row calls both and selects lane by lane).  rows.Row has the
+    same names over numpy lanes, so one formula f(nu, x, P) serves both.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(getattr(math, n)) for n in _ELEMENTARY)
@@ -725,67 +652,3 @@ class Point:
         if not math.isfinite(order) or order <= -1.5:
             raise DomainError(f"kernel requires nu > -3/2, got {order}")
         return self.map(kernel_b, order, self.x, self.L(order))
-
-
-def _map_lanes(f, *args):
-    """f applied lane by lane over the array arguments, scalars repeated."""
-    if not any(isinstance(a, np.ndarray) for a in args):
-        return f(*args)
-    return np.fromiter(map(f, *(a.tolist() if isinstance(a, np.ndarray) else repeat(a)
-                                for a in args)), float)
-
-
-class Row(Point):
-    """Point's primitives at one order over numpy lanes x (and y).
-
-    Arithmetic runs in numpy, which rounds as Python does; the elementary
-    functions are math's lane by lane, because numpy's exp, tanh, log, hypot
-    and pow differ from math's by an ulp on a few percent of arguments, and
-    a row must give a point's bits.  A row never touches the memo.  given
-    maps (kind, order, at_y) to a series row a sweep handed in (fill_rows);
-    a series it was not given is summed by one fill_series_row call.  Lanes
-    the batch could not sum are summed again by the scalar kernel, which
-    raises the typed error.
-    """
-
-    log, exp, tanh, hypot, sqrt, pow = (staticmethod(partial(_map_lanes, getattr(math, n)))
-                                        for n in _ELEMENTARY)
-    map = staticmethod(_map_lanes)
-    where = staticmethod(lambda cond, a, b: np.where(cond, a(), b()))
-    _positive = staticmethod(lambda v: bool(np.all(np.isfinite(v) & (v > 0.0))))
-    _ordered = staticmethod(lambda x, y: bool(np.all(x <= y)))
-
-    def __init__(self, nu: float, x, y=None):
-        if not np.size(x):
-            raise DomainError("a row needs at least one lane, got an empty x array")
-        super().__init__(nu, x, y)
-        self.given: dict = {}
-
-    @_lazy
-    def of(self, f, *lanes: str):
-        return _map_lanes(f, *[getattr(self, n) for n in lanes])
-
-    def _series(self, kind, order, at_y, floor):
-        v = self.y if at_y else self.x
-        _check_order(order, floor)
-        _check_x(float(v.max()))
-        got = self.given.get((kind, order, at_y))
-        if got is None:
-            got = fill_series_row(kind, order, v)
-        for i in np.flatnonzero(np.isnan(got)).tolist():
-            got[i] = _series(kind, order, v[i].item())[0]
-        return got
-
-
-def fill_rows(wants) -> None:
-    """Hand Rows the series they will read, summed with one fill_series_row
-    per kind: wants lists (row, kind, order, at_y), and each row gets the
-    values over its x lanes (at_y false) or y lanes in row.given."""
-    for kind in ("L", "I"):
-        mine = [(P, order, at_y, P.y if at_y else P.x) for P, k, order, at_y in wants if k == kind]
-        if mine:
-            sums = fill_series_row(kind, np.concatenate([np.full(v.size, o) for _, o, _, v in mine]),
-                                   np.concatenate([v for *_, v in mine]))
-            ends = np.cumsum([v.size for *_, v in mine])
-            for (P, order, at_y, _), part in zip(mine, np.split(sums, ends[:-1])):
-                P.given[kind, order, at_y] = part

@@ -9,7 +9,7 @@ Bessel-ratio bound into a Struve-ratio bound.  The remaining bounds come
 from the Turan inequality and the monotonicity of the ratio in the order,
 plus one step of refinement through the three-term recurrence.  Each
 registered bound is one formula f(nu, x, P) over a special_core.Point or
-Row P; the public functions evaluate them at a point.
+rows.Row P; the public functions evaluate them at a point.
 """
 
 from __future__ import annotations

@@ -2,12 +2,12 @@
 crossover location, and the monotonicity/Turan property suites.
 
 Certification works a row at a time: for each (bound, order) one
-special_core.Row over the grid's (x[, y]) lanes, on which the bound's
+rows.Row over the grid's (x[, y]) lanes, on which the bound's
 formula and its target's exact formula each run once as numpy arrays, and
 one GridReport.record call takes the row.  The sweeps, certify_all and
 monotonicity_suite, own their series: each builds all of its Rows first,
 sums every series they read with one fill_series_row per kind
-(special_core.fill_rows) and hands each Row its arrays, so neither reads
+(rows.fill_rows) and hands each Row its arrays, so neither reads
 nor writes the point memo.  certify_all shares the rows and the exact rows
 among all bounds; certify alone lets each row sum its own series.  Exact
 values inside certification always come from the power-series route; the
@@ -23,10 +23,10 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from . import registry
+from . import registry, rows
 from .brackets import ORDER_TOL
 from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
-from .special_core import _L_FLOOR, Row, fill_rows, recurrence_residuals
+from .special_core import _L_FLOOR, recurrence_residuals
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -108,13 +108,13 @@ class GridReport:
         return not self.violations
 
 
-def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[Row]:
+def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[rows.Row]:
     """The lanes certify checks at order nu, x or (x, y) pairs in x order,
     as a Row; None if there are none."""
     if not takes_y:
-        return Row(nu, np.array(grid.x_values)) if grid.x_values else None
+        return rows.Row(nu, np.array(grid.x_values)) if grid.x_values else None
     pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
-    return Row(nu, *np.array(pairs).T) if pairs else None
+    return rows.Row(nu, *np.array(pairs).T) if pairs else None
 
 
 def certify(bound_id: str, grid: Optional[Grid] = None,
@@ -123,7 +123,7 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     """Check one registered inequality at every in-range grid point.
 
     Each in-range order is one row: the bound's formula and its target's
-    exact formula (registry.exact_row) run once over the row's lanes.
+    exact formula (rows.exact_row) run once over the row's lanes.
     shared maps (nu, takes_y) to the Row (None if the grid gives that
     order no lanes) and (target, nu) to its exact row; certify reads it
     before building either and stores what it builds, so bounds that share
@@ -147,8 +147,8 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
             continue
         exact = shared.get((spec.target, nu))
         if exact is None:
-            exact = shared[spec.target, nu] = registry.exact_row(spec.target, P)
-        report.record(nu, P.x, P.y, _slack(spec.side, registry.bound_row(spec, P), exact),
+            exact = shared[spec.target, nu] = rows.exact_row(spec.target, P)
+        report.record(nu, P.x, P.y, _slack(spec.side, rows.bound_row(spec, P), exact),
                       tolerance, spec.is_equality_at(nu))
     return report
 
@@ -162,7 +162,7 @@ def _slack(side: str, bound, exact):
     return _relative(bound - exact if side == "upper" else exact - bound, exact)
 
 
-def _certify_reads(P: Row) -> list[tuple[str, float, bool]]:
+def _certify_reads(P: rows.Row) -> list[tuple[str, float, bool]]:
     """(kind, order, at_y) of the series the registry's formulas read on a
     grid row at order nu: I and L at nu - 1, nu and nu + 1 and L at 1/2 (for
     b_{1/2}) over x, and I and L at nu over both arguments of the pairs."""
@@ -178,7 +178,7 @@ def certify_all(grid: Optional[Grid] = None,
     grid = grid or default_grid()
     shared = {(nu, takes_y): _grid_row(grid, nu, takes_y)
               for nu in grid.nu_values for takes_y in (False, True)}
-    fill_rows([(P, *read) for P in shared.values() if P is not None for read in _certify_reads(P)])
+    rows.fill_rows([(P, *r) for P in shared.values() if P is not None for r in _certify_reads(P)])
     return [certify(bid, grid, tolerance, shared=shared) for bid in registry.bound_ids()]
 
 
@@ -192,7 +192,7 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
         if not (-0.5 - ORDER_TOL <= nu < 0.5) or not grid.x_values:
             continue
         P = _grid_row(grid, nu, False)
-        pd = registry.exact_row("product_diff_L", P)
+        pd = rows.exact_row("product_diff_L", P)
         report.record(nu, P.x, None, _relative(pd, pd), tolerance, False)
     return report
 
@@ -336,9 +336,9 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
     def diff(x: float) -> float:
         return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
 
-    P = Row(nu, np.linspace(lo, hi, 200))
+    P = rows.Row(nu, np.linspace(lo, hi, 200))
     xs = P.x
-    d = registry.bound_row(spec_a, P) - registry.bound_row(spec_b, P)
+    d = rows.bound_row(spec_a, P) - rows.bound_row(spec_b, P)
     signs = np.where(d != 0.0, np.copysign(1.0, d), 0.0).tolist()
     brackets = [(float(xs[i - 1]), float(xs[i]))
                 for i in range(1, len(xs))
@@ -406,12 +406,12 @@ def monotonicity_suite() -> list[GridReport]:
     xs_lin = np.array([round(0.1 + 0.05 * k, 10) for k in range(999)])  # 0.1 .. 50
     nus_lin = [round(-1.4 + 0.05 * k, 10) for k in range(229)]  # -1.4 .. 10
     ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
-    b_x_rows = [Row(nu, xs_lin) for nu in grid.nu_values]
-    b_nu_rows = [Row(nu, np.array((0.5, 2.0, 10.0))) for nu in nus_lin]
-    ratio_rows = [Row(nu, np.array((0.5, 2.0, 10.0, 30.0))) for nu in ratio_nus]
-    grid_rows = [Row(nu, xs) for nu in grid.nu_values]  # Turan and the recurrences
-    m_rows = [Row(nu, xs[xs <= 30.0]) for nu in grid.nu_values if nu >= 0.5]
-    fill_rows([(P, "L", P.nu, False) for P in b_x_rows + b_nu_rows + ratio_rows]
+    b_x_rows = [rows.Row(nu, xs_lin) for nu in grid.nu_values]
+    b_nu_rows = [rows.Row(nu, np.array((0.5, 2.0, 10.0))) for nu in nus_lin]
+    ratio_rows = [rows.Row(nu, np.array((0.5, 2.0, 10.0, 30.0))) for nu in ratio_nus]
+    grid_rows = [rows.Row(nu, xs) for nu in grid.nu_values]  # Turan and the recurrences
+    m_rows = [rows.Row(nu, xs[xs <= 30.0]) for nu in grid.nu_values if nu >= 0.5]
+    rows.fill_rows([(P, "L", P.nu, False) for P in b_x_rows + b_nu_rows + ratio_rows]
               + [(P, "L", P.nu + 1.0, False) for P in ratio_rows]
               + [(P, "L", P.nu + k, False) for P in grid_rows for k in (-1.0, 0.0, 1.0)]
               + [(P, kind, P.nu + k, False) for P in m_rows for kind in "IL" for k in (-1.0, 0.0)])

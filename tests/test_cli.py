@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from struvebounds import lv_value, mv_value, special_core
+import struvebounds
+from struvebounds import lv_value, mv_value, special_core, verify
 from struvebounds.brackets import BoundSpec
 from struvebounds.cli import main
 from struvebounds.registry import REGISTRY
@@ -102,6 +106,17 @@ class TestCondAndArgRatio:
                 object.__setattr__(spec, "formula", originals[spec.bound_id])
         listed = [line.split()[0] for line in out.splitlines() if line.split()[0] in originals]
         assert code == 0 and listed and sorted(calls) == sorted(listed)
+
+    @pytest.mark.parametrize("argv,need", [
+        (("cond", "--nu", "-1.5", "--x", "1"), "nu > -3/2"),
+        (("bracket", "--bound", "eq28_lower", "--nu", "-1.5", "--x", "1"), "nu >= -1/2"),
+    ], ids=["cond", "eq28_lower"])
+    def test_order_below_the_floor_names_nu(self, capsys, argv, need):
+        # both read f_{nu-1}; the error names the caller's nu, not order -2.5
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: the condition number")
+        assert need in err and "got nu=-1.5" in err and "order -2.5" not in err
 
     def test_argratio_rejects_reversed_pair(self, capsys):
         code, _, err = run(capsys, "argratio", "--nu", "0.5", "--x", "3", "--y", "1")
@@ -280,3 +295,72 @@ class TestUsageAndEnv:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+GUARD_SCRIPT = """
+import contextlib, io, json, sys
+import struvebounds
+from struvebounds import cli
+report = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([" ".join(argv), code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+POINT_COMMANDS = [
+    ["eval", "--kind", "I", "--nu", "1", "--x", "2"],
+    ["eval", "--kind", "L", "--nu", "1", "--x", "2"],
+    ["eval", "--kind", "M", "--nu", "1", "--x", "2"],  # L - I does not cancel
+    ["bracket", "--nu", "1", "--x", "2"],
+    ["bracket", "--bound", "eq28_upper", "--nu", "1", "--x", "2"],
+    ["cond", "--nu", "1", "--x", "5"],
+    ["argratio", "--nu", "0.5", "--x", "1", "--y", "2"],
+]
+
+ARRAY_COMMANDS = {
+    "eval-M-stable": ["eval", "--kind", "M", "--nu", "1", "--x", "30"],
+    "table": ["table", "--id", "1"],
+    "verify": ["verify", "--bound", "eq20_upper"],
+    "crossover": ["crossover", "--a", "eq24_upper", "--b", "eq18_upper", "--nu", "2.5"],
+}
+
+VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
+                "certify_eq14_extension", "crossover", "default_grid", "monotonicity_suite",
+                "relative_error_table", "table_by_id")
+
+
+def guard_report(commands):
+    """(command, exit code, numpy loaded after it) from a fresh process that
+    imports the package and runs commands through cli.main in turn."""
+    src = os.path.dirname(os.path.dirname(struvebounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestNumpyOffThePointPath:
+    """Only sweeps and the stable M route use arrays, so numpy loads only
+    for them: not at import, and not for a point command."""
+
+    def test_import_and_point_commands_leave_numpy_unloaded(self):
+        assert guard_report(POINT_COMMANDS) == (
+            [["import", 0, False]] + [[" ".join(argv), 0, False] for argv in POINT_COMMANDS])
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_COMMANDS))
+    def test_array_commands_load_numpy(self, name):
+        argv = ARRAY_COMMANDS[name]
+        assert guard_report([argv]) == [["import", 0, False], [" ".join(argv), 0, True]]
+
+    @pytest.mark.parametrize("name", VERIFY_NAMES)
+    def test_verify_names_import_from_the_package(self, name):
+        scope = {}
+        exec(f"from struvebounds import {name}", scope)
+        assert scope[name] is getattr(verify, name)
+
+    def test_unknown_names_are_attribute_errors(self):
+        assert not hasattr(struvebounds, "no_such_name")
+        assert not hasattr(struvebounds, "render_table_text")  # verify's, not exported

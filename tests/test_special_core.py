@@ -6,7 +6,7 @@ import pytest
 from scipy.special import iv as scipy_iv
 from scipy.special import modstruve as scipy_modstruve
 
-from struvebounds import special_core
+from struvebounds import rows, special_core
 from struvebounds import (
     ConvergenceError,
     DomainError,
@@ -148,7 +148,7 @@ class TestSeriesRow:
         # values only: the batch forms no error estimate
         xs = np.logspace(-3.0, math.log10(600.0), 200).tolist()
         for nu in self.ORDERS:
-            got = special_core.fill_series_row(kind, nu, xs).tolist()
+            got = rows.fill_series_row(kind, nu, xs).tolist()
             assert got == [special_core._series(kind, nu, x)[0] for x in xs], nu
 
     def test_one_order_per_lane(self):
@@ -156,14 +156,14 @@ class TestSeriesRow:
         nus = [-2.4, -1.0, 0.5, 10.0, 60.0] * 40
         xs = np.logspace(-3.0, math.log10(600.0), 200).tolist()
         for kind in ("I", "L"):
-            got = special_core.fill_series_row(kind, nus, xs).tolist()
+            got = rows.fill_series_row(kind, nus, xs).tolist()
             assert got == [special_core._series(kind, nu, x)[0] for nu, x in zip(nus, xs)]
 
     def test_out_of_domain_lanes_are_nan(self):
-        got = special_core.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320, 2.0])
+        got = rows.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320, 2.0])
         assert got[0] == got[-1] == special_core._series("L", 1.0, 2.0)[0]
         assert np.isnan(got[1:-1]).all()  # the subnormal x underflows
-        assert np.isnan(special_core.fill_series_row("L", [-3.0, math.nan], [1.0, 1.0])).all()
+        assert np.isnan(rows.fill_series_row("L", [-3.0, math.nan], [1.0, 1.0])).all()
 
     def test_memo_is_cleared_when_full(self, monkeypatch):
         # only point lookups fill the memo, which calls _series on a miss
@@ -175,7 +175,7 @@ class TestSeriesRow:
 
     def test_unconverged_lanes_are_not_stored(self, monkeypatch):
         monkeypatch.setattr(special_core, "MAX_TERMS", 50)
-        got = special_core.fill_series_row("I", 1.0, [1.0, 300.0])
+        got = rows.fill_series_row("I", 1.0, [1.0, 300.0])
         assert got[0] == special_core._series("I", 1.0, 1.0)[0] and math.isnan(got[1])
         with pytest.raises(ConvergenceError):
             special_core._series("I", 1.0, 300.0)
@@ -185,29 +185,29 @@ class TestSeriesRow:
         struve_l(1.0, 2.0)
         before = dict(special_core._SERIES_MEMO)
         for kind in ("I", "L"):
-            special_core.fill_series_row(kind, [1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
+            rows.fill_series_row(kind, [1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
         assert special_core._SERIES_MEMO == before
 
     def test_empty_row_is_a_domain_error(self):
         # it once reached numpy's max of an empty array and raised ValueError
         with pytest.raises(DomainError, match="at least one lane"):
-            special_core.Row(1.0, np.array([])).L(1.0)
+            rows.Row(1.0, np.array([])).L(1.0)
 
     def test_row_sums_what_it_was_not_given(self):
         # a handed series is read as given; any other is summed by the row,
         # and a lane the batch cannot sum raises the scalar kernel's error
         xs = np.array([0.5, 2.0, 8.0])
-        row = special_core.Row(1.0, xs)
-        special_core.fill_rows([(row, "L", 1.0, False)])
+        row = rows.Row(1.0, xs)
+        rows.fill_rows([(row, "L", 1.0, False)])
         given = row.given["L", 1.0, False]
         assert row.L(1.0) is given
         assert row.I(1.0).tolist() == [special_core._series("I", 1.0, x)[0] for x in xs.tolist()]
         with pytest.raises(DomainError, match="underflow"):
-            special_core.Row(300.0, np.array([1.0, 2.0])).I(300.0)
+            rows.Row(300.0, np.array([1.0, 2.0])).I(300.0)
 
     def test_row_m_takes_the_stable_route_where_l_minus_i_cancels(self):
         xs = np.array([0.5, 5.0, 30.0, 200.0])
-        got = special_core.Row(1.0, xs).M(1.0).tolist()
+        got = rows.Row(1.0, xs).M(1.0).tolist()
         assert got == [struve_m(1.0, x).value for x in xs.tolist()]
         assert [struve_m(1.0, x).cancellation for x in xs.tolist()] == [False, False, True, True]
 

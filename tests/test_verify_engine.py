@@ -90,17 +90,17 @@ class TestCertify:
             assert a.points_checked == b.points_checked
 
     def test_each_exact_value_computed_once(self, small_grid, monkeypatch):
-        from struvebounds import registry
+        from struvebounds import rows
 
         # certify computes exact values a (target, order) row at a time
         calls = []
-        original = registry.exact_row
+        original = rows.exact_row
 
         def counting(target, P):
             calls.append((target, P.nu))
             return original(target, P)
 
-        monkeypatch.setattr(registry, "exact_row", counting)
+        monkeypatch.setattr(rows, "exact_row", counting)
         certify_all(small_grid)
         assert calls
         assert len(calls) == len(set(calls))
@@ -283,7 +283,7 @@ class TestRows:
     arguments), so every registered bound and exact value agrees bit for bit."""
 
     def test_rows_match_points_on_the_default_grid(self):
-        from struvebounds import registry, verify
+        from struvebounds import registry, rows, verify
 
         grid = default_grid()
         for spec in REGISTRY.values():
@@ -292,8 +292,8 @@ class TestRows:
                 if not spec.valid_at(nu):
                     continue
                 row = verify._grid_row(grid, nu, takes_y)
-                bound = registry.bound_row(spec, row)
-                exact = registry.exact_row(spec.target, row)
+                bound = rows.bound_row(spec, row)
+                exact = rows.exact_row(spec.target, row)
                 ys = row.y.tolist() if takes_y else [None] * row.x.size
                 for x, y, b, e in zip(row.x.tolist(), ys, bound.tolist(), exact.tolist()):
                     args = (nu, x) if y is None else (nu, x, y)
