@@ -7,13 +7,12 @@ bounds whose large-x coefficient a_nu admits a closed Stirling enclosure.
 
 
 from struvebounds import (
-    ArgPair,
     a_nu_constant,
     a_nu_stirling_bracket,
-    arg_ratio_exact,
-    arg_ratio_explicit_bracket,
     bessel_route_coefficient,
+    bracket,
     coefficient_crossover_nu,
+    exact_value,
     lv_value,
     pointwise_bracket,
 )
@@ -21,9 +20,8 @@ from struvebounds import (
 nu = 1.0
 print("argument-ratio bracket (fully explicit, no function evaluations)")
 for x, y in [(0.5, 1.0), (1.0, 5.0), (2.0, 30.0)]:
-    pair = ArgPair(x, y)
-    exact = arg_ratio_exact(nu, pair)
-    br = arg_ratio_explicit_bracket(nu, pair)
+    exact = exact_value("arg_ratio_L", nu, x, y)
+    br = bracket("eq38_lower", "eq38_upper", nu, x, y)
     print(f"  ({x}, {y}): exact {exact:.6e}  in [{br.lower:.6e}, {br.upper:.6e}]")
 
 print("\npointwise bounds for L itself, tight at small x")

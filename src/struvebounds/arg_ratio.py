@@ -14,27 +14,7 @@ from dataclasses import dataclass
 
 from .brackets import ORDER_TOL, Bracket
 from .errors import DomainError
-from .special_core import GAMMA_ARG_MAX, SQRT_PI, Point
-
-
-@dataclass(frozen=True)
-class ArgPair:
-    """An ordered argument pair; x = y is allowed only as the identity case."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DomainError(f"arguments must be finite, got ({self.x}, {self.y})")
-        if self.x <= 0.0 or self.y <= 0.0:
-            raise DomainError(f"arguments must be positive, got ({self.x}, {self.y})")
-        if self.x > self.y:
-            raise DomainError(f"need x <= y, got x={self.x} > y={self.y}")
-
-    @property
-    def degenerate(self) -> bool:
-        return self.x == self.y
+from .special_core import GAMMA_ARG_MAX, SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -77,14 +57,8 @@ def _log_tanh_excess(x: float, y: float) -> float:
 
 
 def arg_ratio_L(nu, x, y, P):
+    """L_nu(x)/L_nu(y), in (0, 1] for x <= y."""
     return P.L(nu) / P.L(nu, at_y=True)
-
-
-def arg_ratio_exact(nu: float, pair: ArgPair) -> float:
-    """L_nu(x)/L_nu(y) from the reference evaluator; in (0, 1] for x <= y."""
-    if pair.degenerate:
-        return 1.0
-    return arg_ratio_L(nu, pair.x, pair.y, Point(nu, pair.x, pair.y))
 
 
 def _half_log(nu, x, y, P):
@@ -93,29 +67,15 @@ def _half_log(nu, x, y, P):
 
 
 def eq37_upper(nu, x, y, P):
+    """I_nu(x)/I_nu(y) >= L_nu(x)/L_nu(y), valid nu >= 1/2."""
     return P.I(nu) / P.I(nu, at_y=True)
 
 
 def eq37_lower(nu, x, y, P):
+    """(x/y) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) I_nu(x)/I_nu(y) <= the ratio,
+    valid nu >= -1/2."""
     s = 3.0 * (2.0 * nu + 3.0)
     return (x / y) * P.sqrt((s + y * y) / (s + x * x)) * eq37_upper(nu, x, y, P)
-
-
-def _degenerate_or(pair: ArgPair, ids: tuple, nu: float) -> Bracket:
-    if pair.degenerate:
-        return Bracket(1.0, 1.0, True, True, *ids)
-    from .registry import bracket
-    return bracket(*ids, nu, pair.x, pair.y)
-
-
-def arg_ratio_bessel_bracket(nu: float, pair: ArgPair) -> Bracket:
-    """Bracket through the Bessel argument ratio.
-
-    lower: (x/y) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) * I_nu(x)/I_nu(y),
-           valid nu >= -1/2
-    upper: I_nu(x)/I_nu(y), valid nu >= 1/2
-    """
-    return _degenerate_or(pair, ("eq37_lower", "eq37_upper"), nu)
 
 
 def _check_explicit(nu: float) -> None:
@@ -124,6 +84,7 @@ def _check_explicit(nu: float) -> None:
 
 
 def eq38_lower(nu, x, y, P):
+    """Fully explicit lower side of the argument ratio, valid nu >= -1/2."""
     _check_explicit(nu)
     a = nu + 0.5
     sx, sy = P.hypot(a, x), P.hypot(a, y)
@@ -134,6 +95,7 @@ def eq38_lower(nu, x, y, P):
 
 
 def eq38_upper(nu, x, y, P):
+    """Fully explicit upper side of the argument ratio, valid nu >= -1/2."""
     _check_explicit(nu)
     c = nu + 1.5
     tx, ty = P.hypot(c, x), P.hypot(c, y)
@@ -146,12 +108,6 @@ def eq38_upper(nu, x, y, P):
                   + nu * d)
     out += c * (P.log(c + ty) - P.log(c + tx))
     return P.exp(out)
-
-
-def arg_ratio_explicit_bracket(nu: float, pair: ArgPair) -> Bracket:
-    """Fully explicit two-sided bound for L_nu(x)/L_nu(y), valid nu >= -1/2."""
-    _check_explicit(nu)
-    return _degenerate_or(pair, ("eq38_lower", "eq38_upper"), nu)
 
 
 def _eq39_logs(nu, x, P):
@@ -200,16 +156,20 @@ def _check_nu(nu: float, ok: bool, name: str, rng: str) -> None:
 
 
 def eq33a_upper(nu, x, y, P):
+    """(x/y)^(nu+1) >= the ratio, valid nu > -3/2."""
     _check_nu(nu, nu > -1.5, "eq33a", "> -3/2")
     return P.exp((nu + 1.0) * P.of(_log_ratio, "x", "y"))
 
 
 def eq33b_upper(nu, x, y, P):
+    """e^(x-y) (y/x)^nu >= the ratio, valid nu >= 1/2."""
     _check_nu(nu, nu >= 0.5 - ORDER_TOL, "eq33b", ">= 1/2")
     return P.exp((x - y) - nu * P.of(_log_ratio, "x", "y"))
 
 
 def eq34_upper(nu, x, y, P):
+    """((cosh x - 1)/(cosh y - 1)) (y/x)^nu >= the ratio, valid nu >= 1/2,
+    equality at 1/2."""
     _check_nu(nu, nu >= 0.5 - ORDER_TOL, "eq34", ">= 1/2")
     log_num = math.log(2.0) + 2.0 * P.of(_log_sinh_half, "x")
     log_den = math.log(2.0) + 2.0 * P.of(_log_sinh_half, "y")
@@ -217,41 +177,24 @@ def eq34_upper(nu, x, y, P):
 
 
 def eq40_lower(nu, x, y, P):
-    _check_nu(nu, nu > -0.5, "hbv_combined", "> -1/2")
+    """(cosh x/cosh y) (x/y)^(nu+1) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) <= the
+    ratio, valid nu > -1/2."""
+    _check_nu(nu, nu > -0.5, "eq40", "> -1/2")
     return P.exp(P.of(_log_cosh, "x") - P.of(_log_cosh, "y")
                  + (nu + 1.0) * P.of(_log_ratio, "x", "y") + _half_log(nu, x, y, P))
 
 
 def eq42_lower(nu, x, y, P):
+    """e^(x-y) ((y+nu)/(x+nu))^nu (x/y)^(nu+1) sqrt(...) <= the ratio, the root as
+    in eq40_lower; valid nu >= 0."""
     _check_nu(nu, nu >= -ORDER_TOL, "eq42", ">= 0")
     shift = nu * (P.log(y + nu) - P.log(x + nu)) if nu > 0.0 else 0.0
     return P.exp((x - y) + shift + (nu + 1.0) * P.of(_log_ratio, "x", "y")
                  + _half_log(nu, x, y, P))
 
 
-_ARG_PRIORS = {"eq33a": eq33a_upper, "eq33b": eq33b_upper, "eq34": eq34_upper,
-               "hbv_combined": eq40_lower, "eq42": eq42_lower}
-
-
-def arg_ratio_prior_bounds(nu: float, pair: ArgPair, variant: str) -> float:
-    """One-sided argument-ratio bounds kept for comparison.
-
-    eq33a:        (x/y)^(nu+1) >= ratio,                        nu > -3/2
-    eq33b:        e^(x-y) (y/x)^nu >= ratio,                    nu >= 1/2
-    eq34:         ((cosh x - 1)/(cosh y - 1)) (y/x)^nu >= ratio, nu >= 1/2
-                  (equality exactly at nu = 1/2)
-    hbv_combined: (cosh x/cosh y) (x/y)^(nu+1) sqrt(...) <= ratio, nu > -1/2 (eq40)
-    eq42:         e^(x-y) ((y+nu)/(x+nu))^nu (x/y)^(nu+1) sqrt(...) <= ratio,
-                  nu >= 0
-    """
-    if pair.degenerate:
-        return 1.0
-    if variant not in _ARG_PRIORS:
-        raise DomainError(f"unknown variant {variant!r}")
-    return _ARG_PRIORS[variant](nu, pair.x, pair.y, Point(nu, pair.x, pair.y))
-
-
 def eq43_upper(nu, x, P):
+    """Simplification of eq39_upper, >= L_nu(x), valid nu >= 0."""
     _check_nu(nu, nu >= -ORDER_TOL, "eq43", ">= 0")
     g = 3.0 * (2.0 * nu + 3.0)
     shift = nu * (math.log(nu) - P.log(x + nu)) if nu > 0.0 else 0.0
@@ -262,6 +205,8 @@ def eq43_upper(nu, x, P):
 
 
 def eq45_upper(nu, x, P):
+    """Bessel cap 2 Gamma(nu+2)/(sqrt(pi) Gamma(nu+3/2)) I_{nu+1}(x) > L_nu(x),
+    valid nu > -1/2."""
     _check_nu(nu, nu > -0.5, "eq45", "> -1/2")
     if nu + 2.0 < GAMMA_ARG_MAX:
         coef = 2.0 * math.gamma(nu + 2.0) / (SQRT_PI * math.gamma(nu + 1.5))
@@ -271,27 +216,13 @@ def eq45_upper(nu, x, P):
 
 
 def eq46_upper(nu, x, P):
+    """Fully explicit form obtained from eq45_upper, > L_nu(x), valid nu > -1/2."""
     _check_nu(nu, nu > -0.5, "eq46", "> -1/2")
     r = P.hypot(x, nu + 1.0)
     log_out = 0.5 * math.log(2.0) + math.lgamma(nu + 2.0) - math.log(math.pi) \
         - math.lgamma(nu + 1.5) + r + 2.0 / r - 0.25 * P.log(x * x + (nu + 1.0) ** 2) \
         + (nu + 1.0) * (P.of(math.log, "x") - P.log(nu + 1.0 + r))
     return P.exp(log_out)
-
-
-def pointwise_prior_upper(nu: float, x: float, variant: str) -> float:
-    """One-sided pointwise upper bounds kept for comparison.
-
-    eq43: simplification of the explicit upper bound,        nu >= 0
-    eq45: Bessel cap 2 Gamma(nu+2)/(sqrt(pi) Gamma(nu+3/2)) I_{nu+1}(x),
-          nu > -1/2
-    eq46: fully explicit form obtained from the Bessel cap,  nu > -1/2
-    """
-    forms = {"eq43": eq43_upper, "eq45": eq45_upper, "eq46": eq46_upper}
-    P = Point(nu, x)
-    if variant not in forms:
-        raise DomainError(f"unknown variant {variant!r}")
-    return forms[variant](nu, x, P)
 
 
 def a_nu_constant(nu: float) -> ANuConstant:

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .brackets import Bracket
 from .errors import DomainError
-from .special_core import Point, _first_term, kernel_b, lv_value, recurrence_term
+from .special_core import _first_term, kernel_b, lv_value, recurrence_term
 
 def a_coefficient(nu: float, x: float) -> float:
     """(x/2)^nu / (sqrt(pi) Gamma(nu+3/2)); satisfies b = x * a / (2 L)."""
@@ -62,7 +61,8 @@ def _x_csch(scale: float, x: float, k: float) -> float:
 
 
 def eq13_lower(nu, x, P):
-    """(x/2) csch(x) <= b_nu(x), valid nu >= -1/2 (equality at -1/2)."""
+    """(x/2) csch(x) <= b_nu(x), valid nu >= -1/2 (equality at -1/2); the
+    comparison reverses below -1/2."""
     _check_nu(nu)
     return P.map(_x_csch, 0.5, x, 1.0)
 
@@ -71,24 +71,6 @@ def eq13_upper(nu, x, P):
     """b_nu(x) < (x/4) csch(x/(2 nu+3)), valid nu > -1."""
     _check_nu(nu)
     return P.map(_x_csch, 0.25, x, 2.0 * nu + 3.0)
-
-
-def b_upper_quadratic(nu: float, x: float) -> float:
-    """eq12_upper at a point."""
-    _check_domain(nu, x)
-    return eq12_upper(nu, x, Point(nu, x))
-
-
-def b_csch_bracket(nu: float, x: float) -> Bracket:
-    """Hyperbolic bracket (x/2) csch(x) <= b_nu(x) < (x/4) csch(x/(2 nu+3)).
-
-    The lower side is valid for nu >= -1/2 (equality exactly at nu = -1/2,
-    and the comparison reverses below -1/2); the upper side is valid for
-    nu > -1.
-    """
-    from .registry import bracket
-    _check_domain(nu, x)
-    return bracket("eq13_lower", "eq13_upper", nu, x)
 
 
 def b_asym(nu: float, x: float, regime: str) -> float:

@@ -15,8 +15,6 @@ import sys
 from typing import Optional, Sequence
 
 from . import registry
-from .arg_ratio import ArgPair, arg_ratio_exact
-from .condition import cond_exact
 from .errors import StruveBoundsError
 from .special_core import bessel_i, struve_l, struve_m
 from .succ_ratio import best_bracket, tightest_bracket
@@ -121,7 +119,7 @@ def _print_values(values, nu: float) -> None:
 
 def _cmd_cond(args) -> int:
     _check_finite(args.nu, args.x)
-    exact = cond_exact("L", args.nu, args.x)
+    exact = registry.exact_value("cond_L", args.nu, args.x)
     print(f"exact = {exact:.17g}")
     values = registry.evaluate_valid("cond_L", args.nu, args.x)
     _print_values(values, args.nu)
@@ -132,8 +130,7 @@ def _cmd_cond(args) -> int:
 
 def _cmd_argratio(args) -> int:
     _check_finite(args.nu, args.x, args.y)
-    pair = ArgPair(args.x, args.y)
-    exact = arg_ratio_exact(args.nu, pair)
+    exact = registry.exact_value("arg_ratio_L", args.nu, args.x, args.y)
     print(f"exact = {exact:.17g}")
     _print_values(registry.evaluate_valid("arg_ratio_L", args.nu, args.x, args.y), args.nu)
     return 0

@@ -1,4 +1,5 @@
-"""Condition numbers C(f)(x) = x f'(x)/f(x) for L and I, with their brackets.
+"""Condition numbers C(f)(x) = x f'(x)/f(x) for L and I, and the registered
+bounds on C(L).
 
 C(L_nu) is evaluated through the downward relation
 C(L_nu)(x) = x L_{nu-1}(x)/L_nu(x) - nu, which is the single source of truth;
@@ -10,14 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .brackets import Bracket
 from .errors import DomainError
 from .special_core import _L_FLOOR, _POLE_TOL, MIN_ORDER, Point
-
-
-def _check_x(x: float) -> None:
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be a finite positive real, got {x}")
 
 
 def _check_reads_below(kind: str, nu: float, floor: float, need: str) -> None:
@@ -42,10 +37,10 @@ def eq28_lower(nu, x, P):
 def cond_exact(kind: str, nu: float, x: float) -> float:
     """Reference condition number via the downward ratio; positive for L when
     nu >= -1, for I when nu >= 0."""
-    _check_x(x)
+    P = Point(nu, x)
     if kind not in ("L", "I"):
         raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
-    return (cond_L if kind == "L" else eq28_lower)(nu, x, Point(nu, x))
+    return (cond_L if kind == "L" else eq28_lower)(nu, x, P)
 
 
 def cond_upward_residual(nu: float, x: float) -> float:
@@ -57,28 +52,36 @@ def cond_upward_residual(nu: float, x: float) -> float:
 
 
 def eq28_upper(nu, x, P):
+    """C(I_nu) + 2 b_nu(x) > C(L_nu), valid nu >= -1/2."""
     return eq28_lower(nu, x, P) + 2.0 * P.b(nu)
 
 
 def eq29_lower(nu, x, P):
+    """sqrt((nu-1/2)^2 + x^2) - 1/2 < C(L_nu), valid nu >= 1/2."""
     return P.hypot(nu - 0.5, x) - 0.5
 
 
 def eq29_upper(nu, x, P):
+    """sqrt((nu+b)^2 + x^2) + b > C(L_nu), valid nu >= -1/2."""
     b0 = P.b(nu) if nu > -1.5 else math.nan
     return P.hypot(nu + b0, x) + b0
 
 
 def eq30_lower(nu, x, P):
+    """sqrt((nu+1+b')^2 + x^2) + 2b - b' - 1 < C(L_nu), b' = b_{nu+1},
+    valid nu >= -1."""
     b1 = P.b(nu + 1.0)
     return P.hypot(nu + 1.0 + b1, x) + 2.0 * P.b(nu) - b1 - 1.0
 
 
 def eq30_upper(nu, x, P):
+    """sqrt((nu+1/2)^2 + x^2) + 2b - 1/2 > C(L_nu), valid nu >= -1/2."""
     return P.hypot(nu + 0.5, x) + 2.0 * P.b(nu) - 0.5
 
 
 def eq31_lower(nu, x, P):
+    """nu + 2b + x^2/(nu + 1/2 + 2b' + sqrt((nu+3/2)^2 + x^2)) < C(L_nu),
+    b' = b_{nu+1}, valid nu >= -1."""
     return nu + 2.0 * P.b(nu) + x * x / (nu + 0.5 + 2.0 * P.b(nu + 1.0) + P.hypot(nu + 1.5, x))
 
 
@@ -107,50 +110,10 @@ def _eq27(nu: float, x: float, rad: float) -> float:
 
 
 def eq27_upper(nu, x, P):
-    """sqrt(x^2 + nu^2 + 2(2 nu+1) b); _eq27_small where the sum cancels."""
+    """sqrt(x^2 + nu^2 + 2(2 nu+1) b) > C(L_nu), valid nu > -3/2; _eq27_small
+    where the sum cancels."""
     rad = x * x + nu * nu + 2.0 * (2.0 * nu + 1.0) * P.b(nu)
     return P.sqrt(rad) if nu >= -0.5 else P.map(_eq27, nu, x, rad)
-
-
-def cond_bracket_via_bessel(nu: float, x: float) -> Bracket:
-    """C(I_nu) < C(L_nu) < C(I_nu) + 2 b_nu(x).
-
-    Lower side valid nu >= 1/2, upper side valid nu >= -1/2.
-    """
-    from .registry import bracket
-    return bracket("eq28_lower", "eq28_upper", nu, x)
-
-
-_SQRT_BRACKETS = {"eq29": ("eq29_lower", "eq29_upper"), "eq30": ("eq30_lower", "eq30_upper"),
-                  "eq31": ("eq31_lower", ""), "apti": ("", "eq27_upper")}
-
-
-def cond_bracket_sqrt(nu: float, x: float, variant: str) -> Bracket:
-    """Algebraic brackets for C(L_nu), one per published inequality.
-
-    eq29:  [sqrt((nu-1/2)^2+x^2) - 1/2, sqrt((nu+b)^2+x^2) + b]
-           lower nu >= 1/2, upper nu >= -1/2
-    eq30:  [sqrt((nu+1+b')^2+x^2) + 2b - b' - 1, sqrt((nu+1/2)^2+x^2) + 2b - 1/2]
-           lower nu >= -1, upper nu >= -1/2   (b' = b at order nu+1)
-    eq31:  lower only: nu + 2b + x^2/(nu + 1/2 + 2b' + sqrt((nu+3/2)^2+x^2)),
-           nu >= -1
-    apti:  upper only: sqrt(x^2 + nu^2 + 2(2 nu+1) b), nu > -3/2 (eq27)
-    prior: lower only: max of nu+1 (nu > -3/2) and the hyperbolic
-           x coth(x/2) - nu (nu >= 1/2, equality at nu = 1/2); see
-           prior_lower_bound for the individual members.
-    """
-    from .registry import REGISTRY, bracket
-    _check_x(x)
-    if variant in _SQRT_BRACKETS:
-        return bracket(*_SQRT_BRACKETS[variant], nu, x)
-    if variant != "prior":
-        raise DomainError(f"unknown variant {variant!r}")
-    candidates = [(PRIORS[name](nu, x, Point(nu, x)), name) for name in PRIORS
-                  if REGISTRY[name].valid_at(nu)]
-    if not candidates:
-        return Bracket(-math.inf, math.inf, False, False, "", "")
-    lower, name = max(candidates)
-    return Bracket(lower, math.inf, True, False, name, "")
 
 
 def _x_coth_half(x: float) -> float:
@@ -165,31 +128,19 @@ def _check_prior(nu: float, name: str) -> None:
 
 
 def prior_nup1(nu, x, P):
+    """nu + 1 < C(L_nu), valid nu > -3/2 (an earlier bound)."""
     _check_prior(nu, "prior_nup1")
     return nu + 1.0
 
 
 def prior_xminus(nu, x, P):
+    """x - nu < C(L_nu), valid nu >= 1/2 (an earlier bound)."""
     _check_prior(nu, "prior_xminus")
     return x - nu
 
 
 def prior_coth(nu, x, P):
+    """x coth(x/2) - nu <= C(L_nu), valid nu >= 1/2, equality at 1/2 (an earlier
+    bound)."""
     _check_prior(nu, "prior_coth")
     return P.map(_x_coth_half, x) - nu
-
-
-PRIORS = {f.__name__: f for f in (prior_nup1, prior_xminus, prior_coth)}
-
-
-def prior_lower_bound(nu: float, x: float, name: str) -> float:
-    """Earlier lower bounds kept for dominance comparisons.
-
-    prior_nup1:   nu + 1,              nu > -3/2
-    prior_xminus: x - nu,              nu >= 1/2
-    prior_coth:   x coth(x/2) - nu,    nu >= 1/2 (equality at nu = 1/2)
-    """
-    _check_x(x)
-    if name not in PRIORS:
-        raise DomainError(f"unknown prior bound {name!r}")
-    return PRIORS[name](nu, x, Point(nu, x))

@@ -26,7 +26,7 @@ class NoValidBound(StruveBoundsError):
 
 
 class UnknownBound(StruveBoundsError):
-    """The requested bound identifier is not in the registry."""
+    """The requested bound identifier or target is not in the registry."""
 
 
 class NoSignChange(StruveBoundsError):

@@ -1,4 +1,5 @@
-"""Registry of every certified inequality, keyed by stable bound id.
+"""Registry of every certified inequality, keyed by stable bound id: the
+public way to reach a bound.
 
 Each entry records the target quantity, the side it bounds, the published
 validity half-line in the order, the single equality order if one exists,
@@ -7,23 +8,91 @@ ratio), named after the bound id in its home module.  EXACT holds each
 target's exact value as a formula of the same shape.  P is a
 special_core.Point for one point (BoundSpec.evaluate, exact_value, bracket,
 evaluate_valid) or a rows.Row over numpy lanes (rows.bound_row and
-rows.exact_row, used by verify).  Validity ranges are data, not
-caller-overridable arguments: the inequalities are only guaranteed on the
-recorded ranges.
+rows.exact_row, used by verify).  Every point entry checks its target and
+arity in one place, _point, so an unknown id or target and a missing or
+extra y raise a StruveBoundsError naming the cause.  Validity ranges are
+data, not caller-overridable arguments: the inequalities are only
+guaranteed on the recorded ranges.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from . import arg_ratio as _ar
 from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
-from .brackets import BoundSpec, Bracket
-from .errors import UnknownBound
+from .brackets import ORDER_TOL, Bracket
+from .errors import DomainError, UnknownBound
 from .special_core import Point
+
+# each target a registered inequality can bound, and whether it reads y
+TARGETS = {
+    "succ_ratio_L": False,    # L_nu(x) / L_{nu-1}(x)
+    "cond_L": False,          # x L'_nu(x) / L_nu(x)
+    "arg_ratio_L": True,      # L_nu(x) / L_nu(y), x <= y
+    "pointwise_L": False,     # L_nu(x) itself
+    "b_kernel": False,        # the (0, 1/2)-valued kernel
+    "product_diff_L": False,  # I_nu L_{nu-1} - I_{nu-1} L_nu
+}
+
+
+def _point(target: str, nu: float, x: float, y: float | None) -> Point:
+    """The Point a bound on target reads at (nu, x[, y]).  One comparison
+    on the valid path: a bad call costs the lookups that name its cause."""
+    if TARGETS.get(target) is not (y is not None):
+        if target not in TARGETS:
+            raise UnknownBound(f"no target {target!r}; the targets are {', '.join(TARGETS)}")
+        raise DomainError(f"{target} takes (nu, x, y): give y" if TARGETS[target]
+                          else f"{target} takes (nu, x): give no y")
+    return Point(nu, x, y)
+
+
+@dataclass(frozen=True)
+class BoundSpec:
+    """Registry entry binding a named inequality to its target quantity.
+
+    formula(nu, x, P), or formula(nu, x, y, P) for the argument ratio, is
+    the bound's one formula: P is a special_core.Point at a single point or
+    a rows.Row over numpy lanes, and the formula reads its
+    primitives and elementary functions from P.  It checks its own order
+    range where the formula needs one; P checks the arguments.
+
+    nu_min / nu_min_strict encode the published validity range (all ranges
+    are half-lines in the order).  equality_at marks the single order at
+    which the inequality degenerates to an equality; certification treats
+    those points as zero slack rather than violations.
+    """
+
+    bound_id: str
+    target: str
+    side: str  # "lower" | "upper"
+    nu_min: float
+    nu_min_strict: bool
+    formula: Callable[..., float]
+    equality_at: Optional[float] = None
+
+    def __post_init__(self):
+        if self.target not in TARGETS:
+            raise ValueError(f"unknown target {self.target!r}")
+        if self.side not in ("lower", "upper"):
+            raise ValueError(f"side must be 'lower' or 'upper', got {self.side!r}")
+
+    def evaluate(self, nu: float, x: float, y: Optional[float] = None) -> float:
+        """The bound at one point, as a Python float."""
+        P = _point(self.target, nu, x, y)
+        return float(self.formula(nu, x, P) if y is None else self.formula(nu, x, y, P))
+
+    def valid_at(self, nu: float) -> bool:
+        if self.nu_min_strict:
+            return nu > self.nu_min
+        return nu >= self.nu_min - ORDER_TOL
+
+    def is_equality_at(self, nu: float) -> bool:
+        return self.equality_at is not None and abs(nu - self.equality_at) <= ORDER_TOL
 
 
 def _bound(bound_id, target, side, nu_min, strict, module, equality_at=None):
@@ -112,7 +181,7 @@ def bounds_for_target(target: str) -> Iterable[BoundSpec]:
 
 
 def needs_y(spec: BoundSpec) -> bool:
-    return spec.target == "arg_ratio_L"
+    return TARGETS[spec.target]
 
 
 def _args(P):
@@ -121,14 +190,9 @@ def _args(P):
 
 def exact_value(target: str, nu: float, x: float, y: float | None = None) -> float:
     """Reference value of a target quantity at one point, always from the
-    series route."""
-    if target not in EXACT:
-        raise ValueError(f"unknown target {target!r}")
-    if target != "arg_ratio_L":
-        y = None
-    elif y is None:
-        raise ValueError("arg_ratio_L needs a second argument y")
-    return float(EXACT[target](*_args(Point(nu, x, y))))
+    series route; y is for the argument ratio only."""
+    P = _point(target, nu, x, y)
+    return float(EXACT[target](*_args(P)))
 
 
 def evaluate_valid(target: str, nu: float, x: float,
@@ -136,23 +200,27 @@ def evaluate_valid(target: str, nu: float, x: float,
     """Every bound on target valid at nu, evaluated at one point as
     (spec, value) pairs in registry order.  The bounds share one Point, so
     each primitive is computed once; y is for the argument ratio only."""
-    P = Point(nu, x, y)
+    P = _point(target, nu, x, y)
     return [(spec, float(spec.formula(*_args(P)))) for spec in bounds_for_target(target)
             if spec.valid_at(nu)]
 
 
 def bracket(lower_id: str, upper_id: str, nu: float, x: float,
             y: float | None = None) -> Bracket:
-    """Two registered bounds at one point as a Bracket: each side's value,
-    its validity at nu and its id.  An empty id leaves that side open."""
-    P = Point(nu, x, y)
+    """Two registered bounds on one target at one point as a Bracket: each
+    side's value, its validity at nu and its id.  An empty id leaves that
+    side open; at least one must be given."""
+    lower, upper = (get_bound(i) if i else None for i in (lower_id, upper_id))
+    if lower is None and upper is None:
+        raise UnknownBound("a bracket needs a lower or an upper bound id")
+    if lower and upper and lower.target != upper.target:
+        raise DomainError(f"{lower_id} bounds {lower.target} but {upper_id} bounds {upper.target}")
+    P = _point((lower or upper).target, nu, x, y)
 
-    def side(bound_id: str, open_value: float) -> tuple[float, bool]:
-        if not bound_id:
+    def side(spec: BoundSpec | None, open_value: float) -> tuple[float, bool]:
+        if spec is None:
             return open_value, False
-        spec = REGISTRY[bound_id]
         return spec.formula(*_args(P)), spec.valid_at(nu)
 
-    (lower, lower_ok), (upper, upper_ok) = side(lower_id, -math.inf), side(upper_id, math.inf)
-    return Bracket(lower, upper, lower_ok, upper_ok, lower_id, upper_id)
-
+    (lo, lo_ok), (hi, hi_ok) = side(lower, -math.inf), side(upper, math.inf)
+    return Bracket(lo, hi, lo_ok, hi_ok, lower_id, upper_id)

@@ -17,9 +17,8 @@ from itertools import repeat
 import numpy as np
 
 from . import special_core
-from .brackets import BoundSpec
 from .errors import DomainError
-from .registry import EXACT, _args
+from .registry import EXACT, BoundSpec, _args
 from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, REL_TOL, X_MAX, Point,
                            _check_order, _check_x, _first_term, _gamma_pair, _lazy, _series,
                            _series_setup)

@@ -9,22 +9,18 @@ Bessel-ratio bound into a Struve-ratio bound.  The remaining bounds come
 from the Turan inequality and the monotonicity of the ratio in the order,
 plus one step of refinement through the three-term recurrence.  Each
 registered bound is one formula f(nu, x, P) over a special_core.Point or
-rows.Row P; the public functions evaluate them at a point.
+rows.Row P, reached by id through the registry.  The public functions here
+are the Bessel-side bounds, the exact product difference, the transfer map,
+the refinement step and best_bracket.
 """
 
 from __future__ import annotations
 
 import math
 
-from .bfunc import b_value
 from .brackets import ORDER_TOL, Bracket
 from .errors import DomainError, InvalidBracket, NoValidBound
 from .special_core import Point
-
-
-def _check_x(x: float) -> None:
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"x must be a finite positive real, got {x}")
 
 
 def _check_nu(nu: float, floor: float, what: str) -> None:
@@ -98,47 +94,31 @@ def eq14_positivity(nu, x, P):
 
 
 def eq15_upper(nu, x, P):
-    _check_nu(nu, -0.5, "cap 'via_nu'")
+    """(x/2)^nu I_nu / (sqrt(pi) Gamma(nu+3/2)) >= product_diff, nu >= -1/2."""
+    _check_nu(nu, -0.5, "eq15 cap")
     return P.a(nu) * P.I(nu)
 
 
 def eq16_upper(nu, x, P):
-    _check_nu(nu, 1.5, "cap 'via_num1'")
+    """(x/2)^(nu-1) I_{nu-1} / (sqrt(pi) Gamma(nu+1/2)) >= product_diff, nu >= 3/2."""
+    _check_nu(nu, 1.5, "eq16 cap")
     return P.a(nu - 1.0) * P.I(nu - 1.0)
 
 
-def product_difference_cap(nu: float, x: float, which: str) -> float:
-    """Published upper caps on the product difference.
-
-    'via_nu':   (x/2)^nu I_nu / (sqrt(pi) Gamma(nu+3/2)),        nu >= -1/2 (eq15)
-    'via_num1': (x/2)^(nu-1) I_{nu-1} / (sqrt(pi) Gamma(nu+1/2)), nu >= 3/2 (eq16)
-    """
-    caps = {"via_nu": eq15_upper, "via_num1": eq16_upper}
-    if which not in caps:
-        raise DomainError(f"unknown cap {which!r}")
-    return caps[which](nu, x, Point(nu, x))
-
-
 def eq17_upper(nu, x, P):
+    """I_nu/I_{nu-1} > h_nu, valid nu >= 1/2."""
     _check_nu(nu, -0.5, "Bessel-ratio bracket")
     return P.I(nu) / P.I(nu - 1.0)
 
 
 def eq17_lower(nu, x, P):
+    """(I_{nu-1}/I_nu + 2 b_nu(x)/x)^{-1} < h_nu, valid nu >= 0: the transfer
+    of the exact Bessel ratio."""
     return _transfer(nu, x, eq17_upper(nu, x, P), P)
 
 
-def ratio_bracket_via_bessel(nu: float, x: float) -> Bracket:
-    """Bracket for h_nu built directly from the exact Bessel ratio.
-
-    lower: (I_{nu-1}/I_nu + 2 b_nu(x)/x)^{-1}, valid nu >= 0
-    upper: I_nu/I_{nu-1},                      valid nu >= 1/2
-    """
-    from .registry import bracket
-    return bracket("eq17_lower", "eq17_upper", nu, x)
-
-
 def eq18_lower(nu, x, P):
+    """x / (nu - 1/2 + 2 b_nu(x) + sqrt((nu+1/2)^2 + x^2)) < h_nu, nu >= 0."""
     # bessel_ratio_bounds' lower side transferred, written out: it rounds
     # within 3 ulps of _transfer, and perfbench/reference.json holds it to 1e-12
     if nu <= -1.5:
@@ -147,18 +127,9 @@ def eq18_lower(nu, x, P):
 
 
 def eq18_upper(nu, x, P):
+    """x / (nu - 1/2 + sqrt((nu-1/2)^2 + x^2)) > h_nu, nu >= 1/2: the upper
+    side of bessel_ratio_bounds."""
     return _bessel_sqrt(nu, x, nu - 0.5, P)
-
-
-def ratio_bracket_segura_form(nu: float, x: float) -> Bracket:
-    """Fully algebraic bracket for h_nu: bessel_ratio_bounds, lower side
-    transferred.
-
-    lower: x / (nu - 1/2 + 2 b_nu(x) + sqrt((nu+1/2)^2 + x^2)), valid nu >= 0
-    upper: x / (nu - 1/2 + sqrt((nu-1/2)^2 + x^2)),             valid nu >= 1/2
-    """
-    from .registry import bracket
-    return bracket("eq18_lower", "eq18_upper", nu, x)
 
 
 def eq19_lower(nu, x, P):
@@ -198,20 +169,6 @@ def eq24_upper(nu, x, P):
     return x / (nu - 1.0 + 2.0 * P.b(nu) - b1 + P.hypot(nu + 1.0 + b1, x))
 
 
-def _point_view(formula):
-    def view(nu: float, x: float) -> float:
-        return formula(nu, x, Point(nu, x))
-    view.__name__, view.__doc__ = formula.__name__, formula.__doc__
-    return view
-
-
-ratio_lower_tanh = _point_view(eq19_lower)
-ratio_upper_tanh_half = _point_view(eq20_upper)
-ratio_lower_turan = _point_view(eq21_lower)
-ratio_lower_tanh_half = _point_view(eq22_lower)
-ratio_upper_refined = _point_view(eq24_upper)
-
-
 def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
     """Map a bracket for h_{nu+1} to one for h_nu via
     h_nu = 1 / (2 nu/x + 2 b_nu/x + h_{nu+1}).
@@ -219,14 +176,14 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
     The map is decreasing, so the sides swap roles: an upper bound on
     h_{nu+1} becomes a lower bound on h_nu and vice versa.
     """
-    _check_x(x)
+    P = Point(nu, x)
     if nu < -ORDER_TOL:
         raise DomainError(f"refinement step requires nu >= 0, got {nu}")
     if next_bracket.lower > next_bracket.upper:
         raise InvalidBracket(
             f"bracket sides out of order: [{next_bracket.lower}, {next_bracket.upper}]"
         )
-    base = (2.0 * nu + 2.0 * b_value(nu, x)) / x
+    base = (2.0 * nu + 2.0 * P.b(nu)) / x
     lower = 1.0 / (base + next_bracket.upper)
     upper = 1.0 / (base + next_bracket.lower)
     return Bracket(lower, upper, next_bracket.upper_valid, next_bracket.lower_valid,

@@ -4,83 +4,91 @@ import numpy as np
 import pytest
 
 from struvebounds import (
-    ArgPair,
     DomainError,
+    UnknownBound,
     a_nu_constant,
     a_nu_stirling_bracket,
-    arg_ratio_bessel_bracket,
-    arg_ratio_exact,
-    arg_ratio_explicit_bracket,
-    arg_ratio_prior_bounds,
     bessel_route_coefficient,
+    bracket,
     coefficient_crossover_nu,
+    exact_value,
+    get_bound,
     lv_value,
     pointwise_bracket,
-    pointwise_prior_upper,
     small_x_leading,
 )
 
 SQRT_PI = math.sqrt(math.pi)
 
 
+def bound(bound_id, *args):
+    return get_bound(bound_id).evaluate(*args)
+
+
+def exact_ratio(nu, x, y):
+    return exact_value("arg_ratio_L", nu, x, y)
+
+
 class TestArgPair:
+    """The pair (x, y) is checked where the Point is built."""
+
     def test_rejects_reversed(self):
         with pytest.raises(DomainError):
-            ArgPair(2.0, 1.0)
+            exact_ratio(1.0, 2.0, 1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            ArgPair(0.0, 1.0)
+            exact_ratio(1.0, 0.0, 1.0)
 
     def test_degenerate_allowed(self):
-        assert ArgPair(1.0, 1.0).degenerate
+        assert exact_ratio(1.0, 1.0, 1.0) == 1.0
 
 
 class TestExactRatio:
     def test_identity(self):
-        assert arg_ratio_exact(3.2, ArgPair(2.0, 2.0)) == 1.0
+        assert exact_ratio(3.2, 2.0, 2.0) == 1.0
 
     def test_half_order_closed_form(self):
         want = (math.cosh(1.0) - 1.0) * math.sqrt(2.0) / (math.cosh(2.0) - 1.0)
-        assert arg_ratio_exact(0.5, ArgPair(1.0, 2.0)) == pytest.approx(want, rel=1e-13)
+        assert exact_ratio(0.5, 1.0, 2.0) == pytest.approx(want, rel=1e-13)
 
     def test_below_power_bound(self):
-        assert arg_ratio_exact(1.0, ArgPair(2.0, 7.0)) < (2.0 / 7.0) ** 2
+        assert exact_ratio(1.0, 2.0, 7.0) < (2.0 / 7.0) ** 2
 
     def test_in_unit_interval(self):
         for nu in (-1.0, -0.5, 0.0, 5.0):
             for x, y in ((0.5, 1.0), (1.0, 10.0), (20.0, 60.0)):
-                r = arg_ratio_exact(nu, ArgPair(x, y))
+                r = exact_ratio(nu, x, y)
                 assert 0.0 < r < 1.0
 
 
 class TestBesselBracket:
     def test_half_order_upper_closed_form(self):
-        br = arg_ratio_bessel_bracket(0.5, ArgPair(1.0, 3.0))
+        br = bracket("eq37_lower", "eq37_upper", 0.5, 1.0, 3.0)
         want = math.sinh(1.0) * math.sqrt(3.0) / math.sinh(3.0)
         assert br.upper == pytest.approx(want, rel=1e-13)
-        assert arg_ratio_exact(0.5, ArgPair(1.0, 3.0)) <= br.upper
+        assert exact_ratio(0.5, 1.0, 3.0) <= br.upper
 
     def test_sandwich(self):
-        br = arg_ratio_bessel_bracket(1.0, ArgPair(0.5, 5.0))
-        exact = arg_ratio_exact(1.0, ArgPair(0.5, 5.0))
+        br = bracket("eq37_lower", "eq37_upper", 1.0, 0.5, 5.0)
+        exact = exact_ratio(1.0, 0.5, 5.0)
         assert br.lower < exact < br.upper
 
     def test_flags_at_minus_half(self):
-        br = arg_ratio_bessel_bracket(-0.5, ArgPair(1.0, 2.0))
+        br = bracket("eq37_lower", "eq37_upper", -0.5, 1.0, 2.0)
         assert br.lower_valid and not br.upper_valid
 
 
 class TestExplicitBracket:
     def test_continuity_at_equal_arguments(self):
-        br = arg_ratio_explicit_bracket(0.5, ArgPair(2.0, 2.0))
+        br = bracket("eq38_lower", "eq38_upper", 0.5, 2.0, 2.0)
         assert br.lower == br.upper == 1.0
 
     def test_sandwich_on_grid(self):
         for nu in (-0.5, 0.0, 1.0, 5.0):
             for x, y in ((0.01, 1.0), (1.0, 3.0), (5.0, 50.0)):
-                br = arg_ratio_explicit_bracket(nu, ArgPair(x, y))
-                exact = arg_ratio_exact(nu, ArgPair(x, y))
+                br = bracket("eq38_lower", "eq38_upper", nu, x, y)
+                exact = exact_ratio(nu, x, y)
                 assert br.lower < exact < br.upper
 
     def test_lower_has_correct_decay_order(self):
@@ -88,23 +96,23 @@ class TestExplicitBracket:
         nu = 0.0
         vals = []
         for y in (20.0, 35.0, 50.0):
-            br = arg_ratio_explicit_bracket(nu, ArgPair(1.0, y))
-            vals.append(br.lower / arg_ratio_exact(nu, ArgPair(1.0, y)))
+            br = bracket("eq38_lower", "eq38_upper", nu, 1.0, y)
+            vals.append(br.lower / exact_ratio(nu, 1.0, y))
         assert all(0.01 < v < 1.0 for v in vals)
         assert abs(vals[-1] / vals[-2] - 1.0) < 0.2
 
     def test_upper_is_one_power_of_y_high(self):
         # upper/exact grows linearly in y (the bound is O(y^(3/2) e^-y))
         nu = 1.0
-        r35 = arg_ratio_explicit_bracket(nu, ArgPair(1.0, 35.0)).upper \
-            / arg_ratio_exact(nu, ArgPair(1.0, 35.0))
-        r50 = arg_ratio_explicit_bracket(nu, ArgPair(1.0, 50.0)).upper \
-            / arg_ratio_exact(nu, ArgPair(1.0, 50.0))
+        r35 = bracket("eq38_lower", "eq38_upper", nu, 1.0, 35.0).upper \
+            / exact_ratio(nu, 1.0, 35.0)
+        r50 = bracket("eq38_lower", "eq38_upper", nu, 1.0, 50.0).upper \
+            / exact_ratio(nu, 1.0, 50.0)
         assert r50 / r35 == pytest.approx(50.0 / 35.0, rel=0.1)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            arg_ratio_explicit_bracket(-0.6, ArgPair(1.0, 2.0))
+            bracket("eq38_lower", "eq38_upper", -0.6, 1.0, 2.0)
 
 
 class TestPointwiseBracket:
@@ -129,7 +137,7 @@ class TestPointwiseBracket:
                 assert br.lower <= br.upper * (1.0 + 1e-15)
         for nu in (0.0, 1.0, 10.0):
             for x, y in ((1e-300, 2e-300), (1e-300, 1e-7), (1e-300, 1.0), (1e-9, 1e-8)):
-                br = arg_ratio_explicit_bracket(nu, ArgPair(x, y))
+                br = bracket("eq38_lower", "eq38_upper", nu, x, y)
                 assert br.lower <= br.upper * (1.0 + 1e-15)
 
     def test_tight_at_small_x(self):
@@ -152,51 +160,47 @@ class TestPointwiseBracket:
 
 class TestPriorArgRatioBounds:
     def test_eq34_equality_at_half(self):
-        pair = ArgPair(1.0, 2.0)
-        got = arg_ratio_prior_bounds(0.5, pair, "eq34")
-        assert got == pytest.approx(arg_ratio_exact(0.5, pair), rel=1e-13)
+        got = bound("eq34_upper", 0.5, 1.0, 2.0)
+        assert got == pytest.approx(exact_ratio(0.5, 1.0, 2.0), rel=1e-13)
 
     def test_eq33a_value_and_side(self):
-        pair = ArgPair(1.0, 4.0)
-        got = arg_ratio_prior_bounds(0.0, pair, "eq33a")
+        got = bound("eq33a_upper", 0.0, 1.0, 4.0)
         assert got == pytest.approx(0.25)
-        assert got >= arg_ratio_exact(0.0, pair)
+        assert got >= exact_ratio(0.0, 1.0, 4.0)
 
     def test_eq42_value_and_side(self):
         # e^(x-y) ((y+nu)/(x+nu))^nu (x/y)^(nu+1) sqrt((15+y^2)/(15+x^2))
         # with 3(2 nu+3) = 15 at order one
-        pair = ArgPair(1.0, 3.0)
         want = math.exp(-2.0) * (4.0 / 2.0) * (1.0 / 3.0) ** 2 * math.sqrt(24.0 / 16.0)
-        got = arg_ratio_prior_bounds(1.0, pair, "eq42")
+        got = bound("eq42_lower", 1.0, 1.0, 3.0)
         assert got == pytest.approx(want, rel=1e-13)
-        assert got <= arg_ratio_exact(1.0, pair)
+        assert got <= exact_ratio(1.0, 1.0, 3.0)
 
     def test_hbv_lower_side(self):
-        pair = ArgPair(0.5, 2.0)
-        got = arg_ratio_prior_bounds(0.0, pair, "hbv_combined")
-        assert got < arg_ratio_exact(0.0, pair)
+        got = bound("eq40_lower", 0.0, 0.5, 2.0)
+        assert got < exact_ratio(0.0, 0.5, 2.0)
 
     def test_variant_domains(self):
         with pytest.raises(DomainError):
-            arg_ratio_prior_bounds(0.4, ArgPair(1.0, 2.0), "eq33b")
+            bound("eq33b_upper", 0.4, 1.0, 2.0)
         with pytest.raises(DomainError):
-            arg_ratio_prior_bounds(-0.5, ArgPair(1.0, 2.0), "hbv_combined")
+            bound("eq40_lower", -0.5, 1.0, 2.0)
         with pytest.raises(DomainError):
-            arg_ratio_prior_bounds(-0.1, ArgPair(1.0, 2.0), "eq42")
-        with pytest.raises(DomainError):
-            arg_ratio_prior_bounds(0.0, ArgPair(1.0, 2.0), "nope")
+            bound("eq42_lower", -0.1, 1.0, 2.0)
+        with pytest.raises(UnknownBound):
+            get_bound("nope")
 
 
 class TestPointwisePriorUppers:
     def test_eq46_reference_errors(self):
-        got = pointwise_prior_upper(0.0, 0.5, "eq46")
+        got = bound("eq46_upper", 0.0, 0.5)
         assert got / lv_value(0.0, 0.5) - 1.0 == pytest.approx(5.3417, abs=2e-4)
-        got = pointwise_prior_upper(2.5, 2.5, "eq46")
+        got = bound("eq46_upper", 2.5, 2.5)
         assert got / lv_value(2.5, 2.5) - 1.0 == pytest.approx(0.7309, abs=2e-4)
 
     def test_eq43_value_and_side(self):
         want = math.sqrt(9.0 / 10.0) * math.e / (SQRT_PI * math.gamma(1.5))
-        got = pointwise_prior_upper(0.0, 1.0, "eq43")
+        got = bound("eq43_upper", 0.0, 1.0)
         assert got == pytest.approx(want, rel=1e-13)
         assert got >= lv_value(0.0, 1.0)
 
@@ -206,7 +210,7 @@ class TestPointwisePriorUppers:
         nu, x = 1.3, 4.0
         want = 2.0 * math.gamma(nu + 2.0) / (SQRT_PI * math.gamma(nu + 1.5)) \
             * iv_value(nu + 1.0, x)
-        assert pointwise_prior_upper(nu, x, "eq45") == pytest.approx(want, rel=1e-13)
+        assert bound("eq45_upper", nu, x) == pytest.approx(want, rel=1e-13)
         assert want > lv_value(nu, x)
 
     def test_eq45_past_gamma_overflow(self):
@@ -216,28 +220,28 @@ class TestPointwisePriorUppers:
         nu, x = 200.0, 500.0
         ratio = math.exp(math.lgamma(nu + 2.0) - math.lgamma(nu + 1.5))
         want = 2.0 * ratio / SQRT_PI * iv_value(nu + 1.0, x)
-        assert pointwise_prior_upper(nu, x, "eq45") == pytest.approx(want, rel=1e-12)
+        assert bound("eq45_upper", nu, x) == pytest.approx(want, rel=1e-12)
 
     def test_domains(self):
         with pytest.raises(DomainError):
-            pointwise_prior_upper(-0.1, 1.0, "eq43")
+            bound("eq43_upper", -0.1, 1.0)
         with pytest.raises(DomainError):
-            pointwise_prior_upper(-0.5, 1.0, "eq46")
+            bound("eq46_upper", -0.5, 1.0)
 
 
 class TestDominance:
     def test_explicit_lower_beats_eq42(self):
         for nu in (0.0, 1.0, 5.0):
             for x, y in ((0.1, 1.0), (1.0, 3.0), (5.0, 50.0)):
-                a = arg_ratio_explicit_bracket(nu, ArgPair(x, y)).lower
-                b = arg_ratio_prior_bounds(nu, ArgPair(x, y), "eq42")
+                a = bracket("eq38_lower", "eq38_upper", nu, x, y).lower
+                b = bound("eq42_lower", nu, x, y)
                 assert a >= b * (1.0 - 1e-12)
 
     def test_explicit_upper_beats_eq43(self):
         for nu in (0.0, 1.0, 5.0):
             for x in (0.1, 1.0, 10.0, 100.0):
                 a = pointwise_bracket(nu, x).upper
-                b = pointwise_prior_upper(nu, x, "eq43")
+                b = bound("eq43_upper", nu, x)
                 assert a <= b * (1.0 + 1e-12)
 
     def test_explicit_upper_beats_power_bound_at_low_orders(self):
@@ -246,8 +250,8 @@ class TestDominance:
         # exponential variant wins again only from order 3/2 on at large y
         for nu in (-0.5, 0.0, 0.5, 1.0, 1.4):
             for x, y in ((0.01, 0.011), (0.1, 1.0), (1.0, 3.0), (5.0, 50.0)):
-                a = arg_ratio_explicit_bracket(nu, ArgPair(x, y)).upper
-                b = arg_ratio_prior_bounds(nu, ArgPair(x, y), "eq33a")
+                a = bracket("eq38_lower", "eq38_upper", nu, x, y).upper
+                b = bound("eq33a_upper", nu, x, y)
                 assert a < b
 
 

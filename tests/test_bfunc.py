@@ -7,15 +7,19 @@ from struvebounds import (
     DomainError,
     a_coefficient,
     b_asym,
-    b_csch_bracket,
-    b_upper_quadratic,
     b_value,
+    bracket,
+    get_bound,
     lv_value,
 )
 
 
 def csch_lower(x):
     return 0.5 * x / math.sinh(x)
+
+
+def bound(bound_id, *args):
+    return get_bound(bound_id).evaluate(*args)
 
 
 class TestBEval:
@@ -65,37 +69,37 @@ class TestBEval:
 
 class TestQuadraticUpper:
     def test_limit(self):
-        assert abs(b_upper_quadratic(0.0, 1e-9) - 0.5) < 1e-15
+        assert abs(bound("eq12_upper", 0.0, 1e-9) - 0.5) < 1e-15
 
     def test_values_and_strictness(self):
-        assert b_upper_quadratic(0.0, 3.0) == pytest.approx(0.25)
+        assert bound("eq12_upper", 0.0, 3.0) == pytest.approx(0.25)
         assert b_value(0.0, 3.0) < 0.25
-        assert b_upper_quadratic(1.5, 6.0) == pytest.approx(1.0 / 6.0)
+        assert bound("eq12_upper", 1.5, 6.0) == pytest.approx(1.0 / 6.0)
         assert b_value(1.5, 6.0) < 1.0 / 6.0
 
     def test_dominates_kernel_on_grid(self):
         for nu in (-1.4, -0.5, 0.0, 2.5, 10.0):
             for x in np.logspace(-2, 2, 25):
-                assert b_value(nu, float(x)) < b_upper_quadratic(nu, float(x))
+                assert b_value(nu, float(x)) < bound("eq12_upper", nu, float(x))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            b_upper_quadratic(-1.5, 1.0)
+            bound("eq12_upper", -1.5, 1.0)
 
 
 class TestCschBracket:
     def test_equality_at_minus_half(self):
-        br = b_csch_bracket(-0.5, 2.0)
+        br = bracket("eq13_lower", "eq13_upper", -0.5, 2.0)
         assert br.lower_valid and br.upper_valid
         assert abs(b_value(-0.5, 2.0) - br.lower) < 1e-15
 
     def test_limits_near_zero(self):
-        br = b_csch_bracket(0.0, 1e-8)
+        br = bracket("eq13_lower", "eq13_upper", 0.0, 1e-8)
         assert abs(br.lower - 0.5) < 1e-8
         assert abs(br.upper - 0.75) < 1e-8  # (2 nu + 3)/4 at nu = 0
 
     def test_strict_sandwich(self):
-        br = b_csch_bracket(1.0, 4.0)
+        br = bracket("eq13_lower", "eq13_upper", 1.0, 4.0)
         assert br.lower == pytest.approx(2.0 / math.sinh(4.0))
         assert br.upper == pytest.approx(1.0 / math.sinh(0.8))
         assert br.lower < b_value(1.0, 4.0) < br.upper
@@ -103,21 +107,22 @@ class TestCschBracket:
     def test_subnormal_argument_gives_the_limits(self):
         # x/2 and x/(2 nu+3) round to 0 at the smallest subnormal; the sides
         # are their x -> 0 limits 1/2 and (2 nu + 3)/4
-        br = b_csch_bracket(1.0, 5e-324)
+        br = bracket("eq13_lower", "eq13_upper", 1.0, 5e-324)
         assert (br.lower, br.upper) == (0.5, 1.25)
 
     def test_no_overflow_past_sinh_range(self):
         # sinh overflows past about 710; the sides then decay like x e^(-z)
-        br = b_csch_bracket(-1.49, 30.0)  # upper side at z = x/(2 nu+3) = 1500
+        # upper side at z = x/(2 nu+3) = 1500
+        br = bracket("eq13_lower", "eq13_upper", -1.49, 30.0)
         assert br.lower == 15.0 / math.sinh(30.0)
         assert br.upper == 0.0
-        br = b_csch_bracket(0.0, 720.0)
+        br = bracket("eq13_lower", "eq13_upper", 0.0, 720.0)
         assert br.lower == pytest.approx(math.exp(math.log(720.0) - 720.0), rel=1e-12)
 
     def test_validity_flags(self):
-        assert not b_csch_bracket(-0.75, 1.0).lower_valid
-        assert b_csch_bracket(-0.75, 1.0).upper_valid
-        assert not b_csch_bracket(-1.0, 1.0).upper_valid
+        assert not bracket("eq13_lower", "eq13_upper", -0.75, 1.0).lower_valid
+        assert bracket("eq13_lower", "eq13_upper", -0.75, 1.0).upper_valid
+        assert not bracket("eq13_lower", "eq13_upper", -1.0, 1.0).upper_valid
 
     def test_lower_side_reverses_below_minus_half(self):
         # the hyperbolic lower bound flips direction on (-3/2, -1/2);

@@ -3,15 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import struvebounds
 from struvebounds import lv_value, mv_value, special_core, verify
-from struvebounds.brackets import BoundSpec
 from struvebounds.cli import main
-from struvebounds.registry import REGISTRY
+from struvebounds.registry import REGISTRY, BoundSpec
 from struvebounds.verify import parse_table_csv
 
 
@@ -360,6 +360,17 @@ class TestNumpyOffThePointPath:
         scope = {}
         exec(f"from struvebounds import {name}", scope)
         assert scope[name] is getattr(verify, name)
+
+    def test_star_import_binds_every_export(self):
+        scope = {}
+        exec("from struvebounds import *", scope)
+        assert scope["certify_all"] is verify.certify_all
+        assert set(struvebounds.__all__) <= set(scope)
+
+    def test_all_lists_every_public_name(self):
+        public = {name for name, value in vars(struvebounds).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert sorted(struvebounds.__all__) == sorted(public | set(VERIFY_NAMES))
 
     def test_unknown_names_are_attribute_errors(self):
         assert not hasattr(struvebounds, "no_such_name")

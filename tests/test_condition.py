@@ -5,17 +5,34 @@ import pytest
 
 from struvebounds import (
     DomainError,
+    UnknownBound,
     b_value,
-    cond_bracket_sqrt,
-    cond_bracket_via_bessel,
+    bracket,
     cond_exact,
-    prior_lower_bound,
+    get_bound,
+    tightest_bracket,
 )
 from struvebounds.condition import cond_upward_residual
+
+PRIOR_IDS = ("prior_nup1", "prior_xminus", "prior_coth")
+# the algebraic condition-number brackets as (lower id, upper id); "" is an open side
+SQRT_BRACKETS = (("eq29_lower", "eq29_upper"), ("eq30_lower", "eq30_upper"),
+                 ("eq31_lower", ""), ("", "eq27_upper"))
 
 
 def CL(nu, x):
     return cond_exact("L", nu, x)
+
+
+def bound(bound_id, *args):
+    return get_bound(bound_id).evaluate(*args)
+
+
+def best_prior(nu, x):
+    """The tightest of the prior_* lower bounds valid at nu."""
+    specs = [get_bound(i) for i in PRIOR_IDS]
+    return tightest_bracket([(s, s.evaluate(nu, x)) for s in specs if s.valid_at(nu)],
+                            "cond_L", nu)
 
 
 class TestCondExact:
@@ -53,44 +70,44 @@ class TestBracketViaBessel:
     def test_half_order_closed_forms(self):
         # C(I_1/2) = x coth(x) - 1/2 sandwiches C(L_1/2) from below
         x = 2.0
-        br = cond_bracket_via_bessel(0.5, x)
+        br = bracket("eq28_lower", "eq28_upper", 0.5, x)
         assert br.lower == pytest.approx(x / math.tanh(x) - 0.5, rel=1e-13)
         assert br.lower < CL(0.5, x) < br.upper
 
     def test_flags_below_half(self):
-        br = cond_bracket_via_bessel(-0.5, 1.0)
+        br = bracket("eq28_lower", "eq28_upper", -0.5, 1.0)
         assert not br.lower_valid and br.upper_valid
         assert CL(-0.5, 1.0) < br.upper
 
     def test_gap_closes_exponentially(self):
-        br = cond_bracket_via_bessel(1.0, 50.0)
+        br = bracket("eq28_lower", "eq28_upper", 1.0, 50.0)
         assert br.upper - br.lower == pytest.approx(2.0 * b_value(1.0, 50.0))
         assert br.upper - br.lower < 1e-15
 
 
 class TestSqrtBrackets:
     def test_eq29_half_order_point(self):
-        br = cond_bracket_sqrt(0.5, 3.0, "eq29")
+        br = bracket("eq29_lower", "eq29_upper", 0.5, 3.0)
         assert br.lower == pytest.approx(2.5)
         assert br.lower < CL(0.5, 3.0) < br.upper
 
     def test_eq30_sandwich(self):
         for nu in (-1.0, -0.5, 0.0, 2.0):
             for x in (0.05, 1.0, 20.0):
-                br = cond_bracket_sqrt(nu, x, "eq30")
+                br = bracket("eq30_lower", "eq30_upper", nu, x)
                 exact = CL(nu, x)
                 assert br.lower < exact
                 if br.upper_valid:
                     assert exact < br.upper
 
     def test_eq31_tight_at_zero(self):
-        br = cond_bracket_sqrt(0.0, 1e-5, "eq31")
+        br = bracket("eq31_lower", "", 0.0, 1e-5)
         assert br.lower == pytest.approx(1.0, abs=1e-9)
         assert br.lower < CL(0.0, 1e-5)
 
     def test_apti_large_x_behaviour(self):
         # upper behaves like x + nu^2/(2x) for large x
-        br = cond_bracket_sqrt(1.0, 50.0, "apti")
+        br = bracket("", "eq27_upper", 1.0, 50.0)
         assert br.upper == pytest.approx(50.0 + 1.0 / 100.0, abs=1e-4)
         assert CL(1.0, 50.0) < br.upper
 
@@ -101,56 +118,56 @@ class TestSqrtBrackets:
         mpmath.mp.dps = 60  # 1 - 2b is about x^2, so the reference needs 2 log10(1/x) digits
         for nu in (-1.4, -1.0, -0.75):
             for x in (1e-12, 1e-3, 0.5, 1.99, 2.0, 5.0):
-                got = cond_bracket_sqrt(nu, x, "apti").upper
+                got = bound("eq27_upper", nu, x)
                 X, NU = mpmath.mpf(x), mpmath.mpf(nu)
                 b = (X / 2) ** (NU + 1) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(NU + 1.5)
                                            * mpmath.struvel(NU, X))
                 want = mpmath.sqrt(X ** 2 + NU ** 2 + 2 * (2 * NU + 1) * b)
                 assert abs(float((got - want) / want)) < 1e-14, (nu, x)
         for x in (1e-300, 1e-12):  # at nu = -1 the bound is x sqrt(4/3) to O(x^3)
-            assert cond_bracket_sqrt(-1.0, x, "apti").upper == pytest.approx(
+            assert bound("eq27_upper", -1.0, x) == pytest.approx(
                 x * math.sqrt(4.0 / 3.0), rel=1e-15)
 
     def test_prior_variant_picks_max(self):
-        br = cond_bracket_sqrt(1.0, 0.1, "prior")
+        br = best_prior(1.0, 0.1)
         # near zero the constant bound nu+1 beats both hyperbolic ones
         assert br.lower_id == "prior_nup1"
-        br = cond_bracket_sqrt(1.0, 10.0, "prior")
+        br = best_prior(1.0, 10.0)
         assert br.lower_id == "prior_coth"
 
     def test_unknown_variant(self):
-        with pytest.raises(DomainError):
-            cond_bracket_sqrt(1.0, 1.0, "eq99")
+        with pytest.raises(UnknownBound):
+            bracket("eq99_lower", "eq99_upper", 1.0, 1.0)
 
 
 class TestPriorBounds:
     def test_values(self):
-        assert prior_lower_bound(1.0, 2.0, "prior_nup1") == 2.0
-        assert prior_lower_bound(1.0, 2.0, "prior_xminus") == 1.0
-        assert prior_lower_bound(0.5, 2.0, "prior_coth") == pytest.approx(
+        assert bound("prior_nup1", 1.0, 2.0) == 2.0
+        assert bound("prior_xminus", 1.0, 2.0) == 1.0
+        assert bound("prior_coth", 0.5, 2.0) == pytest.approx(
             2.0 / math.tanh(1.0) - 0.5)
 
     def test_coth_limit_at_subnormal_argument(self):
         # x/2 underflows at the smallest subnormal; x coth(x/2) -> 2
-        assert prior_lower_bound(0.5, 5e-324, "prior_coth") == 1.5
+        assert bound("prior_coth", 0.5, 5e-324) == 1.5
 
     def test_coth_equality_at_half(self):
         for x in (0.5, 3.0):
-            assert prior_lower_bound(0.5, x, "prior_coth") == pytest.approx(
+            assert bound("prior_coth", 0.5, x) == pytest.approx(
                 CL(0.5, x), rel=1e-13)
 
     def test_coth_dominates_linear(self):
         for nu in (0.5, 1.0, 4.0):
             for x in (0.2, 2.0, 30.0):
-                assert prior_lower_bound(nu, x, "prior_coth") >= \
-                    prior_lower_bound(nu, x, "prior_xminus")
+                assert bound("prior_coth", nu, x) >= \
+                    bound("prior_xminus", nu, x)
 
     def test_xminus_fails_below_half_order(self):
         # the linear bound does not hold at order zero (and is registered
         # only from 1/2 up); order 0, x = 10 is a strict counterexample
         assert CL(0.0, 10.0) < 10.0
         with pytest.raises(DomainError):
-            prior_lower_bound(0.0, 10.0, "prior_xminus")
+            bound("prior_xminus", 0.0, 10.0)
 
     def test_xminus_holds_from_half_up(self):
         # the true gap drops below double resolution at large x, hence the
@@ -158,7 +175,7 @@ class TestPriorBounds:
         for nu in (0.5, 1.0, 2.5, 10.0):
             for x in (0.01, 1.0, 10.0, 50.0):
                 exact = CL(nu, x)
-                assert prior_lower_bound(nu, x, "prior_xminus") < exact + 1e-12 * abs(exact)
+                assert bound("prior_xminus", nu, x) < exact + 1e-12 * abs(exact)
 
 
 class TestOrderings:
@@ -169,8 +186,8 @@ class TestOrderings:
         for nu in self.NUS:
             for x in self.XS:
                 x = float(x)
-                a = cond_bracket_sqrt(nu, x, "eq31").lower
-                b = cond_bracket_sqrt(nu, x, "eq30").lower
+                a = bound("eq31_lower", nu, x)
+                b = bracket("eq30_lower", "eq30_upper", nu, x).lower
                 assert a >= b - 1e-14 * abs(a)
 
     def test_eq30_upper_below_eq29_upper(self):
@@ -179,25 +196,22 @@ class TestOrderings:
                 continue
             for x in self.XS:
                 x = float(x)
-                a = cond_bracket_sqrt(nu, x, "eq30").upper
-                b = cond_bracket_sqrt(nu, x, "eq29").upper
+                a = bracket("eq30_lower", "eq30_upper", nu, x).upper
+                b = bracket("eq29_lower", "eq29_upper", nu, x).upper
                 assert a <= b + 1e-14 * abs(b)
 
     def test_small_x_tightness(self):
         x = 1e-3
         for nu in (-0.5, 0.0, 1.0, 5.0):
             target = nu + 1.0
-            for variant, side in (("eq30", "lower"), ("eq30", "upper"),
-                                  ("eq31", "lower"), ("apti", "upper")):
-                br = cond_bracket_sqrt(nu, x, variant)
-                v = br.lower if side == "lower" else br.upper
-                assert abs(v - target) < 1e-3
+            for bound_id in ("eq30_lower", "eq30_upper", "eq31_lower", "eq27_upper"):
+                assert abs(bound(bound_id, nu, x) - target) < 1e-3
 
     def test_large_x_leading_behaviour(self):
         x = 200.0
         for nu in (-0.5, 0.0, 1.0, 5.0):
-            for variant in ("eq29", "eq30", "eq31", "apti"):
-                br = cond_bracket_sqrt(nu, x, variant)
+            for ids in SQRT_BRACKETS:
+                br = bracket(*ids, nu, x)
                 for v, ok in ((br.lower, br.lower_valid), (br.upper, br.upper_valid)):
                     if ok:
                         assert abs(v / x - 1.0) < 0.01
@@ -211,13 +225,13 @@ class TestSingleCrossovers:
     def test_eq29_vs_eq31_lower(self):
         xs = np.linspace(0.01, 50.0, 300)
         for nu in (0.5, 1.0, 2.5):
-            f = lambda x: (cond_bracket_sqrt(nu, x, "eq29").lower
-                           - cond_bracket_sqrt(nu, x, "eq31").lower)
+            f = lambda x: (bracket("eq29_lower", "eq29_upper", nu, x).lower
+                           - bound("eq31_lower", nu, x))
             assert self.count_sign_changes(f, xs) == 1
 
     def test_apti_vs_eq30_upper(self):
         xs = np.linspace(0.01, 50.0, 300)
         for nu in (-0.5, 0.0, 1.0, 2.5, 5.0):
-            f = lambda x: (cond_bracket_sqrt(nu, x, "apti").upper
-                           - cond_bracket_sqrt(nu, x, "eq30").upper)
+            f = lambda x: (bound("eq27_upper", nu, x)
+                           - bracket("eq30_lower", "eq30_upper", nu, x).upper)
             assert self.count_sign_changes(f, xs) == 1

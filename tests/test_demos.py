@@ -1,11 +1,15 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script runs to completion against the package in src/, and
+the README's library tour names only exported functions."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import struvebounds
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,3 +23,10 @@ def test_demo_runs(script):
     out = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def test_readme_tour_uses_exported_names():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    names = set(re.findall(r"\bsb\.(\w+)", tour))
+    assert names and names <= set(struvebounds.__all__), names - set(struvebounds.__all__)

@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from struvebounds import (
     Bracket,
-    b_csch_bracket,
     b_value,
     best_bracket,
+    bracket,
     lv_value,
     ratio_refine_step,
     ratio_succ_exact,
@@ -24,7 +24,7 @@ args = st.floats(min_value=1e-2, max_value=50.0, allow_nan=False)
 def test_kernel_range_and_hyperbolic_sandwich(nu, x):
     v = b_value(nu, x)
     assert 0.0 < v < 0.5
-    br = b_csch_bracket(nu, x)
+    br = bracket("eq13_lower", "eq13_upper", nu, x)
     if br.lower_valid:
         assert br.lower <= v * (1.0 + 1e-12)
     if br.upper_valid:

@@ -12,24 +12,22 @@ from struvebounds import (
     bessel_ratio_bounds,
     bessel_ratio_lower_tanh,
     best_bracket,
+    bracket,
+    get_bound,
     half_integer_closed,
     product_difference,
-    product_difference_cap,
-    ratio_bracket_segura_form,
-    ratio_bracket_via_bessel,
-    ratio_lower_tanh,
-    ratio_lower_tanh_half,
-    ratio_lower_turan,
     ratio_refine_step,
     ratio_succ_exact,
-    ratio_upper_refined,
-    ratio_upper_tanh_half,
 )
 from struvebounds.succ_ratio import transfer_lower
 
 
 def h(nu, x):
     return ratio_succ_exact("L", nu, x)
+
+
+def bound(bound_id, *args):
+    return get_bound(bound_id).evaluate(*args)
 
 
 class TestBesselRatioBounds:
@@ -69,7 +67,7 @@ class TestProductDifference:
 
     def test_positive_and_capped(self):
         pd = product_difference(1.0, 2.0)
-        assert 0.0 < pd < product_difference_cap(1.0, 2.0, "via_nu")
+        assert 0.0 < pd < bound("eq15_upper", 1.0, 2.0)
 
     def test_positive_on_range(self):
         for nu in (0.5, 1.0, 2.5, 10.0):
@@ -78,47 +76,47 @@ class TestProductDifference:
 
     def test_second_cap(self):
         for nu, x in [(1.5, 1.0), (3.0, 10.0)]:
-            assert product_difference(nu, x) < product_difference_cap(nu, x, "via_num1")
+            assert product_difference(nu, x) < bound("eq16_upper", nu, x)
         with pytest.raises(DomainError):
-            product_difference_cap(1.0, 1.0, "via_num1")
+            bound("eq16_upper", 1.0, 1.0)
 
 
 class TestBracketViaBessel:
     def test_lower_error_reference_point(self):
-        br = ratio_bracket_via_bessel(1.0, 5.0)
+        br = bracket("eq17_lower", "eq17_upper", 1.0, 5.0)
         assert abs((1.0 - br.lower / h(1.0, 5.0)) - 0.0186) < 2e-4
 
     def test_upper_error_reference_point(self):
-        br = ratio_bracket_via_bessel(0.5, 1.0)
+        br = bracket("eq17_lower", "eq17_upper", 0.5, 1.0)
         assert abs((br.upper / h(0.5, 1.0) - 1.0) - 0.6481) < 2e-4
 
     def test_upper_small_x_limit(self):
         # relative error of the upper side tends to 1/(2 nu)
-        br = ratio_bracket_via_bessel(10.0, 1e-4)
+        br = bracket("eq17_lower", "eq17_upper", 10.0, 1e-4)
         assert abs((br.upper / h(10.0, 1e-4) - 1.0) - 0.05) < 1e-4
 
     def test_flags(self):
-        br = ratio_bracket_via_bessel(0.25, 1.0)
+        br = bracket("eq17_lower", "eq17_upper", 0.25, 1.0)
         assert br.lower_valid and not br.upper_valid
 
 
 class TestBracketSeguraForm:
     def test_lower_error_reference_point(self):
-        br = ratio_bracket_segura_form(0.0, 1.0)
+        br = bracket("eq18_lower", "eq18_upper", 0.0, 1.0)
         assert abs((1.0 - br.lower / h(0.0, 1.0)) - 0.1973) < 2e-4
 
     def test_upper_error_reference_point(self):
-        br = ratio_bracket_segura_form(1.0, 2.5)
+        br = bracket("eq18_lower", "eq18_upper", 1.0, 2.5)
         assert abs((br.upper / h(1.0, 2.5) - 1.0) - 0.2417) < 2e-4
 
     def test_upper_blows_up_at_half_order(self):
-        br = ratio_bracket_segura_form(0.5, 1e-3)
+        br = bracket("eq18_lower", "eq18_upper", 0.5, 1e-3)
         assert br.upper / h(0.5, 1e-3) - 1.0 > 100.0
 
     def test_sandwich_on_grid(self):
         for nu in (0.0, 0.5, 1.0, 5.0):
             for x in (0.01, 1.0, 10.0, 50.0):
-                br = ratio_bracket_segura_form(nu, x)
+                br = bracket("eq18_lower", "eq18_upper", nu, x)
                 exact = h(nu, x)
                 assert br.lower <= exact * (1.0 + 1e-12)
                 if br.upper_valid:
@@ -127,34 +125,34 @@ class TestBracketSeguraForm:
 
 class TestTanhBounds:
     def test_lower_tanh_below_exact(self):
-        assert ratio_lower_tanh(1.0, 2.0) < h(1.0, 2.0)
+        assert bound("eq19_lower", 1.0, 2.0) < h(1.0, 2.0)
 
     def test_lower_tanh_tends_to_one(self):
-        assert ratio_lower_tanh(0.75, 40.0) == pytest.approx(1.0, abs=0.05)
+        assert bound("eq19_lower", 0.75, 40.0) == pytest.approx(1.0, abs=0.05)
 
     def test_improved_by_tanh_half(self):
         # the tanh(x/2) variant dominates the tanh(x) one
-        assert ratio_lower_tanh(2.0, 0.5) < ratio_lower_tanh_half(2.0, 0.5)
+        assert bound("eq19_lower", 2.0, 0.5) < bound("eq22_lower", 2.0, 0.5)
 
     def test_upper_tanh_half_equality(self):
-        assert ratio_upper_tanh_half(0.5, 3.0) == pytest.approx(h(0.5, 3.0), rel=1e-13)
+        assert bound("eq20_upper", 0.5, 3.0) == pytest.approx(h(0.5, 3.0), rel=1e-13)
 
     def test_upper_tanh_half_strict(self):
-        assert ratio_upper_tanh_half(1.0, 1.0) > h(1.0, 1.0)
+        assert bound("eq20_upper", 1.0, 1.0) > h(1.0, 1.0)
 
     def test_upper_crossover_near_published_point(self):
         # the two upper bounds exchange dominance between x = 2.16 and 2.20
-        lo = ratio_upper_tanh_half(1.0, 2.16) - ratio_bracket_segura_form(1.0, 2.16).upper
-        hi = ratio_upper_tanh_half(1.0, 2.20) - ratio_bracket_segura_form(1.0, 2.20).upper
+        lo = bound("eq20_upper", 1.0, 2.16) - bracket("eq18_lower", "eq18_upper", 1.0, 2.16).upper
+        hi = bound("eq20_upper", 1.0, 2.20) - bracket("eq18_lower", "eq18_upper", 1.0, 2.20).upper
         assert lo < 0.0 < hi
 
     def test_domains(self):
         with pytest.raises(DomainError):
-            ratio_lower_tanh(0.5, 1.0)
+            bound("eq19_lower", 0.5, 1.0)
         with pytest.raises(DomainError):
-            ratio_upper_tanh_half(0.49, 1.0)
+            bound("eq20_upper", 0.49, 1.0)
         with pytest.raises(DomainError):
-            ratio_lower_tanh_half(0.4, 1.0)
+            bound("eq22_lower", 0.4, 1.0)
 
 
 class TestTuranLower:
@@ -162,35 +160,35 @@ class TestTuranLower:
         # exact ratio from the closed forms, fully independent of the series
         x = 1.0
         exact = half_integer_closed("L", -0.5, x) / half_integer_closed("L", -1.5, x)
-        assert ratio_lower_turan(-0.5, x) < exact
+        assert bound("eq21_lower", -0.5, x) < exact
 
     def test_dominated_by_algebraic_lower(self):
-        got = ratio_lower_turan(0.0, 2.0)
+        got = bound("eq21_lower", 0.0, 2.0)
         assert got < h(0.0, 2.0)
-        assert got < ratio_bracket_segura_form(0.0, 2.0).lower
+        assert got < bracket("eq18_lower", "eq18_upper", 0.0, 2.0).lower
 
     def test_small_x_limit(self):
         # b -> 1/2 turns the denominator into 2(nu + 1/2)
         x = 1e-5
-        assert ratio_lower_turan(0.5, x) == pytest.approx(x / 2.0, rel=1e-4)
+        assert bound("eq21_lower", 0.5, x) == pytest.approx(x / 2.0, rel=1e-4)
         assert h(0.5, x) == pytest.approx(x / 2.0, rel=1e-4)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ratio_lower_turan(-0.51, 1.0)
+            bound("eq21_lower", -0.51, 1.0)
 
 
 class TestTanhHalfLower:
     def test_equality_case(self):
-        assert ratio_lower_tanh_half(0.5, 4.0) == pytest.approx(math.tanh(2.0), rel=1e-13)
+        assert bound("eq22_lower", 0.5, 4.0) == pytest.approx(math.tanh(2.0), rel=1e-13)
 
     def test_between_tanh_lower_and_exact(self):
-        lo = ratio_lower_tanh(1.0, 2.0)
-        mid = ratio_lower_tanh_half(1.0, 2.0)
+        lo = bound("eq19_lower", 1.0, 2.0)
+        mid = bound("eq22_lower", 1.0, 2.0)
         assert lo < mid < h(1.0, 2.0)
 
     def test_below_exact_with_frozen_gap(self):
-        got = ratio_lower_tanh_half(2.5, 10.0)
+        got = bound("eq22_lower", 2.5, 10.0)
         exact = h(2.5, 10.0)
         assert got < exact
         assert 1.0 - got / exact == pytest.approx(0.1199, abs=1e-3)
@@ -198,39 +196,40 @@ class TestTanhHalfLower:
 
 class TestRefinedUpper:
     def test_small_x_error_vanishes(self):
-        assert ratio_upper_refined(0.0, 1e-4) / h(0.0, 1e-4) - 1.0 < 1e-3
+        assert bound("eq24_upper", 0.0, 1e-4) / h(0.0, 1e-4) - 1.0 < 1e-3
 
     def test_crossover_with_algebraic_upper(self):
         # dominance exchange sits near x = 4.907 at order one
-        lo = ratio_upper_refined(1.0, 4.85) - ratio_bracket_segura_form(1.0, 4.85).upper
-        hi = ratio_upper_refined(1.0, 4.95) - ratio_bracket_segura_form(1.0, 4.95).upper
+        lo = bound("eq24_upper", 1.0, 4.85) - bracket("eq18_lower", "eq18_upper", 1.0, 4.85).upper
+        hi = bound("eq24_upper", 1.0, 4.95) - bracket("eq18_lower", "eq18_upper", 1.0, 4.95).upper
         assert lo < 0.0 < hi
 
     def test_large_order_crossover_scale(self):
         # exchange point approaches 2 sqrt(nu (2 nu + 1)) as the order grows
         target = 2.0 * math.sqrt(5.0 * 11.0)
-        lo = ratio_upper_refined(5.0, target - 0.8) - ratio_bracket_segura_form(5.0, target - 0.8).upper
-        hi = ratio_upper_refined(5.0, target + 0.8) - ratio_bracket_segura_form(5.0, target + 0.8).upper
+        lo, hi = (bound("eq24_upper", 5.0, x) - bracket("eq18_lower", "eq18_upper", 5.0, x).upper
+                  for x in (target - 0.8, target + 0.8))
         assert lo < 0.0 < hi
 
     def test_is_upper_bound(self):
         for nu in (0.0, 1.0, 5.0):
             for x in (0.1, 2.0, 20.0):
-                assert ratio_upper_refined(nu, x) > h(nu, x)
+                assert bound("eq24_upper", nu, x) > h(nu, x)
 
 
 class TestRefineStep:
     def test_recovers_algebraic_lower(self):
         nu, x = 1.5, 3.0
-        up = ratio_bracket_segura_form(nu + 1.0, x).upper
+        up = bracket("eq18_lower", "eq18_upper", nu + 1.0, x).upper
         refined = ratio_refine_step(nu, x, Bracket(0.0, up, False, True, "", "eq18_upper"))
-        assert refined.lower == pytest.approx(ratio_bracket_segura_form(nu, x).lower, rel=1e-14)
+        assert refined.lower == pytest.approx(
+            bracket("eq18_lower", "eq18_upper", nu, x).lower, rel=1e-14)
 
     def test_recovers_refined_upper(self):
         nu, x = 0.75, 2.0
-        lo = ratio_lower_turan(nu + 1.0, x)
+        lo = bound("eq21_lower", nu + 1.0, x)
         refined = ratio_refine_step(nu, x, Bracket(lo, 1.0, True, False, "eq21_lower", ""))
-        assert refined.upper == pytest.approx(ratio_upper_refined(nu, x), rel=1e-14)
+        assert refined.upper == pytest.approx(bound("eq24_upper", nu, x), rel=1e-14)
 
     def test_degenerate_bracket_maps_to_exact(self):
         nu, x = 2.0, 1.3
@@ -259,23 +258,23 @@ class TestTransfer:
     def test_bounds_are_the_transfer_of_bessel_bounds(self):
         for nu, x in self.GRID:
             r = ratio_succ_exact("I", nu, x)
-            assert ratio_bracket_via_bessel(nu, x).lower == transfer_lower(nu, x, r)
+            assert bracket("eq17_lower", "eq17_upper", nu, x).lower == transfer_lower(nu, x, r)
             if nu > 0.5:
                 r = bessel_ratio_lower_tanh(nu, x)
-                assert ratio_lower_tanh(nu, x) == transfer_lower(nu, x, r)
+                assert bound("eq19_lower", nu, x) == transfer_lower(nu, x, r)
 
     def test_expanded_forms_within_three_ulps(self):
         eps = 2.0 ** -52
         for nu, x in self.GRID:
-            nxt = Bracket(ratio_lower_turan(nu + 1.0, x), math.inf, True, False)
+            nxt = Bracket(bound("eq21_lower", nu + 1.0, x), math.inf, True, False)
             pairs = [
-                (ratio_bracket_segura_form(nu, x).lower,
+                (bracket("eq18_lower", "eq18_upper", nu, x).lower,
                  transfer_lower(nu, x, bessel_ratio_bounds(nu, x).lower)),
-                (ratio_upper_refined(nu, x), ratio_refine_step(nu, x, nxt).upper),
+                (bound("eq24_upper", nu, x), ratio_refine_step(nu, x, nxt).upper),
             ]
             if nu > 0.5:
                 t = math.tanh(x)
-                pairs.append((ratio_lower_tanh(nu, x),
+                pairs.append((bound("eq19_lower", nu, x),
                               x * t / (x + (2.0 * nu - 1.0) * t + 2.0 * b_value(nu, x) * t)))
             for got, want in pairs:
                 assert abs(got - want) <= 3.0 * eps * abs(want), (nu, x, got, want)
@@ -286,7 +285,7 @@ class TestTransfer:
         assert all(a < b for a, b in zip(lows, lows[1:]))
 
     def test_invalid_side_below_minus_three_halves_is_nan(self):
-        assert math.isnan(ratio_bracket_segura_form(-2.0, 1.0).lower)
+        assert math.isnan(bracket("eq18_lower", "eq18_upper", -2.0, 1.0).lower)
 
     def test_zero_denominator_is_infinite_ratio(self):
         # nu - 1/2 + sqrt((nu+1/2)^2 + x^2) is exactly 0 at nu = -1/2, x = 1,
@@ -299,7 +298,7 @@ class TestBestBracket:
     def test_no_wider_than_any_single_bound(self):
         nu, x = 1.0, 10.0
         best = best_bracket(nu, x)
-        single = ratio_bracket_segura_form(nu, x)
+        single = bracket("eq18_lower", "eq18_upper", nu, x)
         assert best.width <= single.width + 1e-15
         assert best.lower <= h(nu, x) <= best.upper
 
@@ -309,8 +308,8 @@ class TestBestBracket:
         assert best.upper_id == "eq20_upper"
 
     def test_upper_candidates_tie_at_crossover(self):
-        a = ratio_bracket_segura_form(2.5, 8.42).upper
-        b = ratio_upper_refined(2.5, 8.42)
+        a = bracket("eq18_lower", "eq18_upper", 2.5, 8.42).upper
+        b = bound("eq24_upper", 2.5, 8.42)
         assert abs(a - b) < 2e-4 * a
 
     def test_lower_only_region(self):
@@ -353,5 +352,6 @@ class TestStructuralProperties:
     def test_dominance_of_tanh_half_family(self):
         for nu in (0.75, 1.5, 5.0):
             for x in (0.1, 1.0, 10.0):
-                assert ratio_lower_tanh_half(nu, x) >= ratio_lower_tanh(nu, x)
-                assert ratio_bracket_segura_form(nu, x).lower >= ratio_lower_turan(nu, x)
+                assert bound("eq22_lower", nu, x) >= bound("eq19_lower", nu, x)
+                assert (bracket("eq18_lower", "eq18_upper", nu, x).lower
+                        >= bound("eq21_lower", nu, x))

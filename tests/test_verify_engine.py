@@ -23,7 +23,7 @@ from struvebounds import (
     special_core,
     table_by_id,
 )
-from struvebounds.brackets import BoundSpec
+from struvebounds.registry import BoundSpec
 from struvebounds.registry import REGISTRY
 from struvebounds.verify import (
     TABLES,
@@ -308,20 +308,23 @@ class TestRows:
             args = (2.0, 2.0, 3.0) if spec.target == "arg_ratio_L" else (2.0, 2.0)
             assert type(spec.evaluate(*args)) is float, spec.bound_id
             assert type(sb.exact_value(spec.target, *args)) is float, spec.target
-        pair = sb.ArgPair(2.0, 3.0)
-        values = [sb.b_value(1.0, 2.0), sb.b_upper_quadratic(1.0, 2.0),
-                  sb.cond_exact("L", 1.0, 2.0), transfer_lower(1.0, 2.0, 0.5),
-                  sb.bessel_ratio_lower_tanh(1.0, 2.0), sb.product_difference(1.0, 2.0),
-                  sb.product_difference_cap(2.0, 2.0, "via_nu"),
-                  sb.prior_lower_bound(1.0, 2.0, "prior_coth"),
-                  sb.arg_ratio_exact(1.0, pair), sb.arg_ratio_prior_bounds(1.0, pair, "eq42"),
-                  sb.pointwise_prior_upper(1.0, 2.0, "eq46"), sb.ratio_lower_tanh(1.0, 2.0),
-                  sb.ratio_upper_tanh_half(1.0, 2.0), sb.ratio_lower_turan(1.0, 2.0),
-                  sb.ratio_lower_tanh_half(1.0, 2.0), sb.ratio_upper_refined(1.0, 2.0)]
-        for br in (sb.b_csch_bracket(1.0, 2.0), sb.bessel_ratio_bounds(1.0, 2.0),
-                   sb.ratio_bracket_via_bessel(1.0, 2.0), sb.ratio_bracket_segura_form(1.0, 2.0),
-                   sb.cond_bracket_via_bessel(1.0, 2.0), sb.cond_bracket_sqrt(1.0, 2.0, "eq30"),
-                   sb.arg_ratio_bessel_bracket(1.0, pair), sb.arg_ratio_explicit_bracket(1.0, pair),
+        values = [sb.b_value(1.0, 2.0), sb.cond_exact("L", 1.0, 2.0),
+                  transfer_lower(1.0, 2.0, 0.5), sb.bessel_ratio_lower_tanh(1.0, 2.0),
+                  sb.product_difference(1.0, 2.0), sb.exact_value("arg_ratio_L", 1.0, 2.0, 3.0)]
+        values += [sb.get_bound(bound_id).evaluate(*args) for bound_id, args in (
+            ("eq12_upper", (1.0, 2.0)), ("eq15_upper", (2.0, 2.0)), ("prior_coth", (1.0, 2.0)),
+            ("eq42_lower", (1.0, 2.0, 3.0)), ("eq46_upper", (1.0, 2.0)),
+            ("eq19_lower", (1.0, 2.0)), ("eq20_upper", (1.0, 2.0)), ("eq21_lower", (1.0, 2.0)),
+            ("eq22_lower", (1.0, 2.0)), ("eq24_upper", (1.0, 2.0)))]
+        values += [v for _, v in sb.evaluate_valid("arg_ratio_L", 1.0, 2.0, 3.0)]
+        for br in (sb.bracket("eq13_lower", "eq13_upper", 1.0, 2.0),
+                   sb.bessel_ratio_bounds(1.0, 2.0),
+                   sb.bracket("eq17_lower", "eq17_upper", 1.0, 2.0),
+                   sb.bracket("eq18_lower", "eq18_upper", 1.0, 2.0),
+                   sb.bracket("eq28_lower", "eq28_upper", 1.0, 2.0),
+                   sb.bracket("eq30_lower", "eq30_upper", 1.0, 2.0),
+                   sb.bracket("eq37_lower", "eq37_upper", 1.0, 2.0, 3.0),
+                   sb.bracket("eq38_lower", "eq38_upper", 1.0, 2.0, 3.0),
                    sb.pointwise_bracket(1.0, 2.0), sb.best_bracket(1.0, 2.0)):
             values += [br.lower, br.upper]
         assert all(type(v) is float for v in values)
