@@ -12,9 +12,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .brackets import ORDER_TOL, Bracket
+from .brackets import Bracket
 from .errors import DomainError
-from .special_core import GAMMA_ARG_MAX, SQRT_PI
+from .special_core import GAMMA_ARG_MAX, ORDER_TOL, SQRT_PI
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,19 @@ def _log_cosh(u: float) -> float:
     return math.log(math.cosh(u))
 
 
-def _log_tanh_half(u: float) -> float:
-    # once u/2 is subnormal it is inexact, and 0 at the smallest u
+def _log_half(f, u: float) -> float:
+    """log f(u/2) for f = tanh or sinh, which are the identity once u/2 is
+    subnormal: there u/2 is inexact, and 0 at the smallest u."""
     half = 0.5 * u
-    return (math.log(math.tanh(half)) if half >= sys.float_info.min
-            else math.log(u) - math.log(2.0))
+    return math.log(f(half)) if half >= sys.float_info.min else math.log(u) - math.log(2.0)
+
+
+def _log_tanh_half(u: float) -> float:
+    return _log_half(math.tanh, u)
 
 
 def _log_sinh_half(u: float) -> float:
-    return math.log(math.sinh(0.5 * u))
+    return _log_half(math.sinh, u)
 
 
 def _log_ratio(x: float, y: float) -> float:
@@ -73,7 +77,8 @@ def eq37_upper(nu, x, y, P):
 
 def eq37_lower(nu, x, y, P):
     """(x/y) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) I_nu(x)/I_nu(y) <= the ratio,
-    valid nu >= -1/2."""
+    valid nu >= -1/2; the root needs nu > -3/2."""
+    _check_nu(nu, nu > -1.5, "eq37", "> -3/2")
     s = 3.0 * (2.0 * nu + 3.0)
     return (x / y) * P.sqrt((s + y * y) / (s + x * x)) * eq37_upper(nu, x, y, P)
 

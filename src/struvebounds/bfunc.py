@@ -32,9 +32,8 @@ def _check_domain(nu: float, x: float) -> None:
 def b_value(nu: float, x: float) -> float:
     """Kernel value; lies strictly inside (0, 1/2) for nu > -3/2, x > 0.
 
-    Not cached: L is memoized in special_core, and the rest is
-    special_core.kernel_b, a power, a gamma and one divide.  L > 0 on the
-    whole domain.
+    Not cached: one L series, then special_core.kernel_b, a power, a
+    gamma and one divide.  L > 0 on the whole domain.
     """
     _check_domain(nu, x)
     return kernel_b(nu, x, lv_value(nu, x))

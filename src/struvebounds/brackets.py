@@ -1,13 +1,9 @@
-"""The Bracket type and the order tolerance shared by the bound modules."""
+"""The Bracket type shared by the bound modules."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-# An order within ORDER_TOL of a validity range's end or of an equality
-# order counts as on it, in every bound module.
-ORDER_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .special_core import _L_FLOOR, _POLE_TOL, MIN_ORDER, Point
+from .special_core import _L_FLOOR, MIN_ORDER, ORDER_TOL, Point
 
 
 def _check_reads_below(kind: str, nu: float, floor: float, need: str) -> None:
     """Name the caller's nu, not the order nu - 1, when f_{nu-1} is out of range."""
-    if nu - 1.0 < floor - _POLE_TOL:
+    if nu - 1.0 < floor - ORDER_TOL:
         raise DomainError(f"the condition number of {kind}_nu reads {kind}_(nu-1), summed "
                           f"for nu-1 >= {floor}, so it needs {need}; got nu={nu}")
 

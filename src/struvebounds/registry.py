@@ -6,13 +6,16 @@ validity half-line in the order, the single equality order if one exists,
 and the bound's one formula f(nu, x, P) (f(nu, x, y, P) for the argument
 ratio), named after the bound id in its home module.  EXACT holds each
 target's exact value as a formula of the same shape.  P is a
-special_core.Point for one point (BoundSpec.evaluate, exact_value, bracket,
-evaluate_valid) or a rows.Row over numpy lanes (rows.bound_row and
-rows.exact_row, used by verify).  Every point entry checks its target and
-arity in one place, _point, so an unknown id or target and a missing or
-extra y raise a StruveBoundsError naming the cause.  Validity ranges are
-data, not caller-overridable arguments: the inequalities are only
-guaranteed on the recorded ranges.
+special_core.Point for one point (BoundSpec.evaluate and exact_value, which
+bracket and evaluate_valid call) or a rows.Row over numpy lanes
+(rows.bound_row and rows.exact_row, used by verify).  Every point entry
+checks its target and arity in one place, _point, so an unknown id or
+target and a missing or extra y raise a StruveBoundsError naming the
+cause.  _point keeps the Point it returns and hands it out again while the
+calls stay at one (nu, x, y), so the exact value and every bound there
+share their series, kernels and M; that one Point is the package's only
+scalar cache.  Validity ranges are data, not caller-overridable arguments:
+the inequalities are only guaranteed on the recorded ranges.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ from . import arg_ratio as _ar
 from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
-from .brackets import ORDER_TOL, Bracket
+from .brackets import Bracket
 from .errors import DomainError, UnknownBound
-from .special_core import Point
+from .special_core import ORDER_TOL, Point
 
 # each target a registered inequality can bound, and whether it reads y
 TARGETS = {
@@ -39,16 +42,23 @@ TARGETS = {
     "product_diff_L": False,  # I_nu L_{nu-1} - I_{nu-1} L_nu
 }
 
+_last: Point | None = None  # the Point of the last point entry's call
+
 
 def _point(target: str, nu: float, x: float, y: float | None) -> Point:
-    """The Point a bound on target reads at (nu, x[, y]).  One comparison
-    on the valid path: a bad call costs the lookups that name its cause."""
+    """The Point a bound on target reads at (nu, x[, y]): the last call's
+    while (nu, x, y) compares equal to its own, else a new one, kept in its
+    place.  One comparison on the valid path: a bad call costs the lookups
+    that name its cause."""
+    global _last
     if TARGETS.get(target) is not (y is not None):
         if target not in TARGETS:
             raise UnknownBound(f"no target {target!r}; the targets are {', '.join(TARGETS)}")
         raise DomainError(f"{target} takes (nu, x, y): give y" if TARGETS[target]
                           else f"{target} takes (nu, x): give no y")
-    return Point(nu, x, y)
+    if _last is None or (_last.nu, _last.x, _last.y) != (nu, x, y):
+        _last = Point(nu, x, y)
+    return _last
 
 
 @dataclass(frozen=True)
@@ -184,24 +194,21 @@ def needs_y(spec: BoundSpec) -> bool:
     return TARGETS[spec.target]
 
 
-def _args(P):
-    return (P.nu, P.x, P) if P.y is None else (P.nu, P.x, P.y, P)
-
-
 def exact_value(target: str, nu: float, x: float, y: float | None = None) -> float:
     """Reference value of a target quantity at one point, always from the
     series route; y is for the argument ratio only."""
     P = _point(target, nu, x, y)
-    return float(EXACT[target](*_args(P)))
+    f = EXACT[target]
+    return float(f(nu, x, P) if y is None else f(nu, x, y, P))
 
 
 def evaluate_valid(target: str, nu: float, x: float,
                    y: float | None = None) -> list[tuple[BoundSpec, float]]:
     """Every bound on target valid at nu, evaluated at one point as
-    (spec, value) pairs in registry order.  The bounds share one Point, so
-    each primitive is computed once; y is for the argument ratio only."""
-    P = _point(target, nu, x, y)
-    return [(spec, float(spec.formula(*_args(P)))) for spec in bounds_for_target(target)
+    (spec, value) pairs in registry order; y is for the argument ratio
+    only.  The arguments are checked even where no bound is valid."""
+    _point(target, nu, x, y)
+    return [(spec, spec.evaluate(nu, x, y)) for spec in bounds_for_target(target)
             if spec.valid_at(nu)]
 
 
@@ -215,12 +222,11 @@ def bracket(lower_id: str, upper_id: str, nu: float, x: float,
         raise UnknownBound("a bracket needs a lower or an upper bound id")
     if lower and upper and lower.target != upper.target:
         raise DomainError(f"{lower_id} bounds {lower.target} but {upper_id} bounds {upper.target}")
-    P = _point((lower or upper).target, nu, x, y)
 
     def side(spec: BoundSpec | None, open_value: float) -> tuple[float, bool]:
         if spec is None:
             return open_value, False
-        return spec.formula(*_args(P)), spec.valid_at(nu)
+        return spec.evaluate(nu, x, y), spec.valid_at(nu)
 
     (lo, lo_ok), (hi, hi_ok) = side(lower, -math.inf), side(upper, math.inf)
     return Bracket(lo, hi, lo_ok, hi_ok, lower_id, upper_id)

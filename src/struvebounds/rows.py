@@ -18,10 +18,9 @@ import numpy as np
 
 from . import special_core
 from .errors import DomainError
-from .registry import EXACT, BoundSpec, _args
+from .registry import EXACT, BoundSpec
 from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, REL_TOL, X_MAX, Point,
-                           _check_order, _check_x, _first_term, _gamma_pair, _lazy, _series,
-                           _series_setup)
+                           _check_x, _first_term, _gamma_pair, _lazy, _series, _series_setup)
 
 
 def _map_lanes(f, *args):
@@ -105,11 +104,10 @@ class Row(Point):
     Arithmetic runs in numpy, which rounds as Python does; the elementary
     functions are math's lane by lane, because numpy's exp, tanh, log, hypot
     and pow differ from math's by an ulp on a few percent of arguments, and
-    a row must give a point's bits.  A row never touches the memo.  given
-    maps (kind, order, at_y) to a series row a sweep handed in (fill_rows);
-    a series it was not given is summed by one fill_series_row call.  Lanes
-    the batch could not sum are summed again by the scalar kernel, which
-    raises the typed error.
+    a row must give a point's bits.  given maps (kind, order, at_y) to a
+    series row a sweep handed in (fill_rows); a series it was not given is
+    summed by one fill_series_row call.  Lanes the batch could not sum are
+    summed again by the scalar kernel, which raises the typed error.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(partial(_map_lanes, getattr(math, n)))
@@ -129,9 +127,8 @@ class Row(Point):
     def of(self, f, *lanes: str):
         return _map_lanes(f, *[getattr(self, n) for n in lanes])
 
-    def _series(self, kind, order, at_y, floor):
+    def _series(self, kind, order, at_y):
         v = self.y if at_y else self.x
-        _check_order(order, floor)
         _check_x(float(v.max()))
         got = self.given.get((kind, order, at_y))
         if got is None:
@@ -153,6 +150,10 @@ def fill_rows(wants) -> None:
             ends = np.cumsum([v.size for *_, v in mine])
             for (P, order, at_y, _), part in zip(mine, np.split(sums, ends[:-1])):
                 P.given[kind, order, at_y] = part
+
+
+def _args(P):
+    return (P.nu, P.x, P) if P.y is None else (P.nu, P.x, P.y, P)
 
 
 def _row(value, P) -> np.ndarray:

@@ -4,23 +4,20 @@ Power-series evaluators with compensated summation and explicit truncation
 metadata, elementary closed forms at half-integer orders, and leading small-x
 and large-x asymptotics.
 
-The series sums are the package's only memo: a module dict of at most
-4,096 entries, keyed on (kind, nu, x) and cleared when full.  It serves the
-separate calls of one point query, which read the same few sums (a
-condition-number query reads L_nu in six bounds and in the exact value); a
-lookup that misses runs the scalar kernel _series and stores its result.
-Sweeps bypass it and sum their series with rows.fill_series_row.  Nothing
-is configurable: the truncation target REL_TOL, the overflow guard X_MAX
-and the term cap MAX_TERMS are constants.  Up to x = X_MAX every series
-meets REL_TOL within 407 terms (the most is at order -2.49, x = 600), so
-the cap of 500 is a safety net: a series that reaches it raises
-ConvergenceError.
+bessel_i and struve_l keep nothing: each call sums its series afresh with
+the scalar kernel _series, and sweeps sum theirs with rows.fill_series_row.
+Nothing is configurable: the truncation target REL_TOL, the overflow guard
+X_MAX and the term cap MAX_TERMS are constants.  Up to x = X_MAX every
+series meets REL_TOL within 407 terms (the most is at order -2.49,
+x = 600), so the cap of 500 is a safety net: a series that reaches it
+raises ConvergenceError.
 
 Point holds the primitives every bound formula reads at one point: I, L and
 M at any order, the kernel b (kernel_b) and the recurrence term, computed
-on first use from the memo and kept for the life of the object; rows.Row is
-the same over numpy lanes.  Only the tanh-sinh rule uses arrays here, and it
-imports numpy on first use, so most point queries never load it.
+on first use and kept for the life of the object; it is the package's one
+scalar cache, and the registry reuses the Point of its last call.  rows.Row
+is the same over numpy lanes.  Only the tanh-sinh rule uses arrays here,
+and it imports numpy on first use, so most point queries never load it.
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -59,8 +56,10 @@ SQRT_PI = math.sqrt(math.pi)
 # low orders.  Positivity is only guaranteed for nu > -1 (I) and nu >= -1 (L).
 MIN_ORDER = -1.5
 _MIN_ORDER_EXTENDED = -2.5
-_POLE_TOL = 1e-12
-_L_FLOOR = _MIN_ORDER_EXTENDED + _POLE_TOL * 10
+# An order within ORDER_TOL of a range end, a pole or a special order counts
+# as on it, here and in every bound module.
+ORDER_TOL = 1e-12
+_L_FLOOR = _MIN_ORDER_EXTENDED + ORDER_TOL * 10
 
 # Series truncation target: stop once the next term drops below REL_TOL times
 # the accumulated term magnitude.
@@ -110,7 +109,7 @@ def gamma_pos(a: float) -> float:
 def _check_order(nu: float, floor: float) -> None:
     if not math.isfinite(nu):
         raise DomainError(f"order must be finite, got {nu}")
-    if nu < floor - _POLE_TOL:
+    if nu < floor - ORDER_TOL:
         raise DomainError(f"order {nu} below supported minimum {floor}")
 
 
@@ -128,10 +127,10 @@ def _leading_index(shift: float) -> int:
     carries 1/Gamma(n+shift), which vanishes when n+shift is a nonpositive
     integer.
     """
-    if shift > _POLE_TOL:
+    if shift > ORDER_TOL:
         return 0
     nearest = round(shift)
-    if abs(shift - nearest) <= _POLE_TOL and nearest <= 0:
+    if abs(shift - nearest) <= ORDER_TOL and nearest <= 0:
         return 1 - int(nearest)
     return 0
 
@@ -182,28 +181,6 @@ def _first_term_err(power: float, g1_arg: float, g2_arg: float,
     return term, _EPS * (log_mag + abs(math.lgamma(g1_arg)) + abs(math.lgamma(g2_arg)))
 
 
-class _SeriesMemo(dict):
-    """(kind, nu, x) -> (value, terms_used, est_rel_error).
-
-    A lookup that misses runs the scalar kernel _series and stores its
-    result, clearing the dict first once it holds _SERIES_MEMO_MAX entries,
-    so a hit costs one dict lookup and nothing else.  A series that raises
-    is not stored.
-    """
-
-    def __missing__(self, key: tuple[str, float, float]) -> tuple[float, int, float]:
-        out = _series(*key)
-        if len(self) >= _SERIES_MEMO_MAX:
-            self.clear()
-        self[key] = out
-        return out
-
-
-_SERIES_MEMO = _SeriesMemo()
-# one command holds at most a few hundred entries (a table: 208)
-_SERIES_MEMO_MAX = 4096
-
-
 def _series_setup(kind: str, nu: float) -> tuple[float, float, float, int]:
     """(g1, shift, power0, n0): the n-th term of the series is
     (x/2)^(2n+power0) / (Gamma(n+g1) Gamma(n+shift)), summed from n = n0."""
@@ -223,10 +200,9 @@ def _series(kind: str, nu: float, x: float) -> tuple[float, int, float]:
     compensation, and truncated once the next term falls below REL_TOL times
     the accumulated term magnitude.  Returns (value, terms_used,
     est_rel_error), the estimate being twice the first omitted term relative
-    to the sum plus the rounding of the leading term.  Stores nothing: the
-    memo calls this on a miss.  A series that does not converge within
-    MAX_TERMS raises ConvergenceError; a leading term that underflows raises
-    DomainError rather than running to the cap.
+    to the sum plus the rounding of the leading term.  A series that does
+    not converge within MAX_TERMS raises ConvergenceError; a leading term
+    that underflows raises DomainError rather than running to the cap.
     """
     g1, shift, power0, n0 = _series_setup(kind, nu)
     term, lead_err = _first_term_err(2 * n0 + power0, n0 + g1, n0 + shift, x)
@@ -263,8 +239,7 @@ def bessel_i(nu: float, x: float) -> FuncValue:
     """
     _check_order(nu, MIN_ORDER)
     _check_x(x)
-    value, terms, est = _SERIES_MEMO["I", nu, x]
-    return FuncValue(value, terms, est)
+    return FuncValue(*_series("I", nu, x))
 
 
 def struve_l(nu: float, x: float) -> FuncValue:
@@ -275,8 +250,7 @@ def struve_l(nu: float, x: float) -> FuncValue:
     """
     _check_order(nu, MIN_ORDER)
     _check_x(x)
-    value, terms, est = _SERIES_MEMO["L", nu, x]
-    return FuncValue(value, terms, est)
+    return FuncValue(*_series("L", nu, x))
 
 
 def iv_value(nu: float, x: float) -> float:
@@ -308,7 +282,7 @@ def half_integer_closed(kind: str, nu: float, x: float) -> float:
     pref = math.sqrt(2.0 / (math.pi * x))
     key = None
     for target in (-1.5, -0.5, 0.5):
-        if abs(nu - target) <= _POLE_TOL:
+        if abs(nu - target) <= ORDER_TOL:
             key = target
     if key is None or kind not in ("I", "L"):
         raise DomainError(f"no closed form for kind={kind!r}, nu={nu}")
@@ -486,7 +460,7 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
         (-0.5, lambda: -pref * math.exp(-x)),
         (-1.5, lambda: pref * math.exp(-x) * (1.0 + 1.0 / x)),
     ):
-        if abs(nu - target) <= _POLE_TOL:
+        if abs(nu - target) <= ORDER_TOL:
             return form(), 0, 1e-15
     integral, err = _stable_integral(nu, x)
     lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
@@ -538,7 +512,7 @@ def ratio_succ_exact(kind: str, nu: float, x: float) -> float:
     """
     if kind not in ("I", "L", "M"):
         raise DomainError(f"kind must be 'I', 'L' or 'M', got {kind!r}")
-    if kind == "M" and nu < 0.5 - _POLE_TOL:
+    if kind == "M" and nu < 0.5 - ORDER_TOL:
         raise DomainError(f"M-ratio requires nu >= 1/2, got {nu}")
     f = getattr(Point(nu, x), kind)
     return f(nu) / f(nu - 1.0)
@@ -598,12 +572,13 @@ _ELEMENTARY = ("log", "exp", "tanh", "hypot", "sqrt", "pow")
 class Point:
     """The primitives bound formulas read at one order nu and argument x
     (and y for the argument ratio): I, L and M at any order, the kernel b
-    and the recurrence term a, each computed on first use; the series come
-    from the memo.  The elementary functions are math's, map(f, *args)
-    applies a scalar helper, of(f, *lanes) one to the named arguments (kept
-    per Row), and where(cond, a, b) calls a or b, both zero-argument
-    functions (a row calls both and selects lane by lane).  rows.Row has the
-    same names over numpy lanes, so one formula f(nu, x, P) serves both.
+    and the recurrence term a, each computed on first use and kept; the
+    registry reuses the Point of its last call.  The elementary functions
+    are math's, map(f, *args) applies a scalar helper, of(f, *lanes) one to
+    the named arguments (kept per Row), and where(cond, a, b) calls a or b,
+    both zero-argument functions (a row calls both and selects lane by
+    lane).  rows.Row has the same names over numpy lanes, so one formula
+    f(nu, x, P) serves both.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(getattr(math, n)) for n in _ELEMENTARY)
@@ -621,18 +596,23 @@ class Point:
     @_lazy
     def I(self, order: float, at_y: bool = False):
         """I at order over x, or over y."""
-        return self._series("I", order, at_y, MIN_ORDER)
+        _check_order(order, MIN_ORDER)
+        return self._series("I", order, at_y)
+
+    def L(self, order: float, at_y: bool = False, floor: float = MIN_ORDER):
+        """L at order over x, or over y; floor is the lowest order allowed.
+        Calls with any floor share one value per (order, at_y)."""
+        _check_order(order, floor)
+        return self._L(order, at_y)
 
     @_lazy
-    def L(self, order: float, at_y: bool = False, floor: float = MIN_ORDER):
-        """L at order over x, or over y; floor is the lowest order allowed."""
-        return self._series("L", order, at_y, floor)
+    def _L(self, order, at_y):
+        return self._series("L", order, at_y)
 
-    def _series(self, kind, order, at_y, floor):
+    def _series(self, kind, order, at_y):
         v = self.y if at_y else self.x
-        _check_order(order, floor)
         _check_x(v)
-        return _SERIES_MEMO[kind, order, v][0]
+        return _series(kind, order, v)[0]
 
     def of(self, f, *lanes: str):
         return f(*[getattr(self, n) for n in lanes])

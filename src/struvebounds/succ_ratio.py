@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 
-from .brackets import ORDER_TOL, Bracket
+from .brackets import Bracket
 from .errors import DomainError, InvalidBracket, NoValidBound
-from .special_core import Point
+from .special_core import ORDER_TOL, Point
 
 
 def _check_nu(nu: float, floor: float, what: str) -> None:

@@ -7,8 +7,8 @@ formula and its target's exact formula each run once as numpy arrays, and
 one GridReport.record call takes the row.  The sweeps, certify_all and
 monotonicity_suite, own their series: each builds all of its Rows first,
 sums every series they read with one fill_series_row per kind
-(rows.fill_rows) and hands each Row its arrays, so neither reads
-nor writes the point memo.  certify_all shares the rows and the exact rows
+(rows.fill_rows) and hands each Row its arrays, so neither calls the
+registry's point entries.  certify_all shares the rows and the exact rows
 among all bounds; certify alone lets each row sum its own series.  Exact
 values inside certification always come from the power-series route; the
 quadrature oracle is reserved for cross-validating the series itself, so a
@@ -24,9 +24,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from . import registry, rows
-from .brackets import ORDER_TOL
 from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
-from .special_core import _L_FLOOR, recurrence_residuals
+from .special_core import _L_FLOOR, ORDER_TOL, recurrence_residuals
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -211,41 +210,40 @@ def report_csv_rows(report: GridReport) -> Iterable[str]:
 
 @dataclass(frozen=True)
 class TableSpec:
-    """Layout of one built-in relative-error table.
+    """Layout of one built-in relative-error table of a registered bound
+    against its target's exact value.
 
     zero_column(nu) is the entry in the x -> 0 limit (possibly infinite),
     or None when the table has no x = 0 column.
     """
 
-    table_id: int
     nu_rows: tuple[float, ...]
     x_cols: tuple[float, ...]
     approximant_id: str
-    exact_id: str
     zero_column: Optional[Callable[[float], float]] = None
 
 
 TABLES: dict[int, TableSpec] = {
-    1: TableSpec(1, (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
+    1: TableSpec((0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0),
-                 "eq17_lower", "succ_ratio_L", lambda nu: 0.0),
-    2: TableSpec(2, (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
+                 "eq17_lower", lambda nu: 0.0),
+    2: TableSpec((0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0),
-                 "eq17_upper", "succ_ratio_L",
+                 "eq17_upper",
                  lambda nu: math.inf if nu == 0.0 else 1.0 / (2.0 * nu)),
-    3: TableSpec(3, (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
+    3: TableSpec((0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0),
-                 "eq18_lower", "succ_ratio_L", lambda nu: 0.0),
-    4: TableSpec(4, (0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
+                 "eq18_lower", lambda nu: 0.0),
+    4: TableSpec((0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
                  (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0),
-                 "eq18_upper", "succ_ratio_L",
+                 "eq18_upper",
                  lambda nu: math.inf if nu == 0.5 else 2.0 / (2.0 * nu - 1.0)),
-    5: TableSpec(5, (0.0, 1.0, 2.5, 5.0, 10.0),
+    5: TableSpec((0.0, 1.0, 2.5, 5.0, 10.0),
                  (0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0),
-                 "eq39_upper", "pointwise_L"),
-    6: TableSpec(6, (0.0, 1.0, 2.5, 5.0, 10.0),
+                 "eq39_upper"),
+    6: TableSpec((0.0, 1.0, 2.5, 5.0, 10.0),
                  (0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0),
-                 "eq46_upper", "pointwise_L"),
+                 "eq46_upper"),
 }
 
 def relative_error_table(spec: TableSpec) -> np.ndarray:
@@ -260,7 +258,7 @@ def relative_error_table(spec: TableSpec) -> np.ndarray:
             if x == 0.0:
                 out[i, j] = spec.zero_column(nu)
                 continue
-            exact = registry.exact_value(spec.exact_id, nu, x)
+            exact = registry.exact_value(bound.target, nu, x)
             out[i, j] = abs(bound.evaluate(nu, x) / exact - 1.0)
     return out
 

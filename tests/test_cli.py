@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import struvebounds
-from struvebounds import lv_value, mv_value, special_core, verify
+from struvebounds import lv_value, mv_value, registry, verify
 from struvebounds.cli import main
 from struvebounds.registry import REGISTRY, BoundSpec
 from struvebounds.verify import parse_table_csv
@@ -218,19 +218,33 @@ class TestCrossover:
         assert len(err) < 200  # names the cause, not the pre-scan's arguments
 
 
-class TestMemoCap:
-    def test_point_commands_stay_far_below_the_memo_cap(self, capsys):
-        # one command of each kind from the benchmark's reference pool, each
-        # from an empty memo; the largest are a table (208 entries) and a
-        # crossover's bisection (24), while verify sums its rows itself
+class TestOnePointPerQuery:
+    def test_point_queries_sum_each_series_once(self, capsys, monkeypatch, series_calls):
+        # the registry hands its calls at one (nu, x[, y]) one Point, so a
+        # point query sums each series it reads once: the first bracket,
+        # cond and argratio commands of the benchmark's reference pool, and
+        # the benchmark's query pattern at their points (the exact value,
+        # then each valid bound), each from an empty registry point
         pool = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
                            / "reference.json").read_text())["cli_pool"]
-        assert len(pool) == 7
-        for kind, commands in pool.items():
-            special_core._SERIES_MEMO.clear()
-            assert main(commands[0][0]) == 0, kind
-            capsys.readouterr()
-            assert len(special_core._SERIES_MEMO) < special_core._SERIES_MEMO_MAX // 4, kind
+        for kind, target in (("bracket", "succ_ratio_L"), ("cond", "cond_L"),
+                             ("argratio", "arg_ratio_L")):
+            argv = pool[kind][0][0]
+            flags = dict(a[2:].split("=") for a in argv if "=" in a)
+            nu, args = float(flags["nu"]), [float(flags[k]) for k in ("x", "y") if k in flags]
+            for query in ("command", "pattern"):
+                series_calls.clear()
+                monkeypatch.setattr(registry, "_last", None)
+                if query == "command":
+                    assert main(argv) == 0
+                else:
+                    registry.exact_value(target, nu, *args)
+                    for spec in registry.bounds_for_target(target):
+                        if spec.valid_at(nu):
+                            spec.evaluate(nu, *args)
+                assert series_calls, (kind, query)
+                assert len(set(series_calls)) == len(series_calls), (kind, query, series_calls)
+        capsys.readouterr()
 
 
 class TestEveryBound:

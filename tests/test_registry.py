@@ -1,18 +1,29 @@
-"""The registry's point entries reject an unknown id or target, and a y given
-to a bound that takes none or missing from one that needs it, with a
-StruveBoundsError that names the cause."""
+"""The registry's point entries: they reject an unknown id or target, and a
+y given to a bound that takes none or missing from one that needs it, with a
+StruveBoundsError that names the cause; every id gives a float or a typed
+error; and calls at one point share one Point."""
+
+from contextlib import suppress
 
 import pytest
 
 from struvebounds import (
+    REGISTRY,
     DomainError,
+    StruveBoundsError,
     UnknownBound,
+    b_value,
+    bessel_i,
     best_bracket,
+    bounds_for_target,
     bracket,
     evaluate_valid,
     exact_value,
     get_bound,
+    registry,
+    struve_l,
 )
+from struvebounds.registry import needs_y
 
 
 class TestUnknownNames:
@@ -71,3 +82,60 @@ class TestArity:
             exact_value("arg_ratio_L", 1.0, 2.0)
         with pytest.raises(DomainError, match="give no y"):
             exact_value("cond_L", 1.0, 2.0, 3.0)
+
+
+class TestEveryIdEvaluates:
+    # every id over orders from below the series floor to far above the
+    # gamma overflow and arguments from the smallest subnormal to near
+    # X_MAX, inside and outside each validity range: a float or a typed
+    # error, never a raw ZeroDivisionError or math domain error
+    NUS = (-2.0, -1.5, -1.4, -1.0, -0.5, 0.0, 0.5, 1.0, 300.0)
+    XS = (5e-324, 1e-300, 1e-200, 1e-150, 1e-12, 1e-3, 1.0, 30.0, 590.0)
+
+    @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
+    def test_float_or_typed_error(self, bound_id):
+        spec = REGISTRY[bound_id]
+        bad = []
+        for nu in self.NUS:
+            for x in self.XS:
+                for args in ([(x, y) for y in (x, 2.0 * x, min(600.0, 10.0 * x))]
+                             if needs_y(spec) else [(x,)]):
+                    try:
+                        value = spec.evaluate(nu, *args)
+                    except StruveBoundsError:
+                        continue
+                    except Exception as exc:  # noqa: BLE001 - the failure under test
+                        bad.append((nu, args, repr(exc)))
+                        continue
+                    if type(value) is not float:
+                        bad.append((nu, args, repr(value)))
+        assert not bad, bad[:5]
+
+
+class TestOnePoint:
+    # the registry's point entries share the Point of the last call while
+    # (nu, x, y) stays the same; the FuncValue evaluators keep nothing
+    def test_one_point_is_reused_until_the_arguments_change(self):
+        P = registry._point("cond_L", 1.0, 2.0, None)
+        assert registry._point("succ_ratio_L", 1, 2.0, None) is P
+        assert registry._point("arg_ratio_L", 1.0, 2.0, 3.0) is not P
+        assert registry._point("cond_L", 1.0, 2.0, None) is not P
+
+    @pytest.mark.parametrize("nu", [-1.2, 0.0, 0.5, 2.5])
+    def test_targets_at_one_point_sum_each_series_once(self, series_calls, nu):
+        # cond_L reads L_(nu-1) with a lower order floor than the
+        # successive ratio does; both read one value
+        for target in ("succ_ratio_L", "cond_L", "pointwise_L", "b_kernel", "product_diff_L"):
+            with suppress(StruveBoundsError):
+                exact_value(target, nu, 2.0)
+            for spec in bounds_for_target(target):
+                with suppress(StruveBoundsError):
+                    spec.evaluate(nu, 2.0)
+        assert series_calls and len(set(series_calls)) == len(series_calls), series_calls
+
+    def test_point_functions_keep_no_state(self, series_calls):
+        for _ in range(2):
+            bessel_i(1.0, 2.0)
+            struve_l(1.0, 2.0)
+            b_value(1.0, 2.0)
+        assert series_calls == [("I", 1.0, 2.0), ("L", 1.0, 2.0), ("L", 1.0, 2.0)] * 2

@@ -97,14 +97,12 @@ class TestBesselSeries:
             bessel_i(1.0, 601.0)
 
     def test_convergence_cap(self, monkeypatch):
-        # a series that reaches the term cap raises, and its failure is not
-        # remembered: the same call under the real cap still succeeds
+        # a series that reaches the term cap raises, and the same call under
+        # the real cap still succeeds
         want = bessel_i(1.0, 300.0)
-        special_core._SERIES_MEMO.clear()
         monkeypatch.setattr(special_core, "MAX_TERMS", 50)
         with pytest.raises(ConvergenceError, match="50 terms"):
             bessel_i(1.0, 300.0)
-        assert ("I", 1.0, 300.0) not in special_core._SERIES_MEMO
         monkeypatch.undo()
         assert bessel_i(1.0, 300.0) == want
 
@@ -165,28 +163,12 @@ class TestSeriesRow:
         assert np.isnan(got[1:-1]).all()  # the subnormal x underflows
         assert np.isnan(rows.fill_series_row("L", [-3.0, math.nan], [1.0, 1.0])).all()
 
-    def test_memo_is_cleared_when_full(self, monkeypatch):
-        # only point lookups fill the memo, which calls _series on a miss
-        special_core._SERIES_MEMO.clear()
-        monkeypatch.setattr(special_core, "_SERIES_MEMO_MAX", 3)
-        for x in (1.0, 2.0, 3.0, 4.0, 5.0):
-            struve_l(1.0, x)
-        assert list(special_core._SERIES_MEMO) == [("L", 1.0, 4.0), ("L", 1.0, 5.0)]
-
     def test_unconverged_lanes_are_not_stored(self, monkeypatch):
         monkeypatch.setattr(special_core, "MAX_TERMS", 50)
         got = rows.fill_series_row("I", 1.0, [1.0, 300.0])
         assert got[0] == special_core._series("I", 1.0, 1.0)[0] and math.isnan(got[1])
         with pytest.raises(ConvergenceError):
             special_core._series("I", 1.0, 300.0)
-
-    def test_fill_stores_nothing(self):
-        special_core._SERIES_MEMO.clear()
-        struve_l(1.0, 2.0)
-        before = dict(special_core._SERIES_MEMO)
-        for kind in ("I", "L"):
-            rows.fill_series_row(kind, [1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
-        assert special_core._SERIES_MEMO == before
 
     def test_empty_row_is_a_domain_error(self):
         # it once reached numpy's max of an empty array and raised ValueError

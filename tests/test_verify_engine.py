@@ -17,10 +17,10 @@ from struvebounds import (
     certify_eq14_extension,
     crossover,
     default_grid,
-    lv_value,
+    exact_value,
     monotonicity_suite,
+    registry,
     relative_error_table,
-    special_core,
     table_by_id,
 )
 from struvebounds.registry import BoundSpec
@@ -227,22 +227,21 @@ class TestCrossover:
 
 
 class TestSweepsOwnTheirSeries:
+    # the memo here is the package's one scalar cache, the Point the
+    # registry keeps from its last call
     def test_sweeps_leave_the_memo_as_they_found_it(self):
-        special_core._SERIES_MEMO.clear()
-        lv_value(1.0, 2.0)
-        before = dict(special_core._SERIES_MEMO)
+        exact_value("pointwise_L", 1.0, 2.0)
+        before = registry._last
+        got = dict(before._got)
         certify_all()
         monotonicity_suite()
-        assert special_core._SERIES_MEMO == before
+        assert registry._last is before and before._got == got
 
     def test_sweeps_never_read_the_memo(self, monkeypatch, small_grid):
-        class NoMemo(dict):
-            def __getitem__(self, key):
-                raise AssertionError(f"memo read at {key}")
+        def no_point(*args):
+            raise AssertionError(f"registry point at {args}")
 
-            get = __contains__ = __getitem__
-
-        monkeypatch.setattr(special_core, "_SERIES_MEMO", NoMemo())
+        monkeypatch.setattr(registry, "_point", no_point)
         assert all(rep.clean for rep in certify_all(small_grid) + monotonicity_suite())
 
 
