@@ -10,20 +10,21 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .brackets import Bracket
+from .brackets import Bracket, Record, _set
 from .errors import DomainError
 from .special_core import GAMMA_ARG_MAX, ORDER_TOL, SQRT_PI
 
 
-@dataclass(frozen=True)
-class ANuConstant:
+class ANuConstant(Record):
     """Large-x coefficient of the pointwise upper bound: the bound behaves
     like value * e^x / sqrt(x)."""
 
-    nu: float
-    value: float
+    _fields = ("nu", "value")
+
+    def __init__(self, nu: float, value: float):
+        _set(self, "nu", nu)
+        _set(self, "value", value)
 
 
 def _log_cosh(u: float) -> float:

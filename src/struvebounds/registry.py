@@ -21,14 +21,13 @@ the inequalities are only guaranteed on the recorded ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import arg_ratio as _ar
 from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
-from .brackets import Bracket
+from .brackets import Bracket, Record, _set
 from .errors import DomainError, UnknownBound
 from .special_core import ORDER_TOL, Point
 
@@ -61,9 +60,9 @@ def _point(target: str, nu: float, x: float, y: float | None) -> Point:
     return _last
 
 
-@dataclass(frozen=True)
-class BoundSpec:
-    """Registry entry binding a named inequality to its target quantity.
+class BoundSpec(Record):
+    """Registry entry binding a named inequality to its target quantity: a
+    frozen record (brackets.Record), checked on construction.
 
     formula(nu, x, P), or formula(nu, x, y, P) for the argument ratio, is
     the bound's one formula: P is a special_core.Point at a single point or
@@ -77,19 +76,22 @@ class BoundSpec:
     those points as zero slack rather than violations.
     """
 
-    bound_id: str
-    target: str
-    side: str  # "lower" | "upper"
-    nu_min: float
-    nu_min_strict: bool
-    formula: Callable[..., float]
-    equality_at: Optional[float] = None
+    _fields = ("bound_id", "target", "side", "nu_min", "nu_min_strict", "formula", "equality_at")
 
-    def __post_init__(self):
-        if self.target not in TARGETS:
-            raise ValueError(f"unknown target {self.target!r}")
-        if self.side not in ("lower", "upper"):
-            raise ValueError(f"side must be 'lower' or 'upper', got {self.side!r}")
+    def __init__(self, bound_id: str, target: str, side: str, nu_min: float,
+                 nu_min_strict: bool, formula: Callable[..., float],
+                 equality_at: Optional[float] = None):
+        if target not in TARGETS:
+            raise ValueError(f"unknown target {target!r}")
+        if side not in ("lower", "upper"):
+            raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+        _set(self, "bound_id", bound_id)
+        _set(self, "target", target)
+        _set(self, "side", side)
+        _set(self, "nu_min", nu_min)
+        _set(self, "nu_min_strict", nu_min_strict)
+        _set(self, "formula", formula)
+        _set(self, "equality_at", equality_at)
 
     def evaluate(self, nu: float, x: float, y: Optional[float] = None) -> float:
         """The bound at one point, as a Python float."""

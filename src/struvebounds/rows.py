@@ -20,7 +20,7 @@ from . import special_core
 from .errors import DomainError
 from .registry import EXACT, BoundSpec
 from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, REL_TOL, X_MAX, Point,
-                           _check_x, _first_term, _gamma_pair, _lazy, _series, _series_setup)
+                           _first_term, _gamma_pair, _lazy, _series, _series_setup)
 
 
 def _map_lanes(f, *args):
@@ -116,6 +116,7 @@ class Row(Point):
     where = staticmethod(lambda cond, a, b: np.where(cond, a(), b()))
     _positive = staticmethod(lambda v: bool(np.all(np.isfinite(v) & (v > 0.0))))
     _ordered = staticmethod(lambda x, y: bool(np.all(x <= y)))
+    _largest = staticmethod(lambda v: float(v.max()))
 
     def __init__(self, nu: float, x, y=None):
         if not np.size(x):
@@ -129,7 +130,6 @@ class Row(Point):
 
     def _series(self, kind, order, at_y):
         v = self.y if at_y else self.x
-        _check_x(float(v.max()))
         got = self.given.get((kind, order, at_y))
         if got is None:
             got = fill_series_row(kind, order, v)

@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cache
 
+from .brackets import Record, _set
 from .errors import ConvergenceError, DomainError, OverflowRisk
 
 SQRT_PI = math.sqrt(math.pi)
@@ -79,9 +79,9 @@ _TINY = sys.float_info.min
 _EPS = 2.0**-52
 
 
-@dataclass(frozen=True)
-class FuncValue:
-    """An evaluated function value plus convergence metadata.
+class FuncValue(Record):
+    """An evaluated function value plus convergence metadata: a frozen
+    record (brackets.Record), equal to another FuncValue with equal fields.
 
     est_rel_error is an a-posteriori estimate: twice the first omitted term
     relative to the accumulated sum for series, and for the integral routes
@@ -93,10 +93,14 @@ class FuncValue:
     would lose more than six significant digits.
     """
 
-    value: float
-    terms_used: int
-    est_rel_error: float
-    cancellation: bool = False
+    _fields = ("value", "terms_used", "est_rel_error", "cancellation")
+
+    def __init__(self, value: float, terms_used: int, est_rel_error: float,
+                 cancellation: bool = False):
+        _set(self, "value", value)
+        _set(self, "terms_used", terms_used)
+        _set(self, "est_rel_error", est_rel_error)
+        _set(self, "cancellation", cancellation)
 
 
 def gamma_pos(a: float) -> float:
@@ -578,7 +582,9 @@ class Point:
     the named arguments (kept per Row), and where(cond, a, b) calls a or b,
     both zero-argument functions (a row calls both and selects lane by
     lane).  rows.Row has the same names over numpy lanes, so one formula
-    f(nu, x, P) serves both.
+    f(nu, x, P) serves both.  The arguments are checked on construction:
+    x (and y, with x <= y) finite and positive, and none above X_MAX, which
+    raises the series' OverflowRisk even for a bound that reads no series.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(getattr(math, n)) for n in _ELEMENTARY)
@@ -586,12 +592,14 @@ class Point:
     where = staticmethod(lambda cond, a, b: a() if cond else b())
     _positive = staticmethod(lambda v: math.isfinite(v) and v > 0.0)
     _ordered = staticmethod(lambda x, y: x <= y)
+    _largest = staticmethod(lambda v: v)
 
     def __init__(self, nu: float, x, y=None):
         self.nu, self.x, self.y, self._got = nu, x, y, {}
         if not (self._positive(x) and (y is None or self._positive(y) and self._ordered(x, y))):
             raise DomainError(f"need finite 0 < x <= y, got x={x}, y={y}" if y is not None
                               else f"x must be a finite positive real, got {x}")
+        _check_x(self._largest(x if y is None else y))
 
     @_lazy
     def I(self, order: float, at_y: bool = False):
@@ -610,9 +618,7 @@ class Point:
         return self._series("L", order, at_y)
 
     def _series(self, kind, order, at_y):
-        v = self.y if at_y else self.x
-        _check_x(v)
-        return _series(kind, order, v)[0]
+        return _series(kind, order, self.y if at_y else self.x)[0]
 
     def of(self, f, *lanes: str):
         return f(*[getattr(self, n) for n in lanes])

@@ -13,6 +13,11 @@ among all bounds; certify alone lets each row sum its own series.  Exact
 values inside certification always come from the power-series route; the
 quadrature oracle is reserved for cross-validating the series itself, so a
 certification failure can never be self-confirming.
+
+Grid, GridReport and TableSpec stay dataclasses, unlike the point path's
+records (brackets.Record): GridReport is mutable, and this module loads
+numpy, which imports inspect and ast itself, so plain classes here would
+add code and save no import time.
 """
 
 from __future__ import annotations

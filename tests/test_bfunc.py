@@ -5,9 +5,11 @@ import pytest
 
 from struvebounds import (
     DomainError,
+    OverflowRisk,
     a_coefficient,
     b_asym,
     b_value,
+    bfunc,
     bracket,
     get_bound,
     lv_value,
@@ -116,8 +118,12 @@ class TestCschBracket:
         br = bracket("eq13_lower", "eq13_upper", -1.49, 30.0)
         assert br.lower == 15.0 / math.sinh(30.0)
         assert br.upper == 0.0
-        br = bracket("eq13_lower", "eq13_upper", 0.0, 720.0)
-        assert br.lower == pytest.approx(math.exp(math.log(720.0) - 720.0), rel=1e-12)
+        # the lower side's z = x passes 710 only above X_MAX, where the
+        # bracket is refused like the series; its helper still decays there
+        assert bfunc._x_csch(0.5, 720.0, 1.0) == pytest.approx(
+            math.exp(math.log(720.0) - 720.0), rel=1e-12)
+        with pytest.raises(OverflowRisk, match="exceeds x_max"):
+            bracket("eq13_lower", "eq13_upper", 0.0, 720.0)
 
     def test_validity_flags(self):
         assert not bracket("eq13_lower", "eq13_upper", -0.75, 1.0).lower_valid

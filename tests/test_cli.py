@@ -250,13 +250,13 @@ class TestOnePointPerQuery:
 class TestEveryBound:
     @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
     def test_exit_code_without_traceback(self, capsys, bound_id):
-        # every registered bound, inside and outside its validity range, and
-        # at orders where Gamma(nu+3/2) leaves double range and every series
-        # underflows: either a value (exit 0) or a typed error (exit 1),
-        # never a raw exception out of main()
+        # every registered bound, inside and outside its validity range, at
+        # orders where Gamma(nu+3/2) leaves double range and every series
+        # underflows, and past x_max: either a value (exit 0) or a typed
+        # error (exit 1), never a raw exception out of main()
         spec = REGISTRY[bound_id]
         points = [(nu, x) for nu in ("-2", "-1.5", "-1", "-0.5", "0", "0.5")
-                  for x in ("5e-324", "1e-3", "1", "30")]
+                  for x in ("5e-324", "1e-3", "1", "30", "1000")]
         for nu, x in points + [("300", "1"), ("1e6", "1"), ("-1", "1e-12")]:
             if spec.target == "arg_ratio_L":
                 argv = ["argratio", "--nu", nu, "--x", x, "--y", str(2.0 * float(x))]
@@ -311,15 +311,19 @@ class TestUsageAndEnv:
         assert main(["--help"]) == 0
 
 
+# modules the point path must not load: numpy, and the record generator
+# dataclasses with the inspect module it imports
 GUARD_SCRIPT = """
 import contextlib, io, json, sys
 import struvebounds
 from struvebounds import cli
-report = [["import", 0, "numpy" in sys.modules]]
+def loaded():
+    return [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
+report = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    report.append([" ".join(argv), code, "numpy" in sys.modules])
+    report.append([" ".join(argv), code, loaded()])
 print(json.dumps(report))
 """
 
@@ -346,8 +350,9 @@ VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
 
 
 def guard_report(commands):
-    """(command, exit code, numpy loaded after it) from a fresh process that
-    imports the package and runs commands through cli.main in turn."""
+    """(command, exit code, which of dataclasses, inspect and numpy are
+    loaded after it) from a fresh process that imports the package and runs
+    commands through cli.main in turn."""
     src = os.path.dirname(os.path.dirname(struvebounds.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -358,16 +363,20 @@ def guard_report(commands):
 
 class TestNumpyOffThePointPath:
     """Only sweeps and the stable M route use arrays, so numpy loads only
-    for them: not at import, and not for a point command."""
+    for them: not at import, and not for a point command.  The point path's
+    records are plain classes, so dataclasses and inspect stay unloaded
+    there too."""
 
     def test_import_and_point_commands_leave_numpy_unloaded(self):
         assert guard_report(POINT_COMMANDS) == (
-            [["import", 0, False]] + [[" ".join(argv), 0, False] for argv in POINT_COMMANDS])
+            [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in POINT_COMMANDS])
 
     @pytest.mark.parametrize("name", sorted(ARRAY_COMMANDS))
     def test_array_commands_load_numpy(self, name):
         argv = ARRAY_COMMANDS[name]
-        assert guard_report([argv]) == [["import", 0, False], [" ".join(argv), 0, True]]
+        (imported, ran) = guard_report([argv])
+        assert imported == ["import", 0, []]
+        assert ran[:2] == [" ".join(argv), 0] and "numpy" in ran[2]
 
     @pytest.mark.parametrize("name", VERIFY_NAMES)
     def test_verify_names_import_from_the_package(self, name):

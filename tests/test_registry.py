@@ -10,6 +10,7 @@ import pytest
 from struvebounds import (
     REGISTRY,
     DomainError,
+    OverflowRisk,
     StruveBoundsError,
     UnknownBound,
     b_value,
@@ -86,11 +87,12 @@ class TestArity:
 
 class TestEveryIdEvaluates:
     # every id over orders from below the series floor to far above the
-    # gamma overflow and arguments from the smallest subnormal to near
+    # gamma overflow and arguments from the smallest subnormal to past
     # X_MAX, inside and outside each validity range: a float or a typed
-    # error, never a raw ZeroDivisionError or math domain error
+    # error, never a raw ZeroDivisionError, OverflowError or math domain
+    # error
     NUS = (-2.0, -1.5, -1.4, -1.0, -0.5, 0.0, 0.5, 1.0, 300.0)
-    XS = (5e-324, 1e-300, 1e-200, 1e-150, 1e-12, 1e-3, 1.0, 30.0, 590.0)
+    XS = (5e-324, 1e-300, 1e-200, 1e-150, 1e-12, 1e-3, 1.0, 30.0, 590.0, 1000.0, 1e300)
 
     @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
     def test_float_or_typed_error(self, bound_id):
@@ -110,6 +112,19 @@ class TestEveryIdEvaluates:
                     if type(value) is not float:
                         bad.append((nu, args, repr(value)))
         assert not bad, bad[:5]
+
+
+class TestPastXMax:
+    # bounds that read no series check their arguments as the series do
+    @pytest.mark.parametrize("args", [(1.0, 1e300), (1.0, 1000.0), (1.0, 600.0 * (1 + 2**-52))])
+    def test_pointwise_upper_bound_raises_instead_of_returning_zero(self, args):
+        with pytest.raises(OverflowRisk, match="exceeds x_max"):
+            get_bound("eq46_upper").evaluate(*args)
+
+    def test_argument_ratio_checks_y(self):
+        assert get_bound("eq34_upper").evaluate(0.5, 1.0, 600.0) > 0.0
+        with pytest.raises(OverflowRisk, match="exceeds x_max"):
+            get_bound("eq34_upper").evaluate(0.5, 1.0, 1500.0)
 
 
 class TestOnePoint:
