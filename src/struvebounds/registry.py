@@ -21,7 +21,7 @@ the inequalities are only guaranteed on the recorded ranges.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from . import arg_ratio as _ar
 from . import bfunc as _bf
@@ -165,6 +165,8 @@ _SPECS = [
 ]
 
 REGISTRY: dict[str, BoundSpec] = {spec.bound_id: spec for spec in _SPECS}
+# each target's bounds in registry order, formed once: point queries read them per call
+_BY_TARGET = {target: tuple(s for s in _SPECS if s.target == target) for target in TARGETS}
 
 # the exact value of each target, as a formula of the same shape
 EXACT = {
@@ -188,8 +190,8 @@ def get_bound(bound_id: str) -> BoundSpec:
         raise UnknownBound(f"no bound registered under id {bound_id!r}") from None
 
 
-def bounds_for_target(target: str) -> Iterable[BoundSpec]:
-    return [spec for spec in _SPECS if spec.target == target]
+def bounds_for_target(target: str) -> tuple[BoundSpec, ...]:
+    return _BY_TARGET.get(target, ())
 
 
 def needs_y(spec: BoundSpec) -> bool:

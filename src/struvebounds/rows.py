@@ -6,6 +6,13 @@ is bit-identical to the scalar one.  A Row is a Point over numpy lanes for
 one (bound, order) row of a sweep; exact_row and bound_row run a target's
 exact formula and a bound's formula over one.  Only this module and verify
 import numpy at module level, so a point query never loads it.
+
+No Python runs once per lane where numpy can do the lane's work with the
+same bits: bookkeeping (deduplication, per-order setup, gathers) is numpy
+indexing, and so is IEEE arithmetic, which numpy rounds as Python does.
+What stays in Python is math's elementary functions (log, pow, exp, ...),
+whose libm results numpy's ufuncs miss by an ulp on some arguments: called
+lane by lane, or once per distinct argument where many lanes share one.
 """
 
 from __future__ import annotations
@@ -19,8 +26,9 @@ import numpy as np
 from . import special_core
 from .errors import DomainError
 from .registry import EXACT, BoundSpec
-from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, REL_TOL, X_MAX, Point,
-                           _first_term, _gamma_pair, _lazy, _series, _series_setup)
+from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, GAMMA_ARG_MAX, REL_TOL,
+                           SQRT_PI, X_MAX, Point, _first_term, _gamma_pair, _lazy, _series,
+                           _series_setup, kernel_b)
 
 
 def _map_lanes(f, *args):
@@ -31,35 +39,50 @@ def _map_lanes(f, *args):
                                 for a in args)), float)
 
 
+def _pow_or_inf(base: float, power: float) -> float:
+    """base ** power as kernel_b forms it, inf where the power overflows."""
+    try:
+        return base ** power
+    except OverflowError:
+        return math.inf
+
+
 def fill_series_row(kind: str, nus, xs) -> np.ndarray:
     """The kind series summed at every lane (nu, x) of nus and xs.
 
-    nus holds one order per lane, or one for all.  Each distinct lane is
-    summed once, its leading term formed as _series forms it (the gamma
-    product once per order) and _series's recurrence run in _series's order
-    with numpy, so every value is bit-identical to _series's.  A lane out of
-    domain, whose leading term underflows, or that does not converge within
-    MAX_TERMS is NaN (_series raises for the last two).  Stores nothing and
-    forms no error estimate.  Raises only for an unknown kind.
+    nus holds one order per lane, or one for all.  The in-domain lanes are
+    deduplicated by np.unique over (nu, x) packed exactly into one complex
+    number, and each distinct lane is summed once and on its own, so the
+    sorted order changes no value.  Its leading term is formed as _series
+    forms it: _series_setup and the gamma product once per distinct order,
+    math.log once per distinct x/2, each gathered by an inverse index, and
+    math.pow lane by lane, since (x/2)^power differs on every lane.
+    _series's recurrence then runs in _series's order with numpy, so every
+    value is bit-identical to _series's.  A lane out of domain, whose
+    leading term underflows, or that does not converge within MAX_TERMS is
+    NaN (_series raises for the last two).  Stores nothing and forms no
+    error estimate.  Raises only for an unknown kind.
     """
     g1 = _series_setup(kind, 0.0)[0]
     xs = np.asarray(xs, dtype=float)
     nus = np.broadcast_to(np.asarray(nus, dtype=float), xs.shape)
     ok = (nus >= _L_FLOOR) & (nus < math.inf) & (0.5 * xs > 0.0) & (xs <= X_MAX)
-    index: dict = {}  # each distinct in-domain lane once
-    unique = [index.setdefault(k, len(index)) for k in zip(nus[ok].tolist(), xs[ok].tolist())]
     out = np.full(xs.shape, math.nan)
-    if not index:
+    if not ok.any():
         return out
-    keys, sums = list(index), np.full(len(index), math.nan)
-    setup = {}
-    for nu in {k[0] for k in keys}:
+    pair = np.empty(np.count_nonzero(ok), dtype=complex)  # (nu, x) exactly, one number
+    pair.real, pair.imag = nus[ok], xs[ok]
+    keys, inverse = np.unique(pair, return_inverse=True)  # each distinct lane once
+    orders, order_at = np.unique(keys.real, return_inverse=True)
+    setup = []
+    for nu in orders.tolist():
         _, shift, power0, n0 = _series_setup(kind, nu)
-        setup[nu] = (shift, n0, 2 * n0 + power0, _gamma_pair(n0 + g1, n0 + shift)[0])
-    shift, nv, power, gammas = (np.array(c, dtype=float) for c in zip(*[setup[k[0]] for k in keys]))
-    xv = np.array([k[1] for k in keys])
-    # _first_term_err's value lane by lane, with the gammas formed once per order
-    log_mag = np.abs(power * _map_lanes(math.log, 0.5 * xv))
+        setup.append((shift, n0, 2 * n0 + power0, _gamma_pair(n0 + g1, n0 + shift)[0]))
+    shift, nv, power, gammas = (np.array(c, dtype=float)[order_at] for c in zip(*setup))
+    xv, sums = keys.imag, np.full(keys.size, math.nan)
+    # _first_term_err's value lane by lane
+    halves, half_at = np.unique(0.5 * xv, return_inverse=True)
+    log_mag = np.abs(power * _map_lanes(math.log, halves)[half_at])
     term = np.zeros_like(xv)
     direct = (gammas != 0.0) & (log_mag < _LOG_MAG_MAX)
     term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
@@ -94,7 +117,7 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
             active = active[active]
             if not active.size:
                 break
-    out[ok] = sums[unique]
+    out[ok] = sums[inverse]
     return out
 
 
@@ -123,6 +146,24 @@ class Row(Point):
             raise DomainError("a row needs at least one lane, got an empty x array")
         super().__init__(nu, x, y)
         self.given: dict = {}
+
+    @_lazy
+    def b(self, order: float):
+        """kernel_b over the lanes: the gamma factor once per row, the power
+        lane by lane, and the quotient in numpy.  A lane whose quotient is
+        not in (0, inf) (the power overflowed, or lv is 0) runs kernel_b
+        itself, which gives its log-space value or raises its error."""
+        if not math.isfinite(order) or order <= -1.5:
+            raise DomainError(f"kernel requires nu > -3/2, got {order}")
+        lv = self.L(order)
+        if order + 1.5 >= GAMMA_ARG_MAX:
+            return _map_lanes(kernel_b, order, self.x, lv)
+        pw = _map_lanes(_pow_or_inf, 0.5 * self.x, order + 1.0)
+        with np.errstate(all="ignore"):
+            q = pw / (SQRT_PI * math.gamma(order + 1.5) * lv)
+        for i in np.flatnonzero(~((0.0 < q) & (q < math.inf))).tolist():
+            q[i] = kernel_b(order, self.x[i].item(), lv[i].item())
+        return q
 
     @_lazy
     def of(self, f, *lanes: str):

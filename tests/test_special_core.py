@@ -157,6 +157,87 @@ class TestSeriesRow:
             got = rows.fill_series_row(kind, nus, xs).tolist()
             assert got == [special_core._series(kind, nu, x)[0] for nu, x in zip(nus, xs)]
 
+    @staticmethod
+    def _scalar(kind, nus, xs):
+        # _series lane by lane; NaN where it raises, as the batch leaves such a lane
+        got = []
+        for nu, x in zip(nus, xs):
+            try:
+                got.append(special_core._series(kind, nu, x)[0])
+            except DomainError:
+                got.append(math.nan)
+        return got
+
+    def _assert_lanes_match(self, kind, nus, xs):
+        got = rows.fill_series_row(kind, nus, xs).tolist()
+        want = self._scalar(kind, nus, xs)
+        assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want], kind
+        assert [v for v in got if not math.isnan(v)] == [v for v in want if not math.isnan(v)]
+        return got
+
+    def test_duplicate_lanes(self):
+        # repeated (nu, x) lanes in one call are summed once and each gets the value
+        nus = [0.5, 2.0, 0.5, 0.5, 2.0, 10.0, 0.5] * 3
+        xs = [1.0, 1.0, 1.0, 30.0, 1.0, 30.0, 30.0] * 3
+        for kind in ("I", "L"):
+            got = self._assert_lanes_match(kind, nus, xs)
+            assert got[0] == got[2] == got[7] and got[3] == got[6]
+
+    def test_many_orders_over_one_x_set(self):
+        orders = np.linspace(-2.4, 60.0, 53).tolist()
+        xs = np.logspace(-3.0, math.log10(600.0), 60).tolist()
+        nus = [nu for nu in orders for _ in xs]
+        for kind in ("I", "L"):
+            got = self._assert_lanes_match(kind, nus, xs * len(orders))
+            assert not any(math.isnan(v) for v in got)
+
+    def test_signed_zero_order(self):
+        xs = np.logspace(-3.0, math.log10(600.0), 40).tolist()
+        nus = [0.0, -0.0] * 20
+        for kind in ("I", "L"):
+            self._assert_lanes_match(kind, nus, xs)
+            self._assert_lanes_match(kind, nus, [2.0] * 40)
+
+    def test_orders_at_a_gamma_pole(self):
+        # the leading index n0 > 0: the first terms' 1/Gamma vanish
+        xs = np.logspace(-3.0, math.log10(600.0), 50).tolist()
+        for kind, pole_orders in (("I", (-1.0, -1.0 + 1e-13, -2.0)), ("L", (-1.5, -1.5 + 1e-13))):
+            for nu in pole_orders:
+                assert special_core._series_setup(kind, nu)[3] > 0, (kind, nu)
+            nus = [nu for nu in pole_orders for _ in xs]
+            got = self._assert_lanes_match(kind, nus, xs * len(pole_orders))
+            assert not any(math.isnan(v) for v in got)
+
+    def test_orders_past_the_gamma_range(self):
+        # from 169 up a gamma argument reaches GAMMA_ARG_MAX, the gamma product
+        # is 0 and the leading term is formed in log space
+        xs = np.linspace(100.0, 600.0, 41).tolist()
+        orders = (169.0, 169.5, 175.0, 200.0)
+        nus = [nu for nu in orders for _ in xs]
+        for kind in ("I", "L"):
+            got = self._assert_lanes_match(kind, nus, xs * len(orders))
+            assert not any(math.isnan(v) for v in got)
+
+    def test_underflowing_leading_terms(self):
+        # lanes whose leading term underflows are NaN; _series raises there
+        for kind, nu in (("I", 300.0), ("L", 150.0)):
+            xs = [1.0, 0.5, 400.0, 1.0, 600.0]
+            got = self._assert_lanes_match(kind, [nu] * 5, xs)
+            assert [math.isnan(v) for v in got] == [True, True, False, True, False]
+
+    def test_row_b_matches_kernel_b(self):
+        # the direct branch, the overflowing power (nu = 130, x > 451) and,
+        # at nu = 169, the gamma argument past GAMMA_ARG_MAX
+        cases = [(nu, np.logspace(-3.0, math.log10(600.0), 200)) for nu in (-1.4, -0.5, 0.0, 10.0)]
+        cases += [(nu, np.linspace(100.0, 600.0, 101)) for nu in (130.0, 169.0)]
+        for nu, xs in cases:
+            got = rows.Row(nu, xs).b(nu).tolist()
+            want = [special_core.kernel_b(nu, x, special_core._series("L", nu, x)[0])
+                    for x in xs.tolist()]
+            assert got == want, nu
+        with pytest.raises(DomainError, match="nu > -3/2"):
+            rows.Row(-1.5, np.array([1.0, 2.0])).b(-1.5)
+
     def test_out_of_domain_lanes_are_nan(self):
         got = rows.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320, 2.0])
         assert got[0] == got[-1] == special_core._series("L", 1.0, 2.0)[0]
