@@ -4,7 +4,11 @@ crossover location, and the monotonicity/Turan property suites.
 Certification works a row at a time: for each (bound, order) one
 rows.Row over the grid's (x[, y]) lanes, on which the bound's
 formula and its target's exact formula each run once as numpy arrays, and
-one GridReport.record call takes the row.  The sweeps, certify_all and
+one GridReport.record call takes the row.  A GridReport keeps the arrays of
+every row it records and its summary (point count, violations, worst slack
+and largest gap) as it goes; the per-point (nu, x, y, slack, status) tuples
+of GridReport.rows, and the lines of report_csv_rows, are built from those
+arrays when they are read.  The sweeps, certify_all and
 monotonicity_suite, own their series: each builds all of its Rows first,
 sums every series they read with one fill_series_row per kind
 (rows.fill_rows) and hands each Row its arrays, so neither calls the
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -69,13 +75,29 @@ def default_grid() -> Grid:
     return Grid(nus, xs)
 
 
-@dataclass
+def _lane_tuples(nu, x, y, slack, status) -> Iterator[tuple]:
+    """The (nu, x, y, slack, status) tuple of each lane of one recorded row,
+    in Python values: an array gives its tolist(), a list itself, and a
+    scalar (or None) repeats."""
+    return zip(*(v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list)
+                 else repeat(v) for v in (nu, x, y, slack, status)))
+
+
+@dataclass(eq=False)
 class GridReport:
     """Outcome of certifying one inequality over a grid.
 
     Slack is signed and normalized: (upper - exact)/|exact| for upper bounds,
     (exact - lower)/|exact| for lower bounds.  Negative slack beyond the
-    tolerance is a violation.  Equality orders are recorded with slack 0.
+    tolerance is a violation, and so is a slack that is not finite: a bound
+    or an exact value that overflowed or came out NaN certifies nothing.
+    Equality orders are recorded with slack 0.
+
+    The report keeps each recorded row as the arrays it was given, and the
+    summary fields (points_checked, violations, worst_slack, max_rel_gap)
+    as they go; rows, the (nu, x, y, slack, status) tuple of every point, is
+    built from those arrays on each read.  Two reports are equal when their
+    summary fields and rows are.
     """
 
     bound_id: str
@@ -83,29 +105,49 @@ class GridReport:
     violations: list[tuple] = field(default_factory=list)
     worst_slack: float = math.inf
     max_rel_gap: float = -math.inf
-    rows: list[tuple] = field(default_factory=list)
+    _recorded: list[tuple] = field(default_factory=list, init=False, repr=False)
 
     def record(self, nu, x, y, slack, tolerance: float, equality: bool) -> None:
         """Add one point, or one row of points: nu, x, y (None for
         single-argument targets) and slack may each be arrays or lists of
-        one length."""
+        one length.  The report keeps the arrays and lists it is given, so
+        a caller must not write to them afterwards.
+
+        worst_slack is NaN once a lane's slack is NaN or +inf, so that a
+        report is clean exactly when worst_slack >= -tolerance.
+        """
         slack = np.atleast_1d(np.asarray(slack, dtype=float))
         n = slack.size
-        sl = [0.0] * n if equality else slack.tolist()
-        nus, xs, ys = (v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list)
-                       else [v] * n for v in (nu, x, y))
-        self.points_checked += n
-        self.worst_slack = min([self.worst_slack, *sl])
-        self.max_rel_gap = max([self.max_rel_gap, *sl])
-        bad = slack < -tolerance
-        if equality or not bad.any():
-            status = ["equality" if equality else "ok"] * n
-        else:
+        if equality:
+            slack = np.zeros(n)
+        bad = ~np.isfinite(slack) | (slack < -tolerance)
+        status, worst = ("equality" if equality else "ok"), slack
+        if bad.any():
             status = np.where(bad, "violation", "ok").tolist()
-            for i in np.flatnonzero(bad).tolist():
-                self.violations.append((nus[i], xs[i], ys[i], sl[i]) if y is not None
-                                       else (nus[i], xs[i], sl[i]))
-        self.rows.extend(zip(nus, xs, ys, sl, status))
+            worst = np.where(slack == math.inf, math.nan, slack)
+            for lane in compress(_lane_tuples(nu, x, y, slack, status), bad.tolist()):
+                self.violations.append(lane[:4] if y is not None else (*lane[:2], lane[3]))
+        self.points_checked += n
+        self.worst_slack = float(np.minimum.reduce(worst, initial=self.worst_slack))
+        self.max_rel_gap = float(np.fmax.reduce(slack, initial=self.max_rel_gap))
+        self._recorded.append((nu, x, y, slack, status))
+
+    def _row_tuples(self) -> Iterator[tuple]:
+        return chain.from_iterable(_lane_tuples(*r) for r in self._recorded)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """(nu, x, y, slack, status) of every recorded point in record
+        order, status "ok", "violation" or "equality"; a new list on each
+        read."""
+        return list(self._row_tuples())
+
+    def __eq__(self, other):
+        if not isinstance(other, GridReport):
+            return NotImplemented
+        key = attrgetter("bound_id", "points_checked", "violations", "worst_slack",
+                         "max_rel_gap", "rows")
+        return key(self) == key(other)
 
     @property
     def clean(self) -> bool:
@@ -204,7 +246,7 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
 def report_csv_rows(report: GridReport) -> Iterable[str]:
     """Serialize a report, one line per grid point."""
     yield "bound_id,nu,x,y,slack,status"
-    for nu, x, y, slack, status in report.rows:
+    for nu, x, y, slack, status in report._row_tuples():
         ystr = repr(y) if y is not None else ""
         yield f"{report.bound_id},{nu!r},{x!r},{ystr},{slack!r},{status}"
 

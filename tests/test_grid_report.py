@@ -1,0 +1,139 @@
+"""GridReport.record and the views built from what it keeps: rows,
+violations, the summary fields and the CSV lines, pinned on small hand-made
+rows of every shape the sweeps record."""
+
+import math
+
+import numpy as np
+import pytest
+
+from struvebounds.verify import GridReport, report_csv_rows
+
+
+def _single_argument_report():
+    rep = GridReport("single")
+    # a scalar order over an x array
+    rep.record(0.5, np.array([1.0, 2.0]), None, np.array([0.25, 0.125]), 1e-12, False)
+    # the list of orders and repeated x that the adjacent-order suites pass
+    rep.record([1.0, 1.5, 1.0], np.array([0.5, 0.5, 2.0]), None,
+               np.array([3e-3, 2e-3, 1e-3]), 0.0, False)
+    # an equality order: the slack given is replaced by 0
+    rep.record(0.5, np.array([4.0, 5.0]), None, np.array([3e-17, -1e-16]), 1e-12, True)
+    # one violating lane
+    rep.record(5.0, np.array([1.0, 2.0, 3.0]), None, np.array([1e-3, -1e-9, 2e-3]), 1e-12, False)
+    return rep
+
+
+def _pairs_report():
+    rep = GridReport("pairs")
+    rep.record(2.5, np.array([1.0, 1.0]), np.array([1.5, 3.0]), np.array([1e-3, -2e-3]),
+               1e-12, False)
+    rep.record(2.5, np.array([2.0]), np.array([20.0]), 0.5, 1e-12, False)
+    return rep
+
+
+class TestRecordedView:
+    def test_single_argument_rows(self):
+        rep = _single_argument_report()
+        assert rep.points_checked == 10
+        assert rep.violations == [(5.0, 2.0, -1e-09)]
+        assert rep.worst_slack == -1e-09 and rep.max_rel_gap == 0.25
+        assert rep.rows == [
+            (0.5, 1.0, None, 0.25, "ok"),
+            (0.5, 2.0, None, 0.125, "ok"),
+            (1.0, 0.5, None, 0.003, "ok"),
+            (1.5, 0.5, None, 0.002, "ok"),
+            (1.0, 2.0, None, 0.001, "ok"),
+            (0.5, 4.0, None, 0.0, "equality"),
+            (0.5, 5.0, None, 0.0, "equality"),
+            (5.0, 1.0, None, 0.001, "ok"),
+            (5.0, 2.0, None, -1e-09, "violation"),
+            (5.0, 3.0, None, 0.002, "ok"),
+        ]
+        for row in rep.rows:
+            assert [type(v) for v in row] == [float, float, type(None), float, str]
+        assert type(rep.worst_slack) is float and type(rep.max_rel_gap) is float
+        assert not rep.clean
+
+    def test_pairs_rows_and_csv(self):
+        rep = _pairs_report()
+        assert rep.points_checked == 3
+        assert rep.violations == [(2.5, 1.0, 3.0, -0.002)]
+        assert rep.worst_slack == -0.002 and rep.max_rel_gap == 0.5
+        assert rep.rows == [
+            (2.5, 1.0, 1.5, 0.001, "ok"),
+            (2.5, 1.0, 3.0, -0.002, "violation"),
+            (2.5, 2.0, 20.0, 0.5, "ok"),
+        ]
+        for row in rep.rows:
+            assert all(type(v) is float for v in row[:4])
+        assert list(report_csv_rows(rep)) == [
+            "bound_id,nu,x,y,slack,status",
+            "pairs,2.5,1.0,1.5,0.001,ok",
+            "pairs,2.5,1.0,3.0,-0.002,violation",
+            "pairs,2.5,2.0,20.0,0.5,ok",
+        ]
+
+    def test_never_recorded(self):
+        rep = GridReport("empty")
+        assert rep.points_checked == 0 and rep.violations == [] and rep.rows == []
+        assert rep.worst_slack == math.inf and rep.max_rel_gap == -math.inf
+        assert rep.clean
+        assert list(report_csv_rows(rep)) == ["bound_id,nu,x,y,slack,status"]
+
+    def test_rows_is_a_new_list_on_each_read(self):
+        rep = _pairs_report()
+        first = rep.rows
+        first.clear()
+        assert len(rep.rows) == 3 and rep.rows is not rep.rows
+        with pytest.raises(AttributeError):
+            rep.rows = []
+
+    def test_equality_compares_rows_not_record_calls(self):
+        whole = GridReport("r")
+        whole.record(1.0, np.array([1.0, 2.0]), None, np.array([0.5, 0.25]), 1e-12, False)
+        split = GridReport("r")
+        split.record(1.0, np.array([1.0]), None, np.array([0.5]), 1e-12, False)
+        split.record(1.0, [2.0], None, [0.25], 1e-12, False)
+        assert whole == split
+        moved = GridReport("r")
+        moved.record(1.0, np.array([1.0, 3.0]), None, np.array([0.5, 0.25]), 1e-12, False)
+        assert whole != moved and whole != "r"
+
+
+class TestNonFiniteSlack:
+    def test_nan_slack_is_a_violation(self):
+        rep = GridReport("nan_slack")
+        rep.record(1.0, np.array([1.0, 2.0, 3.0]), None, np.array([0.5, math.nan, 0.25]),
+                   1e-12, False)
+        assert not rep.clean and rep.points_checked == 3
+        assert len(rep.violations) == 1
+        nu, x, slack = rep.violations[0]
+        assert (nu, x) == (1.0, 2.0) and math.isnan(slack)
+        assert [r[4] for r in rep.rows] == ["ok", "violation", "ok"]
+        assert math.isnan(rep.worst_slack)
+        assert rep.max_rel_gap == 0.5
+        assert (not rep.violations) == (rep.worst_slack >= -1e-12)
+        # a later clean row does not hide it
+        rep.record(1.0, np.array([4.0]), None, np.array([0.125]), 1e-12, False)
+        assert math.isnan(rep.worst_slack) and len(rep.violations) == 1
+        assert list(report_csv_rows(rep))[2] == "nan_slack,1.0,2.0,,nan,violation"
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_slack_is_a_violation(self, bad):
+        rep = GridReport("inf")
+        rep.record(1.0, np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([0.5, bad]),
+                   1e-12, False)
+        assert rep.violations == [(1.0, 2.0, 4.0, bad)]
+        assert [r[4] for r in rep.rows] == ["ok", "violation"]
+        assert (not rep.violations) == (rep.worst_slack >= -1e-12)
+        if bad < 0.0:
+            assert rep.worst_slack == -math.inf
+        else:
+            assert math.isnan(rep.worst_slack)
+
+    def test_equality_row_ignores_the_slack_given(self):
+        rep = GridReport("eq")
+        rep.record(0.5, np.array([1.0, 2.0]), None, np.array([math.nan, -1.0]), 1e-12, True)
+        assert rep.clean and rep.worst_slack == 0.0 and rep.max_rel_gap == 0.0
+        assert rep.rows == [(0.5, 1.0, None, 0.0, "equality"), (0.5, 2.0, None, 0.0, "equality")]
