@@ -59,11 +59,16 @@ def _x_csch(scale: float, x: float, k: float) -> float:
     return c / math.sinh(z) if z < 710.0 else 2.0 * c * math.exp(-z)
 
 
+def _half_x_csch(x: float) -> float:
+    """(x/2) csch(x), a function of x alone."""
+    return _x_csch(0.5, x, 1.0)
+
+
 def eq13_lower(nu, x, P):
     """(x/2) csch(x) <= b_nu(x), valid nu >= -1/2 (equality at -1/2); the
     comparison reverses below -1/2."""
     _check_nu(nu)
-    return P.map(_x_csch, 0.5, x, 1.0)
+    return P.of(_half_x_csch, "x")
 
 
 def eq13_upper(nu, x, P):

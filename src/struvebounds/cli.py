@@ -154,13 +154,13 @@ def _cmd_verify(args) -> int:
                if args.all else [verify.certify(args.bound, grid)])
     exit_code = 0
     if args.format == "csv":
-        first = True
-        for rep in reports:
-            for i, line in enumerate(verify.report_csv_rows(rep)):
-                if i == 0 and not first:
-                    continue
-                print(line)
-                first = False
+        for i, rep in enumerate(reports):
+            lines = verify.report_csv_rows(rep)
+            if i:
+                next(lines)  # one header for all reports
+            text = "\n".join(lines)  # one write per report, not per line
+            if text:
+                print(text)
             if rep.violations:
                 exit_code = 2
     else:

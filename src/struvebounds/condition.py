@@ -143,4 +143,4 @@ def prior_coth(nu, x, P):
     """x coth(x/2) - nu <= C(L_nu), valid nu >= 1/2, equality at 1/2 (an earlier
     bound)."""
     _check_prior(nu, "prior_coth")
-    return P.map(_x_coth_half, x) - nu
+    return P.of(_x_coth_half, "x") - nu

@@ -2,10 +2,13 @@
 
 fill_series_row sums many series at once, one lane per (nu, x), doing the
 scalar kernel's floating-point operations in the same order, so every value
-is bit-identical to the scalar one.  A Row is a Point over numpy lanes for
-one (bound, order) row of a sweep; exact_row and bound_row run a target's
-exact formula and a bound's formula over one.  Only this module and verify
-import numpy at module level, so a point query never loads it.
+is bit-identical to the scalar one.  A Row is a lane set: a Point over numpy
+lanes x (and y), whose primitives are kept by the order they are asked for;
+at(nu) views it at an order, and all its views share that work, so a sweep
+builds one Row per lane set and computes each lane's work once for all its
+orders.  exact_row and bound_row run a target's exact formula and a bound's
+formula over a Row at its order.  Only this module and verify import numpy
+at module level, so a point query never loads it.
 
 No Python runs once per lane where numpy can do the lane's work with the
 same bits: bookkeeping (deduplication, per-order setup, gathers) is numpy
@@ -18,6 +21,7 @@ lane by lane, or once per distinct argument where many lanes share one.
 from __future__ import annotations
 
 import math
+from copy import copy
 from functools import partial
 from itertools import repeat
 
@@ -27,8 +31,8 @@ from . import special_core
 from .errors import DomainError
 from .registry import EXACT, BoundSpec
 from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, GAMMA_ARG_MAX, REL_TOL,
-                           SQRT_PI, X_MAX, Point, _first_term, _gamma_pair, _lazy, _series,
-                           _series_setup, kernel_b)
+                           SQRT_PI, X_MAX, Point, _cancels, _first_term, _gamma_pair, _lazy,
+                           _mv_stable, _series, _series_setup, kernel_b)
 
 
 def _map_lanes(f, *args):
@@ -122,8 +126,13 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
 
 
 class Row(Point):
-    """Point's primitives at one order over numpy lanes x (and y).
+    """Point's primitives over numpy lanes x (and y): a lane set, read at
+    its order nu by the formulas.
 
+    Every primitive is kept per the order it is asked for (I, L, M, a and b)
+    or per lane names (of), never per nu, so at(nu) gives a view of the
+    same lanes at another order that shares all of them: a sweep builds one
+    Row per lane set and computes each lane's work once for all its orders.
     Arithmetic runs in numpy, which rounds as Python does; the elementary
     functions are math's lane by lane, because numpy's exp, tanh, log, hypot
     and pow differ from math's by an ulp on a few percent of arguments, and
@@ -147,9 +156,28 @@ class Row(Point):
         super().__init__(nu, x, y)
         self.given: dict = {}
 
+    def at(self, nu: float) -> Row:
+        """These lanes at order nu: a shallow copy that shares the kept
+        primitives and given.  A Row built only to be viewed takes nu = nan,
+        which no formula then reads."""
+        view = copy(self)
+        view.nu = nu
+        return view
+
+    @_lazy
+    def M(self, order: float):
+        """struve_m's rule over the lanes: L - I and _cancels' test are IEEE
+        arithmetic, so numpy gives their bits; only the cancelling lanes
+        take _mv_stable, lane by lane."""
+        lv, iv = self.L(order), self.I(order)
+        m = lv - iv
+        for i in np.flatnonzero(_cancels(lv, iv)).tolist():
+            m[i] = _mv_stable(order, self.x[i].item())[0]
+        return m
+
     @_lazy
     def b(self, order: float):
-        """kernel_b over the lanes: the gamma factor once per row, the power
+        """kernel_b over the lanes: the gamma factor once per order, the power
         lane by lane, and the quotient in numpy.  A lane whose quotient is
         not in (0, inf) (the power overflowed, or lv is 0) runs kernel_b
         itself, which gives its log-space value or raises its error."""
@@ -182,9 +210,13 @@ class Row(Point):
 def fill_rows(wants) -> None:
     """Hand Rows the series they will read, summed with one fill_series_row
     per kind: wants lists (row, kind, order, at_y), and each row gets the
-    values over its x lanes (at_y false) or y lanes in row.given."""
+    values over its x lanes (at_y false) or y lanes in row.given.  Views of
+    one lane set (Row.at) share given, so a series two of them want is
+    summed and stored once."""
+    wants = {(id(P.given), k, order, at_y): (P, k, order, at_y) for P, k, order, at_y in wants}
     for kind in ("L", "I"):
-        mine = [(P, order, at_y, P.y if at_y else P.x) for P, k, order, at_y in wants if k == kind]
+        mine = [(P, order, at_y, P.y if at_y else P.x)
+                for P, k, order, at_y in wants.values() if k == kind]
         if mine:
             sums = fill_series_row(kind, np.concatenate([np.full(v.size, o) for _, o, _, v in mine]),
                                    np.concatenate([v for *_, v in mine]))

@@ -473,11 +473,11 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
     return coef * integral, _DE_NODES, est
 
 
-def _cancels(lv: float, iv: float) -> bool:
+def _cancels(lv, iv):
     """struve_m's rule: L - I would lose more than six digits, so M takes
-    the stable route."""
+    the stable route.  Floats give a bool, numpy lanes a mask (rows.Row.M)."""
     scale = abs(lv) + abs(iv)
-    return scale != 0.0 and abs(lv - iv) < _CANCEL_FLAG_RATIO * scale
+    return (scale != 0.0) & (abs(lv - iv) < _CANCEL_FLAG_RATIO * scale)
 
 
 def _m_value(nu: float, x: float, lv: float, iv: float) -> float:

@@ -1,22 +1,26 @@
 """Grid certification of every registered inequality, reference error tables,
 crossover location, and the monotonicity/Turan property suites.
 
-Certification works a row at a time: for each (bound, order) one
-rows.Row over the grid's (x[, y]) lanes, on which the bound's
-formula and its target's exact formula each run once as numpy arrays, and
-one GridReport.record call takes the row.  A GridReport keeps the arrays of
+Certification works a row at a time: for each (bound, order) a rows.Row
+over the grid's (x[, y]) lanes at that order, on which the bound's formula
+and its target's exact formula each run once as numpy arrays, and one
+GridReport.record call takes the row.  A Row is a lane set; at(nu) views it
+at an order, sharing every primitive it has kept, so certify builds one Row
+for the x lanes or one for the (x, y) pairs and views it at each order, and
+monotonicity_suite builds one Row per grid of lanes and reads each
+primitive at an explicit order.  A GridReport keeps the arrays of
 every row it records and its summary (point count, violations, worst slack
 and largest gap) as it goes; the per-point (nu, x, y, slack, status) tuples
 of GridReport.rows, and the lines of report_csv_rows, are built from those
-arrays when they are read.  The sweeps, certify_all and
-monotonicity_suite, own their series: each builds all of its Rows first,
-sums every series they read with one fill_series_row per kind
-(rows.fill_rows) and hands each Row its arrays, so neither calls the
-registry's point entries.  certify_all shares the rows and the exact rows
-among all bounds; certify alone lets each row sum its own series.  Exact
-values inside certification always come from the power-series route; the
-quadrature oracle is reserved for cross-validating the series itself, so a
-certification failure can never be self-confirming.
+arrays when they are read.  The sweeps own their series: each builds its
+lane sets first, sums every series they read with one fill_series_row per
+kind (rows.fill_rows) and hands each lane set its arrays, so neither calls
+the registry's point entries.  certify_all shares the lane sets and the
+exact rows among all bounds; certify alone lets its lane set sum each
+series on first read.  Exact values inside certification always come from
+the power-series route; the quadrature oracle is reserved for
+cross-validating the series itself, so a certification failure can never
+be self-confirming.
 
 Grid, GridReport and TableSpec stay dataclasses, unlike the point path's
 records (brackets.Record): GridReport is mutable, and this module loads
@@ -163,18 +167,33 @@ def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[rows.Row]:
     return rows.Row(nu, *np.array(pairs).T) if pairs else None
 
 
+def _grid_view(shared: dict, grid: Grid, nu: float, takes_y: bool) -> Optional[rows.Row]:
+    """The Row certify checks at order nu: a view (Row.at) of the grid's
+    lane set for takes_y, or None if it has no lanes.  shared keeps the lane
+    set under ("lanes", takes_y) and the view under (nu, takes_y), so every
+    order and every bound that shares the dict reads one lane set."""
+    if (nu, takes_y) not in shared:
+        if ("lanes", takes_y) not in shared:
+            shared["lanes", takes_y] = _grid_row(grid, math.nan, takes_y)
+        lanes = shared["lanes", takes_y]
+        shared[nu, takes_y] = None if lanes is None else lanes.at(nu)
+    return shared[nu, takes_y]
+
+
 def certify(bound_id: str, grid: Optional[Grid] = None,
             tolerance: float = DEFAULT_TOLERANCE, *,
             shared: Optional[dict] = None) -> GridReport:
     """Check one registered inequality at every in-range grid point.
 
-    Each in-range order is one row: the bound's formula and its target's
-    exact formula (rows.exact_row) run once over the row's lanes.
-    shared maps (nu, takes_y) to the Row (None if the grid gives that
-    order no lanes) and (target, nu) to its exact row; certify reads it
-    before building either and stores what it builds, so bounds that share
-    the dict share rows and compute each exact row once.  certify_all
-    passes one dict to every bound.
+    Each in-range order is one row, a view of one lane set (_grid_view):
+    the bound's formula and its target's exact formula (rows.exact_row) run
+    once over the row's lanes, and the orders share each lane's work.
+    shared maps (nu, takes_y) to the view (None if the grid gives that
+    order no lanes), ("lanes", takes_y) to its lane set and (target, nu) to
+    the exact row; certify reads it before building any of them and stores
+    what it builds, so bounds that share the dict share lane sets and
+    compute each exact row once.  certify_all passes one dict to every
+    bound.
     """
     if tolerance < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
@@ -186,9 +205,7 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     for nu in grid.nu_values:
         if not spec.valid_at(nu):
             continue
-        if (nu, takes_y) not in shared:
-            shared[nu, takes_y] = _grid_row(grid, nu, takes_y)
-        P = shared[nu, takes_y]
+        P = _grid_view(shared, grid, nu, takes_y)
         if P is None:
             continue
         exact = shared.get((spec.target, nu))
@@ -219,12 +236,15 @@ def _certify_reads(P: rows.Row) -> list[tuple[str, float, bool]]:
 
 def certify_all(grid: Optional[Grid] = None,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[GridReport]:
-    """Certify every registered bound, computing each exact row once.  All
-    rows are built and their series summed up front, one pass per kind."""
+    """Certify every registered bound, computing each exact row once.  The
+    bounds share one lane set for the x lanes and one for the (x, y) pairs
+    (_grid_view), so all orders share each lane's work; every series the
+    views read is summed up front, one pass per kind."""
     grid = grid or default_grid()
-    shared = {(nu, takes_y): _grid_row(grid, nu, takes_y)
-              for nu in grid.nu_values for takes_y in (False, True)}
-    rows.fill_rows([(P, *r) for P in shared.values() if P is not None for r in _certify_reads(P)])
+    shared: dict = {}
+    views = [_grid_view(shared, grid, nu, takes_y)
+             for nu in grid.nu_values for takes_y in (False, True)]
+    rows.fill_rows([(P, *r) for P in views if P is not None for r in _certify_reads(P)])
     return [certify(bid, grid, tolerance, shared=shared) for bid in registry.bound_ids()]
 
 
@@ -234,21 +254,46 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
     down to order -1/2.  Informational only; no invariant is asserted here."""
     grid = grid or default_grid()
     report = GridReport("eq14_extension_experiment")
+    lanes = _grid_row(grid, math.nan, False)  # one lane set for every order
     for nu in grid.nu_values:
-        if not (-0.5 - ORDER_TOL <= nu < 0.5) or not grid.x_values:
+        if not (-0.5 - ORDER_TOL <= nu < 0.5) or lanes is None:
             continue
-        P = _grid_row(grid, nu, False)
+        P = lanes.at(nu)
         pd = rows.exact_row("product_diff_L", P)
         report.record(nu, P.x, None, _relative(pd, pd), tolerance, False)
     return report
 
 
+def _lane_texts(v, memo: dict) -> Iterable[str]:
+    """The repr of each lane of one recorded nu, x or y: a float array's
+    once per distinct value, kept in memo by its bits (so 0.0 and -0.0 stay
+    apart), any other array's or list's lane by lane, and a scalar's once
+    for the row (None is the empty text)."""
+    if isinstance(v, np.ndarray) and v.dtype == np.float64:
+        bits, at = np.unique(v.view(np.int64), return_inverse=True)
+        texts = []
+        for key, value in zip(bits.tolist(), bits.view(np.float64).tolist()):
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = repr(value)
+            texts.append(text)
+        return map(texts.__getitem__, at.tolist())
+    if isinstance(v, (list, np.ndarray)):
+        return map(repr, v if isinstance(v, list) else v.tolist())
+    return repeat("" if v is None else repr(v))
+
+
 def report_csv_rows(report: GridReport) -> Iterable[str]:
-    """Serialize a report, one line per grid point."""
+    """Serialize a report, one line per grid point.  Only the slack's text
+    is formed per lane; nu, x and y take theirs once per distinct value
+    of the report (_lane_texts)."""
     yield "bound_id,nu,x,y,slack,status"
-    for nu, x, y, slack, status in report._row_tuples():
-        ystr = repr(y) if y is not None else ""
-        yield f"{report.bound_id},{nu!r},{x!r},{ystr},{slack!r},{status}"
+    memo: dict = {}
+    for nu, x, y, slack, status in report._recorded:
+        for nu_s, x_s, y_s, slack_s, status_s in zip(
+                _lane_texts(nu, memo), _lane_texts(x, memo), _lane_texts(y, memo),
+                map(repr, slack.tolist()), repeat(status) if isinstance(status, str) else status):
+            yield f"{report.bound_id},{nu_s},{x_s},{y_s},{slack_s},{status_s}"
 
 
 # ---------------------------------------------------------------------------
@@ -444,47 +489,52 @@ def monotonicity_suite() -> list[GridReport]:
     - domination of the Bessel ratio by the M-ratio from order 1/2 up
     - both three-term recurrence residuals stay at rounding level
 
-    All run on Rows whose series are summed up front, one fill per kind.
+    Each grid of lanes is one Row, read at every order it is checked at,
+    and every series is summed up front, one fill per kind.
     """
     grid = default_grid()
     xs = np.array(grid.x_values)
     xs_lin = np.array([round(0.1 + 0.05 * k, 10) for k in range(999)])  # 0.1 .. 50
     nus_lin = [round(-1.4 + 0.05 * k, 10) for k in range(229)]  # -1.4 .. 10
     ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
-    b_x_rows = [rows.Row(nu, xs_lin) for nu in grid.nu_values]
-    b_nu_rows = [rows.Row(nu, np.array((0.5, 2.0, 10.0))) for nu in nus_lin]
-    ratio_rows = [rows.Row(nu, np.array((0.5, 2.0, 10.0, 30.0))) for nu in ratio_nus]
-    grid_rows = [rows.Row(nu, xs) for nu in grid.nu_values]  # Turan and the recurrences
-    m_rows = [rows.Row(nu, xs[xs <= 30.0]) for nu in grid.nu_values if nu >= 0.5]
-    rows.fill_rows([(P, "L", P.nu, False) for P in b_x_rows + b_nu_rows + ratio_rows]
-              + [(P, "L", P.nu + 1.0, False) for P in ratio_rows]
-              + [(P, "L", P.nu + k, False) for P in grid_rows for k in (-1.0, 0.0, 1.0)]
-              + [(P, kind, P.nu + k, False) for P in m_rows for kind in "IL" for k in (-1.0, 0.0)])
+    m_nus = [nu for nu in grid.nu_values if nu >= 0.5]
+    # one Row per lane set, each primitive read at an explicit order
+    b_x = rows.Row(math.nan, xs_lin)
+    b_nu = rows.Row(math.nan, np.array((0.5, 2.0, 10.0)))
+    ratio = rows.Row(math.nan, np.array((0.5, 2.0, 10.0, 30.0)))
+    P = rows.Row(math.nan, xs)  # Turan and the recurrences
+    m_row = rows.Row(math.nan, xs[xs <= 30.0])
+    rows.fill_rows([(b_x, "L", nu, False) for nu in grid.nu_values]
+                   + [(b_nu, "L", nu, False) for nu in nus_lin]
+                   + [(ratio, "L", nu + k, False) for nu in ratio_nus for k in (0.0, 1.0)]
+                   + [(P, "L", nu + k, False) for nu in grid.nu_values for k in (-1.0, 0.0, 1.0)]
+                   + [(m_row, kind, nu + k, False) for nu in m_nus for kind in "IL" for k in (-1.0, 0.0)])
     reports = []
 
     reports.append(_comparison_report("mono_b_decreasing_in_x", [  # b(x) < b(prev x)
-        (P.nu, P.x[1:], b[1:], b[:-1]) for P in b_x_rows for b in [P.b(P.nu)]]))
+        (nu, b_x.x[1:], b[1:], b[:-1]) for nu in grid.nu_values for b in [b_x.b(nu)]]))
 
     reports.append(_comparison_report("mono_b_increasing_in_nu", [  # b(prev nu) < b(nu)
-        _adjacent_orders(nus_lin, (0.5, 2.0, 10.0), [P.b(P.nu) for P in b_nu_rows])]))
+        _adjacent_orders(nus_lin, (0.5, 2.0, 10.0), [b_nu.b(nu) for nu in nus_lin])]))
 
     nu, x, prev, cur = _adjacent_orders(ratio_nus, (0.5, 2.0, 10.0, 30.0),
-                                        [P.L(P.nu + 1.0) / P.L(P.nu) for P in ratio_rows])
+                                        [ratio.L(nu + 1.0) / ratio.L(nu) for nu in ratio_nus])
     # decreasing in the order
     reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", [(nu, x, cur, prev)]))
 
     # L_nu^2 by math's pow, which a float's ** 2 calls; x * x differs from it by an ulp at times
     reports.append(_comparison_report("turan_product", [
-        (P.nu, P.x, P.L(P.nu - 1.0, floor=_L_FLOOR) * P.L(P.nu + 1.0), P.pow(P.L(P.nu), 2.0))
-        for P in grid_rows]))
+        (nu, P.x, P.L(nu - 1.0, floor=_L_FLOOR) * P.L(nu + 1.0), P.pow(P.L(nu), 2.0))
+        for nu in grid.nu_values]))
 
     reports.append(_comparison_report("m_ratio_dominates_bessel_ratio", [  # I-ratio < M-ratio
-        (P.nu, P.x, P.I(P.nu) / P.I(P.nu - 1.0), P.M(P.nu) / P.M(P.nu - 1.0)) for P in m_rows]))
+        (nu, m_row.x, m_row.I(nu) / m_row.I(nu - 1.0), m_row.M(nu) / m_row.M(nu - 1.0))
+        for nu in m_nus]))
 
     report = GridReport("recurrence_residuals")
-    for P in grid_rows:
-        if P.nu > -0.5:
-            r1, r2 = recurrence_residuals(P.nu, P.x, P)
-            report.record(P.nu, P.x, None, DEFAULT_TOLERANCE - np.maximum(r1, r2), 0.0, False)
+    for nu in grid.nu_values:
+        if nu > -0.5:
+            r1, r2 = recurrence_residuals(nu, P.x, P)
+            report.record(nu, P.x, None, DEFAULT_TOLERANCE - np.maximum(r1, r2), 0.0, False)
     reports.append(report)
     return reports
