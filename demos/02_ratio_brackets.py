@@ -13,12 +13,12 @@ from struvebounds import (
     best_bracket,
     bound_ids,
     crossover,
+    exact_value,
     ratio_refine_step,
-    ratio_succ_exact,
 )
 
 nu, x = 1.0, 2.5
-exact = ratio_succ_exact("L", nu, x)
+exact = exact_value("succ_ratio_L", nu, x)
 print(f"target: ratio at nu={nu}, x={x}:  {exact:.12f}")
 print(f"kernel b_nu(x) = {b_value(nu, x):.12f}  (always in (0, 1/2))\n")
 
@@ -29,7 +29,7 @@ print(f"  contains exact value: {best.lower <= exact <= best.upper}\n")
 
 print("the equality case: at order 1/2 the upper bound tanh(x/2) is exact")
 print(f"  tanh({x}/2) = {math.tanh(x / 2):.15f}")
-print(f"  ratio       = {ratio_succ_exact('L', 0.5, x):.15f}\n")
+print(f"  ratio       = {exact_value('succ_ratio_L', 0.5, x):.15f}\n")
 
 print("one refinement step maps a bracket at order nu+1 to one at order nu,")
 print("swapping the roles of the two sides:")

@@ -5,13 +5,13 @@ x to x - 1/2 + O(1/x) at large x, and every ratio bound converts into a
 condition-number bound through the recurrence relations.
 """
 
-from struvebounds import bracket, cond_exact, get_bound, tightest_bracket
+from struvebounds import bracket, exact_value, get_bound, tightest_bracket
 
 nu = 1.0
 print(f"condition number at order {nu} across the argument range")
 print(f"{'x':>8}  {'exact':>12}  {'eq29 bracket':>28}  {'eq30 bracket':>28}")
 for x in (0.01, 0.5, 2.0, 10.0, 50.0):
-    c = cond_exact("L", nu, x)
+    c = exact_value("cond_L", nu, x)
     b29 = bracket("eq29_lower", "eq29_upper", nu, x)
     b30 = bracket("eq30_lower", "eq30_upper", nu, x)
     print(f"{x:>8}  {c:>12.6f}  [{b29.lower:>12.6f}, {b29.upper:>12.6f}]"

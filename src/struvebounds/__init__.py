@@ -6,7 +6,8 @@ number x L'_nu/L_nu, the argument ratio L_nu(x)/L_nu(y) and L_nu itself,
 plus a grid-certification engine, built-in relative-error tables, and
 crossover location between competing bounds.  A bound is reached by its id
 through the registry: get_bound(id).evaluate, bracket, evaluate_valid and
-best_bracket.
+best_bracket.  A target's exact value is reached the same way, by
+exact_value(target, nu, x[, y]).
 """
 
 from .arg_ratio import (
@@ -17,9 +18,8 @@ from .arg_ratio import (
     coefficient_crossover_nu,
     pointwise_bracket,
 )
-from .bfunc import a_coefficient, b_asym, b_value
+from .bfunc import b_asym, b_value
 from .brackets import Bracket
-from .condition import cond_exact
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -45,16 +45,12 @@ from .special_core import (
     FuncValue,
     asym_large_x,
     bessel_i,
-    gamma_pos,
     half_integer_closed,
     iv_value,
     lv_value,
-    mv_value,
     quad_oracle_i,
     quad_oracle_l,
-    ratio_succ_exact,
     recurrence_check,
-    small_x_leading,
     struve_l,
     struve_m,
 )
@@ -62,7 +58,6 @@ from .succ_ratio import (
     bessel_ratio_bounds,
     bessel_ratio_lower_tanh,
     best_bracket,
-    product_difference,
     ratio_refine_step,
     tightest_bracket,
 )
@@ -75,18 +70,16 @@ _VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
 __all__ = [
     "ANuConstant", "a_nu_constant", "a_nu_stirling_bracket", "bessel_route_coefficient",
     "coefficient_crossover_nu", "pointwise_bracket",
-    "a_coefficient", "b_asym", "b_value",
+    "b_asym", "b_value",
     "Bracket",
-    "cond_exact",
     "ConvergenceError", "DomainError", "InvalidBracket", "MultipleSignChanges",
     "NoSignChange", "NoValidBound", "OverflowRisk", "StruveBoundsError", "UnknownBound",
     "REGISTRY", "BoundSpec", "bound_ids", "bounds_for_target", "bracket", "evaluate_valid",
     "exact_value", "get_bound",
-    "FuncValue", "asym_large_x", "bessel_i", "gamma_pos", "half_integer_closed", "iv_value",
-    "lv_value", "mv_value", "quad_oracle_i", "quad_oracle_l", "ratio_succ_exact",
-    "recurrence_check", "small_x_leading", "struve_l", "struve_m",
-    "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "best_bracket", "product_difference",
-    "ratio_refine_step", "tightest_bracket",
+    "FuncValue", "asym_large_x", "bessel_i", "half_integer_closed", "iv_value", "lv_value",
+    "quad_oracle_i", "quad_oracle_l", "recurrence_check", "struve_l", "struve_m",
+    "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "best_bracket", "ratio_refine_step",
+    "tightest_bracket",
     *_VERIFY_NAMES,
 ]
 

@@ -269,8 +269,12 @@ def coefficient_crossover_nu(tol: float = 1e-4) -> float:
     """Order at which the two large-x coefficients coincide (about 2.521).
 
     Below the crossover the Bessel-route coefficient is the smaller one,
-    above it the explicit-bound coefficient wins.  Located by bisection.
+    above it the explicit-bound coefficient wins.  Located by bisection to
+    tol, which must be finite and positive: at 0 the bisection would stall
+    between adjacent floats, and a NaN would stop it before its first step.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol must be finite and > 0, got {tol}")
     lo, hi = 1.0, 4.0
     f = lambda n: a_nu_constant(n).value - bessel_route_coefficient(n)
     flo = f(lo)

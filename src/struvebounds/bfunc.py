@@ -11,11 +11,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .special_core import _first_term, kernel_b, lv_value, recurrence_term
-
-def a_coefficient(nu: float, x: float) -> float:
-    """(x/2)^nu / (sqrt(pi) Gamma(nu+3/2)); satisfies b = x * a / (2 L)."""
-    return recurrence_term(nu, x)
+from .special_core import _first_term, kernel_b, lv_value
 
 
 def _check_nu(nu: float) -> None:

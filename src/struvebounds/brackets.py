@@ -49,6 +49,14 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def in_order(lower: float, upper: float) -> bool:
+    """lower <= upper up to a few ulps of slop: sides can legitimately
+    collide once the true gap drops below double resolution.  A NaN side
+    passes."""
+    slop = 1e-14 * max(abs(lower), abs(upper), 1e-300)
+    return lower <= upper + slop or math.isnan(lower) or math.isnan(upper)
+
+
 class Bracket(Record):
     """A lower/upper pair with per-side validity flags and bound identifiers.
 
@@ -66,12 +74,8 @@ class Bracket(Record):
         _set(self, "upper_valid", upper_valid)
         _set(self, "lower_id", lower_id)
         _set(self, "upper_id", upper_id)
-        if lower_valid and upper_valid:
-            # a few ulps of slop: sides can legitimately collide once the
-            # true gap drops below double resolution
-            slop = 1e-14 * max(abs(lower), abs(upper), 1e-300)
-            if not (lower <= upper + slop or math.isnan(lower) or math.isnan(upper)):
-                raise ValueError(f"bracket sides out of order: [{lower}, {upper}]")
+        if lower_valid and upper_valid and not in_order(lower, upper):
+            raise ValueError(f"bracket sides out of order: [{lower}, {upper}]")
 
     @property
     def width(self) -> float:

@@ -4,7 +4,9 @@ bounds on C(L).
 C(L_nu) is evaluated through the downward relation
 C(L_nu)(x) = x L_{nu-1}(x)/L_nu(x) - nu, which is the single source of truth;
 the upward relation C(L_nu)(x) = x L_{nu+1}(x)/L_nu(x) + nu + 2 b_nu(x) is
-kept as a residual cross-check only.
+kept as a residual cross-check only.  At a point C(L) is
+exact_value("cond_L", nu, x) and C(I) is the bound eq28_lower,
+get_bound("eq28_lower").evaluate(nu, x); these replace cond_exact.
 """
 
 from __future__ import annotations
@@ -34,19 +36,11 @@ def eq28_lower(nu, x, P):
     return x * P.I(nu - 1.0) / P.I(nu) - nu
 
 
-def cond_exact(kind: str, nu: float, x: float) -> float:
-    """Reference condition number via the downward ratio; positive for L when
-    nu >= -1, for I when nu >= 0."""
-    P = Point(nu, x)
-    if kind not in ("L", "I"):
-        raise DomainError(f"kind must be 'L' or 'I', got {kind!r}")
-    return (cond_L if kind == "L" else eq28_lower)(nu, x, P)
-
-
 def cond_upward_residual(nu: float, x: float) -> float:
-    """|downward - upward| / |downward| for C(L); an identity residual."""
-    down = cond_exact("L", nu, x)
+    """|downward - upward| / |downward| for C(L); an identity residual, both
+    relations read from one Point."""
     P = Point(nu, x)
+    down = cond_L(nu, x, P)
     up = x * P.L(nu + 1.0) / P.L(nu) + nu + 2.0 * P.b(nu)
     return abs(down - up) / abs(down)
 

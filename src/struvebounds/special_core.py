@@ -1,8 +1,12 @@
 """Reference evaluation of I_nu, L_nu and M_nu = L_nu - I_nu.
 
 Power-series evaluators with compensated summation and explicit truncation
-metadata, elementary closed forms at half-integer orders, and leading small-x
-and large-x asymptotics.
+metadata, elementary closed forms at half-integer orders, and the leading
+large-x asymptotics.  A successive-order ratio is a registry path,
+exact_value("succ_ratio_L", ...) for L and the bound eq17_upper for I
+(replacing ratio_succ_exact), M's value is struve_m(...).value (replacing
+mv_value), and the leading small-x term of either series is the
+(x/2)^p / Gamma factor that _first_term forms (replacing small_x_leading).
 
 bessel_i and struve_l keep nothing: each call sums its series afresh with
 the scalar kernel _series, and sweeps sum theirs with rows.fill_series_row.
@@ -101,13 +105,6 @@ class FuncValue(Record):
         _set(self, "terms_used", terms_used)
         _set(self, "est_rel_error", est_rel_error)
         _set(self, "cancellation", cancellation)
-
-
-def gamma_pos(a: float) -> float:
-    """Gamma function restricted to positive arguments."""
-    if not math.isfinite(a) or a <= 0.0:
-        raise DomainError(f"gamma_pos requires a finite positive argument, got {a}")
-    return math.gamma(a)
 
 
 def _check_order(nu: float, floor: float) -> None:
@@ -332,27 +329,6 @@ def asym_large_x(kind: str, nu: float, x: float) -> float:
     return math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr
 
 
-def small_x_leading(kind: str, nu: float, x: float) -> float:
-    """Leading small-argument behaviour.
-
-    I: x^nu / (2^nu Gamma(nu+1)), nu > -1.
-    L: x^(nu+1) / (sqrt(pi) 2^nu Gamma(nu+3/2)) * (1 + x^2/(3(2 nu+3))), nu > -3/2.
-    """
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"argument must be a finite positive real, got {x}")
-    if kind == "I":
-        if nu <= -1.0:
-            raise DomainError(f"I leading term requires nu > -1, got {nu}")
-        return _first_term(nu, 1.0, nu + 1.0, x)
-    if kind == "L":
-        if nu <= -1.5:
-            raise DomainError(f"L leading term requires nu > -3/2, got {nu}")
-        # Gamma(3/2) = sqrt(pi)/2 turns (x/2)^(nu+1) into (x/2)^nu x / sqrt(pi)
-        lead = _first_term(nu + 1.0, 1.5, nu + 1.5, x)
-        return lead * (1.0 + x * x / (3.0 * (2.0 * nu + 3.0)))
-    raise DomainError(f"kind must be 'I' or 'L', got {kind!r}")
-
-
 _CANCEL_FLAG_RATIO = 1e-6
 
 
@@ -504,24 +480,6 @@ def struve_m(nu: float, x: float) -> FuncValue:
     return FuncValue(diff, lv.terms_used + iv.terms_used, est, cancellation=False)
 
 
-def mv_value(nu: float, x: float) -> float:
-    """Value-only shortcut for struve_m."""
-    return struve_m(nu, x).value
-
-
-def ratio_succ_exact(kind: str, nu: float, x: float) -> float:
-    """Successive-order ratio f_nu(x) / f_{nu-1}(x) from the reference evaluator.
-
-    For kind 'M' both orders must give negative values, hence nu >= 1/2.
-    """
-    if kind not in ("I", "L", "M"):
-        raise DomainError(f"kind must be 'I', 'L' or 'M', got {kind!r}")
-    if kind == "M" and nu < 0.5 - ORDER_TOL:
-        raise DomainError(f"M-ratio requires nu >= 1/2, got {nu}")
-    f = getattr(Point(nu, x), kind)
-    return f(nu) / f(nu - 1.0)
-
-
 def recurrence_residuals(nu, x, P):
     """Residuals of the two three-term relations over a Point or Row P,
     normalized by L_{nu-1}.
@@ -630,7 +588,8 @@ class Point:
 
     @_lazy
     def a(self, order: float):
-        """(x/2)^order / (sqrt(pi) Gamma(order+3/2))."""
+        """recurrence_term at order, (x/2)^order / (sqrt(pi) Gamma(order+3/2)),
+        so that b = x a / (2 L); this replaces bfunc.a_coefficient."""
         return self.map(recurrence_term, order, self.x)
 
     @_lazy

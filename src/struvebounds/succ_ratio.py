@@ -10,15 +10,17 @@ from the Turan inequality and the monotonicity of the ratio in the order,
 plus one step of refinement through the three-term recurrence.  Each
 registered bound is one formula f(nu, x, P) over a special_core.Point or
 rows.Row P, reached by id through the registry.  The public functions here
-are the Bessel-side bounds, the exact product difference, the transfer map,
-the refinement step and best_bracket.
+are the Bessel-side bounds, the transfer map, the refinement step and
+best_bracket.  The exact product difference is
+exact_value("product_diff_L", nu, x) (replacing product_difference), which
+reads product_diff.
 """
 
 from __future__ import annotations
 
 import math
 
-from .brackets import Bracket
+from .brackets import Bracket, in_order
 from .errors import DomainError, InvalidBracket, NoValidBound
 from .special_core import ORDER_TOL, Point
 
@@ -82,11 +84,6 @@ def product_diff(nu, x, P):
     parts cancel exactly), accurate where the direct form loses every digit."""
     _check_nu(nu, -0.5, "product difference")
     return P.I(nu) * P.M(nu - 1.0) - P.I(nu - 1.0) * P.M(nu)
-
-
-def product_difference(nu: float, x: float) -> float:
-    """I_nu L_{nu-1} - I_{nu-1} L_nu; positive for nu >= 1/2 (product_diff)."""
-    return product_diff(nu, x, Point(nu, x))
 
 
 def eq14_positivity(nu, x, P):
@@ -174,12 +171,14 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
     h_nu = 1 / (2 nu/x + 2 b_nu/x + h_{nu+1}).
 
     The map is decreasing, so the sides swap roles: an upper bound on
-    h_{nu+1} becomes a lower bound on h_nu and vice versa.
+    h_{nu+1} becomes a lower bound on h_nu and vice versa.  Sides out of
+    order by more than Bracket's slop are refused, so any bracket
+    best_bracket returns (whose sides may meet within an ulp) is taken.
     """
     P = Point(nu, x)
     if nu < -ORDER_TOL:
         raise DomainError(f"refinement step requires nu >= 0, got {nu}")
-    if next_bracket.lower > next_bracket.upper:
+    if not in_order(next_bracket.lower, next_bracket.upper):
         raise InvalidBracket(
             f"bracket sides out of order: [{next_bracket.lower}, {next_bracket.upper}]"
         )

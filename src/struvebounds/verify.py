@@ -158,6 +158,13 @@ class GridReport:
         return not self.violations
 
 
+def _check_tolerance(tolerance: float) -> None:
+    """A NaN or infinite tolerance would pass every slack, so it must be a
+    finite number >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
 def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[rows.Row]:
     """The lanes certify checks at order nu, x or (x, y) pairs in x order,
     as a Row; None if there are none."""
@@ -195,8 +202,7 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     compute each exact row once.  certify_all passes one dict to every
     bound.
     """
-    if tolerance < 0.0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
+    _check_tolerance(tolerance)
     spec = registry.get_bound(bound_id)
     grid = grid or default_grid()
     shared = {} if shared is None else shared
@@ -240,6 +246,7 @@ def certify_all(grid: Optional[Grid] = None,
     bounds share one lane set for the x lanes and one for the (x, y) pairs
     (_grid_view), so all orders share each lane's work; every series the
     views read is summed up front, one pass per kind."""
+    _check_tolerance(tolerance)
     grid = grid or default_grid()
     shared: dict = {}
     views = [_grid_view(shared, grid, nu, takes_y)
@@ -252,6 +259,7 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
                            tolerance: float = DEFAULT_TOLERANCE) -> GridReport:
     """Probe the conjectured extension of the product-difference positivity
     down to order -1/2.  Informational only; no invariant is asserted here."""
+    _check_tolerance(tolerance)
     grid = grid or default_grid()
     report = GridReport("eq14_extension_experiment")
     lanes = _grid_row(grid, math.nan, False)  # one lane set for every order

@@ -15,7 +15,7 @@ from struvebounds import (
     get_bound,
     lv_value,
     pointwise_bracket,
-    small_x_leading,
+    special_core,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -141,8 +141,10 @@ class TestPointwiseBracket:
                 assert br.lower <= br.upper * (1.0 + 1e-15)
 
     def test_tight_at_small_x(self):
-        br = pointwise_bracket(1.0, 1e-4)
-        lead = small_x_leading("L", 1.0, 1e-4)
+        x = 1e-4
+        br = pointwise_bracket(1.0, x)
+        # the leading term of L_1, (x/2)^2 / (Gamma(3/2) Gamma(5/2)), times 1 + x^2/15
+        lead = special_core._first_term(2.0, 1.5, 2.5, x) * (1.0 + x * x / 15.0)
         assert br.lower == pytest.approx(lead, rel=1e-6)
         assert br.upper == pytest.approx(lead, rel=1e-6)
 
@@ -271,6 +273,14 @@ class TestLargeXCoefficient:
         assert star == pytest.approx(2.521, abs=5e-3)
         assert a_nu_constant(star).value == pytest.approx(
             bessel_route_coefficient(star), rel=1e-3)
+
+    # NaN first: without the check a NaN tol stops the bisection before its
+    # first step, and a tol of 0 or below stalls it between adjacent floats
+    # forever, so only the NaN case fails rather than hangs
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
+    def test_crossover_refuses_bad_tol(self, tol):
+        with pytest.raises(DomainError, match="tol must be finite"):
+            coefficient_crossover_nu(tol)
 
     def test_bracket_width_shrinks(self):
         lo1, hi1 = a_nu_stirling_bracket(1.0)

@@ -6,7 +6,6 @@ import pytest
 from struvebounds import (
     DomainError,
     OverflowRisk,
-    a_coefficient,
     b_asym,
     b_value,
     bfunc,
@@ -14,6 +13,7 @@ from struvebounds import (
     get_bound,
     lv_value,
 )
+from struvebounds.special_core import recurrence_term
 
 
 def csch_lower(x):
@@ -41,7 +41,7 @@ class TestBEval:
 
     def test_matches_definition(self):
         nu, x = 1.3, 4.0
-        want = x * a_coefficient(nu, x) / (2.0 * lv_value(nu, x))
+        want = x * recurrence_term(nu, x) / (2.0 * lv_value(nu, x))
         assert abs(b_value(nu, x) / want - 1.0) < 1e-14
 
     def test_deep_decay_stays_positive(self):
@@ -54,7 +54,7 @@ class TestBEval:
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         a = (mpmath.mpf(x) / 2) ** nu / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu + 1.5))
-        assert a_coefficient(nu, x) == pytest.approx(float(a), rel=1e-12)
+        assert recurrence_term(nu, x) == pytest.approx(float(a), rel=1e-12)
         want = float(a * x / (2 * mpmath.mpf(lv_value(nu, x))))
         assert b_value(nu, x) == pytest.approx(want, rel=1e-12)
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import struvebounds
-from struvebounds import lv_value, mv_value, registry, verify
+from struvebounds import lv_value, registry, struve_m, verify
 from struvebounds.cli import main
 from struvebounds.registry import REGISTRY, BoundSpec
 from struvebounds.verify import parse_table_csv
@@ -32,7 +34,7 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--kind", "M", "--nu", "1", "--x", "30")
         assert code == 0
         assert "cancellation" in out
-        assert float(out.splitlines()[0]) == pytest.approx(mv_value(1.0, 30.0))
+        assert float(out.splitlines()[0]) == pytest.approx(struve_m(1.0, 30.0).value)
 
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "eval", "--kind", "L", "--nu", "1", "--x", "-3")
@@ -164,6 +166,16 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[0] == "bound_id,nu,x,y,slack,status"
         assert all(line.startswith("eq13_upper,") for line in lines[1:])
+
+    def test_csv_with_experiment(self, capsys):
+        # the experiment's points are CSV rows under the one header, not a text line
+        code, out, _ = run(capsys, "verify", "--bound", "eq14_positivity",
+                           "--experimental-eq14-extension", "--format", "csv")
+        assert code == 0
+        table = list(csv.reader(io.StringIO(out)))
+        assert table.count(["bound_id", "nu", "x", "y", "slack", "status"]) == 1
+        assert all(len(row) == 6 for row in table)
+        assert sum(row[0] == "eq14_extension_experiment" for row in table) == 240
 
     def test_exit_code_two_on_violation(self, capsys):
         REGISTRY["fake_bad_upper"] = BoundSpec(

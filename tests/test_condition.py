@@ -8,7 +8,7 @@ from struvebounds import (
     UnknownBound,
     b_value,
     bracket,
-    cond_exact,
+    exact_value,
     get_bound,
     tightest_bracket,
 )
@@ -21,7 +21,7 @@ SQRT_BRACKETS = (("eq29_lower", "eq29_upper"), ("eq30_lower", "eq30_upper"),
 
 
 def CL(nu, x):
-    return cond_exact("L", nu, x)
+    return exact_value("cond_L", nu, x)
 
 
 def bound(bound_id, *args):
@@ -51,10 +51,10 @@ class TestCondExact:
             assert cond_upward_residual(nu, x) < 1e-12
 
     def test_bessel_kind(self):
-        # x I'_nu / I_nu at nu = 1/2 is x coth(x) - 1/2
+        # x I'_nu / I_nu at nu = 1/2 is x coth(x) - 1/2; C(I) is the bound eq28_lower
         x = 3.0
         want = x / math.tanh(x) - 0.5
-        assert cond_exact("I", 0.5, x) == pytest.approx(want, rel=1e-13)
+        assert bound("eq28_lower", 0.5, x) == pytest.approx(want, rel=1e-13)
 
     def test_positive_for_L_above_minus_one(self):
         for nu in (-1.0, -0.5, 0.0, 5.0):
@@ -62,8 +62,9 @@ class TestCondExact:
                 assert CL(nu, x) > 0.0
 
     def test_kind_validation(self):
-        with pytest.raises(DomainError):
-            cond_exact("K", 1.0, 1.0)
+        # the kind is the registry's target: an unknown one is refused by name
+        with pytest.raises(UnknownBound, match="cond_K"):
+            exact_value("cond_K", 1.0, 1.0)
 
 
 class TestBracketViaBessel:

@@ -7,8 +7,8 @@ from struvebounds import (
     best_bracket,
     bracket,
     lv_value,
+    exact_value,
     ratio_refine_step,
-    ratio_succ_exact,
     recurrence_check,
 )
 
@@ -34,7 +34,7 @@ def test_kernel_range_and_hyperbolic_sandwich(nu, x):
 @given(nu=orders_bracketed, x=args)
 @settings(**COMMON)
 def test_best_bracket_contains_exact_ratio(nu, x):
-    exact = ratio_succ_exact("L", nu, x)
+    exact = exact_value("succ_ratio_L", nu, x)
     br = best_bracket(nu, x)
     if br.lower_valid:
         assert br.lower <= exact * (1.0 + 1e-12)
@@ -47,7 +47,7 @@ def test_best_bracket_contains_exact_ratio(nu, x):
 def test_refine_step_preserves_bracketing(nu, x):
     nxt = best_bracket(nu + 1.0, x)
     refined = ratio_refine_step(nu, x, nxt)
-    exact = ratio_succ_exact("L", nu, x)
+    exact = exact_value("succ_ratio_L", nu, x)
     if refined.lower_valid:
         assert refined.lower <= exact * (1.0 + 1e-12)
     if refined.upper_valid:

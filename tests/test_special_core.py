@@ -10,20 +10,17 @@ from struvebounds import rows, special_core
 from struvebounds import (
     ConvergenceError,
     DomainError,
-    cond_exact,
     OverflowRisk,
     asym_large_x,
     bessel_i,
-    gamma_pos,
+    exact_value,
+    get_bound,
     half_integer_closed,
     iv_value,
     lv_value,
-    mv_value,
     quad_oracle_i,
     quad_oracle_l,
-    ratio_succ_exact,
     recurrence_check,
-    small_x_leading,
     struve_l,
     struve_m,
 )
@@ -33,30 +30,6 @@ SQRT_PI = math.sqrt(math.pi)
 
 def rel(a, b):
     return abs(a / b - 1.0)
-
-
-class TestGamma:
-    def test_sqrt_pi_over_two(self):
-        assert rel(gamma_pos(1.5), SQRT_PI / 2.0) < 1e-15
-
-    def test_one(self):
-        assert gamma_pos(1.0) == 1.0
-
-    def test_recurrence_oracle(self):
-        # build Gamma(4.5) from Gamma(0.5) = sqrt(pi) by the recurrence
-        expected = SQRT_PI
-        for t in (0.5, 1.5, 2.5, 3.5):
-            expected *= t
-        assert rel(gamma_pos(4.5), expected) < 1e-13
-
-    def test_recurrence_property(self):
-        for a in (0.1, 0.9, 2.3, 7.7, 33.0):
-            assert rel(gamma_pos(a + 1.0), a * gamma_pos(a)) < 1e-13
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            gamma_pos(bad)
 
 
 class TestBesselSeries:
@@ -125,8 +98,8 @@ class TestBesselSeries:
         # at negative orders and tiny x the leading term (x/2)^nu / Gamma
         # itself leaves double range
         for fn, args in ((bessel_i, (-1.2, 1e-300)), (struve_m, (-1.2, 1e-300)),
-                         (ratio_succ_exact, ("I", -0.2, 1e-300)),
-                         (cond_exact, ("L", -1.2, 1e-300))):
+                         (get_bound("eq17_upper").evaluate, (-0.2, 1e-300)),
+                         (exact_value, ("cond_L", -1.2, 1e-300))):
             with pytest.raises(DomainError, match="overflows"):
                 fn(*args)
 
@@ -354,6 +327,8 @@ class TestLargeOrderPrefactors:
     NU = 200.0
 
     def test_small_x_leading(self):
+        # the leading terms of the L series (with its x^2 correction) and
+        # of the I series, both from the one prefactor routine
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 40
         x = 100.0
@@ -361,10 +336,12 @@ class TestLargeOrderPrefactors:
         want_l = half ** (self.NU + 1) / (mpmath.gamma(1.5) * mpmath.gamma(self.NU + 1.5)) \
             * (1 + mpmath.mpf(x) ** 2 / (3 * (2 * self.NU + 3)))
         want_i = half ** self.NU / mpmath.gamma(self.NU + 1)
-        assert rel(small_x_leading("L", self.NU, x), float(want_l)) < 1e-12
-        assert rel(small_x_leading("I", self.NU, x), float(want_i)) < 1e-12
+        lead_l = special_core._first_term(self.NU + 1.0, 1.5, self.NU + 1.5, x) \
+            * (1.0 + x * x / (3.0 * (2.0 * self.NU + 3.0)))
+        assert rel(lead_l, float(want_l)) < 1e-12
+        assert rel(special_core._first_term(self.NU, 1.0, self.NU + 1.0, x), float(want_i)) < 1e-12
         # the leading term underflows at x = 1: its double value is 0
-        assert small_x_leading("L", self.NU, 1.0) == 0.0
+        assert special_core._first_term(self.NU + 1.0, 1.5, self.NU + 1.5, 1.0) == 0.0
 
     def test_quad_oracle(self):
         mpmath = pytest.importorskip("mpmath")
@@ -389,24 +366,22 @@ class TestLargeOrderPrefactors:
 
 
 class TestSmallX:
+    # the leading term of the L series with its x^2 correction,
+    # (x/2)^(nu+1) / (Gamma(3/2) Gamma(nu+3/2)) * (1 + x^2/(3(2 nu+3)))
     def test_struve_leading(self):
         x = 0.01
-        want = x / (SQRT_PI * gamma_pos(1.5)) * (1.0 + x * x / 9.0)
-        assert rel(small_x_leading("L", 0.0, x), want) < 1e-15
-        assert rel(small_x_leading("L", 0.0, x), lv_value(0.0, x)) < 1e-8
+        want = x / (SQRT_PI * math.gamma(1.5)) * (1.0 + x * x / 9.0)
+        lead = special_core._first_term(1.0, 1.5, 1.5, x) * (1.0 + x * x / 9.0)
+        assert rel(lead, want) < 1e-15
+        assert rel(lead, lv_value(0.0, x)) < 1e-8
 
     def test_bessel_leading_is_one(self):
-        assert rel(small_x_leading("I", 0.0, 1e-8), 1.0) < 1e-15
+        assert rel(iv_value(0.0, 1e-8), 1.0) < 1e-15
 
     def test_struve_half_vs_closed(self):
         x = 0.1
-        assert rel(small_x_leading("L", 0.5, x), half_integer_closed("L", 0.5, x)) < 1e-4
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            small_x_leading("I", -1.0, 0.1)
-        with pytest.raises(DomainError):
-            small_x_leading("L", -1.5, 0.1)
+        lead = special_core._first_term(1.5, 1.5, 2.0, x) * (1.0 + x * x / 12.0)
+        assert rel(lead, half_integer_closed("L", 0.5, x)) < 1e-4
 
 
 class TestQuadratureOracle:
@@ -473,20 +448,20 @@ class TestStruveM:
 
     def test_large_x_asymptote(self):
         out = struve_m(1.0, 10.0)
-        approx = -((10.0 / 2.0) ** 0.0) / (SQRT_PI * gamma_pos(1.5))
+        approx = -((10.0 / 2.0) ** 0.0) / (SQRT_PI * math.gamma(1.5))
         assert out.value < 0.0
         assert abs(out.value / approx - 1.0) < 0.2
 
     def test_negative_for_nu_above_minus_half(self):
         for nu in (-0.5, 0.0, 1.0, 5.0):
             for x in (0.1, 1.0, 10.0, 30.0):
-                assert mv_value(nu, x) < 0.0
+                assert struve_m(nu, x).value < 0.0
 
     def test_cancellation_flag_and_stable_value(self):
         out = struve_m(1.0, 30.0)
         assert out.cancellation
         # stable route must agree with the exponentially small asymptote
-        approx = -1.0 / (SQRT_PI * gamma_pos(1.5))
+        approx = -1.0 / (SQRT_PI * math.gamma(1.5))
         assert abs(out.value / approx - 1.0) < 0.1
 
     def test_no_flag_at_small_x(self):
@@ -494,20 +469,17 @@ class TestStruveM:
 
 
 class TestRatioExact:
+    # L_nu/L_{nu-1} is the target succ_ratio_L; I_nu/I_{nu-1} is the bound eq17_upper
     def test_struve_half_is_tanh(self):
         for x in (0.3, 2.0, 9.0):
-            assert rel(ratio_succ_exact("L", 0.5, x), math.tanh(0.5 * x)) < 1e-13
+            assert rel(exact_value("succ_ratio_L", 0.5, x), math.tanh(0.5 * x)) < 1e-13
 
     def test_bessel_three_halves(self):
         x = 2.0
-        assert rel(ratio_succ_exact("I", 1.5, x), 1.0 / math.tanh(x) - 1.0 / x) < 1e-13
-
-    def test_m_ratio_domain(self):
-        with pytest.raises(DomainError):
-            ratio_succ_exact("M", 0.25, 1.0)
+        assert rel(get_bound("eq17_upper").evaluate(1.5, x), 1.0 / math.tanh(x) - 1.0 / x) < 1e-13
 
     def test_m_ratio_positive(self):
-        assert ratio_succ_exact("M", 1.0, 2.0) > 0.0
+        assert struve_m(1.0, 2.0).value / struve_m(0.0, 2.0).value > 0.0
 
 
 class TestRecurrence:

@@ -13,17 +13,16 @@ from struvebounds import (
     bessel_ratio_lower_tanh,
     best_bracket,
     bracket,
+    exact_value,
     get_bound,
     half_integer_closed,
-    product_difference,
     ratio_refine_step,
-    ratio_succ_exact,
 )
 from struvebounds.succ_ratio import transfer_lower
 
 
 def h(nu, x):
-    return ratio_succ_exact("L", nu, x)
+    return exact_value("succ_ratio_L", nu, x)
 
 
 def bound(bound_id, *args):
@@ -39,18 +38,18 @@ class TestBesselRatioBounds:
 
     def test_sandwich(self):
         br = bessel_ratio_bounds(1.0, 2.0)
-        exact = ratio_succ_exact("I", 1.0, 2.0)
+        exact = bound("eq17_upper", 1.0, 2.0)
         assert br.lower < exact < br.upper
 
     def test_lower_at_zero_order(self):
         br = bessel_ratio_bounds(0.0, 1.0)
         assert br.lower == pytest.approx(1.0 / (-0.5 + math.sqrt(1.25)))
-        assert br.lower < ratio_succ_exact("I", 0.0, 1.0)
+        assert br.lower < bound("eq17_upper", 0.0, 1.0)
         assert not br.upper_valid
 
     def test_tanh_lower(self):
         for nu, x in [(0.75, 0.5), (2.0, 3.0)]:
-            assert bessel_ratio_lower_tanh(nu, x) < ratio_succ_exact("I", nu, x)
+            assert bessel_ratio_lower_tanh(nu, x) < bound("eq17_upper", nu, x)
         with pytest.raises(DomainError):
             bessel_ratio_lower_tanh(0.5, 1.0)
 
@@ -59,24 +58,24 @@ class TestProductDifference:
     def test_half_order_closed_form(self):
         for x in (0.5, 5.0, 50.0):
             want = 2.0 / (math.pi * x) * (math.cosh(x) - 1.0)
-            assert abs(product_difference(0.5, x) / want - 1.0) < 1e-12
+            assert abs(exact_value("product_diff_L", 0.5, x) / want - 1.0) < 1e-12
 
     def test_minus_half_order_closed_form(self):
         for x in (0.5, 5.0, 50.0):
-            assert abs(product_difference(-0.5, x) / (2.0 / (math.pi * x)) - 1.0) < 1e-12
+            assert abs(exact_value("product_diff_L", -0.5, x) / (2.0 / (math.pi * x)) - 1.0) < 1e-12
 
     def test_positive_and_capped(self):
-        pd = product_difference(1.0, 2.0)
+        pd = exact_value("product_diff_L", 1.0, 2.0)
         assert 0.0 < pd < bound("eq15_upper", 1.0, 2.0)
 
     def test_positive_on_range(self):
         for nu in (0.5, 1.0, 2.5, 10.0):
             for x in (1e-3, 1.0, 20.0, 50.0):
-                assert product_difference(nu, x) > 0.0
+                assert exact_value("product_diff_L", nu, x) > 0.0
 
     def test_second_cap(self):
         for nu, x in [(1.5, 1.0), (3.0, 10.0)]:
-            assert product_difference(nu, x) < bound("eq16_upper", nu, x)
+            assert exact_value("product_diff_L", nu, x) < bound("eq16_upper", nu, x)
         with pytest.raises(DomainError):
             bound("eq16_upper", 1.0, 1.0)
 
@@ -246,6 +245,15 @@ class TestRefineStep:
         with pytest.raises(InvalidBracket):
             ratio_refine_step(1.0, 2.0, Bracket(0.9, 0.1, False, False))
 
+    def test_takes_sides_met_within_an_ulp(self):
+        # at x = 46 eq17_lower rounds one ulp above eq17_upper; best_bracket
+        # returns that bracket, so the step must take it too
+        nxt = best_bracket(1.0, 46.0)
+        assert 0.0 < nxt.lower - nxt.upper <= 1e-15
+        refined = ratio_refine_step(0.0, 46.0, nxt)
+        assert refined.lower == pytest.approx(h(0.0, 46.0), rel=1e-15)
+        assert refined.upper == pytest.approx(h(0.0, 46.0), rel=1e-15)
+
 
 class TestTransfer:
     """eq17 and eq19 lower are one map applied to a Bessel-side lower bound
@@ -257,7 +265,7 @@ class TestTransfer:
 
     def test_bounds_are_the_transfer_of_bessel_bounds(self):
         for nu, x in self.GRID:
-            r = ratio_succ_exact("I", nu, x)
+            r = bound("eq17_upper", nu, x)
             assert bracket("eq17_lower", "eq17_upper", nu, x).lower == transfer_lower(nu, x, r)
             if nu > 0.5:
                 r = bessel_ratio_lower_tanh(nu, x)

@@ -23,6 +23,7 @@ from struvebounds import (
     relative_error_table,
     table_by_id,
 )
+from struvebounds import verify
 from struvebounds.registry import BoundSpec
 from struvebounds.registry import REGISTRY
 from struvebounds.verify import (
@@ -46,6 +47,19 @@ class TestCertify:
         assert rep.clean
         assert rep.points_checked == 4 * 10  # four orders are >= 1/2
         assert rep.worst_slack >= -1e-12
+
+    @pytest.mark.parametrize("entry", ["certify", "certify_all", "certify_eq14_extension"])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-12])
+    def test_tolerance_must_be_finite_and_nonnegative(self, monkeypatch, entry, tolerance):
+        # a NaN or infinite tolerance would pass every slack: each entry
+        # refuses it before it builds a lane set
+        def no_sweep(*args):
+            raise AssertionError("sweep work before the tolerance check")
+
+        monkeypatch.setattr(verify, "_grid_row", no_sweep)
+        args = ("eq17_lower",) if entry == "certify" else ()
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            getattr(verify, entry)(*args, tolerance=tolerance)
 
     def test_positivity_clean(self, small_grid):
         rep = certify("eq14_positivity", small_grid)
@@ -307,9 +321,10 @@ class TestRows:
             args = (2.0, 2.0, 3.0) if spec.target == "arg_ratio_L" else (2.0, 2.0)
             assert type(spec.evaluate(*args)) is float, spec.bound_id
             assert type(sb.exact_value(spec.target, *args)) is float, spec.target
-        values = [sb.b_value(1.0, 2.0), sb.cond_exact("L", 1.0, 2.0),
+        values = [sb.b_value(1.0, 2.0), sb.exact_value("cond_L", 1.0, 2.0),
                   transfer_lower(1.0, 2.0, 0.5), sb.bessel_ratio_lower_tanh(1.0, 2.0),
-                  sb.product_difference(1.0, 2.0), sb.exact_value("arg_ratio_L", 1.0, 2.0, 3.0)]
+                  sb.exact_value("product_diff_L", 1.0, 2.0),
+                  sb.exact_value("arg_ratio_L", 1.0, 2.0, 3.0)]
         values += [sb.get_bound(bound_id).evaluate(*args) for bound_id, args in (
             ("eq12_upper", (1.0, 2.0)), ("eq15_upper", (2.0, 2.0)), ("prior_coth", (1.0, 2.0)),
             ("eq42_lower", (1.0, 2.0, 3.0)), ("eq46_upper", (1.0, 2.0)),
