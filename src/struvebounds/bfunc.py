@@ -68,7 +68,9 @@ def eq13_lower(nu, x, P):
 
 
 def eq13_upper(nu, x, P):
-    """b_nu(x) < (x/4) csch(x/(2 nu+3)), valid nu > -1."""
+    """b_nu(x) < (x/4) csch(x/(2 nu+3)), valid nu >= -1/2.  It fails on
+    (-1, -1/2) at small x: b_{-3/4}(1) = 0.404775 against the bound's
+    0.348598."""
     _check_nu(nu)
     return P.map(_x_csch, 0.25, x, 2.0 * nu + 3.0)
 

@@ -137,13 +137,11 @@ def _cmd_argratio(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import verify
-    spec = verify.table_by_id(args.table_id)
-    matrix = verify.relative_error_table(spec)
-    if args.format == "csv":
-        print(verify.render_table_csv(spec, matrix))
-    else:
-        print(verify.render_table_text(spec, matrix))
+    from . import tables
+    spec = tables.table_by_id(args.table_id)
+    cells = tables.relative_error_cells(spec)
+    render = tables.render_table_csv if args.format == "csv" else tables.render_table_text
+    print(render(spec, cells))
     return 0
 
 

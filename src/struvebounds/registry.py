@@ -116,7 +116,7 @@ _SPECS = [
     # kernel
     _bound("eq12_upper", "b_kernel", "upper", -1.5, True, _bf),
     _bound("eq13_lower", "b_kernel", "lower", -0.5, False, _bf, equality_at=-0.5),
-    _bound("eq13_upper", "b_kernel", "upper", -1.0, True, _bf),
+    _bound("eq13_upper", "b_kernel", "upper", -0.5, False, _bf),
     # product difference
     _bound("eq14_positivity", "product_diff_L", "lower", 0.5, False, _sr),
     _bound("eq15_upper", "product_diff_L", "upper", -0.5, False, _sr),

@@ -16,16 +16,21 @@ arrays when they are read.  The sweeps own their series: each builds its
 lane sets first, sums every series they read with one fill_series_row per
 kind (rows.fill_rows) and hands each lane set its arrays, so neither calls
 the registry's point entries.  certify_all shares the lane sets and the
-exact rows among all bounds; certify alone lets its lane set sum each
-series on first read.  Exact values inside certification always come from
-the power-series route; the quadrature oracle is reserved for
-cross-validating the series itself, so a certification failure can never
-be self-confirming.
+exact rows among all bounds and fills every series they read up front;
+certify alone fills the series of its bound's valid orders the same way,
+one fill per kind, before its loop.  Exact values inside certification
+always come from the power-series route; the quadrature oracle is reserved
+for cross-validating the series itself, so a certification failure can
+never be self-confirming.
 
-Grid, GridReport and TableSpec stay dataclasses, unlike the point path's
-records (brackets.Record): GridReport is mutable, and this module loads
-numpy, which imports inspect and ast itself, so plain classes here would
-add code and save no import time.
+The relative-error tables are computed point by point and live in tables,
+which loads no numpy; this module re-exports their names and gives
+relative_error_table, the cells as an ndarray.
+
+Grid and GridReport stay dataclasses, unlike the point path's records
+(brackets.Record): GridReport is mutable, and this module loads numpy,
+which imports inspect and ast itself, so plain classes here would add code
+and save no import time.
 """
 
 from __future__ import annotations
@@ -34,13 +39,16 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import registry, rows
-from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
+from .errors import DomainError, MultipleSignChanges, NoSignChange
 from .special_core import _L_FLOOR, ORDER_TOL, recurrence_residuals
+# the tables live in tables, which loads no numpy; their names stay reachable here
+from .tables import (TABLES, TableSpec, parse_table_csv, relative_error_cells,
+                     render_table_csv, render_table_text, table_by_id)
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -200,17 +208,20 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     the exact row; certify reads it before building any of them and stores
     what it builds, so bounds that share the dict share lane sets and
     compute each exact row once.  certify_all passes one dict to every
-    bound.
+    bound, and has filled its views' series already.  Without shared, the
+    views at the bound's valid orders have their series filled first, as
+    certify_all fills them, one fill per kind (_fill_views).
     """
     _check_tolerance(tolerance)
     spec = registry.get_bound(bound_id)
     grid = grid or default_grid()
-    shared = {} if shared is None else shared
     report = GridReport(bound_id)
     takes_y = registry.needs_y(spec)
-    for nu in grid.nu_values:
-        if not spec.valid_at(nu):
-            continue
+    nus = [nu for nu in grid.nu_values if spec.valid_at(nu)]
+    if shared is None:
+        shared = {}
+        _fill_views(shared, grid, [(nu, takes_y) for nu in nus])
+    for nu in nus:
         P = _grid_view(shared, grid, nu, takes_y)
         if P is None:
             continue
@@ -240,6 +251,14 @@ def _certify_reads(P: rows.Row) -> list[tuple[str, float, bool]]:
     return [(kind, P.nu + k, False) for kind in "IL" for k in (-1.0, 0.0, 1.0)] + [("L", 0.5, False)]
 
 
+def _fill_views(shared: dict, grid: Grid, keys: Iterable[tuple[float, bool]]) -> None:
+    """View the grid's lane sets at each (nu, takes_y) of keys (_grid_view)
+    and sum every series the views read (_certify_reads) with one
+    rows.fill_rows call, one fill_series_row per kind."""
+    views = [_grid_view(shared, grid, nu, takes_y) for nu, takes_y in keys]
+    rows.fill_rows([(P, *r) for P in views if P is not None for r in _certify_reads(P)])
+
+
 def certify_all(grid: Optional[Grid] = None,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[GridReport]:
     """Certify every registered bound, computing each exact row once.  The
@@ -249,9 +268,7 @@ def certify_all(grid: Optional[Grid] = None,
     _check_tolerance(tolerance)
     grid = grid or default_grid()
     shared: dict = {}
-    views = [_grid_view(shared, grid, nu, takes_y)
-             for nu in grid.nu_values for takes_y in (False, True)]
-    rows.fill_rows([(P, *r) for P in views if P is not None for r in _certify_reads(P)])
+    _fill_views(shared, grid, [(nu, takes_y) for nu in grid.nu_values for takes_y in (False, True)])
     return [certify(bid, grid, tolerance, shared=shared) for bid in registry.bound_ids()]
 
 
@@ -308,102 +325,10 @@ def report_csv_rows(report: GridReport) -> Iterable[str]:
 # reference tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableSpec:
-    """Layout of one built-in relative-error table of a registered bound
-    against its target's exact value.
-
-    zero_column(nu) is the entry in the x -> 0 limit (possibly infinite),
-    or None when the table has no x = 0 column.
-    """
-
-    nu_rows: tuple[float, ...]
-    x_cols: tuple[float, ...]
-    approximant_id: str
-    zero_column: Optional[Callable[[float], float]] = None
-
-
-TABLES: dict[int, TableSpec] = {
-    1: TableSpec((0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
-                 (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0),
-                 "eq17_lower", lambda nu: 0.0),
-    2: TableSpec((0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
-                 (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0),
-                 "eq17_upper",
-                 lambda nu: math.inf if nu == 0.0 else 1.0 / (2.0 * nu)),
-    3: TableSpec((0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
-                 (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0),
-                 "eq18_lower", lambda nu: 0.0),
-    4: TableSpec((0.5, 1.0, 2.5, 5.0, 7.5, 10.0),
-                 (0.0, 0.5, 1.0, 2.5, 5.0, 7.5, 10.0, 15.0, 25.0, 50.0),
-                 "eq18_upper",
-                 lambda nu: math.inf if nu == 0.5 else 2.0 / (2.0 * nu - 1.0)),
-    5: TableSpec((0.0, 1.0, 2.5, 5.0, 10.0),
-                 (0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0),
-                 "eq39_upper"),
-    6: TableSpec((0.0, 1.0, 2.5, 5.0, 10.0),
-                 (0.5, 1.0, 2.5, 5.0, 10.0, 15.0, 25.0, 50.0, 100.0, 200.0),
-                 "eq46_upper"),
-}
-
 def relative_error_table(spec: TableSpec) -> np.ndarray:
-    """Matrix of |approximant/exact - 1| over the table layout.
-
-    The x = 0 column, when present, is filled from the table's limit rule.
-    """
-    bound = registry.get_bound(spec.approximant_id)
-    out = np.empty((len(spec.nu_rows), len(spec.x_cols)))
-    for i, nu in enumerate(spec.nu_rows):
-        for j, x in enumerate(spec.x_cols):
-            if x == 0.0:
-                out[i, j] = spec.zero_column(nu)
-                continue
-            exact = registry.exact_value(bound.target, nu, x)
-            out[i, j] = abs(bound.evaluate(nu, x) / exact - 1.0)
-    return out
-
-
-def table_by_id(table_id: int) -> TableSpec:
-    try:
-        return TABLES[table_id]
-    except KeyError:
-        raise UnknownBound(f"no table with id {table_id}; valid ids are 1..6") from None
-
-
-def render_table_text(spec: TableSpec, matrix: np.ndarray) -> str:
-    """Fixed four-decimal layout matching the built-in table presentation."""
-    header = ["nu\\x"] + [f"{x:g}" for x in spec.x_cols]
-    lines = ["  ".join(f"{h:>8}" for h in header)]
-    for nu, row in zip(spec.nu_rows, matrix):
-        cells = [f"{nu:g}"] + ["inf" if math.isinf(v) else f"{v:.4f}" for v in row]
-        lines.append("  ".join(f"{c:>8}" for c in cells))
-    return "\n".join(lines)
-
-
-def render_table_csv(spec: TableSpec, matrix: np.ndarray) -> str:
-    """Long-form CSV at full precision; infinite entries are an empty value
-    cell with the is_inf flag set, so numeric consumers cannot silently parse
-    a sentinel."""
-    lines = ["nu,x,value,is_inf"]
-    for nu, row in zip(spec.nu_rows, matrix):
-        for x, v in zip(spec.x_cols, row):
-            if math.isinf(v):
-                lines.append(f"{nu!r},{x!r},,1")
-            else:
-                lines.append(f"{nu!r},{x!r},{float(v)!r},0")
-    return "\n".join(lines)
-
-
-def parse_table_csv(text: str) -> dict[tuple[float, float], float]:
-    """Inverse of render_table_csv; infinite cells come back as math.inf."""
-    out: dict[tuple[float, float], float] = {}
-    lines = text.strip().splitlines()
-    if lines[0] != "nu,x,value,is_inf":
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    for line in lines[1:]:
-        nu_s, x_s, v_s, flag = line.split(",")
-        out[(float(nu_s), float(x_s))] = math.inf if flag == "1" else float(v_s)
-    return out
+    """tables.relative_error_cells as a (len(nu_rows), len(x_cols)) array."""
+    return np.array(relative_error_cells(spec), dtype=float).reshape(
+        len(spec.nu_rows), len(spec.x_cols))
 
 
 # ---------------------------------------------------------------------------

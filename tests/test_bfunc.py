@@ -127,7 +127,10 @@ class TestCschBracket:
 
     def test_validity_flags(self):
         assert not bracket("eq13_lower", "eq13_upper", -0.75, 1.0).lower_valid
-        assert bracket("eq13_lower", "eq13_upper", -0.75, 1.0).upper_valid
+        # the upper side fails on (-1, -1/2): b_{-3/4}(1) = 0.404775 > 0.348598
+        assert not bracket("eq13_lower", "eq13_upper", -0.75, 1.0).upper_valid
+        assert not get_bound("eq13_upper").valid_at(-0.75)
+        assert bracket("eq13_lower", "eq13_upper", -0.5, 1.0).upper_valid
         assert not bracket("eq13_lower", "eq13_upper", -1.0, 1.0).upper_valid
 
     def test_lower_side_reverses_below_minus_half(self):

@@ -305,6 +305,13 @@ class TestEveryBound:
         assert code == 0, err
         assert "error" not in err
 
+    def test_eq13_upper_outside_its_range(self, capsys):
+        # the bound fails on (-1, -1/2), so it is recorded from -1/2 up
+        code, out, _ = run(capsys, "bracket", "--bound", "eq13_upper",
+                           "--nu", "-0.75", "--x", "1")
+        assert code == 0
+        assert "outside validity range" in out
+
     def test_eq13_upper_at_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "bracket", "--bound", "eq13_upper",
                            "--nu", "-1.5", "--x", "1")
@@ -347,11 +354,15 @@ POINT_COMMANDS = [
     ["bracket", "--bound", "eq28_upper", "--nu", "1", "--x", "2"],
     ["cond", "--nu", "1", "--x", "5"],
     ["argratio", "--nu", "0.5", "--x", "1", "--y", "2"],
+    ["table", "--id", "1"],  # every cell is a point query
 ]
+
+# the benchmark's twelve table commands: each table in both formats
+TABLE_COMMANDS = [["table", "--id", str(i), "--format", fmt]
+                  for i in range(1, 7) for fmt in ("text", "csv")]
 
 ARRAY_COMMANDS = {
     "eval-M-stable": ["eval", "--kind", "M", "--nu", "1", "--x", "30"],
-    "table": ["table", "--id", "1"],
     "verify": ["verify", "--bound", "eq20_upper"],
     "crossover": ["crossover", "--a", "eq24_upper", "--b", "eq18_upper", "--nu", "2.5"],
 }
@@ -375,13 +386,18 @@ def guard_report(commands):
 
 class TestNumpyOffThePointPath:
     """Only sweeps and the stable M route use arrays, so numpy loads only
-    for them: not at import, and not for a point command.  The point path's
-    records are plain classes, so dataclasses and inspect stay unloaded
-    there too."""
+    for them (verify, crossover and a cancelling M): not at import, not for
+    a point command, and not for table, whose cells are point queries.  The
+    point path's records, TableSpec among them, are plain classes, so
+    dataclasses and inspect stay unloaded there too."""
 
     def test_import_and_point_commands_leave_numpy_unloaded(self):
         assert guard_report(POINT_COMMANDS) == (
             [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in POINT_COMMANDS])
+
+    def test_every_table_command_leaves_numpy_unloaded(self):
+        assert guard_report(TABLE_COMMANDS) == (
+            [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in TABLE_COMMANDS])
 
     @pytest.mark.parametrize("name", sorted(ARRAY_COMMANDS))
     def test_array_commands_load_numpy(self, name):

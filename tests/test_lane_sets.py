@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from struvebounds import arg_ratio, registry, rows, verify
+from struvebounds import arg_ratio, registry, rows, tables, verify
 from struvebounds.errors import StruveBoundsError
 from struvebounds.registry import EXACT, REGISTRY
 from struvebounds.special_core import GAMMA_ARG_MAX, X_MAX
@@ -176,3 +176,37 @@ def test_certify_alone_views_one_lane_set(monkeypatch):
     views = [P for key, P in shared.items() if key[1] is True and key[0] != "lanes"]
     assert len(views) > 1 and all(P.given is shared["lanes", True].given for P in views)
     assert len(tanh_half) == 2 * n_pairs
+
+
+def test_certify_alone_fills_once_per_kind(monkeypatch):
+    fills = []
+    fill_series_row = rows.fill_series_row
+
+    def counted_fill(kind, nus, xs):
+        fills.append(kind)
+        return fill_series_row(kind, nus, xs)
+
+    monkeypatch.setattr(rows, "fill_series_row", counted_fill)
+    grid = verify.default_grid()
+    for bid in registry.bound_ids():
+        fills.clear()
+        verify.certify(bid, grid)
+        # its valid orders' series are summed up front, one fill per kind,
+        # and none is summed later on a first read
+        assert sorted(set(fills)) == sorted(fills), (bid, fills)
+
+
+def test_certify_alone_matches_certify_all():
+    grid = verify.default_grid()
+    together = verify.certify_all(grid)
+    assert [r.bound_id for r in together] == registry.bound_ids()
+    for report in together:
+        assert verify.certify(report.bound_id, grid) == report, report.bound_id
+
+
+def test_relative_error_table_is_the_tables_cells():
+    for spec in verify.TABLES.values():
+        matrix = verify.relative_error_table(spec)
+        assert isinstance(matrix, np.ndarray)
+        assert matrix.shape == (len(spec.nu_rows), len(spec.x_cols))
+        assert _bits(matrix) == _bits(tables.relative_error_cells(spec))
