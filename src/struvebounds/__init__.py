@@ -62,10 +62,11 @@ from .succ_ratio import (
     tightest_bracket,
 )
 
-# verify loads numpy, which a point query never needs: import it on first use (PEP 562)
-_VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
-                 "certify_eq14_extension", "crossover", "default_grid", "monotonicity_suite",
-                 "relative_error_table", "table_by_id")
+# verify loads numpy, which a point query never needs, and only the table names
+# need tables: import each on first use (PEP 562)
+_VERIFY_NAMES = ("Grid", "GridReport", "certify", "certify_all", "certify_eq14_extension",
+                 "crossover", "default_grid", "monotonicity_suite", "relative_error_table")
+_TABLES_NAMES = ("TableSpec", "table_by_id")
 
 __all__ = [
     "ANuConstant", "a_nu_constant", "a_nu_stirling_bracket", "bessel_route_coefficient",
@@ -80,7 +81,7 @@ __all__ = [
     "quad_oracle_i", "quad_oracle_l", "recurrence_check", "struve_l", "struve_m",
     "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "best_bracket", "ratio_refine_step",
     "tightest_bracket",
-    *_VERIFY_NAMES,
+    *_VERIFY_NAMES, *_TABLES_NAMES,
 ]
 
 
@@ -88,6 +89,9 @@ def __getattr__(name: str):
     if name in _VERIFY_NAMES:
         from . import verify
         return getattr(verify, name)
+    if name in _TABLES_NAMES:
+        from . import tables
+        return getattr(tables, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

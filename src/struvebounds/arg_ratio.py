@@ -12,7 +12,7 @@ import math
 import sys
 
 from .brackets import Bracket, Record, _set
-from .errors import DomainError
+from .errors import DomainError, OverflowRisk
 from .special_core import GAMMA_ARG_MAX, ORDER_TOL, SQRT_PI
 
 
@@ -242,9 +242,12 @@ def a_nu_constant(nu: float) -> ANuConstant:
     if not math.isfinite(nu) or nu <= -0.5:
         raise DomainError(f"coefficient requires nu > -1/2, got {nu}")
     a = nu + 0.5
-    log_a = 0.5 * math.log(12.0 / math.pi) + 0.5 * math.log(nu + 1.5) \
-        - math.lgamma(nu + 1.5) + a * math.log(a) - a
-    return ANuConstant(nu, math.exp(log_a))
+    try:
+        log_a = 0.5 * math.log(12.0 / math.pi) + 0.5 * math.log(nu + 1.5) \
+            - math.lgamma(nu + 1.5) + a * math.log(a) - a
+        return ANuConstant(nu, math.exp(log_a))
+    except OverflowError:  # lgamma, or exp of the log, from nu of about 1e305
+        raise OverflowRisk(f"coefficient overflows at nu={nu}") from None
 
 
 def a_nu_stirling_bracket(nu: float) -> tuple[float, float]:
@@ -261,8 +264,11 @@ def bessel_route_coefficient(nu: float) -> float:
     Bessel-cap pointwise upper bound; grows like sqrt(nu)."""
     if not math.isfinite(nu) or nu <= -0.5:
         raise DomainError(f"coefficient requires nu > -1/2, got {nu}")
-    return math.exp(0.5 * math.log(2.0) + math.lgamma(nu + 2.0)
-                    - math.log(math.pi) - math.lgamma(nu + 1.5))
+    try:
+        return math.exp(0.5 * math.log(2.0) + math.lgamma(nu + 2.0)
+                        - math.log(math.pi) - math.lgamma(nu + 1.5))
+    except OverflowError:  # lgamma past nu of about 2.5e305
+        raise OverflowRisk(f"coefficient overflows at nu={nu}") from None
 
 
 def coefficient_crossover_nu(tol: float = 1e-4) -> float:
@@ -270,8 +276,9 @@ def coefficient_crossover_nu(tol: float = 1e-4) -> float:
 
     Below the crossover the Bessel-route coefficient is the smaller one,
     above it the explicit-bound coefficient wins.  Located by bisection to
-    tol, which must be finite and positive: at 0 the bisection would stall
-    between adjacent floats, and a NaN would stop it before its first step.
+    tol, which must be finite and positive (a NaN would stop the bisection
+    before its first step), or until lo and hi are adjacent floats, which
+    a tol below their spacing would otherwise never leave.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol must be finite and > 0, got {tol}")
@@ -280,6 +287,8 @@ def coefficient_crossover_nu(tol: float = 1e-4) -> float:
     flo = f(lo)
     while hi - lo > tol * 0.5:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if (f(mid) > 0.0) == (flo > 0.0):
             lo = mid
         else:

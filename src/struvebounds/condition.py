@@ -6,7 +6,7 @@ C(L_nu)(x) = x L_{nu-1}(x)/L_nu(x) - nu, which is the single source of truth;
 the upward relation C(L_nu)(x) = x L_{nu+1}(x)/L_nu(x) + nu + 2 b_nu(x) is
 kept as a residual cross-check only.  At a point C(L) is
 exact_value("cond_L", nu, x) and C(I) is the bound eq28_lower,
-get_bound("eq28_lower").evaluate(nu, x); these replace cond_exact.
+get_bound("eq28_lower").evaluate(nu, x).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def eq28_lower(nu, x, P):
 def cond_upward_residual(nu: float, x: float) -> float:
     """|downward - upward| / |downward| for C(L); an identity residual, both
     relations read from one Point."""
-    P = Point(nu, x)
+    P = Point(x)
     down = cond_L(nu, x, P)
     up = x * P.L(nu + 1.0) / P.L(nu) + nu + 2.0 * P.b(nu)
     return abs(down - up) / abs(down)

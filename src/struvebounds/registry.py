@@ -42,6 +42,7 @@ TARGETS = {
 }
 
 _last: Point | None = None  # the Point of the last point entry's call
+_last_at: tuple = ()  # the (nu, x, y) it was built for
 
 
 def _point(target: str, nu: float, x: float, y: float | None) -> Point:
@@ -49,14 +50,14 @@ def _point(target: str, nu: float, x: float, y: float | None) -> Point:
     while (nu, x, y) compares equal to its own, else a new one, kept in its
     place.  One comparison on the valid path: a bad call costs the lookups
     that name its cause."""
-    global _last
+    global _last, _last_at
     if TARGETS.get(target) is not (y is not None):
         if target not in TARGETS:
             raise UnknownBound(f"no target {target!r}; the targets are {', '.join(TARGETS)}")
         raise DomainError(f"{target} takes (nu, x, y): give y" if TARGETS[target]
                           else f"{target} takes (nu, x): give no y")
-    if _last is None or (_last.nu, _last.x, _last.y) != (nu, x, y):
-        _last = Point(nu, x, y)
+    if _last is None or _last_at != (nu, x, y):
+        _last, _last_at = Point(x, y), (nu, x, y)
     return _last
 
 

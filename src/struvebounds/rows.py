@@ -3,12 +3,12 @@
 fill_series_row sums many series at once, one lane per (nu, x), doing the
 scalar kernel's floating-point operations in the same order, so every value
 is bit-identical to the scalar one.  A Row is a lane set: a Point over numpy
-lanes x (and y), whose primitives are kept by the order they are asked for;
-at(nu) views it at an order, and all its views share that work, so a sweep
-builds one Row per lane set and computes each lane's work once for all its
-orders.  exact_row and bound_row run a target's exact formula and a bound's
-formula over a Row at its order.  Only this module and verify import numpy
-at module level, so a point query never loads it.
+lanes x (and y), whose primitives are kept by the order they are asked for,
+so a sweep builds one Row per lane set and computes each lane's work once
+for all its orders.  exact_row and bound_row run a target's exact formula
+and a bound's formula over a Row at an order given to them.  Only this
+module and verify import numpy at module level, so a point query never
+loads it.
 
 No Python runs once per lane where numpy can do the lane's work with the
 same bits: bookkeeping (deduplication, per-order setup, gathers) is numpy
@@ -21,7 +21,6 @@ lane by lane, or once per distinct argument where many lanes share one.
 from __future__ import annotations
 
 import math
-from copy import copy
 from functools import partial
 from itertools import repeat
 
@@ -126,13 +125,12 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
 
 
 class Row(Point):
-    """Point's primitives over numpy lanes x (and y): a lane set, read at
-    its order nu by the formulas.
+    """Point's primitives over numpy lanes x (and y): a lane set, read by
+    the formulas at any order they pass.
 
-    Every primitive is kept per the order it is asked for (I, L, M, a and b)
-    or per lane names (of), never per nu, so at(nu) gives a view of the
-    same lanes at another order that shares all of them: a sweep builds one
-    Row per lane set and computes each lane's work once for all its orders.
+    Every primitive is kept per the order it is asked for (I, L, M, a, b
+    and exact) or per lane names (of), so a sweep builds one Row per lane
+    set and computes each lane's work once for all its orders.
     Arithmetic runs in numpy, which rounds as Python does; the elementary
     functions are math's lane by lane, because numpy's exp, tanh, log, hypot
     and pow differ from math's by an ulp on a few percent of arguments, and
@@ -150,19 +148,11 @@ class Row(Point):
     _ordered = staticmethod(lambda x, y: bool(np.all(x <= y)))
     _largest = staticmethod(lambda v: float(v.max()))
 
-    def __init__(self, nu: float, x, y=None):
+    def __init__(self, x, y=None):
         if not np.size(x):
             raise DomainError("a row needs at least one lane, got an empty x array")
-        super().__init__(nu, x, y)
+        super().__init__(x, y)
         self.given: dict = {}
-
-    def at(self, nu: float) -> Row:
-        """These lanes at order nu: a shallow copy that shares the kept
-        primitives and given.  A Row built only to be viewed takes nu = nan,
-        which no formula then reads."""
-        view = copy(self)
-        view.nu = nu
-        return view
 
     @_lazy
     def M(self, order: float):
@@ -197,6 +187,12 @@ class Row(Point):
     def of(self, f, *lanes: str):
         return _map_lanes(f, *[getattr(self, n) for n in lanes])
 
+    @_lazy
+    def exact(self, target: str, order: float):
+        """exact_row of target at order over these lanes, kept: bounds on
+        one target share it."""
+        return exact_row(target, self, order)
+
     def _series(self, kind, order, at_y):
         v = self.y if at_y else self.x
         got = self.given.get((kind, order, at_y))
@@ -210,10 +206,9 @@ class Row(Point):
 def fill_rows(wants) -> None:
     """Hand Rows the series they will read, summed with one fill_series_row
     per kind: wants lists (row, kind, order, at_y), and each row gets the
-    values over its x lanes (at_y false) or y lanes in row.given.  Views of
-    one lane set (Row.at) share given, so a series two of them want is
-    summed and stored once."""
-    wants = {(id(P.given), k, order, at_y): (P, k, order, at_y) for P, k, order, at_y in wants}
+    values over its x lanes (at_y false) or y lanes in row.given.  A series
+    wanted twice is summed and stored once."""
+    wants = {(id(P), k, order, at_y): (P, k, order, at_y) for P, k, order, at_y in wants}
     for kind in ("L", "I"):
         mine = [(P, order, at_y, P.y if at_y else P.x)
                 for P, k, order, at_y in wants.values() if k == kind]
@@ -225,8 +220,8 @@ def fill_rows(wants) -> None:
                 P.given[kind, order, at_y] = part
 
 
-def _args(P):
-    return (P.nu, P.x, P) if P.y is None else (P.nu, P.x, P.y, P)
+def _args(P, nu):
+    return (nu, P.x, P) if P.y is None else (nu, P.x, P.y, P)
 
 
 def _row(value, P) -> np.ndarray:
@@ -235,11 +230,11 @@ def _row(value, P) -> np.ndarray:
     return np.broadcast_to(value, P.x.shape)
 
 
-def exact_row(target: str, P) -> np.ndarray:
-    """The exact values of target over the lanes of a Row."""
-    return _row(EXACT[target](*_args(P)), P)
+def exact_row(target: str, P, nu: float) -> np.ndarray:
+    """The exact values of target at order nu over the lanes of a Row."""
+    return _row(EXACT[target](*_args(P, nu)), P)
 
 
-def bound_row(spec: BoundSpec, P) -> np.ndarray:
-    """spec's bound over the lanes of a Row."""
-    return _row(spec.formula(*_args(P)), P)
+def bound_row(spec: BoundSpec, P, nu: float) -> np.ndarray:
+    """spec's bound at order nu over the lanes of a Row."""
+    return _row(spec.formula(*_args(P, nu)), P)

@@ -3,10 +3,9 @@
 Power-series evaluators with compensated summation and explicit truncation
 metadata, elementary closed forms at half-integer orders, and the leading
 large-x asymptotics.  A successive-order ratio is a registry path,
-exact_value("succ_ratio_L", ...) for L and the bound eq17_upper for I
-(replacing ratio_succ_exact), M's value is struve_m(...).value (replacing
-mv_value), and the leading small-x term of either series is the
-(x/2)^p / Gamma factor that _first_term forms (replacing small_x_leading).
+exact_value("succ_ratio_L", ...) for L and the bound eq17_upper for I,
+M's value is struve_m(...).value, and the leading small-x term of either
+series is the (x/2)^p / Gamma factor that _first_term forms.
 
 bessel_i and struve_l keep nothing: each call sums its series afresh with
 the scalar kernel _series, and sweeps sum theirs with rows.fill_series_row.
@@ -16,8 +15,8 @@ series meets REL_TOL within 407 terms (the most is at order -2.49,
 x = 600), so the cap of 500 is a safety net: a series that reaches it
 raises ConvergenceError.
 
-Point holds the primitives every bound formula reads at one point: I, L and
-M at any order, the kernel b (kernel_b) and the recurrence term, computed
+Point holds the primitives every bound formula reads at one argument: I, L
+and M at any order, the kernel b (kernel_b) and the recurrence term, computed
 on first use and kept for the life of the object; it is the package's one
 scalar cache, and the registry reuses the Point of its last call.  rows.Row
 is the same over numpy lanes.  Only the tanh-sinh rule uses arrays here,
@@ -287,18 +286,21 @@ def half_integer_closed(kind: str, nu: float, x: float) -> float:
             key = target
     if key is None or kind not in ("I", "L"):
         raise DomainError(f"no closed form for kind={kind!r}, nu={nu}")
-    if kind == "I":
+    try:
+        if kind == "I":
+            if key == 0.5:
+                return pref * math.sinh(x)
+            if key == -0.5:
+                return pref * math.cosh(x)
+            return pref * (math.sinh(x) - math.cosh(x) / x)
         if key == 0.5:
-            return pref * math.sinh(x)
+            s = math.sinh(0.5 * x)
+            return pref * 2.0 * s * s
         if key == -0.5:
-            return pref * math.cosh(x)
-        return pref * (math.sinh(x) - math.cosh(x) / x)
-    if key == 0.5:
-        s = math.sinh(0.5 * x)
-        return pref * 2.0 * s * s
-    if key == -0.5:
-        return pref * math.sinh(x)
-    return pref * _cosh_minus_sinhc(x)
+            return pref * math.sinh(x)
+        return pref * _cosh_minus_sinhc(x)
+    except OverflowError:  # sinh or cosh past x of about 710.5
+        raise OverflowRisk(f"closed form of {kind} at order {key} overflows at x={x}") from None
 
 
 def _cosh_minus_sinhc(x: float) -> float:
@@ -326,7 +328,10 @@ def asym_large_x(kind: str, nu: float, x: float) -> float:
         raise DomainError(f"argument must be a finite positive real, got {x}")
     m = 4.0 * nu * nu
     corr = 1.0 - (m - 1.0) / (8.0 * x) + (m - 1.0) * (m - 9.0) / (128.0 * x * x)
-    return math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr
+    try:
+        return math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr
+    except OverflowError:  # e^x past x of about 709.8
+        raise OverflowRisk(f"large-x expansion overflows at x={x}") from None
 
 
 _CANCEL_FLAG_RATIO = 1e-6
@@ -499,7 +504,7 @@ def recurrence_residuals(nu, x, P):
 
 def recurrence_check(nu: float, x: float) -> tuple[float, float]:
     """recurrence_residuals at one point."""
-    return recurrence_residuals(nu, x, Point(nu, x))
+    return recurrence_residuals(nu, x, Point(x))
 
 
 def kernel_b(nu: float, x: float, lv: float) -> float:
@@ -532,17 +537,19 @@ _ELEMENTARY = ("log", "exp", "tanh", "hypot", "sqrt", "pow")
 
 
 class Point:
-    """The primitives bound formulas read at one order nu and argument x
-    (and y for the argument ratio): I, L and M at any order, the kernel b
-    and the recurrence term a, each computed on first use and kept; the
-    registry reuses the Point of its last call.  The elementary functions
-    are math's, map(f, *args) applies a scalar helper, of(f, *lanes) one to
-    the named arguments (kept per Row), and where(cond, a, b) calls a or b,
-    both zero-argument functions (a row calls both and selects lane by
-    lane).  rows.Row has the same names over numpy lanes, so one formula
-    f(nu, x, P) serves both.  The arguments are checked on construction:
-    x (and y, with x <= y) finite and positive, and none above X_MAX, which
-    raises the series' OverflowRisk even for a bound that reads no series.
+    """The primitives bound formulas read at one argument x (and y for the
+    argument ratio): I, L and M at any order, the kernel b and the
+    recurrence term a, each computed on first use and kept by the order it
+    is asked for.  A Point holds no order: a formula f(nu, x, P) passes nu
+    to every primitive it reads.  The registry reuses the Point of its last
+    call.  The elementary functions are math's, map(f, *args) applies a
+    scalar helper, of(f, *lanes) one to the named arguments (kept per Row),
+    and where(cond, a, b) calls a or b, both zero-argument functions (a row
+    calls both and selects lane by lane).  rows.Row has the same names over
+    numpy lanes, so one formula f(nu, x, P) serves both.  The arguments are
+    checked on construction: x (and y, with x <= y) finite and positive,
+    and none above X_MAX, which raises the series' OverflowRisk even for a
+    bound that reads no series.
     """
 
     log, exp, tanh, hypot, sqrt, pow = (staticmethod(getattr(math, n)) for n in _ELEMENTARY)
@@ -552,8 +559,8 @@ class Point:
     _ordered = staticmethod(lambda x, y: x <= y)
     _largest = staticmethod(lambda v: v)
 
-    def __init__(self, nu: float, x, y=None):
-        self.nu, self.x, self.y, self._got = nu, x, y, {}
+    def __init__(self, x, y=None):
+        self.x, self.y, self._got = x, y, {}
         if not (self._positive(x) and (y is None or self._positive(y) and self._ordered(x, y))):
             raise DomainError(f"need finite 0 < x <= y, got x={x}, y={y}" if y is not None
                               else f"x must be a finite positive real, got {x}")
@@ -589,7 +596,7 @@ class Point:
     @_lazy
     def a(self, order: float):
         """recurrence_term at order, (x/2)^order / (sqrt(pi) Gamma(order+3/2)),
-        so that b = x a / (2 L); this replaces bfunc.a_coefficient."""
+        so that b = x a / (2 L)."""
         return self.map(recurrence_term, order, self.x)
 
     @_lazy

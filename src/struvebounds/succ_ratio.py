@@ -12,8 +12,7 @@ registered bound is one formula f(nu, x, P) over a special_core.Point or
 rows.Row P, reached by id through the registry.  The public functions here
 are the Bessel-side bounds, the transfer map, the refinement step and
 best_bracket.  The exact product difference is
-exact_value("product_diff_L", nu, x) (replacing product_difference), which
-reads product_diff.
+exact_value("product_diff_L", nu, x), which reads product_diff.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def transfer_lower(nu: float, x: float, r: float) -> float:
     """The transfer theorem: a lower bound r on I_nu/I_{nu-1} gives the
     lower bound (1/r + 2 b_nu(x)/x)^{-1} on h_nu, valid where r is and
     nu >= 0.  The map increases in r; r = 0 gives 0."""
-    return _transfer(nu, x, r, Point(nu, x))
+    return _transfer(nu, x, r, Point(x))
 
 
 def _bessel_sqrt(nu, x, c, P):
@@ -60,7 +59,7 @@ def bessel_ratio_bounds(nu: float, x: float) -> Bracket:
     lower: x / (nu - 1/2 + sqrt((nu+1/2)^2 + x^2)), valid nu >= 0
     upper: x / (nu - 1/2 + sqrt((nu-1/2)^2 + x^2)), valid nu >= 1/2
     """
-    P = Point(nu, x)
+    P = Point(x)
     return Bracket(_bessel_sqrt(nu, x, nu + 0.5, P), _bessel_sqrt(nu, x, nu - 0.5, P),
                    nu >= -ORDER_TOL, nu >= 0.5 - ORDER_TOL,
                    "bessel_sqrt_lower", "bessel_sqrt_upper")
@@ -76,7 +75,7 @@ def _bessel_tanh(nu, x, P):
 def bessel_ratio_lower_tanh(nu: float, x: float) -> float:
     """Hyperbolic lower bound x tanh(x) / (x + (2 nu-1) tanh(x)) for
     I_nu/I_{nu-1}, valid nu > 1/2."""
-    return _bessel_tanh(nu, x, Point(nu, x))
+    return _bessel_tanh(nu, x, Point(x))
 
 
 def product_diff(nu, x, P):
@@ -175,7 +174,7 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
     order by more than Bracket's slop are refused, so any bracket
     best_bracket returns (whose sides may meet within an ulp) is taken.
     """
-    P = Point(nu, x)
+    P = Point(x)
     if nu < -ORDER_TOL:
         raise DomainError(f"refinement step requires nu >= 0, got {nu}")
     if not in_order(next_bracket.lower, next_bracket.upper):

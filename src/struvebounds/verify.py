@@ -1,27 +1,27 @@
 """Grid certification of every registered inequality, reference error tables,
 crossover location, and the monotonicity/Turan property suites.
 
-Certification works a row at a time: for each (bound, order) a rows.Row
-over the grid's (x[, y]) lanes at that order, on which the bound's formula
-and its target's exact formula each run once as numpy arrays, and one
-GridReport.record call takes the row.  A Row is a lane set; at(nu) views it
-at an order, sharing every primitive it has kept, so certify builds one Row
-for the x lanes or one for the (x, y) pairs and views it at each order, and
-monotonicity_suite builds one Row per grid of lanes and reads each
-primitive at an explicit order.  A GridReport keeps the arrays of
+Certification works a row at a time: for each (bound, order) the bound's
+formula and its target's exact formula each run once as numpy arrays over
+a rows.Row of the grid's (x[, y]) lanes, read at that order, and one
+GridReport.record call takes the row.  A Row is a lane set that keeps each
+primitive by the order it is asked for, so certify builds one Row for the
+x lanes or one for the (x, y) pairs and reads it at every order, and
+monotonicity_suite builds one Row per grid of lanes; every formula and
+primitive takes its order as an argument.  A GridReport keeps the arrays of
 every row it records and its summary (point count, violations, worst slack
 and largest gap) as it goes; the per-point (nu, x, y, slack, status) tuples
 of GridReport.rows, and the lines of report_csv_rows, are built from those
 arrays when they are read.  The sweeps own their series: each builds its
 lane sets first, sums every series they read with one fill_series_row per
 kind (rows.fill_rows) and hands each lane set its arrays, so neither calls
-the registry's point entries.  certify_all shares the lane sets and the
-exact rows among all bounds and fills every series they read up front;
-certify alone fills the series of its bound's valid orders the same way,
-one fill per kind, before its loop.  Exact values inside certification
-always come from the power-series route; the quadrature oracle is reserved
-for cross-validating the series itself, so a certification failure can
-never be self-confirming.
+the registry's point entries.  certify_all shares the lane sets, and with
+them the exact rows they keep, among all bounds and fills every series
+they read up front; certify alone fills the series of its bound's valid
+orders the same way, one fill per kind, before its loop.  Exact values
+inside certification always come from the power-series route; the
+quadrature oracle is reserved for cross-validating the series itself, so a
+certification failure can never be self-confirming.
 
 The relative-error tables are computed point by point and live in tables,
 which loads no numpy; this module re-exports their names and gives
@@ -173,44 +173,38 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
-def _grid_row(grid: Grid, nu: float, takes_y: bool) -> Optional[rows.Row]:
-    """The lanes certify checks at order nu, x or (x, y) pairs in x order,
-    as a Row; None if there are none."""
+def _grid_row(grid: Grid, takes_y: bool) -> Optional[rows.Row]:
+    """The lanes certify checks, x or (x, y) pairs in x order, as a Row;
+    None if there are none."""
     if not takes_y:
-        return rows.Row(nu, np.array(grid.x_values)) if grid.x_values else None
+        return rows.Row(np.array(grid.x_values)) if grid.x_values else None
     pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
-    return rows.Row(nu, *np.array(pairs).T) if pairs else None
+    return rows.Row(*np.array(pairs).T) if pairs else None
 
 
-def _grid_view(shared: dict, grid: Grid, nu: float, takes_y: bool) -> Optional[rows.Row]:
-    """The Row certify checks at order nu: a view (Row.at) of the grid's
-    lane set for takes_y, or None if it has no lanes.  shared keeps the lane
-    set under ("lanes", takes_y) and the view under (nu, takes_y), so every
-    order and every bound that shares the dict reads one lane set."""
-    if (nu, takes_y) not in shared:
-        if ("lanes", takes_y) not in shared:
-            shared["lanes", takes_y] = _grid_row(grid, math.nan, takes_y)
-        lanes = shared["lanes", takes_y]
-        shared[nu, takes_y] = None if lanes is None else lanes.at(nu)
-    return shared[nu, takes_y]
+def _lane_sets(grid: Grid, orders_by_takes_y: dict) -> dict:
+    """{takes_y: the grid's lane set (_grid_row), or None} for each takes_y
+    of orders_by_takes_y that has orders, with every series certify reads
+    at those orders (_certify_reads) summed by one rows.fill_rows call, one
+    fill_series_row per kind."""
+    lanes = {takes_y: _grid_row(grid, takes_y) if nus else None
+             for takes_y, nus in orders_by_takes_y.items()}
+    rows.fill_rows([(P, *r) for takes_y, P in lanes.items() if P is not None
+                    for nu in orders_by_takes_y[takes_y] for r in _certify_reads(nu, takes_y)])
+    return lanes
 
 
 def certify(bound_id: str, grid: Optional[Grid] = None,
             tolerance: float = DEFAULT_TOLERANCE, *,
-            shared: Optional[dict] = None) -> GridReport:
+            lanes: Optional[dict] = None) -> GridReport:
     """Check one registered inequality at every in-range grid point.
 
-    Each in-range order is one row, a view of one lane set (_grid_view):
-    the bound's formula and its target's exact formula (rows.exact_row) run
-    once over the row's lanes, and the orders share each lane's work.
-    shared maps (nu, takes_y) to the view (None if the grid gives that
-    order no lanes), ("lanes", takes_y) to its lane set and (target, nu) to
-    the exact row; certify reads it before building any of them and stores
-    what it builds, so bounds that share the dict share lane sets and
-    compute each exact row once.  certify_all passes one dict to every
-    bound, and has filled its views' series already.  Without shared, the
-    views at the bound's valid orders have their series filled first, as
-    certify_all fills them, one fill per kind (_fill_views).
+    The bound reads one lane set, the grid's x lanes or its (x, y) pairs:
+    at each in-range order its formula (rows.bound_row) and its target's
+    exact formula (Row.exact, kept per target and order) run once over the
+    lanes.  lanes maps takes_y to a lane set with its series filled
+    (_lane_sets), as certify_all passes to every bound; without it,
+    certify builds and fills its own at the bound's valid orders.
     """
     _check_tolerance(tolerance)
     spec = registry.get_bound(bound_id)
@@ -218,17 +212,12 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     report = GridReport(bound_id)
     takes_y = registry.needs_y(spec)
     nus = [nu for nu in grid.nu_values if spec.valid_at(nu)]
-    if shared is None:
-        shared = {}
-        _fill_views(shared, grid, [(nu, takes_y) for nu in nus])
+    P = (_lane_sets(grid, {takes_y: nus}) if lanes is None else lanes)[takes_y]
+    if P is None:
+        return report
     for nu in nus:
-        P = _grid_view(shared, grid, nu, takes_y)
-        if P is None:
-            continue
-        exact = shared.get((spec.target, nu))
-        if exact is None:
-            exact = shared[spec.target, nu] = rows.exact_row(spec.target, P)
-        report.record(nu, P.x, P.y, _slack(spec.side, rows.bound_row(spec, P), exact),
+        report.record(nu, P.x, P.y, _slack(spec.side, rows.bound_row(spec, P, nu),
+                                           P.exact(spec.target, nu)),
                       tolerance, spec.is_equality_at(nu))
     return report
 
@@ -242,34 +231,26 @@ def _slack(side: str, bound, exact):
     return _relative(bound - exact if side == "upper" else exact - bound, exact)
 
 
-def _certify_reads(P: rows.Row) -> list[tuple[str, float, bool]]:
+def _certify_reads(nu: float, takes_y: bool) -> list[tuple[str, float, bool]]:
     """(kind, order, at_y) of the series the registry's formulas read on a
-    grid row at order nu: I and L at nu - 1, nu and nu + 1 and L at 1/2 (for
-    b_{1/2}) over x, and I and L at nu over both arguments of the pairs."""
-    if P.y is not None:
-        return [(kind, P.nu, at_y) for kind in "IL" for at_y in (False, True)]
-    return [(kind, P.nu + k, False) for kind in "IL" for k in (-1.0, 0.0, 1.0)] + [("L", 0.5, False)]
-
-
-def _fill_views(shared: dict, grid: Grid, keys: Iterable[tuple[float, bool]]) -> None:
-    """View the grid's lane sets at each (nu, takes_y) of keys (_grid_view)
-    and sum every series the views read (_certify_reads) with one
-    rows.fill_rows call, one fill_series_row per kind."""
-    views = [_grid_view(shared, grid, nu, takes_y) for nu, takes_y in keys]
-    rows.fill_rows([(P, *r) for P in views if P is not None for r in _certify_reads(P)])
+    grid lane set at order nu: I and L at nu - 1, nu and nu + 1 and L at
+    1/2 (for b_{1/2}) over x, and I and L at nu over both arguments of the
+    pairs."""
+    if takes_y:
+        return [(kind, nu, at_y) for kind in "IL" for at_y in (False, True)]
+    return [(kind, nu + k, False) for kind in "IL" for k in (-1.0, 0.0, 1.0)] + [("L", 0.5, False)]
 
 
 def certify_all(grid: Optional[Grid] = None,
                 tolerance: float = DEFAULT_TOLERANCE) -> list[GridReport]:
     """Certify every registered bound, computing each exact row once.  The
     bounds share one lane set for the x lanes and one for the (x, y) pairs
-    (_grid_view), so all orders share each lane's work; every series the
-    views read is summed up front, one pass per kind."""
+    (_lane_sets), so all orders share each lane's work; every series the
+    lane sets are read at is summed up front, one pass per kind."""
     _check_tolerance(tolerance)
     grid = grid or default_grid()
-    shared: dict = {}
-    _fill_views(shared, grid, [(nu, takes_y) for nu in grid.nu_values for takes_y in (False, True)])
-    return [certify(bid, grid, tolerance, shared=shared) for bid in registry.bound_ids()]
+    lanes = _lane_sets(grid, dict.fromkeys((False, True), grid.nu_values))
+    return [certify(bid, grid, tolerance, lanes=lanes) for bid in registry.bound_ids()]
 
 
 def certify_eq14_extension(grid: Optional[Grid] = None,
@@ -279,12 +260,11 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
     _check_tolerance(tolerance)
     grid = grid or default_grid()
     report = GridReport("eq14_extension_experiment")
-    lanes = _grid_row(grid, math.nan, False)  # one lane set for every order
+    P = _grid_row(grid, False)  # one lane set for every order
     for nu in grid.nu_values:
-        if not (-0.5 - ORDER_TOL <= nu < 0.5) or lanes is None:
+        if not (-0.5 - ORDER_TOL <= nu < 0.5) or P is None:
             continue
-        P = lanes.at(nu)
-        pd = rows.exact_row("product_diff_L", P)
+        pd = rows.exact_row("product_diff_L", P, nu)
         report.record(nu, P.x, None, _relative(pd, pd), tolerance, False)
     return report
 
@@ -359,9 +339,9 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
     def diff(x: float) -> float:
         return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
 
-    P = rows.Row(nu, np.linspace(lo, hi, 200))
+    P = rows.Row(np.linspace(lo, hi, 200))
     xs = P.x
-    d = rows.bound_row(spec_a, P) - rows.bound_row(spec_b, P)
+    d = rows.bound_row(spec_a, P, nu) - rows.bound_row(spec_b, P, nu)
     signs = np.where(d != 0.0, np.copysign(1.0, d), 0.0).tolist()
     brackets = [(float(xs[i - 1]), float(xs[i]))
                 for i in range(1, len(xs))
@@ -432,11 +412,11 @@ def monotonicity_suite() -> list[GridReport]:
     ratio_nus = [0.5 + 0.25 * k for k in range(39)]  # 0.5 .. 10
     m_nus = [nu for nu in grid.nu_values if nu >= 0.5]
     # one Row per lane set, each primitive read at an explicit order
-    b_x = rows.Row(math.nan, xs_lin)
-    b_nu = rows.Row(math.nan, np.array((0.5, 2.0, 10.0)))
-    ratio = rows.Row(math.nan, np.array((0.5, 2.0, 10.0, 30.0)))
-    P = rows.Row(math.nan, xs)  # Turan and the recurrences
-    m_row = rows.Row(math.nan, xs[xs <= 30.0])
+    b_x = rows.Row(xs_lin)
+    b_nu = rows.Row(np.array((0.5, 2.0, 10.0)))
+    ratio = rows.Row(np.array((0.5, 2.0, 10.0, 30.0)))
+    P = rows.Row(xs)  # Turan and the recurrences
+    m_row = rows.Row(xs[xs <= 30.0])
     rows.fill_rows([(b_x, "L", nu, False) for nu in grid.nu_values]
                    + [(b_nu, "L", nu, False) for nu in nus_lin]
                    + [(ratio, "L", nu + k, False) for nu in ratio_nus for k in (0.0, 1.0)]

@@ -7,6 +7,7 @@ from struvebounds import (
     DomainError,
     UnknownBound,
     a_nu_constant,
+    arg_ratio,
     a_nu_stirling_bracket,
     bessel_route_coefficient,
     bracket,
@@ -274,13 +275,27 @@ class TestLargeXCoefficient:
         assert a_nu_constant(star).value == pytest.approx(
             bessel_route_coefficient(star), rel=1e-3)
 
-    # NaN first: without the check a NaN tol stops the bisection before its
-    # first step, and a tol of 0 or below stalls it between adjacent floats
-    # forever, so only the NaN case fails rather than hangs
+    # without the check a NaN tol stops the bisection before its first step
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-4])
     def test_crossover_refuses_bad_tol(self, tol):
         with pytest.raises(DomainError, match="tol must be finite"):
             coefficient_crossover_nu(tol)
+
+    def test_crossover_stops_at_adjacent_floats(self, monkeypatch):
+        # a positive tol below the floats' spacing near 2.52 (about 4.4e-16)
+        # once kept the bisection going forever; the cap on calls makes a
+        # bisection that never ends fail instead of hang
+        calls = []
+        coefficient = arg_ratio.a_nu_constant
+
+        def capped(nu):
+            calls.append(nu)
+            if len(calls) > 200:
+                raise AssertionError("the bisection did not stop")
+            return coefficient(nu)
+
+        monkeypatch.setattr(arg_ratio, "a_nu_constant", capped)
+        assert coefficient_crossover_nu(1e-300) == pytest.approx(2.521, abs=5e-3)
 
     def test_bracket_width_shrinks(self):
         lo1, hi1 = a_nu_stirling_bracket(1.0)

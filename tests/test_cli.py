@@ -372,16 +372,22 @@ VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
                 "relative_error_table", "table_by_id")
 
 
+def run_fresh(script, *args):
+    """The JSON that script prints from a fresh process that finds this
+    package first."""
+    src = os.path.dirname(os.path.dirname(struvebounds.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
 def guard_report(commands):
     """(command, exit code, which of dataclasses, inspect and numpy are
     loaded after it) from a fresh process that imports the package and runs
     commands through cli.main in turn."""
-    src = os.path.dirname(os.path.dirname(struvebounds.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", GUARD_SCRIPT, json.dumps(commands)],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
-    return json.loads(proc.stdout)
+    return run_fresh(GUARD_SCRIPT, json.dumps(commands))
 
 
 class TestNumpyOffThePointPath:
@@ -398,6 +404,14 @@ class TestNumpyOffThePointPath:
     def test_every_table_command_leaves_numpy_unloaded(self):
         assert guard_report(TABLE_COMMANDS) == (
             [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in TABLE_COMMANDS])
+
+    def test_package_table_names_leave_numpy_unloaded(self):
+        # they come from tables, which loads no numpy, not from verify
+        assert run_fresh("import json, sys, struvebounds\n"
+                         "struvebounds.TableSpec\n"
+                         "spec = struvebounds.table_by_id(1)\n"
+                         "print(json.dumps([type(spec).__name__, 'numpy' in sys.modules]))"
+                         ) == ["TableSpec", False]
 
     @pytest.mark.parametrize("name", sorted(ARRAY_COMMANDS))
     def test_array_commands_load_numpy(self, name):

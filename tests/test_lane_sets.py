@@ -1,15 +1,15 @@
-"""One Row per lane set: rows viewed at many orders against points, and the
+"""One Row per lane set: rows read at many orders against points, and the
 sweeps' sharing of lane work.
 
 The property test draws seeded lane sets, x lanes and (x, y) pairs with
 subnormal, tiny and largest arguments among them, and reads every
-registered bound and exact value at seeded orders through Row.at views of
-one Row per lane set, as certify_all does: the orders include the gamma
-poles and half-integers at the bottom of the range and the edge
-GAMMA_ARG_MAX - 3/2 at the top.  Each lane must give the point's bits.
-A lane where the point raises is left out of the comparison; since such
-a lane raises on the row too, those orders are compared on a shared lane
-set of the lanes that answer, again through views.
+registered bound and exact value at seeded orders from one Row per lane
+set, as certify_all does: the orders include the gamma poles and
+half-integers at the bottom of the range and the edge GAMMA_ARG_MAX - 3/2
+at the top.  Each lane must give the point's bits.  A lane where the point
+raises is left out of the comparison; since such a lane raises on the row
+too, those orders are compared on a shared lane set of the lanes that
+answer, again read at each order.
 """
 
 import math
@@ -53,24 +53,23 @@ def _bits(values):
 
 def _check(row_value, P, lanes, point_values, what, subsets):
     """The row's bits against the point's at every lane where the point
-    answers, always through a view; returns the lane set it viewed.  P, the
-    whole lane set at this order, is compared first.  If it raises (a lane
-    the point refuses raises on the row too), a view at this order of the
-    lane set of the answering lanes is compared instead: subsets keeps one
-    such lane set per answer mask, so the orders and bounds with the same
-    mask share it."""
+    answers; returns the lane set it read.  P, the whole lane set, is
+    compared first.  If it raises (a lane the point refuses raises on the
+    row too), the lane set of the answering lanes is compared instead:
+    subsets keeps one such lane set per answer mask, so the orders and
+    bounds with the same mask share it."""
     ok = np.array([v is not None for v in point_values])
     if not ok.any():
         return None
     try:
-        got, viewed = np.asarray(row_value(P))[ok], P.given
+        got, read = np.asarray(row_value(P))[ok], P
     except StruveBoundsError:
         key = ok.tobytes()
         if key not in subsets:
-            subsets[key] = rows.Row(math.nan, *(v[ok] for v in lanes))
-        got, viewed = row_value(subsets[key].at(P.nu)), subsets[key].given
+            subsets[key] = rows.Row(*(v[ok] for v in lanes))
+        got, read = row_value(subsets[key]), subsets[key]
     assert _bits(got) == _bits([v for v in point_values if v is not None]), what
-    return id(viewed)
+    return id(read)
 
 
 # the product difference overflows at high orders and large x on both paths
@@ -83,35 +82,53 @@ def test_views_of_one_lane_set_match_points(seed):
     xs, ys = _lanes(rng, 7)
     order = np.argsort(xs)
     lane_sets = {False: (xs[order],), True: (xs[order], ys[order])}
-    base = {takes_y: rows.Row(math.nan, *lanes) for takes_y, lanes in lane_sets.items()}
+    base = {takes_y: rows.Row(*lanes) for takes_y, lanes in lane_sets.items()}
     subsets = {takes_y: {} for takes_y in lane_sets}
-    viewed = []  # the lane set each comparison went through
+    read = []  # the lane set each comparison went through
     for spec in REGISTRY.values():
         takes_y = registry.needs_y(spec)
         lanes = lane_sets[takes_y]
         for nu in _orders(rng, spec, 3):
-            P = base[takes_y].at(nu)
+            P = base[takes_y]
             args = [(nu, *lane) for lane in zip(*(v.tolist() for v in lanes))]
             bounds = [_point_or_error(spec.evaluate, *a) for a in args]
             exacts = [_point_or_error(registry.exact_value, spec.target, *a) for a in args]
-            viewed += [_check(lambda R: rows.bound_row(spec, R), P, lanes, bounds,
-                              (spec.bound_id, nu), subsets[takes_y]),
-                       _check(lambda R: rows.exact_row(spec.target, R), P, lanes, exacts,
-                              (spec.target, nu), subsets[takes_y])]
-    # the comparisons ran through few lane sets, each viewed at many orders
-    compared = [v for v in viewed if v is not None]
+            read += [_check(lambda R: rows.bound_row(spec, R, nu), P, lanes, bounds,
+                            (spec.bound_id, nu), subsets[takes_y]),
+                     _check(lambda R: R.exact(spec.target, nu), P, lanes, exacts,
+                            (spec.target, nu), subsets[takes_y])]
+    # the comparisons ran through few lane sets, each read at many orders
+    compared = [v for v in read if v is not None]
     assert len(compared) >= 150
     assert len(compared) >= 10 * len(set(compared))
 
 
-def test_a_view_shares_its_lane_sets_work():
-    P = rows.Row(math.nan, np.array([0.5, 2.0, 10.0]))
-    one, two = P.at(1.0), P.at(2.0)
-    assert (one.nu, two.nu) == (1.0, 2.0) and math.isnan(P.nu)
-    assert one.x is P.x and one.given is P.given and one._got is P._got
-    assert one.L(2.0) is two.L(2.0)
-    assert one.of(math.log, "x") is two.of(math.log, "x")
-    assert _bits(EXACT["pointwise_L"](2.0, two.x, two)) == _bits(one.L(2.0))
+def test_a_lane_set_keeps_its_work_for_every_order(monkeypatch):
+    fills, exact_rows = [], []
+    fill_series_row, exact_row = rows.fill_series_row, rows.exact_row
+
+    def counted_fill(kind, nus, xs):
+        fills.append((kind, nus))
+        return fill_series_row(kind, nus, xs)
+
+    def counted_exact_row(target, P, nu):
+        exact_rows.append((target, nu))
+        return exact_row(target, P, nu)
+
+    monkeypatch.setattr(rows, "fill_series_row", counted_fill)
+    monkeypatch.setattr(rows, "exact_row", counted_exact_row)
+    P = rows.Row(np.array([0.5, 2.0, 10.0]))
+    assert not hasattr(P, "nu")
+    # the successive ratio at orders 1 and 2 both read L_1, summed once
+    for nu in (1.0, 2.0):
+        EXACT["succ_ratio_L"](nu, P.x, P)
+    assert sorted(fills) == [("L", 0.0), ("L", 1.0), ("L", 2.0)]
+    assert P.L(1.0) is P.L(1.0) and P.of(math.log, "x") is P.of(math.log, "x")
+    assert _bits(EXACT["pointwise_L"](2.0, P.x, P)) == _bits(P.L(2.0))
+    # an exact row is computed once per (target, order)
+    assert P.exact("pointwise_L", 2.0) is P.exact("pointwise_L", 2.0)
+    assert _bits(P.exact("pointwise_L", 1.0)) == _bits(P.L(1.0))
+    assert exact_rows == [("pointwise_L", 2.0), ("pointwise_L", 1.0)]
 
 
 def test_certify_all_does_each_lane_sets_work_once(monkeypatch):
@@ -139,7 +156,7 @@ def test_certify_all_does_each_lane_sets_work_once(monkeypatch):
     assert sum(r.points_checked for r in reports) == 35_755
 
     # one Row per lane set: the x lanes and the (x, y) pairs
-    lane_sets = {id(P.given): P for P, *_ in wanted}
+    lane_sets = {id(P): P for P, *_ in wanted}
     n_x = len(grid.x_values)
     n_pairs = sum(len(grid.y_values(x)) for x in grid.x_values)
     assert sorted(P.x.size for P in lane_sets.values()) == [n_x, n_pairs]
@@ -149,32 +166,36 @@ def test_certify_all_does_each_lane_sets_work_once(monkeypatch):
     assert sorted(kind for kind, _ in fills) == ["I", "L"]
     handed = sum(v.size for P in lane_sets.values() for v in P.given.values())
     assert sum(n for _, n in fills) == handed
-    assert len({(id(P.given), *r) for P, *r in wanted}) == sum(
+    assert len({(id(P), *r) for P, *r in wanted}) == sum(
         len(P.given) for P in lane_sets.values())
     # a nu-free helper runs once per lane: eq39 reads it over x, eq38_upper
     # over both arguments of the pairs
     assert len(tanh_half) == n_x + 2 * n_pairs
 
 
-def test_certify_alone_views_one_lane_set(monkeypatch):
-    tanh_half = []
-    log_tanh_half = arg_ratio._log_tanh_half
+def test_certify_alone_reads_one_lane_set(monkeypatch):
+    tanh_half, read = [], []
+    log_tanh_half, bound_row = arg_ratio._log_tanh_half, rows.bound_row
 
     def counted_tanh_half(u):
         tanh_half.append(u)
         return log_tanh_half(u)
 
+    def kept_bound_row(spec, P, nu):
+        read.append((P, nu))
+        return bound_row(spec, P, nu)
+
     monkeypatch.setattr(arg_ratio, "_log_tanh_half", counted_tanh_half)
+    monkeypatch.setattr(rows, "bound_row", kept_bound_row)
     grid = verify.default_grid()
-    shared = {}
-    report = verify.certify("eq38_upper", grid, shared=shared)
+    report = verify.certify("eq38_upper", grid)
     n_pairs = sum(len(grid.y_values(x)) for x in grid.x_values)
-    assert report.points_checked == n_pairs * sum(map(registry.get_bound("eq38_upper").valid_at,
-                                                      grid.nu_values))
-    # every order is a view of the one lane set of pairs, so the nu-free
-    # helper runs once over both arguments of each pair
-    views = [P for key, P in shared.items() if key[1] is True and key[0] != "lanes"]
-    assert len(views) > 1 and all(P.given is shared["lanes", True].given for P in views)
+    nus = [nu for nu in grid.nu_values if registry.get_bound("eq38_upper").valid_at(nu)]
+    assert report.points_checked == n_pairs * len(nus)
+    # every order reads the one lane set of pairs, so the nu-free helper
+    # runs once over both arguments of each pair
+    assert [nu for _, nu in read] == nus and len({id(P) for P, _ in read}) == 1
+    assert read[0][0].y.size == n_pairs
     assert len(tanh_half) == 2 * n_pairs
 
 

@@ -133,6 +133,7 @@ class TestOnePoint:
     def test_one_point_is_reused_until_the_arguments_change(self):
         P = registry._point("cond_L", 1.0, 2.0, None)
         assert registry._point("succ_ratio_L", 1, 2.0, None) is P
+        assert registry._point("cond_L", 1.5, 2.0, None) is not P  # another order
         assert registry._point("arg_ratio_L", 1.0, 2.0, 3.0) is not P
         assert registry._point("cond_L", 1.0, 2.0, None) is not P
 

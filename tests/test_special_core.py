@@ -11,8 +11,10 @@ from struvebounds import (
     ConvergenceError,
     DomainError,
     OverflowRisk,
+    a_nu_constant,
     asym_large_x,
     bessel_i,
+    bessel_route_coefficient,
     exact_value,
     get_bound,
     half_integer_closed,
@@ -204,12 +206,12 @@ class TestSeriesRow:
         cases = [(nu, np.logspace(-3.0, math.log10(600.0), 200)) for nu in (-1.4, -0.5, 0.0, 10.0)]
         cases += [(nu, np.linspace(100.0, 600.0, 101)) for nu in (130.0, 169.0)]
         for nu, xs in cases:
-            got = rows.Row(nu, xs).b(nu).tolist()
+            got = rows.Row(xs).b(nu).tolist()
             want = [special_core.kernel_b(nu, x, special_core._series("L", nu, x)[0])
                     for x in xs.tolist()]
             assert got == want, nu
         with pytest.raises(DomainError, match="nu > -3/2"):
-            rows.Row(-1.5, np.array([1.0, 2.0])).b(-1.5)
+            rows.Row(np.array([1.0, 2.0])).b(-1.5)
 
     def test_out_of_domain_lanes_are_nan(self):
         got = rows.fill_series_row("L", 1.0, [2.0, 0.0, -1.0, 700.0, math.nan, 1e-320, 2.0])
@@ -227,23 +229,23 @@ class TestSeriesRow:
     def test_empty_row_is_a_domain_error(self):
         # it once reached numpy's max of an empty array and raised ValueError
         with pytest.raises(DomainError, match="at least one lane"):
-            rows.Row(1.0, np.array([])).L(1.0)
+            rows.Row(np.array([])).L(1.0)
 
     def test_row_sums_what_it_was_not_given(self):
         # a handed series is read as given; any other is summed by the row,
         # and a lane the batch cannot sum raises the scalar kernel's error
         xs = np.array([0.5, 2.0, 8.0])
-        row = rows.Row(1.0, xs)
+        row = rows.Row(xs)
         rows.fill_rows([(row, "L", 1.0, False)])
         given = row.given["L", 1.0, False]
         assert row.L(1.0) is given
         assert row.I(1.0).tolist() == [special_core._series("I", 1.0, x)[0] for x in xs.tolist()]
         with pytest.raises(DomainError, match="underflow"):
-            rows.Row(300.0, np.array([1.0, 2.0])).I(300.0)
+            rows.Row(np.array([1.0, 2.0])).I(300.0)
 
     def test_row_m_takes_the_stable_route_where_l_minus_i_cancels(self):
         xs = np.array([0.5, 5.0, 30.0, 200.0])
-        got = rows.Row(1.0, xs).M(1.0).tolist()
+        got = rows.Row(xs).M(1.0).tolist()
         assert got == [struve_m(1.0, x).value for x in xs.tolist()]
         assert [struve_m(1.0, x).cancellation for x in xs.tolist()] == [False, False, True, True]
 
@@ -308,6 +310,11 @@ class TestHalfIntegerClosed:
         with pytest.raises(DomainError):
             half_integer_closed("K", 0.5, 2.0)
 
+    def test_finite_past_x_max(self):
+        # the closed forms read no series, so X_MAX does not bound them
+        for kind, nu in (("I", 0.5), ("L", -1.5)):
+            assert math.isfinite(half_integer_closed(kind, nu, 710.0))
+
 
 class TestAsymptotics:
     def test_vanishing_correction_at_half(self):
@@ -319,6 +326,20 @@ class TestAsymptotics:
 
     def test_struve_large(self):
         assert rel(asym_large_x("L", 2.5, 100.0), lv_value(2.5, 100.0)) < 1e-4
+
+
+@pytest.mark.parametrize("f, args", [
+    (half_integer_closed, ("I", 0.5, 1000.0)),
+    (half_integer_closed, ("L", -1.5, 1000.0)),
+    (asym_large_x, ("I", 0.0, 1000.0)),
+    (a_nu_constant, (1e308,)),
+    (bessel_route_coefficient, (1e308,)),
+], ids=["closed_I_half", "closed_L_minus_three_halves", "asym_large_x", "a_nu_constant",
+        "bessel_route_coefficient"])
+def test_overflow_raises_overflow_risk(f, args):
+    # never the raw OverflowError of math's sinh, cosh, exp or lgamma
+    with pytest.raises(OverflowRisk, match="overflows"):
+        f(*args)
 
 
 class TestLargeOrderPrefactors:

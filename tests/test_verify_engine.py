@@ -110,9 +110,9 @@ class TestCertify:
         calls = []
         original = rows.exact_row
 
-        def counting(target, P):
-            calls.append((target, P.nu))
-            return original(target, P)
+        def counting(target, P, nu):
+            calls.append((target, nu))
+            return original(target, P, nu)
 
         monkeypatch.setattr(rows, "exact_row", counting)
         certify_all(small_grid)
@@ -301,12 +301,12 @@ class TestRows:
         grid = default_grid()
         for spec in REGISTRY.values():
             takes_y = registry.needs_y(spec)
+            row = verify._grid_row(grid, takes_y)
             for nu in grid.nu_values:
                 if not spec.valid_at(nu):
                     continue
-                row = verify._grid_row(grid, nu, takes_y)
-                bound = rows.bound_row(spec, row)
-                exact = rows.exact_row(spec.target, row)
+                bound = rows.bound_row(spec, row, nu)
+                exact = rows.exact_row(spec.target, row, nu)
                 ys = row.y.tolist() if takes_y else [None] * row.x.size
                 for x, y, b, e in zip(row.x.tolist(), ys, bound.tolist(), exact.tolist()):
                     args = (nu, x) if y is None else (nu, x, y)
