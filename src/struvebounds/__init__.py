@@ -5,9 +5,9 @@ registered lower/upper bound for the ratio L_nu/L_{nu-1}, the condition
 number x L'_nu/L_nu, the argument ratio L_nu(x)/L_nu(y) and L_nu itself,
 plus a grid-certification engine, built-in relative-error tables, and
 crossover location between competing bounds.  A bound is reached by its id
-through the registry: get_bound(id).evaluate, bracket, evaluate_valid and
-best_bracket.  A target's exact value is reached the same way, by
-exact_value(target, nu, x[, y]).
+through the registry: get_bound(id).evaluate, bracket, evaluate_valid,
+best_bracket and crossover.  A target's exact value is reached the same
+way, by exact_value(target, nu, x[, y]).
 """
 
 from .arg_ratio import (
@@ -37,6 +37,7 @@ from .registry import (
     bound_ids,
     bounds_for_target,
     bracket,
+    crossover,
     evaluate_valid,
     exact_value,
     get_bound,
@@ -65,7 +66,7 @@ from .succ_ratio import (
 # verify loads numpy, which a point query never needs, and only the table names
 # need tables: import each on first use (PEP 562)
 _VERIFY_NAMES = ("Grid", "GridReport", "certify", "certify_all", "certify_eq14_extension",
-                 "crossover", "default_grid", "monotonicity_suite", "relative_error_table")
+                 "default_grid", "monotonicity_suite", "relative_error_table")
 _TABLES_NAMES = ("TableSpec", "table_by_id")
 
 __all__ = [
@@ -75,8 +76,8 @@ __all__ = [
     "Bracket",
     "ConvergenceError", "DomainError", "InvalidBracket", "MultipleSignChanges",
     "NoSignChange", "NoValidBound", "OverflowRisk", "StruveBoundsError", "UnknownBound",
-    "REGISTRY", "BoundSpec", "bound_ids", "bounds_for_target", "bracket", "evaluate_valid",
-    "exact_value", "get_bound",
+    "REGISTRY", "BoundSpec", "bound_ids", "bounds_for_target", "bracket", "crossover",
+    "evaluate_valid", "exact_value", "get_bound",
     "FuncValue", "asym_large_x", "bessel_i", "half_integer_closed", "iv_value", "lv_value",
     "quad_oracle_i", "quad_oracle_l", "recurrence_check", "struve_l", "struve_m",
     "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "best_bracket", "ratio_refine_step",

@@ -3,7 +3,9 @@
 Subcommands: eval, bracket, cond, argratio, table, verify, crossover.
 Exit codes: 0 success, 1 domain or usage error, 2 when verification finds
 violations.  Nothing is configurable: no option or environment variable
-changes how a value is computed.
+changes how a value is computed.  Only the verify command imports verify,
+and with it numpy; table reads tables and crossover the registry, point by
+point, and eval loads numpy only where M takes its stable route.
 """
 
 from __future__ import annotations
@@ -176,9 +178,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_crossover(args) -> int:
-    from . import verify
     _check_finite(args.nu, args.xmin, args.xmax)
-    x_star = verify.crossover(args.a, args.b, args.nu, (args.xmin, args.xmax))
+    x_star = registry.crossover(args.a, args.b, args.nu, (args.xmin, args.xmax))
     print(f"{x_star:.4f}")
     return 0
 

@@ -16,11 +16,17 @@ calls stay at one (nu, x, y), so the exact value and every bound there
 share their series, kernels and M; that one Point is the package's only
 scalar cache.  Validity ranges are data, not caller-overridable arguments:
 the inequalities are only guaranteed on the recorded ranges.
+
+Two entries take two bound ids at one order: bracket, at one point, and
+crossover, which locates where the bounds exchange dominance.  crossover's
+pre-scan reads a rows.Row only where numpy is loaded already, so this
+module never loads numpy.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Optional
 
 from . import arg_ratio as _ar
@@ -28,7 +34,7 @@ from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
 from .brackets import Bracket, Record, _set
-from .errors import DomainError, UnknownBound
+from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
 from .special_core import ORDER_TOL, Point
 
 # each target a registered inequality can bound, and whether it reads y
@@ -235,3 +241,77 @@ def bracket(lower_id: str, upper_id: str, nu: float, x: float,
 
     (lo, lo_ok), (hi, hi_ok) = side(lower, -math.inf), side(upper, math.inf)
     return Bracket(lo, hi, lo_ok, hi_ok, lower_id, upper_id)
+
+
+def _scan_grid(lo: float, hi: float, n: int) -> list[float]:
+    """n points from lo to hi as np.linspace forms them: i * step + lo, the
+    last one hi ((i / (n - 1)) * (hi - lo) + lo where the step underflows
+    to 0)."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    return [(i * step if step else i / (n - 1) * delta) + lo for i in range(n - 1)] + [hi]
+
+
+def _row_difference(spec_a: BoundSpec, spec_b: BoundSpec, nu: float,
+                    xs: list[float]) -> list[float]:
+    """spec_a - spec_b at order nu over one rows.Row of the lanes xs, as
+    Python floats: a Row gives a point's bits, so each is the difference
+    BoundSpec.evaluate gives at its x."""
+    import numpy as np
+
+    from . import rows
+    P = rows.Row(np.array(xs))
+    return (rows.bound_row(spec_a, P, nu) - rows.bound_row(spec_b, P, nu)).tolist()
+
+
+def crossover(bound_id_a: str, bound_id_b: str, nu: float,
+              x_range: tuple[float, float] = (0.01, 50.0)) -> float:
+    """Argument at which two competing bounds exchange dominance.
+
+    Both bounds take one argument and are valid at nu, and x_range is
+    finite with 0 < xmin < xmax.  A 200-point pre-scan must find exactly
+    one sign change of the difference between consecutive nonzero samples,
+    so a root on a sample is bracketed by its neighbours; the root is then
+    bisected to absolute tolerance 1e-4.
+    """
+    spec_a, spec_b = get_bound(bound_id_a), get_bound(bound_id_b)
+    for spec in (spec_a, spec_b):
+        if needs_y(spec):
+            raise DomainError(f"crossover compares single-argument bounds; {spec.bound_id} "
+                              f"bounds the argument ratio L_nu(x)/L_nu(y)")
+        if not spec.valid_at(nu):
+            raise DomainError(f"{spec.bound_id} is not valid at nu={nu}")
+    lo, hi = x_range
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise DomainError(f"crossover needs a finite range 0 < xmin < xmax, got {x_range}")
+
+    def diff(x: float) -> float:
+        return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
+
+    xs = _scan_grid(lo, hi, 200)
+    # one Row where numpy is loaded already, as in a sweep; otherwise point by
+    # point, which costs far less than loading numpy
+    ds = _row_difference(spec_a, spec_b, nu, xs) if "numpy" in sys.modules else map(diff, xs)
+    signed = [(x, math.copysign(1.0, d)) for x, d in zip(xs, ds) if d != 0.0]
+    brackets = [(a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb]
+    if not brackets:
+        raise NoSignChange(
+            f"{bound_id_a} - {bound_id_b} keeps one sign on {x_range} at nu={nu}"
+        )
+    if len(brackets) > 1:
+        raise MultipleSignChanges(
+            f"{bound_id_a} - {bound_id_b} changes sign {len(brackets)} times on "
+            f"{x_range} at nu={nu}"
+        )
+    a, b = brackets[0]
+    fa = diff(a)
+    while b - a > 1e-4:
+        mid = 0.5 * (a + b)
+        fm = diff(mid)
+        if fm == 0.0:
+            return mid
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return 0.5 * (a + b)

@@ -295,11 +295,14 @@ def half_integer_closed(kind: str, nu: float, x: float) -> float:
             return pref * (math.sinh(x) - math.cosh(x) / x)
         if key == 0.5:
             s = math.sinh(0.5 * x)
-            return pref * 2.0 * s * s
+            value = pref * 2.0 * s * s
+            if value == math.inf:  # the product overflows from x of about 713
+                raise OverflowError
+            return value
         if key == -0.5:
             return pref * math.sinh(x)
         return pref * _cosh_minus_sinhc(x)
-    except OverflowError:  # sinh or cosh past x of about 710.5
+    except OverflowError:  # sinh or cosh past x of about 710.5, or the product above
         raise OverflowRisk(f"closed form of {kind} at order {key} overflows at x={x}") from None
 
 

@@ -1,5 +1,5 @@
-"""Grid certification of every registered inequality, reference error tables,
-crossover location, and the monotonicity/Turan property suites.
+"""Grid certification of every registered inequality, reference error tables
+and the monotonicity/Turan property suites.
 
 Certification works a row at a time: for each (bound, order) the bound's
 formula and its target's exact formula each run once as numpy arrays over
@@ -25,7 +25,10 @@ certification failure can never be self-confirming.
 
 The relative-error tables are computed point by point and live in tables,
 which loads no numpy; this module re-exports their names and gives
-relative_error_table, the cells as an ndarray.
+relative_error_table, the cells as an ndarray.  crossover lives in
+registry, which loads no numpy either, and is re-exported here: its
+pre-scan runs over one Row where numpy is loaded already, as in a sweep,
+and point by point where it is not.
 
 Grid and GridReport stay dataclasses, unlike the point path's records
 (brackets.Record): GridReport is mutable, and this module loads numpy,
@@ -44,7 +47,8 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from . import registry, rows
-from .errors import DomainError, MultipleSignChanges, NoSignChange
+# crossover lives in registry, which loads no numpy; its name stays reachable here
+from .registry import crossover
 from .special_core import _L_FLOOR, ORDER_TOL, recurrence_residuals
 # the tables live in tables, which loads no numpy; their names stay reachable here
 from .tables import (TABLES, TableSpec, parse_table_csv, relative_error_cells,
@@ -309,64 +313,6 @@ def relative_error_table(spec: TableSpec) -> np.ndarray:
     """tables.relative_error_cells as a (len(nu_rows), len(x_cols)) array."""
     return np.array(relative_error_cells(spec), dtype=float).reshape(
         len(spec.nu_rows), len(spec.x_cols))
-
-
-# ---------------------------------------------------------------------------
-# crossover location
-# ---------------------------------------------------------------------------
-
-def crossover(bound_id_a: str, bound_id_b: str, nu: float,
-              x_range: tuple[float, float] = (0.01, 50.0)) -> float:
-    """Argument at which two competing bounds exchange dominance.
-
-    Both bounds take one argument and are valid at nu, and x_range is
-    finite with 0 < xmin < xmax.  A 200-point pre-scan must find exactly one
-    sign change of the difference on x_range; the root is then bisected to
-    absolute tolerance 1e-4.
-    """
-    spec_a = registry.get_bound(bound_id_a)
-    spec_b = registry.get_bound(bound_id_b)
-    for spec in (spec_a, spec_b):
-        if registry.needs_y(spec):
-            raise DomainError(f"crossover compares single-argument bounds; {spec.bound_id} "
-                              f"bounds the argument ratio L_nu(x)/L_nu(y)")
-        if not spec.valid_at(nu):
-            raise DomainError(f"{spec.bound_id} is not valid at nu={nu}")
-    lo, hi = x_range
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
-        raise DomainError(f"crossover needs a finite range 0 < xmin < xmax, got {x_range}")
-
-    def diff(x: float) -> float:
-        return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
-
-    P = rows.Row(np.linspace(lo, hi, 200))
-    xs = P.x
-    d = rows.bound_row(spec_a, P, nu) - rows.bound_row(spec_b, P, nu)
-    signs = np.where(d != 0.0, np.copysign(1.0, d), 0.0).tolist()
-    brackets = [(float(xs[i - 1]), float(xs[i]))
-                for i in range(1, len(xs))
-                if signs[i - 1] != 0.0 and signs[i] != 0.0 and signs[i] != signs[i - 1]]
-    if not brackets:
-        raise NoSignChange(
-            f"{bound_id_a} - {bound_id_b} keeps one sign on {x_range} at nu={nu}"
-        )
-    if len(brackets) > 1:
-        raise MultipleSignChanges(
-            f"{bound_id_a} - {bound_id_b} changes sign {len(brackets)} times on "
-            f"{x_range} at nu={nu}"
-        )
-    a, b = brackets[0]
-    fa = diff(a)
-    while b - a > 1e-4:
-        mid = 0.5 * (a + b)
-        fm = diff(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

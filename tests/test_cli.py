@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import struvebounds
@@ -364,8 +366,12 @@ TABLE_COMMANDS = [["table", "--id", str(i), "--format", fmt]
 ARRAY_COMMANDS = {
     "eval-M-stable": ["eval", "--kind", "M", "--nu", "1", "--x", "30"],
     "verify": ["verify", "--bound", "eq20_upper"],
-    "crossover": ["crossover", "--a", "eq24_upper", "--b", "eq18_upper", "--nu", "2.5"],
 }
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the benchmark's ten crossover commands, read from its reference pool
+CROSSOVER_COMMANDS = [argv for argv, _ in
+                      json.loads((BENCH / "reference.json").read_text())["cli_pool"]["crossover"]]
 
 VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
                 "certify_eq14_extension", "crossover", "default_grid", "monotonicity_suite",
@@ -390,12 +396,91 @@ def guard_report(commands):
     return run_fresh(GUARD_SCRIPT, json.dumps(commands))
 
 
+# crossover's outcome at each (a, b, nu, x_range) case: the root, or the
+# error's type and message; fake bounds take part under the names below
+SCAN_SCRIPT = """
+import json, math, sys
+from struvebounds import StruveBoundsError, registry
+from struvebounds.registry import BoundSpec
+FAKES = {
+    "fake_osc": BoundSpec("fake_osc", "b_kernel", "upper", -1.5, True,
+                          lambda n, x, P: P.map(math.sin, x)),
+    "fake_zero": BoundSpec("fake_zero", "b_kernel", "upper", -1.5, True,
+                           lambda n, x, P: 0.0 * x),
+    # x - nu: its root is the order it is asked at
+    "fake_line": BoundSpec("fake_line", "b_kernel", "upper", -1.5, True,
+                           lambda n, x, P: x - n),
+}
+def outcomes(cases):
+    out = []
+    for a, b, nu, x_range in cases:
+        try:
+            out.append(registry.crossover(a, b, nu, tuple(x_range)))
+        except StruveBoundsError as exc:
+            out.append([type(exc).__name__, str(exc)])
+    return out
+"""
+
+FRESH_SCAN = SCAN_SCRIPT + """
+registry.REGISTRY.update(FAKES)
+print(json.dumps([outcomes(json.loads(sys.argv[1])), "numpy" in sys.modules]))
+"""
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCrossoverScanPaths:
+    """crossover's pre-scan runs over one rows.Row where numpy is loaded
+    already (this process) and point by point where it is not (a fresh
+    one); a Row gives a point's bits, so both give the same answers."""
+
+    def test_point_and_row_scans_agree(self, monkeypatch):
+        on_sample = np.linspace(0.05, 20.0, 200)[100].item()
+        cases = [[a, b, nu, list(xr)] for a, b, nu, xr in _load_workloads().CROSSOVERS] + [
+            # TestCrossover's error cases
+            ["eq20_upper", "eq18_upper", 0.75, [20.0, 0.05]],
+            ["eq20_upper", "eq18_upper", 0.75, [0.0, 20.0]],
+            ["eq20_upper", "eq18_upper", 0.75, [0.05, math.inf]],
+            ["eq20_upper", "eq18_upper", 0.75, [math.nan, 20.0]],
+            ["eq38_lower", "eq38_upper", 0.75, [0.05, 20.0]],
+            ["eq24_upper", "eq18_upper", 0.25, [0.05, 30.0]],
+            ["eq20_upper", "eq18_upper", 3.0, [0.01, 50.0]],
+            ["fake_osc", "fake_zero", 0.0, [0.1, 20.0]],
+            # --xmin 1e-300: a root, and a series whose leading term underflows
+            ["eq20_upper", "eq18_upper", 0.75, [1e-300, 50.0]],
+            ["eq24_upper", "eq18_upper", 2.5, [1e-300, 50.0]],
+            # a root on a pre-scan sample, and just off it
+            ["fake_line", "fake_zero", on_sample, [0.05, 20.0]],
+            ["fake_line", "fake_zero", on_sample + 1e-9, [0.05, 20.0]],
+        ]
+        point, numpy_loaded = run_fresh(FRESH_SCAN, json.dumps(cases))
+        assert not numpy_loaded
+        scope = {}
+        exec(SCAN_SCRIPT, scope)
+        for name, spec in scope["FAKES"].items():
+            monkeypatch.setitem(REGISTRY, name, spec)
+        assert "numpy" in sys.modules
+        row = scope["outcomes"](cases)
+        assert point == row
+        # every pool root, and both roots near the sample, were found
+        assert all(isinstance(r, float) for r in row[:10] + row[-4:-3] + row[-2:])
+        assert [r[0] for r in row[10:-4]] == ["DomainError"] * 6 + [
+            "NoSignChange", "MultipleSignChanges"]
+        assert row[-3][0] == "DomainError" and "underflows" in row[-3][1]
+
+
 class TestNumpyOffThePointPath:
     """Only sweeps and the stable M route use arrays, so numpy loads only
-    for them (verify, crossover and a cancelling M): not at import, not for
-    a point command, and not for table, whose cells are point queries.  The
-    point path's records, TableSpec among them, are plain classes, so
-    dataclasses and inspect stay unloaded there too."""
+    for them (verify and a cancelling M): not at import, not for a point
+    command, not for table, whose cells are point queries, and not for
+    crossover, whose pre-scan runs point by point unless numpy is loaded
+    already.  The point path's records, TableSpec among them, are plain
+    classes, so dataclasses and inspect stay unloaded there too."""
 
     def test_import_and_point_commands_leave_numpy_unloaded(self):
         assert guard_report(POINT_COMMANDS) == (
@@ -404,6 +489,11 @@ class TestNumpyOffThePointPath:
     def test_every_table_command_leaves_numpy_unloaded(self):
         assert guard_report(TABLE_COMMANDS) == (
             [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in TABLE_COMMANDS])
+
+    def test_every_pool_crossover_leaves_numpy_unloaded(self):
+        assert len(CROSSOVER_COMMANDS) == 10
+        assert guard_report(CROSSOVER_COMMANDS) == (
+            [["import", 0, []]] + [[" ".join(argv), 0, []] for argv in CROSSOVER_COMMANDS])
 
     def test_package_table_names_leave_numpy_unloaded(self):
         # they come from tables, which loads no numpy, not from verify

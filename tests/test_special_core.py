@@ -312,7 +312,7 @@ class TestHalfIntegerClosed:
 
     def test_finite_past_x_max(self):
         # the closed forms read no series, so X_MAX does not bound them
-        for kind, nu in (("I", 0.5), ("L", -1.5)):
+        for kind, nu in (("I", 0.5), ("L", -1.5), ("L", 0.5)):
             assert math.isfinite(half_integer_closed(kind, nu, 710.0))
 
 
@@ -331,13 +331,18 @@ class TestAsymptotics:
 @pytest.mark.parametrize("f, args", [
     (half_integer_closed, ("I", 0.5, 1000.0)),
     (half_integer_closed, ("L", -1.5, 1000.0)),
+    (half_integer_closed, ("L", 0.5, 714.0)),
+    (half_integer_closed, ("L", 0.5, 1000.0)),
+    (half_integer_closed, ("L", 0.5, 1419.0)),
     (asym_large_x, ("I", 0.0, 1000.0)),
     (a_nu_constant, (1e308,)),
     (bessel_route_coefficient, (1e308,)),
-], ids=["closed_I_half", "closed_L_minus_three_halves", "asym_large_x", "a_nu_constant",
+], ids=["closed_I_half", "closed_L_minus_three_halves", "closed_L_half_714",
+        "closed_L_half_1000", "closed_L_half_1419", "asym_large_x", "a_nu_constant",
         "bessel_route_coefficient"])
 def test_overflow_raises_overflow_risk(f, args):
-    # never the raw OverflowError of math's sinh, cosh, exp or lgamma
+    # never the raw OverflowError of math's sinh, cosh, exp or lgamma, nor the
+    # inf of a product that overflows while sinh(x/2) is still finite
     with pytest.raises(OverflowRisk, match="overflows"):
         f(*args)
 

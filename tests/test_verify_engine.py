@@ -239,6 +239,33 @@ class TestCrossover:
             del REGISTRY["fake_osc"]
             del REGISTRY["fake_zero"]
 
+    @pytest.mark.parametrize("shift, root", [(0.0, 10.0751256), (1e-9, 10.07517)])
+    def test_root_on_a_sample(self, monkeypatch, shift, root):
+        # a difference of exactly 0.0 at sample 100, between samples of
+        # opposite sign, once skipped both pairs and raised NoSignChange
+        c = np.linspace(0.05, 20.0, 200)[100].item() + shift
+        monkeypatch.setitem(REGISTRY, "fake_line", BoundSpec(
+            "fake_line", "b_kernel", "upper", -1.5, True, lambda n, x, P: x - c))
+        monkeypatch.setitem(REGISTRY, "fake_zero", BoundSpec(
+            "fake_zero", "b_kernel", "upper", -1.5, True, lambda n, x, P: 0.0 * x))
+        assert crossover("fake_line", "fake_zero", 0.0, (0.05, 20.0)) == pytest.approx(
+            root, abs=1e-4)
+
+    def test_scan_grid_is_linspace(self):
+        # the pre-scan forms its points in Python, as np.linspace would
+        rng = np.random.default_rng(2101)
+        for _ in range(500):
+            lo = float(np.exp(rng.uniform(-700.0, 680.0)))  # lo * e^20 stays finite
+            wide = [lo * float(np.exp(rng.uniform(0.0, 20.0)))]
+            hi = lo
+            for _ in range(int(rng.integers(1, 6))):  # a few ulps wide
+                hi = math.nextafter(hi, math.inf)
+            for top in wide + [hi]:
+                assert registry._scan_grid(lo, top, 200) == np.linspace(lo, top, 200).tolist()
+        # a subnormal range, whose step underflows to 0
+        assert registry._scan_grid(5e-324, 1e-321, 200) == np.linspace(
+            5e-324, 1e-321, 200).tolist()
+
 
 class TestSweepsOwnTheirSeries:
     # the memo here is the package's one scalar cache, the Point the
