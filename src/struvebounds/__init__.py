@@ -6,8 +6,10 @@ number x L'_nu/L_nu, the argument ratio L_nu(x)/L_nu(y) and L_nu itself,
 plus a grid-certification engine, built-in relative-error tables, and
 crossover location between competing bounds.  A bound is reached by its id
 through the registry: get_bound(id).evaluate, bracket, evaluate_valid,
-best_bracket and crossover.  A target's exact value is reached the same
-way, by exact_value(target, nu, x[, y]).
+best_bracket and crossover.  best_bracket(nu, x, target, y) is the one
+selection routine, for every target: tightest_bracket over evaluate_valid's
+values.  A target's exact value is reached the same way, by
+exact_value(target, nu, x[, y]).
 """
 
 from .arg_ratio import (
@@ -18,7 +20,7 @@ from .arg_ratio import (
     coefficient_crossover_nu,
     pointwise_bracket,
 )
-from .bfunc import b_asym, b_value
+from .bfunc import b_value
 from .brackets import Bracket
 from .errors import (
     ConvergenceError,
@@ -34,6 +36,7 @@ from .errors import (
 from .registry import (
     REGISTRY,
     BoundSpec,
+    best_bracket,
     bound_ids,
     bounds_for_target,
     bracket,
@@ -41,6 +44,7 @@ from .registry import (
     evaluate_valid,
     exact_value,
     get_bound,
+    tightest_bracket,
 )
 from .special_core import (
     FuncValue,
@@ -58,9 +62,7 @@ from .special_core import (
 from .succ_ratio import (
     bessel_ratio_bounds,
     bessel_ratio_lower_tanh,
-    best_bracket,
     ratio_refine_step,
-    tightest_bracket,
 )
 
 # verify loads numpy, which a point query never needs, and only the table names
@@ -72,16 +74,15 @@ _TABLES_NAMES = ("TableSpec", "table_by_id")
 __all__ = [
     "ANuConstant", "a_nu_constant", "a_nu_stirling_bracket", "bessel_route_coefficient",
     "coefficient_crossover_nu", "pointwise_bracket",
-    "b_asym", "b_value",
+    "b_value",
     "Bracket",
     "ConvergenceError", "DomainError", "InvalidBracket", "MultipleSignChanges",
     "NoSignChange", "NoValidBound", "OverflowRisk", "StruveBoundsError", "UnknownBound",
-    "REGISTRY", "BoundSpec", "bound_ids", "bounds_for_target", "bracket", "crossover",
-    "evaluate_valid", "exact_value", "get_bound",
+    "REGISTRY", "BoundSpec", "best_bracket", "bound_ids", "bounds_for_target", "bracket",
+    "crossover", "evaluate_valid", "exact_value", "get_bound", "tightest_bracket",
     "FuncValue", "asym_large_x", "bessel_i", "half_integer_closed", "iv_value", "lv_value",
     "quad_oracle_i", "quad_oracle_l", "recurrence_check", "struve_l", "struve_m",
-    "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "best_bracket", "ratio_refine_step",
-    "tightest_bracket",
+    "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "ratio_refine_step",
     *_VERIFY_NAMES, *_TABLES_NAMES,
 ]
 

@@ -152,7 +152,6 @@ def pointwise_bracket(nu: float, x: float) -> Bracket:
     correct x^{-1/2} e^x order while the lower side is a factor of x low.
     """
     from .registry import bracket
-    _check_explicit(nu)
     return bracket("eq39_lower", "eq39_upper", nu, x)
 
 

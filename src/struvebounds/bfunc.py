@@ -1,7 +1,8 @@
 """The correction kernel b_nu(x) = (x/2)^(nu+1) / (sqrt(pi) Gamma(nu+3/2) L_nu(x)).
 
-b maps (0, inf) into (0, 1/2) for every order nu > -3/2, decreases in x,
-increases in nu, and decays like x^(nu+3/2) e^{-x}.  It is the quantity that
+b maps (0, inf) into (0, 1/2) for every order nu > -3/2, decreases in x and
+increases in nu.  It starts as 1/2 - x^2 / (6(2 nu+3)) near x = 0 and decays
+like x^(nu+3/2) e^{-x} / (2^(nu+1/2) Gamma(nu+3/2)).  It is the quantity that
 turns every Bessel-ratio bound into a Struve-ratio bound, so its own
 two-sided estimates live here.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError
-from .special_core import _first_term, kernel_b, lv_value
+from .special_core import kernel_b, lv_value
 
 
 def _check_nu(nu: float) -> None:
@@ -73,21 +74,3 @@ def eq13_upper(nu, x, P):
     0.348598."""
     _check_nu(nu)
     return P.map(_x_csch, 0.25, x, 2.0 * nu + 3.0)
-
-
-def b_asym(nu: float, x: float, regime: str) -> float:
-    """Limiting forms of the kernel.
-
-    small: 1/2 - x^2 / (6(2 nu+3));  large: x^(nu+3/2) e^{-x} / (2^(nu+1/2) Gamma(nu+3/2)).
-    """
-    if not math.isfinite(nu) or nu <= -1.5:
-        raise DomainError(f"kernel asymptotics require nu > -3/2, got {nu}")
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"kernel asymptotics require x >= 0, got {x}")
-    if regime == "small":
-        return 0.5 - x * x / (6.0 * (2.0 * nu + 3.0))
-    if regime == "large":
-        if x == 0.0:
-            return 0.0
-        return 2.0 * math.exp(-x) * _first_term(nu + 1.5, nu + 1.5, 1.0, x)
-    raise DomainError(f"regime must be 'small' or 'large', got {regime!r}")

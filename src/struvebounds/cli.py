@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 from . import registry
 from .errors import StruveBoundsError
 from .special_core import bessel_i, struve_l, struve_m
-from .succ_ratio import best_bracket, tightest_bracket
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,7 +104,7 @@ def _cmd_bracket(args) -> int:
         print(f"{args.bound} = {value:.17g}  [{spec.side} bound, {valid}"
               f"{_equality_mark(args.bound, args.nu)}]")
         return 0
-    br = best_bracket(args.nu, args.x)
+    br = registry.best_bracket(args.nu, args.x)
     if br.lower_valid:
         print(f"lower = {br.lower:.17g}  [{br.lower_id}{_equality_mark(br.lower_id, args.nu)}]")
     if br.upper_valid:
@@ -125,7 +124,7 @@ def _cmd_cond(args) -> int:
     print(f"exact = {exact:.17g}")
     values = registry.evaluate_valid("cond_L", args.nu, args.x)
     _print_values(values, args.nu)
-    br = tightest_bracket(values, "cond_L", args.nu)
+    br = registry.tightest_bracket(values, "cond_L", args.nu)
     print(f"best bracket: [{br.lower:.17g}, {br.upper:.17g}]  ({br.lower_id}, {br.upper_id})")
     return 0
 

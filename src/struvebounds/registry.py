@@ -7,7 +7,7 @@ and the bound's one formula f(nu, x, P) (f(nu, x, y, P) for the argument
 ratio), named after the bound id in its home module.  EXACT holds each
 target's exact value as a formula of the same shape.  P is a
 special_core.Point for one point (BoundSpec.evaluate and exact_value, which
-bracket and evaluate_valid call) or a rows.Row over numpy lanes
+bracket, evaluate_valid and best_bracket call) or a rows.Row over numpy lanes
 (rows.bound_row and rows.exact_row, used by verify).  Every point entry
 checks its target and arity in one place, _point, so an unknown id or
 target and a missing or extra y raise a StruveBoundsError naming the
@@ -17,10 +17,13 @@ share their series, kernels and M; that one Point is the package's only
 scalar cache.  Validity ranges are data, not caller-overridable arguments:
 the inequalities are only guaranteed on the recorded ranges.
 
-Two entries take two bound ids at one order: bracket, at one point, and
-crossover, which locates where the bounds exchange dominance.  crossover's
-pre-scan reads a rows.Row only where numpy is loaded already, so this
-module never loads numpy.
+best_bracket(nu, x, target, y) is the one selection routine, for every
+target: tightest_bracket over evaluate_valid's (spec, value) pairs.
+tightest_bracket evaluates nothing, so the cond command selects from the
+values it has printed.  Two entries take two bound ids at one order:
+bracket, at one point, and crossover, which locates where the bounds
+exchange dominance.  crossover's pre-scan reads a rows.Row only where numpy
+is loaded already, so this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from . import bfunc as _bf
 from . import condition as _cd
 from . import succ_ratio as _sr
 from .brackets import Bracket, Record, _set
-from .errors import DomainError, MultipleSignChanges, NoSignChange, UnknownBound
+from .errors import (DomainError, MultipleSignChanges, NoSignChange, NoValidBound,
+                     UnknownBound)
 from .special_core import ORDER_TOL, Point
 
 # each target a registered inequality can bound, and whether it reads y
@@ -221,6 +225,30 @@ def evaluate_valid(target: str, nu: float, x: float,
     _point(target, nu, x, y)
     return [(spec, spec.evaluate(nu, x, y)) for spec in bounds_for_target(target)
             if spec.valid_at(nu)]
+
+
+def tightest_bracket(values, target: str, nu: float) -> Bracket:
+    """The tightest bracket among the (spec, value) pairs of
+    evaluate_valid; each side carries its bound's id."""
+    best_lo, best_lo_id = -math.inf, ""
+    best_hi, best_hi_id = math.inf, ""
+    for spec, value in values:
+        if spec.side == "lower" and value > best_lo:
+            best_lo, best_lo_id = value, spec.bound_id
+        elif spec.side == "upper" and value < best_hi:
+            best_hi, best_hi_id = value, spec.bound_id
+    if not best_lo_id and not best_hi_id:
+        raise NoValidBound(f"no registered {target} bound is valid at nu={nu}")
+    return Bracket(best_lo, best_hi, bool(best_lo_id), bool(best_hi_id),
+                   best_lo_id, best_hi_id)
+
+
+def best_bracket(nu: float, x: float, target: str = "succ_ratio_L",
+                 y: float | None = None) -> Bracket:
+    """Tightest bracket over every registered bound on target valid at nu,
+    the successive ratio by default; y is for the argument ratio only.
+    Each side carries the id of the bound that attains it."""
+    return tightest_bracket(evaluate_valid(target, nu, x, y), target, nu)
 
 
 def bracket(lower_id: str, upper_id: str, nu: float, x: float,

@@ -10,9 +10,10 @@ from the Turan inequality and the monotonicity of the ratio in the order,
 plus one step of refinement through the three-term recurrence.  Each
 registered bound is one formula f(nu, x, P) over a special_core.Point or
 rows.Row P, reached by id through the registry.  The public functions here
-are the Bessel-side bounds, the transfer map, the refinement step and
-best_bracket.  The exact product difference is
-exact_value("product_diff_L", nu, x), which reads product_diff.
+are the Bessel-side bounds, the transfer map and the refinement step; the
+tightest bracket over the registered bounds is registry.best_bracket.  The
+exact product difference is exact_value("product_diff_L", nu, x), which
+reads product_diff.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .brackets import Bracket, in_order
-from .errors import DomainError, InvalidBracket, NoValidBound
+from .errors import DomainError, InvalidBracket
 from .special_core import ORDER_TOL, Point
 
 
@@ -188,28 +189,8 @@ def ratio_refine_step(nu: float, x: float, next_bracket: Bracket) -> Bracket:
                    f"refine({next_bracket.upper_id})", f"refine({next_bracket.lower_id})")
 
 
-def tightest_bracket(values, target: str, nu: float) -> Bracket:
-    """The tightest bracket among the (spec, value) pairs of
-    registry.evaluate_valid; each side carries its bound's id."""
-    best_lo, best_lo_id = -math.inf, ""
-    best_hi, best_hi_id = math.inf, ""
-    for spec, value in values:
-        if spec.side == "lower" and value > best_lo:
-            best_lo, best_lo_id = value, spec.bound_id
-        elif spec.side == "upper" and value < best_hi:
-            best_hi, best_hi_id = value, spec.bound_id
-    if not best_lo_id and not best_hi_id:
-        raise NoValidBound(f"no registered {target} bound is valid at nu={nu}")
-    return Bracket(best_lo, best_hi, bool(best_lo_id), bool(best_hi_id),
-                   best_lo_id, best_hi_id)
-
-
 def best_bracket(nu: float, x: float, target: str = "succ_ratio_L") -> Bracket:
-    """Tightest bracket over every registered bound on target valid at nu.
-
-    target is any target whose bounds take (nu, x), the successive ratio by
-    default; each side carries the id of the bound that attains it.
-    """
-    from . import registry
-
-    return tightest_bracket(registry.evaluate_valid(target, nu, x), target, nu)
+    """registry.best_bracket, kept here only for perfbench/worker.py's bracket
+    op; the next benchmark change (ROADMAP item 3) deletes it."""
+    from .registry import best_bracket
+    return best_bracket(nu, x, target)

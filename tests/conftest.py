@@ -1,6 +1,10 @@
 """Failure-set guard: after every run, compare the failing tests with the
 five intentional acceptance failures and print one summary line.  Also the
-series_calls fixture, shared by the tests of point-query sharing.
+series_calls fixture, shared by the tests of point-query sharing, and every
+struvebounds module imported before collection: hypothesis draws some
+examples from the constants of the modules loaded at the time, so loading
+them all up front gives the property tests one pool of examples whichever
+tests ran before them.
 
 The five fail on purpose (see tests/test_acceptance.py): each checks a value
 quoted in the paper that the computed value does not reproduce.  The line
@@ -8,9 +12,16 @@ names any other test that failed and any of the five that ran and passed.
 It changes no outcome and not the exit status.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
+import struvebounds
 from struvebounds import registry, special_core
+
+for _module in pkgutil.iter_modules(struvebounds.__path__):
+    importlib.import_module(f"struvebounds.{_module.name}")
 
 EXPECTED_FAILURES = frozenset({
     "tests/test_acceptance.py::test_criterion3_table_reproduction[3]",

@@ -157,7 +157,7 @@ class TestPointwiseBracket:
                 assert br.lower < v < br.upper
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="nu >= -1/2"):
             pointwise_bracket(-0.51, 1.0)
 
 

@@ -3,6 +3,8 @@ y given to a bound that takes none or missing from one that needs it, with a
 StruveBoundsError that names the cause; every id gives a float or a typed
 error; and calls at one point share one Point."""
 
+import math
+import random
 from contextlib import suppress
 
 import pytest
@@ -77,6 +79,8 @@ class TestArity:
     def test_best_bracket_arg_ratio_needs_y(self):
         with pytest.raises(DomainError, match="give y"):
             best_bracket(1.0, 2.0, target="arg_ratio_L")
+        with pytest.raises(DomainError, match="give no y"):
+            best_bracket(1.0, 2.0, "cond_L", y=3.0)
 
     def test_exact_value_arity(self):
         with pytest.raises(DomainError, match="give y"):
@@ -111,6 +115,31 @@ class TestEveryIdEvaluates:
                         continue
                     if type(value) is not float:
                         bad.append((nu, args, repr(value)))
+        assert not bad, bad[:5]
+
+
+class TestBestBracketEveryTarget:
+    def test_package_routine_is_the_registry_one(self):
+        assert best_bracket is registry.best_bracket
+
+    # seeded draws at every target, y included: the tightest bracket holds
+    # the exact value to a relative 1e-12, or the point raises a typed error
+    @pytest.mark.parametrize("target", sorted(registry.TARGETS))
+    def test_contains_exact_value(self, target):
+        rng = random.Random(f"best_bracket {target}")
+        bad = []
+        for _ in range(500):
+            nu, x = rng.uniform(-1.4, 10.0), math.exp(rng.uniform(math.log(1e-3), math.log(50.0)))
+            y = 60.0 - rng.random() * (60.0 - x) if registry.TARGETS[target] else None
+            try:
+                br = best_bracket(nu, x, target, y)
+                exact = exact_value(target, nu, x, y)
+            except StruveBoundsError:
+                continue
+            slop = 1e-12 * abs(exact)
+            if br.lower_valid and br.lower > exact + slop \
+                    or br.upper_valid and br.upper < exact - slop:
+                bad.append((nu, x, y, br, exact))
         assert not bad, bad[:5]
 
 
