@@ -65,10 +65,12 @@ from .succ_ratio import (
     ratio_refine_step,
 )
 
-# verify loads numpy, which a point query never needs, and only the table names
-# need tables: import each on first use (PEP 562)
-_VERIFY_NAMES = ("Grid", "GridReport", "certify", "certify_all", "certify_eq14_extension",
-                 "default_grid", "monotonicity_suite", "relative_error_table")
+# verify loads numpy, which a point query never needs; certify and the grid
+# names come from certification, which does not, and the table names from
+# tables: import each on first use (PEP 562)
+_CERTIFICATION_NAMES = ("Grid", "GridReport", "certify", "default_grid")
+_VERIFY_NAMES = ("certify_all", "certify_eq14_extension", "monotonicity_suite",
+                 "relative_error_table")
 _TABLES_NAMES = ("TableSpec", "table_by_id")
 
 __all__ = [
@@ -83,11 +85,14 @@ __all__ = [
     "FuncValue", "asym_large_x", "bessel_i", "half_integer_closed", "iv_value", "lv_value",
     "quad_oracle_i", "quad_oracle_l", "recurrence_check", "struve_l", "struve_m",
     "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "ratio_refine_step",
-    *_VERIFY_NAMES, *_TABLES_NAMES,
+    *_CERTIFICATION_NAMES, *_VERIFY_NAMES, *_TABLES_NAMES,
 ]
 
 
 def __getattr__(name: str):
+    if name in _CERTIFICATION_NAMES:
+        from . import certification
+        return getattr(certification, name)
     if name in _VERIFY_NAMES:
         from . import verify
         return getattr(verify, name)

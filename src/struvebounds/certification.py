@@ -1,0 +1,317 @@
+"""Certification of one registered inequality over a grid: Grid,
+default_grid, GridReport, report_csv_rows and certify.
+
+certify checks a bound at every in-range grid point on one of two paths.
+Where a lane set is given, or numpy is loaded already (a sweep, a test
+session), it hands the bound to verify, whose Row path runs the bound's
+formula and its target's exact formula once per order over numpy lanes.
+Otherwise, as for `verify --bound` or certify(id) in a fresh process, it
+runs the same formulas on one special_core.Point per x lane or (x, y) pair
+and records a row of Python floats per order: one bound is a few hundred
+to a few thousand points, which costs less than loading numpy.  A Point
+gives a Row lane's bits, so both paths record the same report.  Where
+Python's float arithmetic raises (a division by zero, an overflowing
+power), numpy gives inf or NaN, so such a bound goes back to the Row path.
+
+This module loads no numpy.  GridReport.record and report_csv_rows take
+Python lists as well as arrays, and reach for numpy only when they are
+given arrays, which only a process that has loaded it can hold.  Grid is a
+brackets.Record and GridReport a plain class, so a cold `verify --bound`
+loads neither dataclasses nor the inspect module it imports.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from itertools import chain, compress, repeat
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional
+
+from . import registry
+from .brackets import Record, _set
+from .special_core import Point
+
+DEFAULT_TOLERANCE = 1e-12
+
+_Y_MULTIPLIERS = (1.5, 3.0, 10.0)
+_Y_CAP = 60.0
+
+# np.logspace(-3, log10(50), 60) bit for bit; 10.0 ** v over the exponents
+# misses numpy's bits on five of them
+_DEFAULT_X = (
+    0.001, 0.0012012780991454903, 0.0014430690714866022, 0.0017335272711310713,
+    0.002082448345081202, 0.0025015995895478183, 0.003005116799755142, 0.0036099809969200357,
+    0.004336591109931442, 0.005209451925309675, 0.006258000506425814, 0.007517598952810717,
+    0.009030726980170586, 0.010848414540641215, 0.013031962798123775, 0.015655011498264863,
+    0.01880602245473641, 0.02259126290691316, 0.027138389362112648, 0.032600752786788874,
+    0.03916257033842578, 0.047045138053795656, 0.056514294015300816, 0.06788938368924992,
+    0.08155402979038094, 0.0979690698842435, 0.11768809804559574, 0.14137613471226132,
+    0.16983205437168203, 0.20401552744958754, 0.2450793850108051, 0.2944084977655257,
+    0.35366648056805, 0.4248517975082626, 0.5103651597292704, 0.6130904889496624,
+    0.7364921771696289, 0.8847319226258554, 1.0628090822653227, 1.2767292740982497,
+    1.533706915512147, 1.842408528112725, 2.2132450145006923, 2.6587227639626247,
+    3.1938654280478653, 3.8367205903318373, 4.608968417706193, 5.5366528198436935,
+    6.651059775050343, 7.989772443875508, 9.597938653983789, 11.529793501972682,
+    13.850488421589754, 16.638288403323944, 19.987211466179463, 24.010199397310984,
+    28.842926692105966, 34.64837615048574, 41.622335440533405, 49.99999999999999,
+)
+
+
+class Grid(Record):
+    """Evaluation grid: a frozen record (brackets.Record) of orders and
+    arguments, each stored as a tuple of floats, finite and sorted strictly
+    increasing."""
+
+    _fields = ("nu_values", "x_values")
+
+    def __init__(self, nu_values, x_values):
+        for name, vals in (("nu_values", nu_values), ("x_values", x_values)):
+            vals = tuple(map(float, vals))
+            # a NaN compares false both ways, so it would pass the order test alone
+            if not all(map(math.isfinite, vals)) or any(b <= a for a, b in zip(vals, vals[1:])):
+                raise ValueError(f"{name} must be finite and sorted strictly increasing")
+            _set(self, name, vals)
+
+    def y_values(self, x: float) -> list[float]:
+        """Second arguments y > x paired with x for the argument-ratio bounds."""
+        ys = []
+        for m in _Y_MULTIPLIERS:
+            y = min(x * m, _Y_CAP)
+            if y > x and y not in ys:
+                ys.append(y)
+        return ys
+
+
+def default_grid() -> Grid:
+    """Fourteen orders spanning every validity edge, sixty log-spaced
+    arguments in [1e-3, 50], and argument pairs y = x * {1.5, 3, 10} capped
+    at 60."""
+    nus = (-1.4, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 5.0, 7.5, 10.0)
+    return Grid(nus, _DEFAULT_X)
+
+
+def _ndarray():
+    """numpy's array type where numpy is loaded, else () (isinstance is
+    False for every value)."""
+    np = sys.modules.get("numpy")
+    return np.ndarray if np is not None else ()
+
+
+def _lane_tuples(nu, x, y, slack, status) -> Iterator[tuple]:
+    """The (nu, x, y, slack, status) tuple of each lane of one recorded row,
+    in Python values: an array gives its tolist(), a list itself, and a
+    scalar (or None) repeats."""
+    array = _ndarray()
+    return zip(*(v.tolist() if isinstance(v, array) else v if isinstance(v, list)
+                 else repeat(v) for v in (nu, x, y, slack, status)))
+
+
+class GridReport:
+    """Outcome of certifying one inequality over a grid.
+
+    Slack is signed and normalized: (upper - exact)/|exact| for upper bounds,
+    (exact - lower)/|exact| for lower bounds.  Negative slack beyond the
+    tolerance is a violation, and so is a slack that is not finite: a bound
+    or an exact value that overflowed or came out NaN certifies nothing.
+    Equality orders are recorded with slack 0.
+
+    The report keeps each recorded row as the arrays or lists it was given,
+    and the summary fields (points_checked, violations, worst_slack,
+    max_rel_gap) as they go; rows, the (nu, x, y, slack, status) tuple of
+    every point, is built from those on each read.  Two reports are equal
+    when their summary fields and rows are.
+    """
+
+    def __init__(self, bound_id: str):
+        self.bound_id = bound_id
+        self.points_checked = 0
+        self.violations: list[tuple] = []
+        self.worst_slack = math.inf
+        self.max_rel_gap = -math.inf
+        self._recorded: list[tuple] = []
+
+    def __repr__(self):
+        return (f"GridReport(bound_id={self.bound_id!r}, points_checked={self.points_checked!r}, "
+                f"violations={self.violations!r}, worst_slack={self.worst_slack!r}, "
+                f"max_rel_gap={self.max_rel_gap!r})")
+
+    def record(self, nu, x, y, slack, tolerance: float, equality: bool) -> None:
+        """Add one point, or one row of points: nu, x, y (None for
+        single-argument targets) and slack may each be arrays or lists of
+        one length.  The report keeps the arrays and lists it is given, so
+        a caller must not write to them afterwards.  A slack given as a
+        list is recorded in Python floats, and any other slack as an array.
+
+        worst_slack is NaN once a lane's slack is NaN or +inf, so that a
+        report is clean exactly when worst_slack >= -tolerance.
+        """
+        if isinstance(slack, list):
+            self._record_list(nu, x, y, list(map(float, slack)), tolerance, equality)
+            return
+        import numpy as np
+        slack = np.atleast_1d(np.asarray(slack, dtype=float))
+        n = slack.size
+        if equality:
+            slack = np.zeros(n)
+        bad = ~np.isfinite(slack) | (slack < -tolerance)
+        status, worst = ("equality" if equality else "ok"), slack
+        if bad.any():
+            status = np.where(bad, "violation", "ok").tolist()
+            worst = np.where(slack == math.inf, math.nan, slack)
+            for lane in compress(_lane_tuples(nu, x, y, slack, status), bad.tolist()):
+                self.violations.append(lane[:4] if y is not None else (*lane[:2], lane[3]))
+        self.points_checked += n
+        self.worst_slack = float(np.minimum.reduce(worst, initial=self.worst_slack))
+        self.max_rel_gap = float(np.fmax.reduce(slack, initial=self.max_rel_gap))
+        self._recorded.append((nu, x, y, slack, status))
+
+    def _record_list(self, nu, x, y, slack: list, tolerance: float, equality: bool) -> None:
+        """record's array branch in Python floats: worst_slack takes the
+        lowest slack, or NaN as np.minimum does once a lane is NaN or +inf,
+        and max_rel_gap the highest slack that is not NaN, as np.fmax."""
+        if equality:
+            slack = [0.0] * len(slack)
+        status = "equality" if equality else "ok"
+        # false for a NaN, for +-inf and for a slack below the tolerance
+        good = [-tolerance <= s < math.inf for s in slack]
+        if all(good):
+            worst = min(slack, default=math.inf)
+            top = max(slack, default=-math.inf)
+        else:
+            status = ["ok" if g else "violation" for g in good]
+            for lane in compress(_lane_tuples(nu, x, y, slack, status), [not g for g in good]):
+                self.violations.append(lane[:4] if y is not None else (*lane[:2], lane[3]))
+            worst = math.nan if any(s != s or s == math.inf for s in slack) else min(slack)
+            top = max((s for s in slack if s == s), default=-math.inf)
+        self.points_checked += len(slack)
+        if worst != worst or worst < self.worst_slack:  # a NaN worst_slack stays
+            self.worst_slack = worst
+        if top > self.max_rel_gap:
+            self.max_rel_gap = top
+        self._recorded.append((nu, x, y, slack, status))
+
+    def _row_tuples(self) -> Iterator[tuple]:
+        return chain.from_iterable(_lane_tuples(*r) for r in self._recorded)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """(nu, x, y, slack, status) of every recorded point in record
+        order, status "ok", "violation" or "equality"; a new list on each
+        read."""
+        return list(self._row_tuples())
+
+    def __eq__(self, other):
+        if not isinstance(other, GridReport):
+            return NotImplemented
+        key = attrgetter("bound_id", "points_checked", "violations", "worst_slack",
+                         "max_rel_gap", "rows")
+        return key(self) == key(other)
+
+    @property
+    def clean(self) -> bool:
+        return not self.violations
+
+
+def _check_tolerance(tolerance: float) -> None:
+    """A NaN or infinite tolerance would pass every slack, so it must be a
+    finite number >= 0."""
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
+
+
+def certify(bound_id: str, grid: Optional[Grid] = None,
+            tolerance: float = DEFAULT_TOLERANCE, *,
+            lanes: Optional[dict] = None) -> GridReport:
+    """Check one registered inequality at every in-range grid point.
+
+    The bound reads one lane set, the grid's x lanes or its (x, y) pairs,
+    at each in-range order: its formula and its target's exact formula run
+    there once per order.  lanes maps takes_y to a numpy lane set with its
+    series filled (verify._lane_sets), as certify_all passes to every
+    bound, and sends the bound to verify's Row path, as does a process that
+    has loaded numpy already; otherwise the lanes are special_core.Points
+    (_certify_points).
+    """
+    _check_tolerance(tolerance)
+    spec = registry.get_bound(bound_id)
+    grid = grid or default_grid()
+    nus = [nu for nu in grid.nu_values if spec.valid_at(nu)]
+    if lanes is None and "numpy" not in sys.modules:
+        try:
+            return _certify_points(spec, grid, nus, tolerance)
+        except ArithmeticError:
+            pass  # Python raised where numpy forms inf or NaN, which the Row path records
+    from . import verify
+    return verify._certify_rows(spec, grid, nus, tolerance, lanes)
+
+
+def _slack(side: str, bound: float, exact: float) -> float:
+    """verify._slack at one point: the difference over |exact|, with 1e-300
+    in place of a zero exact value."""
+    diff = bound - exact if side == "upper" else exact - bound
+    return diff / (abs(exact) if exact != 0.0 else 1e-300)
+
+
+def _certify_points(spec, grid: Grid, nus: list[float], tolerance: float) -> GridReport:
+    """certify on one Point per lane of verify._grid_row's lane set, in its
+    order: each Point is read at every order, the orders outermost, and
+    each order records one row of Python floats, so the report's rows and
+    CSV lines come out as the Row path makes them."""
+    report = GridReport(spec.bound_id)
+    if not nus:  # no lane is read, so none is checked, as on the Row path
+        return report
+    if registry.needs_y(spec):
+        pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        points = [Point(x, y) for x, y in pairs]
+    else:
+        xs, ys = list(grid.x_values), None
+        points = [Point(x) for x in xs]
+    if not points:
+        return report
+    f, exact, side = spec.formula, registry.EXACT[spec.target], spec.side
+    for nu in nus:
+        if ys is None:
+            values = [(f(nu, P.x, P), exact(nu, P.x, P)) for P in points]
+        else:
+            values = [(f(nu, P.x, P.y, P), exact(nu, P.x, P.y, P)) for P in points]
+        report.record(nu, xs, ys, [_slack(side, b, e) for b, e in values], tolerance,
+                      spec.is_equality_at(nu))
+    return report
+
+
+def _lane_texts(v, memo: dict) -> Iterable[str]:
+    """The repr of each lane of one recorded nu, x or y: a float array's
+    once per distinct value, kept in memo by its bits (so 0.0 and -0.0 stay
+    apart), any other array's or list's lane by lane, and a scalar's once
+    for the row (None is the empty text)."""
+    if isinstance(v, list):
+        return map(repr, v)
+    if not isinstance(v, _ndarray()):
+        return repeat("" if v is None else repr(v))
+    import numpy as np
+    if v.dtype == np.float64:
+        bits, at = np.unique(v.view(np.int64), return_inverse=True)
+        texts = []
+        for key, value in zip(bits.tolist(), bits.view(np.float64).tolist()):
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = repr(value)
+            texts.append(text)
+        return map(texts.__getitem__, at.tolist())
+    return map(repr, v.tolist())
+
+
+def report_csv_rows(report: GridReport) -> Iterable[str]:
+    """Serialize a report, one line per grid point.  Only the slack's text
+    is formed per lane; nu, x and y recorded as arrays take theirs once per
+    distinct value of the report (_lane_texts)."""
+    yield "bound_id,nu,x,y,slack,status"
+    memo: dict = {}
+    for nu, x, y, slack, status in report._recorded:
+        for nu_s, x_s, y_s, slack_s, status_s in zip(
+                _lane_texts(nu, memo), _lane_texts(x, memo), _lane_texts(y, memo),
+                map(repr, slack if isinstance(slack, list) else slack.tolist()),
+                repeat(status) if isinstance(status, str) else status):
+            yield f"{report.bound_id},{nu_s},{x_s},{y_s},{slack_s},{status_s}"

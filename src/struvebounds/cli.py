@@ -3,9 +3,11 @@
 Subcommands: eval, bracket, cond, argratio, table, verify, crossover.
 Exit codes: 0 success, 1 domain or usage error, 2 when verification finds
 violations.  Nothing is configurable: no option or environment variable
-changes how a value is computed.  Only the verify command imports verify,
-and with it numpy; table reads tables and crossover the registry, point by
-point, and eval loads numpy only where M takes its stable route.
+changes how a value is computed.  Only verify --all and the eq14
+experiment import verify, and with it numpy: verify --bound certifies its
+one bound on points through certification, table reads tables and
+crossover the registry, point by point, and a command loads numpy only
+where M takes its stable route.
 """
 
 from __future__ import annotations
@@ -147,16 +149,22 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import verify
-    grid = verify.default_grid()
-    reports = (verify.certify_all(grid) + verify.monotonicity_suite()
-               if args.all else [verify.certify(args.bound, grid)])
+    from . import certification
+    grid = certification.default_grid()
+    if args.all:
+        from . import verify
+        reports = verify.certify_all(grid) + verify.monotonicity_suite()
+    else:  # before verify is imported, so the bound is certified on points
+        reports = [certification.certify(args.bound, grid)]
     # the experiment is informational: its failures never set the exit code
     exit_code = 2 if any(rep.violations for rep in reports) else 0
-    experiment = [verify.certify_eq14_extension(grid)] if args.experimental else []
+    experiment = []
+    if args.experimental:
+        from . import verify
+        experiment.append(verify.certify_eq14_extension(grid))
     if args.format == "csv":
         for i, rep in enumerate(reports + experiment):
-            lines = verify.report_csv_rows(rep)
+            lines = certification.report_csv_rows(rep)
             if i:
                 next(lines)  # one header for all reports
             text = "\n".join(lines)  # one write per report, not per line

@@ -1,5 +1,5 @@
-"""Grid certification of every registered inequality, reference error tables
-and the monotonicity/Turan property suites.
+"""The certification sweeps (certify_all, monotonicity_suite), certify's
+Row path, reference error tables and the eq14 extension probe.
 
 Certification works a row at a time: for each (bound, order) the bound's
 formula and its target's exact formula each run once as numpy arrays over
@@ -23,158 +23,34 @@ inside certification always come from the power-series route; the
 quadrature oracle is reserved for cross-validating the series itself, so a
 certification failure can never be self-confirming.
 
-The relative-error tables are computed point by point and live in tables,
-which loads no numpy; this module re-exports their names and gives
-relative_error_table, the cells as an ndarray.  crossover lives in
-registry, which loads no numpy either, and is re-exported here: its
-pre-scan runs over one Row where numpy is loaded already, as in a sweep,
-and point by point where it is not.
-
-Grid and GridReport stay dataclasses, unlike the point path's records
-(brackets.Record): GridReport is mutable, and this module loads numpy,
-which imports inspect and ast itself, so plain classes here would add code
-and save no import time.
+Grid, default_grid, GridReport, report_csv_rows and certify live in
+certification, which loads no numpy: where numpy is not loaded yet, as for
+`verify --bound` in a fresh process, certify runs one bound on
+special_core.Points and never reaches this module; otherwise it comes here
+(_certify_rows).  The relative-error tables are computed point by point
+and live in tables, and crossover lives in registry, whose pre-scan runs
+over one Row where numpy is loaded already and point by point where it is
+not.  This module re-exports all of their names and gives
+relative_error_table, the cells as an ndarray.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
-from operator import attrgetter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import registry, rows
+# certify and the names it records in live in certification, which loads no
+# numpy; they stay reachable here
+from .certification import (DEFAULT_TOLERANCE, Grid, GridReport, _check_tolerance, certify,
+                            default_grid, report_csv_rows)
 # crossover lives in registry, which loads no numpy; its name stays reachable here
 from .registry import crossover
 from .special_core import _L_FLOOR, ORDER_TOL, recurrence_residuals
 # the tables live in tables, which loads no numpy; their names stay reachable here
 from .tables import (TABLES, TableSpec, parse_table_csv, relative_error_cells,
                      render_table_csv, render_table_text, table_by_id)
-
-DEFAULT_TOLERANCE = 1e-12
-
-_Y_MULTIPLIERS = (1.5, 3.0, 10.0)
-_Y_CAP = 60.0
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Evaluation grid; orders and arguments are sorted strictly increasing."""
-
-    nu_values: tuple[float, ...]
-    x_values: tuple[float, ...]
-
-    def __post_init__(self):
-        for name, vals in (("nu_values", self.nu_values), ("x_values", self.x_values)):
-            if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise ValueError(f"{name} must be sorted strictly increasing")
-
-    def y_values(self, x: float) -> list[float]:
-        """Second arguments y > x paired with x for the argument-ratio bounds."""
-        ys = []
-        for m in _Y_MULTIPLIERS:
-            y = min(x * m, _Y_CAP)
-            if y > x and y not in ys:
-                ys.append(y)
-        return ys
-
-
-def default_grid() -> Grid:
-    """Fourteen orders spanning every validity edge, sixty log-spaced
-    arguments in [1e-3, 50], and argument pairs y = x * {1.5, 3, 10} capped
-    at 60."""
-    nus = (-1.4, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.5, 5.0, 7.5, 10.0)
-    xs = tuple(float(v) for v in np.logspace(-3.0, math.log10(50.0), 60))
-    return Grid(nus, xs)
-
-
-def _lane_tuples(nu, x, y, slack, status) -> Iterator[tuple]:
-    """The (nu, x, y, slack, status) tuple of each lane of one recorded row,
-    in Python values: an array gives its tolist(), a list itself, and a
-    scalar (or None) repeats."""
-    return zip(*(v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list)
-                 else repeat(v) for v in (nu, x, y, slack, status)))
-
-
-@dataclass(eq=False)
-class GridReport:
-    """Outcome of certifying one inequality over a grid.
-
-    Slack is signed and normalized: (upper - exact)/|exact| for upper bounds,
-    (exact - lower)/|exact| for lower bounds.  Negative slack beyond the
-    tolerance is a violation, and so is a slack that is not finite: a bound
-    or an exact value that overflowed or came out NaN certifies nothing.
-    Equality orders are recorded with slack 0.
-
-    The report keeps each recorded row as the arrays it was given, and the
-    summary fields (points_checked, violations, worst_slack, max_rel_gap)
-    as they go; rows, the (nu, x, y, slack, status) tuple of every point, is
-    built from those arrays on each read.  Two reports are equal when their
-    summary fields and rows are.
-    """
-
-    bound_id: str
-    points_checked: int = 0
-    violations: list[tuple] = field(default_factory=list)
-    worst_slack: float = math.inf
-    max_rel_gap: float = -math.inf
-    _recorded: list[tuple] = field(default_factory=list, init=False, repr=False)
-
-    def record(self, nu, x, y, slack, tolerance: float, equality: bool) -> None:
-        """Add one point, or one row of points: nu, x, y (None for
-        single-argument targets) and slack may each be arrays or lists of
-        one length.  The report keeps the arrays and lists it is given, so
-        a caller must not write to them afterwards.
-
-        worst_slack is NaN once a lane's slack is NaN or +inf, so that a
-        report is clean exactly when worst_slack >= -tolerance.
-        """
-        slack = np.atleast_1d(np.asarray(slack, dtype=float))
-        n = slack.size
-        if equality:
-            slack = np.zeros(n)
-        bad = ~np.isfinite(slack) | (slack < -tolerance)
-        status, worst = ("equality" if equality else "ok"), slack
-        if bad.any():
-            status = np.where(bad, "violation", "ok").tolist()
-            worst = np.where(slack == math.inf, math.nan, slack)
-            for lane in compress(_lane_tuples(nu, x, y, slack, status), bad.tolist()):
-                self.violations.append(lane[:4] if y is not None else (*lane[:2], lane[3]))
-        self.points_checked += n
-        self.worst_slack = float(np.minimum.reduce(worst, initial=self.worst_slack))
-        self.max_rel_gap = float(np.fmax.reduce(slack, initial=self.max_rel_gap))
-        self._recorded.append((nu, x, y, slack, status))
-
-    def _row_tuples(self) -> Iterator[tuple]:
-        return chain.from_iterable(_lane_tuples(*r) for r in self._recorded)
-
-    @property
-    def rows(self) -> list[tuple]:
-        """(nu, x, y, slack, status) of every recorded point in record
-        order, status "ok", "violation" or "equality"; a new list on each
-        read."""
-        return list(self._row_tuples())
-
-    def __eq__(self, other):
-        if not isinstance(other, GridReport):
-            return NotImplemented
-        key = attrgetter("bound_id", "points_checked", "violations", "worst_slack",
-                         "max_rel_gap", "rows")
-        return key(self) == key(other)
-
-    @property
-    def clean(self) -> bool:
-        return not self.violations
-
-
-def _check_tolerance(tolerance: float) -> None:
-    """A NaN or infinite tolerance would pass every slack, so it must be a
-    finite number >= 0."""
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
 def _grid_row(grid: Grid, takes_y: bool) -> Optional[rows.Row]:
@@ -198,24 +74,16 @@ def _lane_sets(grid: Grid, orders_by_takes_y: dict) -> dict:
     return lanes
 
 
-def certify(bound_id: str, grid: Optional[Grid] = None,
-            tolerance: float = DEFAULT_TOLERANCE, *,
-            lanes: Optional[dict] = None) -> GridReport:
-    """Check one registered inequality at every in-range grid point.
-
-    The bound reads one lane set, the grid's x lanes or its (x, y) pairs:
-    at each in-range order its formula (rows.bound_row) and its target's
-    exact formula (Row.exact, kept per target and order) run once over the
-    lanes.  lanes maps takes_y to a lane set with its series filled
-    (_lane_sets), as certify_all passes to every bound; without it,
-    certify builds and fills its own at the bound's valid orders.
-    """
-    _check_tolerance(tolerance)
-    spec = registry.get_bound(bound_id)
-    grid = grid or default_grid()
-    report = GridReport(bound_id)
+def _certify_rows(spec: registry.BoundSpec, grid: Grid, nus: list[float],
+                  tolerance: float, lanes: Optional[dict]) -> GridReport:
+    """certify's Row path: the bound reads one lane set, the grid's x lanes
+    or its (x, y) pairs, and at each in-range order nus its formula
+    (rows.bound_row) and its target's exact formula (Row.exact, kept per
+    target and order) run once over the lanes.  lanes maps takes_y to a
+    lane set with its series filled (_lane_sets), as certify_all passes to
+    every bound; without it, this builds and fills its own at nus."""
+    report = GridReport(spec.bound_id)
     takes_y = registry.needs_y(spec)
-    nus = [nu for nu in grid.nu_values if spec.valid_at(nu)]
     P = (_lane_sets(grid, {takes_y: nus}) if lanes is None else lanes)[takes_y]
     if P is None:
         return report
@@ -271,38 +139,6 @@ def certify_eq14_extension(grid: Optional[Grid] = None,
         pd = rows.exact_row("product_diff_L", P, nu)
         report.record(nu, P.x, None, _relative(pd, pd), tolerance, False)
     return report
-
-
-def _lane_texts(v, memo: dict) -> Iterable[str]:
-    """The repr of each lane of one recorded nu, x or y: a float array's
-    once per distinct value, kept in memo by its bits (so 0.0 and -0.0 stay
-    apart), any other array's or list's lane by lane, and a scalar's once
-    for the row (None is the empty text)."""
-    if isinstance(v, np.ndarray) and v.dtype == np.float64:
-        bits, at = np.unique(v.view(np.int64), return_inverse=True)
-        texts = []
-        for key, value in zip(bits.tolist(), bits.view(np.float64).tolist()):
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = repr(value)
-            texts.append(text)
-        return map(texts.__getitem__, at.tolist())
-    if isinstance(v, (list, np.ndarray)):
-        return map(repr, v if isinstance(v, list) else v.tolist())
-    return repeat("" if v is None else repr(v))
-
-
-def report_csv_rows(report: GridReport) -> Iterable[str]:
-    """Serialize a report, one line per grid point.  Only the slack's text
-    is formed per lane; nu, x and y take theirs once per distinct value
-    of the report (_lane_texts)."""
-    yield "bound_id,nu,x,y,slack,status"
-    memo: dict = {}
-    for nu, x, y, slack, status in report._recorded:
-        for nu_s, x_s, y_s, slack_s, status_s in zip(
-                _lane_texts(nu, memo), _lane_texts(x, memo), _lane_texts(y, memo),
-                map(repr, slack.tolist()), repeat(status) if isinstance(status, str) else status):
-            yield f"{report.bound_id},{nu_s},{x_s},{y_s},{slack_s},{status_s}"
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 import struvebounds
 from struvebounds import lv_value, registry, struve_m, verify
+from struvebounds.certification import Grid, default_grid
 from struvebounds.cli import main
 from struvebounds.registry import REGISTRY, BoundSpec
 from struvebounds.verify import parse_table_csv
@@ -357,6 +359,9 @@ POINT_COMMANDS = [
     ["cond", "--nu", "1", "--x", "5"],
     ["argratio", "--nu", "0.5", "--x", "1", "--y", "2"],
     ["table", "--id", "1"],  # every cell is a point query
+    # one bound is certified on points where numpy is not loaded yet
+    ["verify", "--bound", "eq20_upper"],
+    ["verify", "--bound", "eq38_lower"],  # the argument ratio, over (x, y) pairs
 ]
 
 # the benchmark's twelve table commands: each table in both formats
@@ -365,7 +370,7 @@ TABLE_COMMANDS = [["table", "--id", str(i), "--format", fmt]
 
 ARRAY_COMMANDS = {
     "eval-M-stable": ["eval", "--kind", "M", "--nu", "1", "--x", "30"],
-    "verify": ["verify", "--bound", "eq20_upper"],
+    "verify": ["verify", "--all"],  # the sweeps run over numpy lanes
 }
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -474,13 +479,135 @@ class TestCrossoverScanPaths:
         assert row[-3][0] == "DomainError" and "underflows" in row[-3][1]
 
 
+# certify's report for each ["certify", bound id, grid name] job, and verify
+# --bound's exit code and output for each ["verify", bound id, format] job,
+# with two fake bounds registered: one whose slack is NaN, +inf or -inf at
+# some lanes, and one that divides by zero, which raises at a point and
+# gives inf over numpy lanes.  Floats are compared by their repr, so NaN
+# equals NaN and every bit counts.  GRIDS maps each grid name to its Grid.
+CERTIFY_SCRIPT = """
+import contextlib, io, json, math, sys
+from struvebounds import StruveBoundsError, certify, cli
+from struvebounds.registry import BoundSpec
+def _nonfinite(x):
+    return math.nan if x < 0.01 else math.inf if x > 30.0 else -math.inf if 1.0 < x < 1.3 else 0.25
+FAKES = {
+    "fake_nonfinite": BoundSpec("fake_nonfinite", "b_kernel", "upper", -1.5, True,
+                                lambda n, x, P: P.map(_nonfinite, x)),
+    "fake_zero_division": BoundSpec("fake_zero_division", "b_kernel", "upper", -1.5, True,
+                                    lambda n, x, P: 1.0 / (x - x)),
+}
+def outcome(job):
+    kind, bound_id, how = job
+    if kind == "certify":
+        try:
+            rep = certify(bound_id, GRIDS[how])
+        except StruveBoundsError as exc:
+            return [type(exc).__name__, str(exc)]
+        return [rep.bound_id, rep.points_checked, *map(repr, (
+            rep.violations, rep.worst_slack, rep.max_rel_gap, rep.rows))]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["verify", "--bound", bound_id, "--format", how])
+    return [code, out.getvalue()]
+"""
+
+# the names of the functions on the stack where numpy was first imported
+FRESH_CERTIFY = """
+import sys, traceback
+class NumpyWatch:
+    stack = None
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and NumpyWatch.stack is None:
+            NumpyWatch.stack = [frame.name for frame in traceback.extract_stack()]
+sys.meta_path.insert(0, NumpyWatch())
+""" + CERTIFY_SCRIPT + """
+from struvebounds import registry
+from struvebounds.certification import Grid
+# the grids' lanes come from the command line: this process loads no numpy
+GRIDS = {name: Grid(*lanes) for name, lanes in json.loads(sys.argv[1]).items()}
+registry.REGISTRY.update(FAKES)
+print(json.dumps([[outcome(job) for job in json.loads(sys.argv[2])], NumpyWatch.stack]))
+"""
+
+# the bounds whose exact value, the product difference, reads M, whose
+# stable route imports numpy
+STABLE_M_BOUNDS = ("eq14_positivity", "eq15_upper", "eq16_upper")
+
+
+class TestCertifyPaths:
+    """certify runs one bound over one rows.Row per lane set where numpy is
+    loaded already (this process) and on special_core.Points where it is
+    not (a fresh one); a Row gives a point's bits, so both give the same
+    reports and verify --bound the same output.  A bound whose Python
+    arithmetic raises at a point goes back to the Row path."""
+
+    def test_point_and_row_reports_agree(self, monkeypatch):
+        grids = {
+            "default": default_grid(),
+            "small": Grid((-0.5, 0.0, 0.5, 1.0, 2.5, 10.0),
+                          np.logspace(-2, math.log10(30.0), 10).tolist()),
+            # test_rows_without_lanes_are_skipped's grids: no (x, y) pair, no x at all
+            "no_pairs": Grid((1.0,), (100.0,)),
+            "no_args": Grid((0.0, 1.0), ()),
+            # an x past X_MAX: an error where the bound is valid at -1.4, and
+            # an empty report where it reads no lane
+            "past_x_max": Grid((-1.4,), (1000.0,)),
+        }
+        grid_arg = json.dumps({name: [g.nu_values, g.x_values] for name, g in grids.items()})
+
+        def jobs(bound_id):
+            return [["certify", bound_id, name] for name in grids] + [
+                ["verify", bound_id, fmt] for fmt in ("text", "csv")]
+
+        point_free = [job for bid in registry.bound_ids() + ["fake_nonfinite"]
+                      if bid not in STABLE_M_BOUNDS for job in jobs(bid)]
+        # once numpy is loaded the next bound takes the Row path: one process
+        # per job that loads it, two at a time
+        stable_m = [job for bid in STABLE_M_BOUNDS for job in jobs(bid)]
+        fallback = ["certify", "fake_zero_division", "small"]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            fresh = list(pool.map(lambda some: run_fresh(FRESH_CERTIFY, grid_arg, json.dumps(some)),
+                                  [point_free, [fallback]] + [[job] for job in stable_m]))
+        point, numpy_stack = fresh[0]
+        assert numpy_stack is None
+        (got,), numpy_stack = fresh[1]
+        point.append(got)
+        assert numpy_stack is not None  # the Row path's
+        for job, ((got,), numpy_stack) in zip(stable_m, fresh[2:]):
+            point.append(got)
+            if job[2] == "default":
+                assert numpy_stack is not None, job
+            assert numpy_stack is None or "_mv_stable" in numpy_stack, (job, numpy_stack)
+
+        scope = {"GRIDS": grids}
+        exec(CERTIFY_SCRIPT, scope)
+        for name, spec in scope["FAKES"].items():
+            monkeypatch.setitem(REGISTRY, name, spec)
+        assert "numpy" in sys.modules
+        with np.errstate(divide="ignore"):
+            row = [scope["outcome"](job) for job in point_free + [fallback] + stable_m]
+        assert point == row
+        # the fake bounds' NaN, +inf and -inf lanes were recorded and reported
+        fake = dict(zip(map(tuple, point_free + [fallback]), row))
+        _, points, violations, worst, gap, _ = fake["certify", "fake_nonfinite", "default"]
+        assert worst == "nan" and gap == "inf" and points == 14 * 60
+        assert all(s in violations for s in ("nan", "inf", "-inf"))
+        assert fake["verify", "fake_nonfinite", "text"][0] == 2
+        assert fake["certify", "eq12_upper", "past_x_max"] == [
+            "OverflowRisk", "argument 1000.0 exceeds x_max=600.0"]
+        assert fake["certify", "eq17_upper", "past_x_max"][:2] == ["eq17_upper", 0]
+        _, points, _, worst, gap, _ = fake[tuple(fallback)]
+        assert worst == "nan" and gap == "inf" and points == 6 * 10
+
+
 class TestNumpyOffThePointPath:
     """Only sweeps and the stable M route use arrays, so numpy loads only
-    for them (verify and a cancelling M): not at import, not for a point
-    command, not for table, whose cells are point queries, and not for
-    crossover, whose pre-scan runs point by point unless numpy is loaded
-    already.  The point path's records, TableSpec among them, are plain
-    classes, so dataclasses and inspect stay unloaded there too."""
+    for them (verify --all and a cancelling M): not at import, not for a
+    point command, not for table, whose cells are point queries, and not
+    for crossover or verify --bound, whose pre-scan and certification run
+    point by point unless numpy is loaded already.  The point path's
+    records, TableSpec, Grid and GridReport among them, are plain classes,
+    so dataclasses and inspect stay unloaded there too."""
 
     def test_import_and_point_commands_leave_numpy_unloaded(self):
         assert guard_report(POINT_COMMANDS) == (

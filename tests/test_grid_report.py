@@ -137,3 +137,39 @@ class TestNonFiniteSlack:
         rep.record(0.5, np.array([1.0, 2.0]), None, np.array([math.nan, -1.0]), 1e-12, True)
         assert rep.clean and rep.worst_slack == 0.0 and rep.max_rel_gap == 0.0
         assert rep.rows == [(0.5, 1.0, None, 0.0, "equality"), (0.5, 2.0, None, 0.0, "equality")]
+
+
+def _views(rep):
+    """Everything a report shows, floats by their repr (NaN equals NaN)."""
+    return [rep.points_checked, *map(repr, (rep.violations, rep.worst_slack, rep.max_rel_gap,
+                                            rep.rows)), list(report_csv_rows(rep))]
+
+
+class TestListRows:
+    """A row recorded as Python lists, as certify's point path records it,
+    gives the report the same views as the row recorded as arrays."""
+
+    @pytest.mark.parametrize("rows", [
+        # (nu, x, y, slack, tolerance, equality) rows recorded in turn
+        [(0.5, [1.0, 2.0], None, [0.25, 0.125], 1e-12, False),
+         (5.0, [1.0, 2.0, 3.0], None, [1e-3, -1e-9, 2e-3], 1e-12, False)],
+        [(1.0, [1.0, 2.0, 3.0], None, [0.5, math.nan, 0.25], 1e-12, False),
+         (1.0, [4.0], None, [0.125], 1e-12, False)],
+        [(1.0, [1.0, 2.0], [3.0, 4.0], [0.5, math.inf], 1e-12, False)],
+        [(1.0, [1.0, 2.0], [3.0, 4.0], [-math.inf, 0.5], 1e-12, False),
+         (2.0, [1.0], [3.0], [math.nan], 1e-12, False)],
+        [(1.0, [1.0, 2.0], None, [math.nan, math.nan], 1e-12, False)],
+        [(0.5, [1.0, 2.0], None, [math.nan, -1.0], 1e-12, True),
+         (1.0, [1.0, 2.0], None, [-1e-13, 0.0], 0.0, False)],
+        [(0.5, [1.0, 2.0], None, [math.nan, math.inf], 1e-12, False),
+         (1.0, [1.0, 2.0], None, [-5.0, 7.0], 1e-12, False)],
+    ], ids=["finite", "nan", "inf", "minus-inf-then-nan", "all-nan", "equality", "nan-stays"])
+    def test_lists_and_arrays_record_alike(self, rows):
+        by_lists, by_arrays = GridReport("r"), GridReport("r")
+        for nu, x, y, slack, tolerance, equality in rows:
+            by_lists.record(nu, x, y, slack, tolerance, equality)
+            by_arrays.record(nu, np.array(x), None if y is None else np.array(y),
+                             np.array(slack), tolerance, equality)
+        assert _views(by_lists) == _views(by_arrays)
+        for row in by_lists.rows:
+            assert all(type(v) is float for v in row[:4] if v is not None)

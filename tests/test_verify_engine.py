@@ -311,9 +311,29 @@ class TestDefaultGrid:
         assert g.y_values(50.0) == [60.0]
         assert g.y_values(1.0) == [1.5, 3.0, 10.0]
 
+    def test_x_values_are_numpys_logspace(self):
+        # literals, so that the grid is built without numpy
+        assert default_grid().x_values == tuple(
+            np.logspace(-3.0, math.log10(50.0), 60).tolist())
+
     def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            Grid((1.0, 0.5), (1.0, 2.0))
+        for nus, xs in [((1.0, 0.5), (1.0, 2.0)),
+                        # a NaN compares false both ways, so it passes a sortedness check alone
+                        ((1.0, math.nan, 0.5), (1.0,)),
+                        ((1.0,), (math.nan,)),
+                        ((0.0, math.inf), (1.0,)),
+                        ((1.0,), (1.0, math.inf)),
+                        ((-math.inf, 0.0), (1.0,))]:
+            with pytest.raises(ValueError, match="finite and sorted strictly increasing"):
+                Grid(nus, xs)
+
+    def test_stores_tuples_of_floats(self):
+        g = Grid([0, 1], np.array([1.0, 2.0]))
+        assert g.nu_values == (0.0, 1.0) and g.x_values == (1.0, 2.0)
+        assert all(type(v) is float for v in g.nu_values + g.x_values)
+        assert g == Grid((0.0, 1.0), (1.0, 2.0)) and hash(g) == hash(Grid((0.0, 1.0), (1.0, 2.0)))
+        with pytest.raises(AttributeError):
+            g.x_values = ()
 
 
 class TestRows:
