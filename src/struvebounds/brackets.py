@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidBracket
+
 # sets a field past Record.__setattr__.  Writing self.__dict__ instead would
 # build an instance dict, and on CPython 3.11 every later attribute read
 # then takes a dict lookup: about three times slower, and the registry
@@ -75,7 +77,7 @@ class Bracket(Record):
         _set(self, "lower_id", lower_id)
         _set(self, "upper_id", upper_id)
         if lower_valid and upper_valid and not in_order(lower, upper):
-            raise ValueError(f"bracket sides out of order: [{lower}, {upper}]")
+            raise InvalidBracket(f"bracket sides out of order: [{lower}, {upper}]")
 
     @property
     def width(self) -> float:

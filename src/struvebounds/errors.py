@@ -17,8 +17,9 @@ class OverflowRisk(StruveBoundsError):
     """The argument is large enough that double precision would degrade."""
 
 
-class InvalidBracket(StruveBoundsError):
-    """A bracket with lower > upper was supplied where a valid one is required."""
+class InvalidBracket(StruveBoundsError, ValueError):
+    """A bracket's sides are out of order (lower > upper), as given or as
+    computed; also a ValueError, which Bracket raised before this type."""
 
 
 class NoValidBound(StruveBoundsError):

@@ -38,7 +38,7 @@ from . import condition as _cd
 from . import succ_ratio as _sr
 from .brackets import Bracket, Record, _set
 from .errors import (DomainError, MultipleSignChanges, NoSignChange, NoValidBound,
-                     UnknownBound)
+                     OverflowRisk, UnknownBound)
 from .special_core import ORDER_TOL, Point
 
 # each target a registered inequality can bound, and whether it reads y
@@ -105,9 +105,16 @@ class BoundSpec(Record):
         _set(self, "equality_at", equality_at)
 
     def evaluate(self, nu: float, x: float, y: Optional[float] = None) -> float:
-        """The bound at one point, as a Python float."""
+        """The bound at one point, as a Python float.  Python arithmetic that
+        fails in the formula (math's range error, a division by zero) raises
+        OverflowRisk or DomainError naming the bound and the point."""
         P = _point(self.target, nu, x, y)
-        return float(self.formula(nu, x, P) if y is None else self.formula(nu, x, y, P))
+        try:
+            return float(self.formula(nu, x, P) if y is None else self.formula(nu, x, y, P))
+        except ArithmeticError as exc:
+            error = OverflowRisk if isinstance(exc, OverflowError) else DomainError
+            at = f"nu={nu}, x={x}" if y is None else f"nu={nu}, x={x}, y={y}"
+            raise error(f"{self.bound_id} at {at}: {exc}") from exc
 
     def valid_at(self, nu: float) -> bool:
         if self.nu_min_strict:

@@ -3,9 +3,10 @@
 fill_series_row sums many series at once, one lane per (nu, x), doing the
 scalar kernel's floating-point operations in the same order, so every value
 is bit-identical to the scalar one.  A Row is a lane set: a Point over numpy
-lanes x (and y), whose primitives are kept by the order they are asked for,
-so a sweep builds one Row per lane set and computes each lane's work once
-for all its orders.  exact_row and bound_row run a target's exact formula
+lanes x (and y), whose primitives are kept in Point's store by the order
+they are asked for, the Row supplying only the steps that compute them, so
+a sweep builds one Row per lane set and computes each lane's work once for
+all its orders.  exact_row and bound_row run a target's exact formula
 and a bound's formula over a Row at an order given to them.  Only this
 module and verify import numpy at module level, so a point query never
 loads it.
@@ -30,8 +31,20 @@ from . import special_core
 from .errors import DomainError
 from .registry import EXACT, BoundSpec
 from .special_core import (_ELEMENTARY, _L_FLOOR, _LOG_MAG_MAX, _TINY, GAMMA_ARG_MAX, REL_TOL,
-                           SQRT_PI, X_MAX, Point, _cancels, _first_term, _gamma_pair, _lazy,
+                           SQRT_PI, X_MAX, Point, _cancels, _first_term, _gamma_pair,
                            _mv_stable, _series, _series_setup, kernel_b)
+
+
+def _lazy(method):
+    """Compute method's value on its first call with these positional
+    arguments and keep it in self._got."""
+    def get(self, *args):
+        key = (method, args)
+        got = self._got.get(key)
+        if got is None:
+            got = self._got[key] = method(self, *args)
+        return got
+    return get
 
 
 def _map_lanes(f, *args):
@@ -128,8 +141,10 @@ class Row(Point):
     """Point's primitives over numpy lanes x (and y): a lane set, read by
     the formulas at any order they pass.
 
-    Every primitive is kept per the order it is asked for (I, L, M, a, b
-    and exact) or per lane names (of), so a sweep builds one Row per lane
+    Every primitive is kept per the order it is asked for: I, L, M, a and b
+    in Point's store, of which a Row replaces only the compute steps
+    (_series, _m, _b), and exact and of, keyed by their positional
+    arguments (_lazy), in the same dict.  So a sweep builds one Row per lane
     set and computes each lane's work once for all its orders.
     Arithmetic runs in numpy, which rounds as Python does; the elementary
     functions are math's lane by lane, because numpy's exp, tanh, log, hypot
@@ -154,8 +169,7 @@ class Row(Point):
         super().__init__(x, y)
         self.given: dict = {}
 
-    @_lazy
-    def M(self, order: float):
+    def _m(self, order):
         """struve_m's rule over the lanes: L - I and _cancels' test are IEEE
         arithmetic, so numpy gives their bits; only the cancelling lanes
         take _mv_stable, lane by lane."""
@@ -165,14 +179,11 @@ class Row(Point):
             m[i] = _mv_stable(order, self.x[i].item())[0]
         return m
 
-    @_lazy
-    def b(self, order: float):
+    def _b(self, order):
         """kernel_b over the lanes: the gamma factor once per order, the power
         lane by lane, and the quotient in numpy.  A lane whose quotient is
         not in (0, inf) (the power overflowed, or lv is 0) runs kernel_b
         itself, which gives its log-space value or raises its error."""
-        if not math.isfinite(order) or order <= -1.5:
-            raise DomainError(f"kernel requires nu > -3/2, got {order}")
         lv = self.L(order)
         if order + 1.5 >= GAMMA_ARG_MAX:
             return _map_lanes(kernel_b, order, self.x, lv)

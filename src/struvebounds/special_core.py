@@ -17,9 +17,12 @@ raises ConvergenceError.
 
 Point holds the primitives every bound formula reads at one argument: I, L
 and M at any order, the kernel b (kernel_b) and the recurrence term, computed
-on first use and kept for the life of the object; it is the package's one
-scalar cache, and the registry reuses the Point of its last call.  rows.Row
-is the same over numpy lanes.  Only the tanh-sinh rule uses arrays here,
+on first use and kept for the life of the object in one flat dict, keyed by
+the primitive's name, the order and, for I and L, whether it is read over y
+(("L", order, at_y), ("b", order)), so a repeated read is one dict lookup.
+It is the package's one scalar cache, and the registry reuses the Point of
+its last call.  rows.Row is the same store over numpy lanes: it replaces
+only the compute steps behind it.  Only the tanh-sinh rule uses arrays here,
 and it imports numpy on first use, so most point queries never load it.
 
 M_nu is the difference of two functions that grow like e^x while M itself
@@ -330,7 +333,12 @@ def asym_large_x(kind: str, nu: float, x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be a finite positive real, got {x}")
     m = 4.0 * nu * nu
-    corr = 1.0 - (m - 1.0) / (8.0 * x) + (m - 1.0) * (m - 9.0) / (128.0 * x * x)
+    try:
+        corr = 1.0 - (m - 1.0) / (8.0 * x) + (m - 1.0) * (m - 9.0) / (128.0 * x * x)
+    except ZeroDivisionError:  # 128 x^2 underflows to 0
+        corr = math.nan
+    if not math.isfinite(corr):  # a huge order or a tiny x: the terms overflow
+        raise OverflowRisk(f"large-x expansion's correction overflows at nu={nu}, x={x}")
     try:
         return math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr
     except OverflowError:  # e^x past x of about 709.8
@@ -525,29 +533,22 @@ def kernel_b(nu: float, x: float, lv: float) -> float:
     return math.exp(log_num - log_den)
 
 
-def _lazy(method):
-    """Compute a primitive on its first request and keep it in self._got."""
-    def get(self, *args, **kwargs):
-        key = (method, args, *kwargs.items())
-        got = self._got.get(key)
-        if got is None:
-            got = self._got[key] = method(self, *args, **kwargs)
-        return got
-    return get
-
-
 _ELEMENTARY = ("log", "exp", "tanh", "hypot", "sqrt", "pow")
 
 
 class Point:
     """The primitives bound formulas read at one argument x (and y for the
     argument ratio): I, L and M at any order, the kernel b and the
-    recurrence term a, each computed on first use and kept by the order it
-    is asked for.  A Point holds no order: a formula f(nu, x, P) passes nu
-    to every primitive it reads.  The registry reuses the Point of its last
-    call.  The elementary functions are math's, map(f, *args) applies a
-    scalar helper, of(f, *lanes) one to the named arguments (kept per Row),
-    and where(cond, a, b) calls a or b, both zero-argument functions (a row
+    recurrence term a, each computed on first use and kept in _got, one
+    flat dict keyed by (name, order) or, for I and L, (name, order, at_y).
+    A read checks the store first and computes only on a miss; L checks its
+    order against its floor on every call, since a value kept for a lower
+    floor must not let a read at the default floor through.  A Point holds
+    no order: a formula f(nu, x, P) passes nu to every primitive it reads.
+    The registry reuses the Point of its last call.  The elementary
+    functions are math's, map(f, *args) applies a scalar helper,
+    of(f, *lanes) one to the named arguments (kept per Row), and
+    where(cond, a, b) calls a or b, both zero-argument functions (a row
     calls both and selects lane by lane).  rows.Row has the same names over
     numpy lanes, so one formula f(nu, x, P) serves both.  The arguments are
     checked on construction: x (and y, with x <= y) finite and positive,
@@ -569,41 +570,58 @@ class Point:
                               else f"x must be a finite positive real, got {x}")
         _check_x(self._largest(x if y is None else y))
 
-    @_lazy
     def I(self, order: float, at_y: bool = False):
         """I at order over x, or over y."""
-        _check_order(order, MIN_ORDER)
-        return self._series("I", order, at_y)
+        got = self._got.get(("I", order, at_y))
+        if got is None:
+            _check_order(order, MIN_ORDER)
+            got = self._got["I", order, at_y] = self._series("I", order, at_y)
+        return got
 
     def L(self, order: float, at_y: bool = False, floor: float = MIN_ORDER):
-        """L at order over x, or over y; floor is the lowest order allowed.
-        Calls with any floor share one value per (order, at_y)."""
+        """L at order over x, or over y; floor is the lowest order allowed,
+        checked on every call.  Calls with any floor share one value per
+        (order, at_y)."""
         _check_order(order, floor)
-        return self._L(order, at_y)
+        got = self._got.get(("L", order, at_y))
+        if got is None:
+            got = self._got["L", order, at_y] = self._series("L", order, at_y)
+        return got
 
-    @_lazy
-    def _L(self, order, at_y):
-        return self._series("L", order, at_y)
+    def M(self, order: float):
+        """struve_m's value from this object's own L and I."""
+        got = self._got.get(("M", order))
+        if got is None:
+            got = self._got["M", order] = self._m(order)
+        return got
 
-    def _series(self, kind, order, at_y):
-        return _series(kind, order, self.y if at_y else self.x)[0]
+    def a(self, order: float):
+        """recurrence_term at order, (x/2)^order / (sqrt(pi) Gamma(order+3/2)),
+        so that b = x a / (2 L)."""
+        got = self._got.get(("a", order))
+        if got is None:
+            got = self._got["a", order] = self.map(recurrence_term, order, self.x)
+        return got
+
+    def b(self, order: float):
+        """kernel_b at order, from this object's own L."""
+        got = self._got.get(("b", order))
+        if got is None:
+            if not math.isfinite(order) or order <= -1.5:
+                raise DomainError(f"kernel requires nu > -3/2, got {order}")
+            got = self._got["b", order] = self._b(order)
+        return got
 
     def of(self, f, *lanes: str):
         return f(*[getattr(self, n) for n in lanes])
 
-    @_lazy
-    def M(self, order: float):
-        """struve_m's value from this object's own L and I, lane by lane."""
-        return self.map(_m_value, order, self.x, self.L(order), self.I(order))
+    # the compute steps behind the store, which rows.Row does over lanes
 
-    @_lazy
-    def a(self, order: float):
-        """recurrence_term at order, (x/2)^order / (sqrt(pi) Gamma(order+3/2)),
-        so that b = x a / (2 L)."""
-        return self.map(recurrence_term, order, self.x)
+    def _series(self, kind, order, at_y):
+        return _series(kind, order, self.y if at_y else self.x)[0]
 
-    @_lazy
-    def b(self, order: float):
-        if not math.isfinite(order) or order <= -1.5:
-            raise DomainError(f"kernel requires nu > -3/2, got {order}")
-        return self.map(kernel_b, order, self.x, self.L(order))
+    def _m(self, order):
+        return _m_value(order, self.x, self.L(order), self.I(order))
+
+    def _b(self, order):
+        return kernel_b(order, self.x, self.L(order))

@@ -1,20 +1,27 @@
-"""Byte-identical guard on the certification output.
+"""Byte-identical guard on the certification output and the point path.
 
 The sha256 of `verify --all`'s text and of report_csv_rows over every report
 of certify_all() and monotonicity_suite() on the default grid, run in
-process.  The digests pin every slack's bits, so a change that moves one
-value by an ulp fails here; a change meant to move values records new
-digests and says which values moved and by how much.  They were recorded
-with CPython 3.11, numpy 2.4 and glibc's libm on x86-64 Linux.
+process, and of the reprs of about 2,000 seeded point queries (the
+FuncValue evaluators, b_value, best_bracket at every target and
+evaluate_valid), which read special_core.Point rather than rows.Row.  The
+digests pin every slack's bits, so a change that moves one value by an ulp
+fails here; a change meant to move values records new digests and says
+which values moved and by how much.  They were recorded with CPython 3.11,
+numpy 2.4 and glibc's libm on x86-64 Linux.
 """
 
 import hashlib
+import math
+import random
 
-from struvebounds import cli, verify
+from struvebounds import (StruveBoundsError, b_value, bessel_i, best_bracket, cli, evaluate_valid,
+                          registry, struve_l, struve_m, verify)
 
 VERIFY_ALL_TEXT = "452fdab6cd203983238a47a984dfb25a6be2d1004439b48cfdb21e0e59fd1967"
 CERTIFY_ALL_CSV = "90fde43b48b551e940a4a8fad0e9edd74628ee5a29dfeb14723ea70e66db8cd3"
 SUITE_CSV = "78b65768b6d210c69eee382384d38fb6a985a7428da0a80cbb0301a4da09bd97"
+POINT_QUERIES = "58b59e15f3411444734bd4f3a3247a01da558d11e5354c5e873f03cfe50e59fe"
 
 
 def _sha256(text: str) -> str:
@@ -33,3 +40,31 @@ def test_verify_all_text_is_unchanged(capsys):
 def test_report_csv_rows_are_unchanged():
     assert _sha256(_csv(verify.certify_all())) == CERTIFY_ALL_CSV
     assert _sha256(_csv(verify.monotonicity_suite())) == SUITE_CSV
+
+
+def _point_outputs(n: int = 2000):
+    """One line per seeded point (nu in [-1.5, 10], x log-uniform in
+    [1e-3, 200], y = x U(1.01, 10)): the repr of each query's output, or the
+    name of the typed error it raised."""
+    rng = random.Random(2501)
+    for _ in range(n):
+        nu = rng.uniform(-1.5, 10.0)
+        x = math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
+        y = x * rng.uniform(1.01, 10.0)
+        queries = [lambda: struve_l(nu, x), lambda: bessel_i(nu, x), lambda: struve_m(nu, x),
+                   lambda: b_value(nu, x)]
+        queries += [lambda t=t: best_bracket(nu, x, t, y if registry.TARGETS[t] else None)
+                    for t in registry.TARGETS]
+        queries += [lambda: [(s.bound_id, v) for s, v in evaluate_valid("cond_L", nu, x)],
+                    lambda: [(s.bound_id, v) for s, v in evaluate_valid("arg_ratio_L", nu, x, y)]]
+        out = []
+        for query in queries:
+            try:
+                out.append(repr(query()))
+            except StruveBoundsError as exc:
+                out.append(type(exc).__name__)
+        yield f"{nu!r} {x!r} {y!r}: " + "; ".join(out)
+
+
+def test_point_queries_are_unchanged():
+    assert _sha256("\n".join(_point_outputs())) == POINT_QUERIES

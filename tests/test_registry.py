@@ -5,6 +5,7 @@ error; and calls at one point share one Point."""
 
 import math
 import random
+import re
 from contextlib import suppress
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from struvebounds import (
     REGISTRY,
     DomainError,
+    InvalidBracket,
     OverflowRisk,
     StruveBoundsError,
     UnknownBound,
@@ -94,8 +96,9 @@ class TestEveryIdEvaluates:
     # gamma overflow and arguments from the smallest subnormal to past
     # X_MAX, inside and outside each validity range: a float or a typed
     # error, never a raw ZeroDivisionError, OverflowError or math domain
-    # error
-    NUS = (-2.0, -1.5, -1.4, -1.0, -0.5, 0.0, 0.5, 1.0, 300.0)
+    # error; y = 1 beside the subnormal x puts every argument-ratio bound at
+    # the widest pair
+    NUS = (-2.0, -1.5, -1.4, -1.0, -0.5, 0.0, 0.5, 1.0, 300.0, 1e308)
     XS = (5e-324, 1e-300, 1e-200, 1e-150, 1e-12, 1e-3, 1.0, 30.0, 590.0, 1000.0, 1e300)
 
     @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
@@ -104,8 +107,8 @@ class TestEveryIdEvaluates:
         bad = []
         for nu in self.NUS:
             for x in self.XS:
-                for args in ([(x, y) for y in (x, 2.0 * x, min(600.0, 10.0 * x))]
-                             if needs_y(spec) else [(x,)]):
+                ys = (x, 2.0 * x, min(600.0, 10.0 * x)) + ((1.0,) if x == 5e-324 else ())
+                for args in [(x, y) for y in ys] if needs_y(spec) else [(x,)]:
                     try:
                         value = spec.evaluate(nu, *args)
                     except StruveBoundsError:
@@ -116,6 +119,31 @@ class TestEveryIdEvaluates:
                     if type(value) is not float:
                         bad.append((nu, args, repr(value)))
         assert not bad, bad[:5]
+
+
+class TestExtremePoints:
+    # Python arithmetic that fails inside a formula is a typed error naming
+    # the bound and the point, and computed sides out of order an
+    # InvalidBracket
+    @pytest.mark.parametrize("args, bound_id", [
+        ((1.0, 5e-324, "arg_ratio_L", 1.0), "eq33b_upper"),
+        ((1e308, 1e-300, "pointwise_L"), "eq39_lower"),
+    ])
+    def test_overflow_in_a_formula_is_overflow_risk(self, args, bound_id):
+        at = re.escape(f"{bound_id} at nu={args[0]}, x={args[1]}")
+        with pytest.raises(OverflowRisk, match=at):
+            best_bracket(*args)
+
+    def test_sides_out_of_order_are_an_invalid_bracket(self):
+        with pytest.raises(InvalidBracket, match="bracket sides out of order"):
+            best_bracket(0.0, 1e-300, "pointwise_L")
+        assert issubclass(InvalidBracket, ValueError)
+
+    def test_division_by_zero_in_a_formula_is_a_domain_error(self):
+        spec = registry.BoundSpec("fake_div", "b_kernel", "upper", -1.5, True,
+                                  lambda nu, x, P: 1.0 / (x - x))
+        with pytest.raises(DomainError, match="fake_div at nu=1.0, x=2.0: float division"):
+            spec.evaluate(1.0, 2.0)
 
 
 class TestBestBracketEveryTarget:

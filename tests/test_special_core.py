@@ -335,10 +335,14 @@ class TestAsymptotics:
     (half_integer_closed, ("L", 0.5, 1000.0)),
     (half_integer_closed, ("L", 0.5, 1419.0)),
     (asym_large_x, ("I", 0.0, 1000.0)),
+    (asym_large_x, ("L", 0.0, 1e-300)),  # x^2 underflows to 0
+    (asym_large_x, ("L", 0.0, 1e-160)),
+    (asym_large_x, ("L", 1e200, 1.0)),  # inf - inf in the correction
     (a_nu_constant, (1e308,)),
     (bessel_route_coefficient, (1e308,)),
 ], ids=["closed_I_half", "closed_L_minus_three_halves", "closed_L_half_714",
-        "closed_L_half_1000", "closed_L_half_1419", "asym_large_x", "a_nu_constant",
+        "closed_L_half_1000", "closed_L_half_1419", "asym_large_x", "asym_large_x_tiny_x",
+        "asym_large_x_small_x", "asym_large_x_huge_order", "a_nu_constant",
         "bessel_route_coefficient"])
 def test_overflow_raises_overflow_risk(f, args):
     # never the raw OverflowError of math's sinh, cosh, exp or lgamma, nor the
@@ -492,6 +496,40 @@ class TestStruveM:
 
     def test_no_flag_at_small_x(self):
         assert not struve_m(1.0, 1.0).cancellation
+
+
+class TestPointStore:
+    # a Point keeps I, L, M, a and b in one flat dict, keyed by the
+    # primitive's name, the order and (for I and L) at_y
+    def test_a_second_read_is_the_same_object_without_a_sum(self, series_calls):
+        P = special_core.Point(2.0, 3.0)
+        reads = [lambda: P.I(1.0), lambda: P.L(1.0), lambda: P.I(1.0, True),
+                 lambda: P.L(1.0, True), lambda: P.M(1.0), lambda: P.a(1.0), lambda: P.b(1.0)]
+        first = [read() for read in reads]
+        summed = list(series_calls)
+        assert sorted(summed) == [("I", 1.0, 2.0), ("I", 1.0, 3.0), ("L", 1.0, 2.0),
+                                  ("L", 1.0, 3.0)]
+        assert all(read() is value for read, value in zip(reads, first))
+        assert series_calls == summed
+        assert all(type(value) is float for value in P._got.values())  # one flat dict
+
+    def test_keyword_and_positional_at_y_share_a_value(self):
+        P = special_core.Point(2.0, 3.0)
+        assert P.L(1.0, at_y=True) is P.L(1.0, True)
+        assert P.I(1.0, at_y=True) is P.I(1.0, True)
+
+    def test_a_lower_floor_lets_no_later_read_through(self):
+        P = special_core.Point(2.0)
+        assert P.L(-2.0, floor=special_core._L_FLOOR) > 0.0
+        with pytest.raises(DomainError, match="below supported minimum"):
+            P.L(-2.0)
+
+    def test_a_row_keeps_its_own_compute_steps(self):
+        R = rows.Row(np.array([2.0, 30.0]))
+        assert R.M(1.0) is R.M(1.0) and R.b(1.0) is R.b(1.0)
+        assert R.M(1.0).tolist() == [struve_m(1.0, 2.0).value, struve_m(1.0, 30.0).value]
+        with pytest.raises(DomainError, match="kernel requires"):
+            R.b(-1.5)
 
 
 class TestRatioExact:
