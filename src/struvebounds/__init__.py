@@ -18,7 +18,6 @@ from .arg_ratio import (
     a_nu_stirling_bracket,
     bessel_route_coefficient,
     coefficient_crossover_nu,
-    pointwise_bracket,
 )
 from .bfunc import b_value
 from .brackets import Bracket
@@ -44,6 +43,7 @@ from .registry import (
     evaluate_valid,
     exact_value,
     get_bound,
+    pointwise_bracket,
     tightest_bracket,
 )
 from .special_core import (
@@ -75,13 +75,14 @@ _TABLES_NAMES = ("TableSpec", "table_by_id")
 
 __all__ = [
     "ANuConstant", "a_nu_constant", "a_nu_stirling_bracket", "bessel_route_coefficient",
-    "coefficient_crossover_nu", "pointwise_bracket",
+    "coefficient_crossover_nu",
     "b_value",
     "Bracket",
     "ConvergenceError", "DomainError", "InvalidBracket", "MultipleSignChanges",
     "NoSignChange", "NoValidBound", "OverflowRisk", "StruveBoundsError", "UnknownBound",
     "REGISTRY", "BoundSpec", "best_bracket", "bound_ids", "bounds_for_target", "bracket",
-    "crossover", "evaluate_valid", "exact_value", "get_bound", "tightest_bracket",
+    "crossover", "evaluate_valid", "exact_value", "get_bound",
+    "pointwise_bracket", "tightest_bracket",
     "FuncValue", "asym_large_x", "bessel_i", "half_integer_closed", "iv_value", "lv_value",
     "quad_oracle_i", "quad_oracle_l", "recurrence_check", "struve_l", "struve_m",
     "bessel_ratio_bounds", "bessel_ratio_lower_tanh", "ratio_refine_step",

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 import sys
 
-from .brackets import Bracket, Record, _set
+from .brackets import Record, _set
 from .errors import DomainError, OverflowRisk
-from .special_core import GAMMA_ARG_MAX, ORDER_TOL, SQRT_PI
+from .special_core import GAMMA_ARG_MAX, SQRT_PI
 
 
 class ANuConstant(Record):
@@ -79,19 +79,14 @@ def eq37_upper(nu, x, y, P):
 def eq37_lower(nu, x, y, P):
     """(x/y) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) I_nu(x)/I_nu(y) <= the ratio,
     valid nu >= -1/2; the root needs nu > -3/2."""
-    _check_nu(nu, nu > -1.5, "eq37", "> -3/2")
+    if not nu > -1.5:
+        raise DomainError(f"eq37 requires nu > -3/2, got {nu}")
     s = 3.0 * (2.0 * nu + 3.0)
     return (x / y) * P.sqrt((s + y * y) / (s + x * x)) * eq37_upper(nu, x, y, P)
 
 
-def _check_explicit(nu: float) -> None:
-    if nu < -0.5 - ORDER_TOL:
-        raise DomainError(f"explicit bound requires nu >= -1/2, got {nu}")
-
-
 def eq38_lower(nu, x, y, P):
     """Fully explicit lower side of the argument ratio, valid nu >= -1/2."""
-    _check_explicit(nu)
     a = nu + 0.5
     sx, sy = P.hypot(a, x), P.hypot(a, y)
     out = (sx - sy) + (nu + 1.0) * P.of(_log_ratio, "x", "y") + _half_log(nu, x, y, P)
@@ -102,7 +97,6 @@ def eq38_lower(nu, x, y, P):
 
 def eq38_upper(nu, x, y, P):
     """Fully explicit upper side of the argument ratio, valid nu >= -1/2."""
-    _check_explicit(nu)
     c = nu + 1.5
     tx, ty = P.hypot(c, x), P.hypot(c, y)
     d = P.of(_log_ratio, "x", "y")
@@ -120,7 +114,6 @@ def _eq39_logs(nu, x, P):
     """Logs of eq39's sides.  Below x = 1e-8, where tanh(x/2) = x/2 and both
     sides are tight, both come from one rounded sum S = A_upper + (nu+1) log x:
     upper S, lower S + (A_lower - A_upper), so they stay in order."""
-    _check_explicit(nu)
     a, c = nu + 0.5, nu + 1.5
     s, t = P.hypot(a, x), P.hypot(c, x)
     g = 3.0 * (2.0 * nu + 3.0)
@@ -145,37 +138,19 @@ def eq39_upper(nu, x, P):
     return P.exp(_eq39_logs(nu, x, P)[1])
 
 
-def pointwise_bracket(nu: float, x: float) -> Bracket:
-    """Explicit two-sided bound for L_nu(x) itself, valid nu >= -1/2.
-
-    Both sides are tight as x -> 0; as x -> infinity the upper side has the
-    correct x^{-1/2} e^x order while the lower side is a factor of x low.
-    """
-    from .registry import bracket
-    return bracket("eq39_lower", "eq39_upper", nu, x)
-
-
-def _check_nu(nu: float, ok: bool, name: str, rng: str) -> None:
-    if not ok:
-        raise DomainError(f"{name} requires nu {rng}, got {nu}")
-
-
 def eq33a_upper(nu, x, y, P):
     """(x/y)^(nu+1) >= the ratio, valid nu > -3/2."""
-    _check_nu(nu, nu > -1.5, "eq33a", "> -3/2")
     return P.exp((nu + 1.0) * P.of(_log_ratio, "x", "y"))
 
 
 def eq33b_upper(nu, x, y, P):
     """e^(x-y) (y/x)^nu >= the ratio, valid nu >= 1/2."""
-    _check_nu(nu, nu >= 0.5 - ORDER_TOL, "eq33b", ">= 1/2")
     return P.exp((x - y) - nu * P.of(_log_ratio, "x", "y"))
 
 
 def eq34_upper(nu, x, y, P):
     """((cosh x - 1)/(cosh y - 1)) (y/x)^nu >= the ratio, valid nu >= 1/2,
     equality at 1/2."""
-    _check_nu(nu, nu >= 0.5 - ORDER_TOL, "eq34", ">= 1/2")
     log_num = math.log(2.0) + 2.0 * P.of(_log_sinh_half, "x")
     log_den = math.log(2.0) + 2.0 * P.of(_log_sinh_half, "y")
     return P.exp(log_num - log_den - nu * P.of(_log_ratio, "x", "y"))
@@ -184,7 +159,6 @@ def eq34_upper(nu, x, y, P):
 def eq40_lower(nu, x, y, P):
     """(cosh x/cosh y) (x/y)^(nu+1) sqrt((3(2 nu+3)+y^2)/(3(2 nu+3)+x^2)) <= the
     ratio, valid nu > -1/2."""
-    _check_nu(nu, nu > -0.5, "eq40", "> -1/2")
     return P.exp(P.of(_log_cosh, "x") - P.of(_log_cosh, "y")
                  + (nu + 1.0) * P.of(_log_ratio, "x", "y") + _half_log(nu, x, y, P))
 
@@ -192,7 +166,6 @@ def eq40_lower(nu, x, y, P):
 def eq42_lower(nu, x, y, P):
     """e^(x-y) ((y+nu)/(x+nu))^nu (x/y)^(nu+1) sqrt(...) <= the ratio, the root as
     in eq40_lower; valid nu >= 0."""
-    _check_nu(nu, nu >= -ORDER_TOL, "eq42", ">= 0")
     shift = nu * (P.log(y + nu) - P.log(x + nu)) if nu > 0.0 else 0.0
     return P.exp((x - y) + shift + (nu + 1.0) * P.of(_log_ratio, "x", "y")
                  + _half_log(nu, x, y, P))
@@ -200,7 +173,6 @@ def eq42_lower(nu, x, y, P):
 
 def eq43_upper(nu, x, P):
     """Simplification of eq39_upper, >= L_nu(x), valid nu >= 0."""
-    _check_nu(nu, nu >= -ORDER_TOL, "eq43", ">= 0")
     g = 3.0 * (2.0 * nu + 3.0)
     shift = nu * (math.log(nu) - P.log(x + nu)) if nu > 0.0 else 0.0
     log_out = shift + 0.5 * (math.log(g) - P.log(g + x * x)) \
@@ -212,7 +184,6 @@ def eq43_upper(nu, x, P):
 def eq45_upper(nu, x, P):
     """Bessel cap 2 Gamma(nu+2)/(sqrt(pi) Gamma(nu+3/2)) I_{nu+1}(x) > L_nu(x),
     valid nu > -1/2."""
-    _check_nu(nu, nu > -0.5, "eq45", "> -1/2")
     if nu + 2.0 < GAMMA_ARG_MAX:
         coef = 2.0 * math.gamma(nu + 2.0) / (SQRT_PI * math.gamma(nu + 1.5))
     else:
@@ -222,7 +193,6 @@ def eq45_upper(nu, x, P):
 
 def eq46_upper(nu, x, P):
     """Fully explicit form obtained from eq45_upper, > L_nu(x), valid nu > -1/2."""
-    _check_nu(nu, nu > -0.5, "eq46", "> -1/2")
     r = P.hypot(x, nu + 1.0)
     log_out = 0.5 * math.log(2.0) + math.lgamma(nu + 2.0) - math.log(math.pi) \
         - math.lgamma(nu + 1.5) + r + 2.0 / r - 0.25 * P.log(x * x + (nu + 1.0) ** 2) \
@@ -254,8 +224,11 @@ def a_nu_stirling_bracket(nu: float) -> tuple[float, float]:
     (sqrt(6)/pi) sqrt((2 nu+3)/(2 nu+1)) * [e^{-1/(6(2 nu+1))}, 1]."""
     if not math.isfinite(nu) or nu <= -0.5:
         raise DomainError(f"Stirling bracket requires nu > -1/2, got {nu}")
-    base = math.sqrt(6.0) / math.pi * math.sqrt((2.0 * nu + 3.0) / (2.0 * nu + 1.0))
-    return base * math.exp(-1.0 / (6.0 * (2.0 * nu + 1.0))), base
+    d = 2.0 * nu + 1.0
+    # (2 nu+3)/d = 1 + 2/d is 1 in double precision once d overflows
+    ratio = (2.0 * nu + 3.0) / d if d < math.inf else 1.0
+    base = math.sqrt(6.0) / math.pi * math.sqrt(ratio)
+    return base * math.exp(-1.0 / (6.0 * d)), base
 
 
 def bessel_route_coefficient(nu: float) -> float:

@@ -64,7 +64,6 @@ def _half_x_csch(x: float) -> float:
 def eq13_lower(nu, x, P):
     """(x/2) csch(x) <= b_nu(x), valid nu >= -1/2 (equality at -1/2); the
     comparison reverses below -1/2."""
-    _check_nu(nu)
     return P.of(_half_x_csch, "x")
 
 

@@ -115,26 +115,17 @@ def _x_coth_half(x: float) -> float:
     return 2.0 if x < 1e-8 else x / math.tanh(0.5 * x)
 
 
-def _check_prior(nu: float, name: str) -> None:
-    from .registry import REGISTRY
-    if not REGISTRY[name].valid_at(nu):
-        raise DomainError(f"{name} is not valid at nu={nu}")
-
-
 def prior_nup1(nu, x, P):
     """nu + 1 < C(L_nu), valid nu > -3/2 (an earlier bound)."""
-    _check_prior(nu, "prior_nup1")
     return nu + 1.0
 
 
 def prior_xminus(nu, x, P):
     """x - nu < C(L_nu), valid nu >= 1/2 (an earlier bound)."""
-    _check_prior(nu, "prior_xminus")
     return x - nu
 
 
 def prior_coth(nu, x, P):
     """x coth(x/2) - nu <= C(L_nu), valid nu >= 1/2, equality at 1/2 (an earlier
     bound)."""
-    _check_prior(nu, "prior_coth")
     return P.of(_x_coth_half, "x") - nu

@@ -11,11 +11,19 @@ bracket, evaluate_valid and best_bracket call) or a rows.Row over numpy lanes
 (rows.bound_row and rows.exact_row, used by verify).  Every point entry
 checks its target and arity in one place, _point, so an unknown id or
 target and a missing or extra y raise a StruveBoundsError naming the
-cause.  _point keeps the Point it returns and hands it out again while the
-calls stay at one (nu, x, y), so the exact value and every bound there
-share their series, kernels and M; that one Point is the package's only
-scalar cache.  Validity ranges are data, not caller-overridable arguments:
-the inequalities are only guaranteed on the recorded ranges.
+cause, and a non-finite order raises DomainError.  _point keeps the Point
+it returns and hands it out again while the calls stay at one (nu, x, y),
+so the exact value and every bound there share their series, kernels and
+M; that one Point is the package's only scalar cache.
+
+Each bound's validity range lives here and only here, in its BoundSpec, and
+valid_at is the one place that reads it.  A formula computes wherever its
+arithmetic is defined, inside its range or not, and keeps only the guards
+its arithmetic needs (a pole, the root of a negative, a primitive's lowest
+order).  evaluate returns that value anywhere; evaluate_valid,
+best_bracket, certification and crossover keep to valid orders, and bracket
+flags a side outside its range.  The ranges are data, not caller-overridable
+arguments: the inequalities are only guaranteed on them.
 
 best_bracket(nu, x, target, y) is the one selection routine, for every
 target: tightest_bracket over evaluate_valid's (spec, value) pairs.
@@ -67,8 +75,14 @@ def _point(target: str, nu: float, x: float, y: float | None) -> Point:
         raise DomainError(f"{target} takes (nu, x, y): give y" if TARGETS[target]
                           else f"{target} takes (nu, x): give no y")
     if _last is None or _last_at != (nu, x, y):
+        if not math.isfinite(nu):
+            raise DomainError(f"order must be finite, got {nu}")
         _last, _last_at = Point(x, y), (nu, x, y)
     return _last
+
+
+def _at(nu: float, x: float, y: float | None) -> str:
+    return f"nu={nu}, x={x}" if y is None else f"nu={nu}, x={x}, y={y}"
 
 
 class BoundSpec(Record):
@@ -78,11 +92,14 @@ class BoundSpec(Record):
     formula(nu, x, P), or formula(nu, x, y, P) for the argument ratio, is
     the bound's one formula: P is a special_core.Point at a single point or
     a rows.Row over numpy lanes, and the formula reads its
-    primitives and elementary functions from P.  It checks its own order
-    range where the formula needs one; P checks the arguments.
+    primitives and elementary functions from P.  It computes outside the
+    bound's range too, raising only where its arithmetic fails; P checks the
+    arguments.
 
     nu_min / nu_min_strict encode the published validity range (all ranges
-    are half-lines in the order).  equality_at marks the single order at
+    are half-lines in the order), which valid_at alone reads: evaluate
+    returns the formula's value at any finite order, and a caller that needs
+    a bound asks valid_at.  equality_at marks the single order at
     which the inequality degenerates to an equality; certification treats
     those points as zero slack rather than violations.
     """
@@ -111,10 +128,9 @@ class BoundSpec(Record):
         P = _point(self.target, nu, x, y)
         try:
             return float(self.formula(nu, x, P) if y is None else self.formula(nu, x, y, P))
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:  # ValueError: math's domain error
             error = OverflowRisk if isinstance(exc, OverflowError) else DomainError
-            at = f"nu={nu}, x={x}" if y is None else f"nu={nu}, x={x}, y={y}"
-            raise error(f"{self.bound_id} at {at}: {exc}") from exc
+            raise error(f"{self.bound_id} at {_at(nu, x, y)}: {exc}") from exc
 
     def valid_at(self, nu: float) -> bool:
         if self.nu_min_strict:
@@ -218,10 +234,14 @@ def needs_y(spec: BoundSpec) -> bool:
 
 def exact_value(target: str, nu: float, x: float, y: float | None = None) -> float:
     """Reference value of a target quantity at one point, always from the
-    series route; y is for the argument ratio only."""
+    series route; y is for the argument ratio only.  A value that is not
+    finite (a product of primitives overflowed) raises OverflowRisk."""
     P = _point(target, nu, x, y)
     f = EXACT[target]
-    return float(f(nu, x, P) if y is None else f(nu, x, y, P))
+    value = float(f(nu, x, P) if y is None else f(nu, x, y, P))
+    if not math.isfinite(value):
+        raise OverflowRisk(f"exact {target} at {_at(nu, x, y)} is {value}: it overflows")
+    return value
 
 
 def evaluate_valid(target: str, nu: float, x: float,
@@ -276,6 +296,16 @@ def bracket(lower_id: str, upper_id: str, nu: float, x: float,
 
     (lo, lo_ok), (hi, hi_ok) = side(lower, -math.inf), side(upper, math.inf)
     return Bracket(lo, hi, lo_ok, hi_ok, lower_id, upper_id)
+
+
+def pointwise_bracket(nu: float, x: float) -> Bracket:
+    """Explicit two-sided bound for L_nu(x) itself, eq39's sides, valid
+    nu >= -1/2.
+
+    Both sides are tight as x -> 0; as x -> infinity the upper side has the
+    correct x^{-1/2} e^x order while the lower side is a factor of x low.
+    """
+    return bracket("eq39_lower", "eq39_upper", nu, x)
 
 
 def _scan_grid(lo: float, hi: float, n: int) -> list[float]:

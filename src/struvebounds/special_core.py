@@ -279,10 +279,13 @@ def recurrence_term(nu: float, x: float) -> float:
 
 
 def half_integer_closed(kind: str, nu: float, x: float) -> float:
-    """Elementary closed forms at orders -3/2, -1/2 and 1/2."""
+    """Elementary closed forms at orders -3/2, -1/2 and 1/2.  A value past
+    the double range (large x, or I at -3/2 at tiny x) raises OverflowRisk."""
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be a finite positive real, got {x}")
     pref = math.sqrt(2.0 / (math.pi * x))
+    if pref == math.inf:  # 2/(pi x) overflows below x of about 3.5e-309
+        pref = math.sqrt(2.0 / math.pi) / math.sqrt(x)
     key = None
     for target in (-1.5, -0.5, 0.5):
         if abs(nu - target) <= ORDER_TOL:
@@ -292,21 +295,25 @@ def half_integer_closed(kind: str, nu: float, x: float) -> float:
     try:
         if kind == "I":
             if key == 0.5:
-                return pref * math.sinh(x)
-            if key == -0.5:
-                return pref * math.cosh(x)
-            return pref * (math.sinh(x) - math.cosh(x) / x)
-        if key == 0.5:
+                value = pref * math.sinh(x)
+            elif key == -0.5:
+                value = pref * math.cosh(x)
+            else:
+                value = pref * (math.sinh(x) - math.cosh(x) / x)
+        elif key == 0.5:
             s = math.sinh(0.5 * x)
             value = pref * 2.0 * s * s
-            if value == math.inf:  # the product overflows from x of about 713
-                raise OverflowError
-            return value
-        if key == -0.5:
-            return pref * math.sinh(x)
-        return pref * _cosh_minus_sinhc(x)
-    except OverflowError:  # sinh or cosh past x of about 710.5, or the product above
-        raise OverflowRisk(f"closed form of {kind} at order {key} overflows at x={x}") from None
+        elif key == -0.5:
+            value = pref * math.sinh(x)
+        else:
+            value = pref * _cosh_minus_sinhc(x)
+    except OverflowError:  # sinh or cosh past x of about 710.5
+        value = math.inf
+    # a float product that overflows raises nothing: L at 1/2 from x of about
+    # 713, and I at -3/2, about -(2/pi)^(1/2) x^(-3/2), below x of about 2e-206
+    if not math.isfinite(value):
+        raise OverflowRisk(f"closed form of {kind} at order {key} overflows at x={x}")
+    return value
 
 
 def _cosh_minus_sinhc(x: float) -> float:
@@ -340,9 +347,12 @@ def asym_large_x(kind: str, nu: float, x: float) -> float:
     if not math.isfinite(corr):  # a huge order or a tiny x: the terms overflow
         raise OverflowRisk(f"large-x expansion's correction overflows at nu={nu}, x={x}")
     try:
-        return math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr
+        value = math.exp(x) / math.sqrt(2.0 * math.pi * x) * corr
     except OverflowError:  # e^x past x of about 709.8
-        raise OverflowRisk(f"large-x expansion overflows at x={x}") from None
+        value = math.inf
+    if not math.isfinite(value):  # or the product with a finite correction
+        raise OverflowRisk(f"large-x expansion overflows at nu={nu}, x={x}")
+    return value
 
 
 _CANCEL_FLAG_RATIO = 1e-6

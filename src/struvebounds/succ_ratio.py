@@ -25,11 +25,6 @@ from .errors import DomainError, InvalidBracket
 from .special_core import ORDER_TOL, Point
 
 
-def _check_nu(nu: float, floor: float, what: str) -> None:
-    if nu < floor - ORDER_TOL:
-        raise DomainError(f"{what} requires nu >= {floor:g}, got {nu}")
-
-
 def _x_over(x: float, d: float) -> float:
     """x / d, or +inf where d rounds to 0 (at small x, where x/d -> +inf)."""
     return x / d if d else math.inf
@@ -82,7 +77,8 @@ def bessel_ratio_lower_tanh(nu: float, x: float) -> float:
 def product_diff(nu, x, P):
     """I_nu L_{nu-1} - I_{nu-1} L_nu as I_nu M_{nu-1} - I_{nu-1} M_nu (the e^x
     parts cancel exactly), accurate where the direct form loses every digit."""
-    _check_nu(nu, -0.5, "product difference")
+    if nu < -0.5 - ORDER_TOL:  # I and M are summed from order -3/2
+        raise DomainError(f"product difference requires nu >= -0.5, got {nu}")
     return P.I(nu) * P.M(nu - 1.0) - P.I(nu - 1.0) * P.M(nu)
 
 
@@ -92,19 +88,16 @@ def eq14_positivity(nu, x, P):
 
 def eq15_upper(nu, x, P):
     """(x/2)^nu I_nu / (sqrt(pi) Gamma(nu+3/2)) >= product_diff, nu >= -1/2."""
-    _check_nu(nu, -0.5, "eq15 cap")
     return P.a(nu) * P.I(nu)
 
 
 def eq16_upper(nu, x, P):
     """(x/2)^(nu-1) I_{nu-1} / (sqrt(pi) Gamma(nu+1/2)) >= product_diff, nu >= 3/2."""
-    _check_nu(nu, 1.5, "eq16 cap")
     return P.a(nu - 1.0) * P.I(nu - 1.0)
 
 
 def eq17_upper(nu, x, P):
     """I_nu/I_{nu-1} > h_nu, valid nu >= 1/2."""
-    _check_nu(nu, -0.5, "Bessel-ratio bracket")
     return P.I(nu) / P.I(nu - 1.0)
 
 
@@ -137,13 +130,11 @@ def eq19_lower(nu, x, P):
 
 def eq20_upper(nu, x, P):
     """tanh(x/2) >= h_nu for nu >= 1/2, with equality exactly at nu = 1/2."""
-    _check_nu(nu, 0.5, "tanh(x/2) upper bound")
     return P.tanh(0.5 * x)
 
 
 def eq21_lower(nu, x, P):
     """Turan-derived lower bound x / (nu + b + sqrt((nu+b)^2 + x^2)), nu >= -1/2."""
-    _check_nu(nu, -0.5, "Turan lower bound")
     c = nu + P.b(nu)
     return x / (c + P.hypot(c, x))
 
@@ -151,7 +142,6 @@ def eq21_lower(nu, x, P):
 def eq22_lower(nu, x, P):
     """x tanh(x/2) / (x + (2 nu-1) tanh(x/2) + 2 (b_nu - b_{1/2}) tanh(x/2)),
     from the monotonicity in the order; valid nu >= 1/2, equality at 1/2."""
-    _check_nu(nu, 0.5, "tanh(x/2) lower bound")
     t = P.tanh(0.5 * x)
     gap = P.b(nu) - P.b(0.5)
     return x * t / (x + (2.0 * nu - 1.0) * t + 2.0 * gap * t)
@@ -161,7 +151,6 @@ def eq24_upper(nu, x, P):
     """x / (nu - 1 + 2 b_nu - b_{nu+1} + sqrt((nu+1+b_{nu+1})^2 + x^2)) > h_nu,
     nu >= 0: ratio_refine_step's map on eq21_lower at nu+1, written out for
     the reason given at eq18_lower."""
-    _check_nu(nu, 0.0, "refined upper bound")
     b1 = P.b(nu + 1.0)
     return x / (nu - 1.0 + 2.0 * P.b(nu) - b1 + P.hypot(nu + 1.0 + b1, x))
 

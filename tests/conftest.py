@@ -1,6 +1,8 @@
 """Failure-set guard: after every run, compare the failing tests with the
 five intentional acceptance failures and print one summary line.  Also the
-series_calls fixture, shared by the tests of point-query sharing, and every
+series_calls fixture, shared by the tests of point-query sharing, the
+outside_range fixture, shared by the tests of orders below a bound's
+recorded range, and every
 struvebounds module imported before collection: hypothesis draws some
 examples from the constants of the modules loaded at the time, so loading
 them all up front gives the property tests one pool of examples whichever
@@ -14,11 +16,12 @@ It changes no outcome and not the exit status.
 
 import importlib
 import pkgutil
+from contextlib import suppress
 
 import pytest
 
 import struvebounds
-from struvebounds import registry, special_core
+from struvebounds import NoValidBound, registry, special_core
 
 for _module in pkgutil.iter_modules(struvebounds.__path__):
     importlib.import_module(f"struvebounds.{_module.name}")
@@ -57,3 +60,25 @@ def series_calls(monkeypatch):
     monkeypatch.setattr(special_core, "_series", counted)
     monkeypatch.setattr(registry, "_last", None)
     return seen
+
+
+@pytest.fixture
+def outside_range():
+    """A check that nu lies outside bound_id's recorded range, which the
+    registry alone applies: valid_at says so, evaluate_valid and
+    best_bracket leave the bound out, and bracket gives the formula's value
+    on that side and flags it invalid.  Returns the value."""
+    def check(bound_id, nu, x, y=None):
+        spec = registry.get_bound(bound_id)
+        assert not spec.valid_at(nu)
+        assert spec not in [s for s, _ in registry.evaluate_valid(spec.target, nu, x, y)]
+        with suppress(NoValidBound):  # no bound on the target is valid at nu
+            best = registry.best_bracket(nu, x, spec.target, y)
+            assert bound_id not in (best.lower_id, best.upper_id)
+        lower = spec.side == "lower"
+        br = registry.bracket(*((bound_id, "") if lower else ("", bound_id)), nu, x, y)
+        assert not (br.lower_valid if lower else br.upper_valid)
+        value = br.lower if lower else br.upper
+        assert value == spec.evaluate(nu, x, y)
+        return value
+    return check

@@ -111,9 +111,12 @@ class TestExplicitBracket:
             / exact_ratio(nu, 1.0, 50.0)
         assert r50 / r35 == pytest.approx(50.0 / 35.0, rel=0.1)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            bracket("eq38_lower", "eq38_upper", -0.6, 1.0, 2.0)
+    def test_domain(self, outside_range):
+        # below -1/2 both sides compute, and the registry flags them invalid
+        br = bracket("eq38_lower", "eq38_upper", -0.6, 1.0, 2.0)
+        assert not br.lower_valid and not br.upper_valid
+        assert outside_range("eq38_lower", -0.6, 1.0, 2.0) == br.lower
+        assert outside_range("eq38_upper", -0.6, 1.0, 2.0) == br.upper
 
 
 class TestPointwiseBracket:
@@ -156,9 +159,11 @@ class TestPointwiseBracket:
                 v = lv_value(nu, x)
                 assert br.lower < v < br.upper
 
-    def test_domain(self):
-        with pytest.raises(DomainError, match="nu >= -1/2"):
-            pointwise_bracket(-0.51, 1.0)
+    def test_domain(self, outside_range):
+        br = pointwise_bracket(-0.51, 1.0)
+        assert not br.lower_valid and not br.upper_valid
+        assert outside_range("eq39_lower", -0.51, 1.0) == br.lower
+        assert outside_range("eq39_upper", -0.51, 1.0) == br.upper
 
 
 class TestPriorArgRatioBounds:
@@ -183,13 +188,10 @@ class TestPriorArgRatioBounds:
         got = bound("eq40_lower", 0.0, 0.5, 2.0)
         assert got < exact_ratio(0.0, 0.5, 2.0)
 
-    def test_variant_domains(self):
-        with pytest.raises(DomainError):
-            bound("eq33b_upper", 0.4, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            bound("eq40_lower", -0.5, 1.0, 2.0)
-        with pytest.raises(DomainError):
-            bound("eq42_lower", -0.1, 1.0, 2.0)
+    def test_variant_domains(self, outside_range):
+        outside_range("eq33b_upper", 0.4, 1.0, 2.0)
+        outside_range("eq40_lower", -0.5, 1.0, 2.0)  # a strict edge
+        outside_range("eq42_lower", -0.1, 1.0, 2.0)
         with pytest.raises(UnknownBound):
             get_bound("nope")
 
@@ -225,11 +227,9 @@ class TestPointwisePriorUppers:
         want = 2.0 * ratio / SQRT_PI * iv_value(nu + 1.0, x)
         assert bound("eq45_upper", nu, x) == pytest.approx(want, rel=1e-12)
 
-    def test_domains(self):
-        with pytest.raises(DomainError):
-            bound("eq43_upper", -0.1, 1.0)
-        with pytest.raises(DomainError):
-            bound("eq46_upper", -0.5, 1.0)
+    def test_domains(self, outside_range):
+        outside_range("eq43_upper", -0.1, 1.0)
+        outside_range("eq46_upper", -0.5, 1.0)  # a strict edge
 
 
 class TestDominance:
@@ -311,6 +311,14 @@ class TestLargeXCoefficient:
             scaled = up * math.sqrt(x) * math.exp(-x)
             corrected = a_nu_constant(nu).value * math.exp(-(nu + 0.5) ** 2 / (2.0 * x))
             assert abs(scaled / corrected - 1.0) < 5e-3
+
+    def test_stirling_bracket_at_huge_orders(self):
+        # (2 nu+3)/(2 nu+1) is inf/inf once 2 nu+1 overflows: the limit is 1
+        base = math.sqrt(6.0) / math.pi
+        assert a_nu_stirling_bracket(1e308) == (base, base)
+        for nu in (1.0, 50.0, 1e300):  # below the overflow the bits stay
+            hi = base * math.sqrt((2.0 * nu + 3.0) / (2.0 * nu + 1.0))
+            assert a_nu_stirling_bracket(nu) == (hi * math.exp(-1.0 / (6.0 * (2.0 * nu + 1.0))), hi)
 
     def test_domain(self):
         with pytest.raises(DomainError):

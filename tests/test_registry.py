@@ -1,7 +1,8 @@
 """The registry's point entries: they reject an unknown id or target, and a
 y given to a bound that takes none or missing from one that needs it, with a
 StruveBoundsError that names the cause; every id gives a float or a typed
-error; and calls at one point share one Point."""
+error; each bound's recorded range is applied by the registry alone; and
+calls at one point share one Point."""
 
 import math
 import random
@@ -28,6 +29,7 @@ from struvebounds import (
     registry,
     struve_l,
 )
+from struvebounds.cli import main
 from struvebounds.registry import needs_y
 
 
@@ -139,11 +141,62 @@ class TestExtremePoints:
             best_bracket(0.0, 1e-300, "pointwise_L")
         assert issubclass(InvalidBracket, ValueError)
 
+    def test_exact_value_that_overflows_is_overflow_risk(self):
+        # I_50 M_49 overflows at x = 599.9, and the difference is NaN
+        with pytest.raises(OverflowRisk, match=re.escape("exact product_diff_L at nu=50.0, x=599.9")):
+            exact_value("product_diff_L", 50.0, 599.9)
+
     def test_division_by_zero_in_a_formula_is_a_domain_error(self):
         spec = registry.BoundSpec("fake_div", "b_kernel", "upper", -1.5, True,
                                   lambda nu, x, P: 1.0 / (x - x))
         with pytest.raises(DomainError, match="fake_div at nu=1.0, x=2.0: float division"):
             spec.evaluate(1.0, 2.0)
+
+
+class TestRangesLiveInTheRegistry:
+    # a formula computes outside its bound's recorded range, and valid_at
+    # alone reads the range.  Just below each edge, and at a strict one, a
+    # formula gives a float unless its arithmetic keeps a guard that fires
+    # there: eq12_upper's pole at -3/2, the public Bessel tanh bound that
+    # eq19_lower transfers (nu > 1/2), the kernel b of eq27_upper
+    # (nu > -3/2) and the I_(nu-1) of eq28_upper (nu >= -1/2)
+    GUARDED = {"eq12_upper", "eq19_lower", "eq27_upper", "eq28_upper"}
+
+    @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
+    def test_evaluate_below_the_edge(self, bound_id):
+        spec = REGISTRY[bound_id]
+        args = (1.0, 2.0) if needs_y(spec) else (1.0,)
+        for nu in [spec.nu_min - 0.01] + ([spec.nu_min] if spec.nu_min_strict else []):
+            assert not spec.valid_at(nu)
+            if bound_id in self.GUARDED:
+                with pytest.raises(StruveBoundsError):
+                    spec.evaluate(nu, *args)
+            else:
+                assert type(spec.evaluate(nu, *args)) is float
+
+    @pytest.mark.parametrize("bound_id", sorted(REGISTRY))
+    def test_bracket_command_below_the_edge(self, capsys, outside_range, bound_id):
+        spec = REGISTRY[bound_id]
+        nu = spec.nu_min - 0.01
+        code = main(["bracket", "--bound", bound_id, "--nu", repr(nu), "--x", "1"])
+        out, err = capsys.readouterr()
+        if needs_y(spec):  # the command takes no y: bracket flags the side instead
+            assert code == 1 and "needs --y" in err
+            outside_range(bound_id, nu, 1.0, 2.0)
+        elif bound_id in self.GUARDED:
+            assert code == 1 and err.startswith("error: ")
+        else:
+            assert code == 0, err
+            assert out.startswith(f"{bound_id} = ") and "outside validity range" in out
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_order(self, nu):
+        for spec in REGISTRY.values():
+            with pytest.raises(DomainError, match="order must be finite"):
+                spec.evaluate(nu, 1.0, *((2.0,) if needs_y(spec) else ()))
+        for target, takes_y in registry.TARGETS.items():
+            with pytest.raises(DomainError, match="order must be finite"):
+                exact_value(target, nu, 1.0, 2.0 if takes_y else None)
 
 
 class TestBestBracketEveryTarget:

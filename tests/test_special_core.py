@@ -310,6 +310,19 @@ class TestHalfIntegerClosed:
         with pytest.raises(DomainError):
             half_integer_closed("K", 0.5, 2.0)
 
+    def test_where_two_over_pi_x_overflows(self):
+        # below x of about 3.5e-309, 2/(pi x) overflows, but sqrt(2/(pi x))
+        # does not; L at -3/2 and 1/2 (about x^(3/2)) underflow to 0
+        mpmath = pytest.importorskip("mpmath")
+        for kind, nu, x in (("L", -0.5, 5e-324), ("I", 0.5, 1e-310), ("L", -0.5, 1e-310)):
+            assert rel(half_integer_closed(kind, nu, x), float(mpmath.sqrt(2 * mpmath.mpf(x) / mpmath.pi))) < 1e-15
+        want = float(mpmath.sqrt(2 / (mpmath.pi * mpmath.mpf(1e-310))))
+        assert rel(half_integer_closed("I", -0.5, 1e-310), want) < 1e-15
+        assert half_integer_closed("L", -1.5, 1e-310) == half_integer_closed("L", 0.5, 1e-310) == 0.0
+        # from x = 1e-300 up the closed forms keep their bits
+        x = 1e-300
+        assert half_integer_closed("L", -0.5, x) == math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
+
     def test_finite_past_x_max(self):
         # the closed forms read no series, so X_MAX does not bound them
         for kind, nu in (("I", 0.5), ("L", -1.5), ("L", 0.5)):
@@ -338,15 +351,21 @@ class TestAsymptotics:
     (asym_large_x, ("L", 0.0, 1e-300)),  # x^2 underflows to 0
     (asym_large_x, ("L", 0.0, 1e-160)),
     (asym_large_x, ("L", 1e200, 1.0)),  # inf - inf in the correction
+    (asym_large_x, ("L", 1e20, 600.0)),  # a finite correction times e^x / sqrt(2 pi x)
+    (asym_large_x, ("L", 1e20, 1e-100)),
+    (half_integer_closed, ("I", -1.5, 1e-300)),  # about -(2/pi)^(1/2) x^(-3/2)
+    (half_integer_closed, ("I", -1.5, 1e-310)),
     (a_nu_constant, (1e308,)),
     (bessel_route_coefficient, (1e308,)),
 ], ids=["closed_I_half", "closed_L_minus_three_halves", "closed_L_half_714",
         "closed_L_half_1000", "closed_L_half_1419", "asym_large_x", "asym_large_x_tiny_x",
-        "asym_large_x_small_x", "asym_large_x_huge_order", "a_nu_constant",
+        "asym_large_x_small_x", "asym_large_x_huge_order", "asym_large_x_product",
+        "asym_large_x_product_tiny_x", "closed_I_minus_three_halves_tiny_x",
+        "closed_I_minus_three_halves_subnormal_x", "a_nu_constant",
         "bessel_route_coefficient"])
 def test_overflow_raises_overflow_risk(f, args):
     # never the raw OverflowError of math's sinh, cosh, exp or lgamma, nor the
-    # inf of a product that overflows while sinh(x/2) is still finite
+    # inf of a product that overflows while its factors are still finite
     with pytest.raises(OverflowRisk, match="overflows"):
         f(*args)
 
