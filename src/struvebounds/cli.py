@@ -1,6 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: struvebounds COMMAND --name value ...
 
-Subcommands: eval, bracket, cond, argratio, table, verify, crossover.
+The table _COMMANDS holds the grammar: seven commands, each option given as
+--name value or --name=value and never abbreviated, -h or --help for usage.
 Exit codes: 0 success, 1 domain or usage error, 2 when verification finds
 violations.  Nothing is configurable: no option or environment variable
 changes how a value is computed.  Only verify --all and the eq14
@@ -12,64 +13,15 @@ where M takes its stable route.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import registry
 from .errors import StruveBoundsError
 from .special_core import bessel_i, struve_l, struve_m
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="struvebounds",
-        description="Evaluate modified Struve/Bessel functions and their "
-                    "certified two-sided bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate I, L or M = L - I")
-    p.add_argument("--kind", choices=("I", "L", "M"), required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-
-    p = sub.add_parser("bracket", help="bracket the ratio L_nu/L_{nu-1}")
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--bound", help="evaluate one registered bound instead of the best bracket")
-
-    p = sub.add_parser("cond", help="condition number x L'_nu / L_nu with brackets")
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-
-    p = sub.add_parser("argratio", help="ratio L_nu(x)/L_nu(y) with brackets")
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-
-    p = sub.add_parser("table", help="compute a built-in relative-error table")
-    p.add_argument("--id", type=int, required=True, dest="table_id")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-
-    p = sub.add_parser("verify", help="certify registered inequalities on the default grid")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--all", action="store_true")
-    g.add_argument("--bound")
-    p.add_argument("--experimental-eq14-extension", action="store_true",
-                   dest="experimental")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-
-    p = sub.add_parser("crossover", help="locate where two bounds exchange dominance")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--nu", type=float, required=True)
-    p.add_argument("--xmin", type=float, default=0.01)
-    p.add_argument("--xmax", type=float, default=50.0)
-
-    return parser
 
 
 def _check_finite(*values: float) -> None:
@@ -191,25 +143,103 @@ def _cmd_crossover(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "bracket": _cmd_bracket,
-    "cond": _cmd_cond,
-    "argratio": _cmd_argratio,
-    "table": _cmd_table,
-    "verify": _cmd_verify,
-    "crossover": _cmd_crossover,
+# Each command's handler, help line and options, and the options of which it
+# takes exactly one.  An option: the attribute its handler reads, its type
+# (bool for a flag, which takes no value), its choices, its default or _REQUIRED.
+_REQUIRED = object()
+_NU, _X = ("nu", float, None, _REQUIRED), ("x", float, None, _REQUIRED)
+_FORMAT = ("format", str, ("text", "csv"), "text")
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate I, L or M = L - I",
+             {"--kind": ("kind", str, ("I", "L", "M"), _REQUIRED), "--nu": _NU, "--x": _X}, ()),
+    "bracket": (_cmd_bracket, "bracket the ratio L_nu/L_{nu-1}, or evaluate one registered bound",
+                {"--nu": _NU, "--x": _X, "--bound": ("bound", str, None, None)}, ()),
+    "cond": (_cmd_cond, "condition number x L'_nu / L_nu with brackets",
+             {"--nu": _NU, "--x": _X}, ()),
+    "argratio": (_cmd_argratio, "ratio L_nu(x)/L_nu(y) with brackets",
+                 {"--nu": _NU, "--x": _X, "--y": ("y", float, None, _REQUIRED)}, ()),
+    "table": (_cmd_table, "compute a built-in relative-error table",
+              {"--id": ("table_id", int, None, _REQUIRED), "--format": _FORMAT}, ()),
+    "verify": (_cmd_verify, "certify registered inequalities on the default grid: "
+               "--all of them, or one --bound",
+               {"--all": ("all", bool, None, False), "--bound": ("bound", str, None, None),
+                "--experimental-eq14-extension": ("experimental", bool, None, False),
+                "--format": _FORMAT}, ("--all", "--bound")),
+    "crossover": (_cmd_crossover, "locate where two bounds exchange dominance",
+                  {"--a": ("a", str, None, _REQUIRED), "--b": ("b", str, None, _REQUIRED),
+                   "--nu": _NU, "--xmin": ("xmin", float, None, 0.01),
+                   "--xmax": ("xmax", float, None, 50.0)}, ()),
 }
 
 
+def _usage(command: Optional[str]) -> str:
+    """The usage line of one command, or of the program."""
+    if command is None:
+        return f"usage: struvebounds {{{','.join(_COMMANDS)}}} [--name value ...] [-h]"
+    words = []
+    for flag, (dest, kind, choices, default) in _COMMANDS[command][2].items():
+        word = flag if kind is bool else \
+            f"{flag} {{{','.join(choices)}}}" if choices else f"{flag} {dest.upper()}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return f"usage: struvebounds {command} {' '.join(words)} [-h]"
+
+
+def _help(command: Optional[str]) -> str:
+    if command is None:
+        return "\n".join([_usage(None), "Options are --name value or --name=value; "
+                          "'struvebounds COMMAND -h' lists a command's options."]
+                         + [f"  {name:<10} {line}" for name, (_, line, _, _) in _COMMANDS.items()])
+    return f"{_usage(command)}\n{_COMMANDS[command][1]}"
+
+
+def _reject(cause: str, command: Optional[str] = None) -> StruveBoundsError:
+    return StruveBoundsError(f"{cause}\n{_usage(command)}")
+
+
+def _parse(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The attributes the command's handler reads, or None once help is
+    printed.  The token after --name is always its value; of an option given
+    twice the last wins."""
+    if argv and argv[0] in ("-h", "--help"):
+        print(_help(None))
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        raise _reject(f"unknown command {argv[0]!r}" if argv else "no command given")
+    command, tokens = argv[0], iter(argv[1:])
+    _, _, options, one_of = _COMMANDS[command]
+    given = {}
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_help(command))
+            return None
+        flag, eq, value = token.partition("=")
+        if flag not in options:
+            raise _reject(f"unrecognised argument {token!r}", command)
+        dest, kind, choices, default = options[flag]
+        if kind is bool and eq:
+            raise _reject(f"{flag} takes no value", command)
+        if kind is not bool and not eq and (value := next(tokens, None)) is None:
+            raise _reject(f"{flag} needs a value", command)
+        try:
+            given[dest] = True if kind is bool else kind(value)
+        except ValueError:
+            raise _reject(f"{flag}: invalid {kind.__name__} value {value!r}", command) from None
+        if choices and given[dest] not in choices:
+            raise _reject(f"{flag}: {value!r} is not one of {', '.join(choices)}", command)
+    if one_of and sum(options[flag][0] in given for flag in one_of) != 1:
+        raise _reject(f"{command} takes exactly one of {' and '.join(one_of)}", command)
+    args = SimpleNamespace(command=command)
+    for flag, (dest, _, _, default) in options.items():
+        if default is _REQUIRED and dest not in given:
+            raise _reject(f"{command} needs {flag}", command)
+        setattr(args, dest, given.get(dest, default))
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses exit code 2 for usage errors
-        return 0 if exc.code == 0 else 1
-    try:
-        return _HANDLERS[args.command](args)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        return 0 if args is None else _COMMANDS[args.command][0](args)
     except (StruveBoundsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

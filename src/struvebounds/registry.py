@@ -124,11 +124,13 @@ class BoundSpec(Record):
     def evaluate(self, nu: float, x: float, y: Optional[float] = None) -> float:
         """The bound at one point, as a Python float.  Python arithmetic that
         fails in the formula (math's range error, a division by zero) raises
-        OverflowRisk or DomainError naming the bound and the point."""
+        OverflowRisk or DomainError naming the bound and the point, and so
+        does a primitive's DomainError, which names only the order it read."""
         P = _point(self.target, nu, x, y)
         try:
             return float(self.formula(nu, x, P) if y is None else self.formula(nu, x, y, P))
-        except (ArithmeticError, ValueError) as exc:  # ValueError: math's domain error
+        except (ArithmeticError, ValueError, DomainError) as exc:
+            # ValueError is math's domain error, DomainError a primitive's
             error = OverflowRisk if isinstance(exc, OverflowError) else DomainError
             raise error(f"{self.bound_id} at {_at(nu, x, y)}: {exc}") from exc
 
@@ -356,7 +358,12 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
     xs = _scan_grid(lo, hi, 200)
     # one Row where numpy is loaded already, as in a sweep; otherwise point by
     # point, which costs far less than loading numpy
-    ds = _row_difference(spec_a, spec_b, nu, xs) if "numpy" in sys.modules else map(diff, xs)
+    ds = map(diff, xs)
+    if "numpy" in sys.modules:
+        try:
+            ds = _row_difference(spec_a, spec_b, nu, xs)
+        except DomainError:  # raised again by the points, which name the bound and the x
+            pass
     signed = [(x, math.copysign(1.0, d)) for x, d in zip(xs, ds) if d != 0.0]
     brackets = [(a, b) for (a, sa), (b, sb) in zip(signed, signed[1:]) if sa != sb]
     if not brackets:

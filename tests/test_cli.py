@@ -113,15 +113,17 @@ class TestCondAndArgRatio:
         listed = [line.split()[0] for line in out.splitlines() if line.split()[0] in originals]
         assert code == 0 and listed and sorted(calls) == sorted(listed)
 
-    @pytest.mark.parametrize("argv,need", [
-        (("cond", "--nu", "-1.5", "--x", "1"), "nu > -3/2"),
-        (("bracket", "--bound", "eq28_lower", "--nu", "-1.5", "--x", "1"), "nu >= -1/2"),
+    @pytest.mark.parametrize("argv,need,prefix", [
+        (("cond", "--nu", "-1.5", "--x", "1"), "nu > -3/2", ""),
+        (("bracket", "--bound", "eq28_lower", "--nu", "-1.5", "--x", "1"), "nu >= -1/2",
+         "eq28_lower at nu=-1.5, x=1.0: "),
     ], ids=["cond", "eq28_lower"])
-    def test_order_below_the_floor_names_nu(self, capsys, argv, need):
-        # both read f_{nu-1}; the error names the caller's nu, not order -2.5
+    def test_order_below_the_floor_names_nu(self, capsys, argv, need, prefix):
+        # both read f_{nu-1}; the error names the caller's nu, not order -2.5,
+        # and a bound's error names the bound and the point
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert err.startswith("error: the condition number")
+        assert err.startswith(f"error: {prefix}the condition number")
         assert need in err and "got nu=-1.5" in err and "order -2.5" not in err
 
     def test_argratio_rejects_reversed_pair(self, capsys):
@@ -334,14 +336,16 @@ class TestUsageAndEnv:
         assert main(["--help"]) == 0
 
 
-# modules the point path must not load: numpy, and the record generator
-# dataclasses with the inspect module it imports
+# modules the point path must not load: numpy, the record generator
+# dataclasses with the inspect module it imports, and argparse with its
+# gettext, which the command line's own parser does without
 GUARD_SCRIPT = """
 import contextlib, io, json, sys
 import struvebounds
 from struvebounds import cli
 def loaded():
-    return [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
+    return [name for name in ("argparse", "dataclasses", "gettext", "inspect", "numpy")
+            if name in sys.modules]
 report = [["import", 0, loaded()]]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -374,9 +378,9 @@ ARRAY_COMMANDS = {
 }
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
-# the benchmark's ten crossover commands, read from its reference pool
-CROSSOVER_COMMANDS = [argv for argv, _ in
-                      json.loads((BENCH / "reference.json").read_text())["cli_pool"]["crossover"]]
+# the benchmark's cli-cold commands by kind, and its ten crossover commands
+CLI_POOL = json.loads((BENCH / "reference.json").read_text())["cli_pool"]
+CROSSOVER_COMMANDS = [argv for argv, _ in CLI_POOL["crossover"]]
 
 VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
                 "certify_eq14_extension", "crossover", "default_grid", "monotonicity_suite",
@@ -657,3 +661,114 @@ class TestNumpyOffThePointPath:
     def test_unknown_names_are_attribute_errors(self):
         assert not hasattr(struvebounds, "no_such_name")
         assert not hasattr(struvebounds, "render_table_text")  # verify's, not exported
+
+
+def respelled(argv):
+    """argv with each --name=value as --name value and each --name value as
+    --name=value; every option in it takes a value."""
+    out, tokens = argv[:1], iter(argv[1:])
+    for token in tokens:
+        out += token.split("=", 1) if "=" in token else [f"{token}={next(tokens)}"]
+    return out
+
+
+# each command's options, written out here so that the help is checked
+# against a list the parser does not read
+OPTIONS = {
+    "eval": ("--kind", "--nu", "--x"),
+    "bracket": ("--nu", "--x", "--bound"),
+    "cond": ("--nu", "--x"),
+    "argratio": ("--nu", "--x", "--y"),
+    "table": ("--id", "--format"),
+    "verify": ("--all", "--bound", "--experimental-eq14-extension", "--format"),
+    "crossover": ("--a", "--b", "--nu", "--xmin", "--xmax"),
+}
+
+# command lines the grammar rejects, and what the error names
+REJECTED = {
+    "no command": ([], "no command given"),
+    "unknown command": (["evaluate", "--nu", "1", "--x", "2"], "'evaluate'"),
+    "unknown flag": (["eval", "--kind", "L", "--nu", "1", "--x", "2", "--verbose"], "'--verbose'"),
+    "option of another command": (["cond", "--nu", "1", "--x", "5", "--y", "6"], "'--y'"),
+    "abbreviation": (["table", "--id", "1", "--form", "csv"], "'--form'"),
+    "stray argument": (["cond", "--nu", "1", "--x", "5", "6"], "'6'"),
+    "missing option": (["argratio", "--nu", "1", "--x", "1"], "argratio needs --y"),
+    "missing value": (["eval", "--kind", "L", "--nu", "1", "--x"], "--x needs a value"),
+    "malformed float": (["eval", "--kind", "L", "--nu", "one", "--x", "2"], "'one'"),
+    "empty value": (["cond", "--nu=", "--x", "5"], "--nu"),
+    "malformed int": (["table", "--id", "1.5"], "'1.5'"),
+    "outside the choices": (["eval", "--kind", "Q", "--nu", "1", "--x", "1"], "'Q'"),
+    "format outside the choices": (["table", "--id", "1", "--format=json"], "'json'"),
+    "flag with a value": (["verify", "--all=yes"], "--all takes no value"),
+    "verify without --all or --bound": (["verify", "--format", "csv"], "exactly one"),
+    "verify with --all and --bound": (["verify", "--all", "--bound", "eq20_upper"],
+                                      "exactly one"),
+}
+
+
+class TestParser:
+    """The command line's grammar: --name value or --name=value, the token
+    after --name always its value, the last of a repeated option winning,
+    -h or --help for usage, and every other command line an error naming its
+    cause above the usage line."""
+
+    @pytest.mark.parametrize("kind", sorted(CLI_POOL))
+    def test_both_spellings_agree_on_the_pool(self, capsys, kind):
+        for argv, _ in CLI_POOL[kind]:
+            other = respelled(argv)
+            assert other != argv and respelled(other) == argv
+            got = run(capsys, *argv)
+            assert got[0] == 0 and got == run(capsys, *other), argv
+
+    @pytest.mark.parametrize("argv,kind,nu,x", [
+        (["eval", "--kind", "L", "--nu", "-1.2", "--x", "2"], "L", -1.2, 2.0),
+        (["eval", "--kind=I", "--nu=-1.2", "--x=0.5"], "I", -1.2, 0.5),
+        # the last of a repeated option wins
+        (["eval", "--kind", "I", "--nu", "3", "--kind", "L", "--nu", "1", "--x", "2"],
+         "L", 1.0, 2.0),
+    ], ids=["spaced", "joined", "repeated"])
+    def test_negative_and_repeated_values(self, capsys, argv, kind, nu, x):
+        code, out, err = run(capsys, *argv)
+        want = {"I": struvebounds.bessel_i, "L": struvebounds.struve_l}[kind](nu, x).value
+        assert code == 0 and err == "" and float(out.splitlines()[0]) == want
+
+    @pytest.mark.parametrize("argv,cause", [
+        (["eval", "--kind", "L", "--nu", "1", "--x=-3"], "got -3.0"),
+        (["eval", "--kind", "L", "--nu", "-inf", "--x", "1"], "must be finite, got -inf"),
+        # the token after --bound is its value, even one that reads as a flag
+        (["bracket", "--nu", "1", "--x", "2", "--bound", "-h"], "'-h'"),
+    ], ids=["x=-3", "nu -inf", "bound -h"])
+    def test_values_that_look_like_flags_reach_the_command(self, capsys, argv, cause):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and cause in err and "usage:" not in err
+
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_top_level_help(self, capsys, flag):
+        code, out, err = run(capsys, flag)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: struvebounds") and all(c in out for c in OPTIONS)
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_command_help(self, capsys, command):
+        # help is printed as soon as it is read, whatever follows it
+        for argv in ([command, "--help"], [command, "-h"], [command, "-h", "--no-such-option"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            assert out.startswith(f"usage: struvebounds {command} "), argv
+            named = {word.strip("[]") for word in out.split() if word.startswith(("--", "[--"))}
+            assert named == set(OPTIONS[command]), argv
+
+    @pytest.mark.parametrize("case", sorted(REJECTED))
+    def test_rejections(self, capsys, case):
+        argv, cause = REJECTED[case]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        first, usage = err.splitlines()
+        assert first.startswith("error:") and cause in first
+        assert usage.startswith("usage: struvebounds ")
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["struvebounds", "cond", "--nu", "1", "--x", "5"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("exact =")

@@ -189,6 +189,20 @@ class TestRangesLiveInTheRegistry:
             assert code == 0, err
             assert out.startswith(f"{bound_id} = ") and "outside validity range" in out
 
+    @pytest.mark.parametrize("bound_id,nu,cause", [
+        ("eq17_upper", -0.6, "order -1.6 below supported minimum -1.5"),
+        ("eq12_upper", -1.6, "kernel requires nu > -3/2, got -1.6"),
+        ("eq27_upper", -1.6, "kernel requires nu > -3/2, got -1.6"),
+    ], ids=["eq17_upper", "eq12_upper", "eq27_upper"])
+    def test_primitive_error_names_the_bound_and_the_point(self, capsys, bound_id, nu, cause):
+        # the primitive names only the order it read (eq17_upper's I_(nu-1)
+        # at -1.6, where the caller asked for -0.6); evaluate adds the rest
+        with pytest.raises(DomainError) as info:
+            REGISTRY[bound_id].evaluate(nu, 1.0)
+        assert str(info.value) == f"{bound_id} at nu={nu}, x=1.0: {cause}"
+        assert main(["bracket", "--bound", bound_id, "--nu", repr(nu), "--x", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
     @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
     def test_non_finite_order(self, nu):
         for spec in REGISTRY.values():
