@@ -4,6 +4,7 @@ relative-error tables.
 The certification engine clips the default grid to each bound's recorded
 validity half-line, compares against the series reference at every point,
 and reports signed normalized slack; equality orders count as zero slack.
+The sweeps need numpy, the sweeps extra: pip install "struvebounds[sweeps]".
 """
 
 from struvebounds import certify, certify_all, monotonicity_suite

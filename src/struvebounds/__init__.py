@@ -24,6 +24,7 @@ from .brackets import Bracket
 from .errors import (
     ConvergenceError,
     DomainError,
+    ExtraMissing,
     InvalidBracket,
     MultipleSignChanges,
     NoSignChange,
@@ -65,9 +66,10 @@ from .succ_ratio import (
     ratio_refine_step,
 )
 
-# verify loads numpy, which a point query never needs; certify and the grid
-# names come from certification, which does not, and the table names from
-# tables: import each on first use (PEP 562)
+# verify needs numpy, the sweeps extra, which a point query never does;
+# certify (on points) and the grid names come from certification, which
+# does not, and the table names from tables: import each on first use
+# (PEP 562)
 _CERTIFICATION_NAMES = ("Grid", "GridReport", "certify", "default_grid")
 _VERIFY_NAMES = ("certify_all", "certify_eq14_extension", "monotonicity_suite",
                  "relative_error_table")
@@ -78,7 +80,7 @@ __all__ = [
     "coefficient_crossover_nu",
     "b_value",
     "Bracket",
-    "ConvergenceError", "DomainError", "InvalidBracket", "MultipleSignChanges",
+    "ConvergenceError", "DomainError", "ExtraMissing", "InvalidBracket", "MultipleSignChanges",
     "NoSignChange", "NoValidBound", "OverflowRisk", "StruveBoundsError", "UnknownBound",
     "REGISTRY", "BoundSpec", "best_bracket", "bound_ids", "bounds_for_target", "bracket",
     "crossover", "evaluate_valid", "exact_value", "get_bound",

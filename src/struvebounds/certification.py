@@ -1,17 +1,17 @@
 """Certification of one registered inequality over a grid: Grid,
 default_grid, GridReport, report_csv_rows and certify.
 
-certify checks a bound at every in-range grid point on one of two paths.
-Where a lane set is given, or numpy is loaded already (a sweep, a test
-session), it hands the bound to verify, whose Row path runs the bound's
-formula and its target's exact formula once per order over numpy lanes.
-Otherwise, as for `verify --bound` or certify(id) in a fresh process, it
-runs the same formulas on one special_core.Point per x lane or (x, y) pair
-and records a row of Python floats per order: one bound is a few hundred
-to a few thousand points, which costs less than loading numpy.  A Point
-gives a Row lane's bits, so both paths record the same report.  Where
-Python's float arithmetic raises (a division by zero, an overflowing
-power), numpy gives inf or NaN, so such a bound goes back to the Row path.
+certify checks a bound at every in-range grid point on special_core.Points:
+it runs the bound's formula and its target's exact formula on one Point per
+x lane or (x, y) pair and records a row of Python floats per order.  One
+bound is a few hundred to a few thousand points, which costs less than
+loading numpy, so `verify --bound` and certify(id) never load it.
+verify.certify is the sweeps' entry for the same check: it runs the
+formulas once per order over numpy lanes (rows.Row), and certify_all and
+the suites call it.  A Point gives a Row lane's bits, so both record the
+same report.  Where Python's float arithmetic raises (a division by zero,
+an overflowing power), numpy gives inf or NaN, so such a bound goes to
+verify.certify, which needs the sweeps extra.
 
 This module loads no numpy.  GridReport.record and report_csv_rows take
 Python lists as well as arrays, and reach for numpy only when they are
@@ -220,30 +220,34 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
 
 
+def _bound_orders(bound_id: str, grid: Optional[Grid], tolerance: float):
+    """(spec, grid, the grid's orders at which the bound is valid) for
+    certify and verify.certify, after checking the tolerance."""
+    _check_tolerance(tolerance)
+    spec = registry.get_bound(bound_id)
+    grid = grid or default_grid()
+    return spec, grid, [nu for nu in grid.nu_values if spec.valid_at(nu)]
+
+
 def certify(bound_id: str, grid: Optional[Grid] = None,
-            tolerance: float = DEFAULT_TOLERANCE, *,
-            lanes: Optional[dict] = None) -> GridReport:
+            tolerance: float = DEFAULT_TOLERANCE) -> GridReport:
     """Check one registered inequality at every in-range grid point.
 
     The bound reads one lane set, the grid's x lanes or its (x, y) pairs,
     at each in-range order: its formula and its target's exact formula run
-    there once per order.  lanes maps takes_y to a numpy lane set with its
-    series filled (verify._lane_sets), as certify_all passes to every
-    bound, and sends the bound to verify's Row path, as does a process that
-    has loaded numpy already; otherwise the lanes are special_core.Points
-    (_certify_points).
+    there on one special_core.Point per lane (_certify_points).  A bound
+    whose Python arithmetic raises there (a division by zero, an
+    overflowing power) goes to verify.certify's Row engine, where numpy
+    forms inf or NaN and the report records them; that needs the sweeps
+    extra.
     """
-    _check_tolerance(tolerance)
-    spec = registry.get_bound(bound_id)
-    grid = grid or default_grid()
-    nus = [nu for nu in grid.nu_values if spec.valid_at(nu)]
-    if lanes is None and "numpy" not in sys.modules:
-        try:
-            return _certify_points(spec, grid, nus, tolerance)
-        except ArithmeticError:
-            pass  # Python raised where numpy forms inf or NaN, which the Row path records
+    spec, grid, nus = _bound_orders(bound_id, grid, tolerance)
+    try:
+        return _certify_points(spec, grid, nus, tolerance)
+    except ArithmeticError:
+        pass
     from . import verify
-    return verify._certify_rows(spec, grid, nus, tolerance, lanes)
+    return verify.certify(bound_id, grid, tolerance)
 
 
 def _slack(side: str, bound: float, exact: float) -> float:

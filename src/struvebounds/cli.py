@@ -5,10 +5,11 @@ The table _COMMANDS holds the grammar: seven commands, each option given as
 Exit codes: 0 success, 1 domain or usage error, 2 when verification finds
 violations.  Nothing is configurable: no option or environment variable
 changes how a value is computed.  Only verify --all and the eq14
-experiment import verify, and with it numpy: verify --bound certifies its
-one bound on points through certification, table reads tables and
-crossover the registry, point by point, and a command loads numpy only
-where M takes its stable route.
+experiment import verify, and with it numpy, the sweeps extra (without it
+they exit 1 naming the extra): verify --bound certifies its one bound on
+points through certification, table reads tables and crossover the
+registry, point by point, and M's stable route is pure Python, so no other
+command loads numpy.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ def _cmd_verify(args) -> int:
     if args.all:
         from . import verify
         reports = verify.certify_all(grid) + verify.monotonicity_suite()
-    else:  # before verify is imported, so the bound is certified on points
+    else:  # on points, without numpy
         reports = [certification.certify(args.bound, grid)]
     # the experiment is informational: its failures never set the exit code
     exit_code = 2 if any(rep.violations for rep in reports) else 0

@@ -36,3 +36,9 @@ class NoSignChange(StruveBoundsError):
 
 class MultipleSignChanges(StruveBoundsError):
     """Crossover search found more than one sign change on the interval."""
+
+
+class ExtraMissing(StruveBoundsError, ImportError):
+    """An optional dependency is not installed; the message names the extra
+    that provides it (numpy, the sweeps extra, for verify's sweeps).  Also
+    an ImportError, which the failed import would otherwise raise."""

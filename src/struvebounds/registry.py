@@ -30,14 +30,15 @@ target: tightest_bracket over evaluate_valid's (spec, value) pairs.
 tightest_bracket evaluates nothing, so the cond command selects from the
 values it has printed.  Two entries take two bound ids at one order:
 bracket, at one point, and crossover, which locates where the bounds
-exchange dominance.  crossover's pre-scan reads a rows.Row only where numpy
-is loaded already, so this module never loads numpy.
+exchange dominance.  crossover's pre-scan runs point by point, so this
+module never loads numpy; verify.crossover, the sweeps' entry, runs the
+same search with its pre-scan over one rows.Row (_crossover takes the
+scan), and a Row gives a point's bits, so both find the same root.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from typing import Callable, Optional
 
 from . import arg_ratio as _ar
@@ -319,18 +320,6 @@ def _scan_grid(lo: float, hi: float, n: int) -> list[float]:
     return [(i * step if step else i / (n - 1) * delta) + lo for i in range(n - 1)] + [hi]
 
 
-def _row_difference(spec_a: BoundSpec, spec_b: BoundSpec, nu: float,
-                    xs: list[float]) -> list[float]:
-    """spec_a - spec_b at order nu over one rows.Row of the lanes xs, as
-    Python floats: a Row gives a point's bits, so each is the difference
-    BoundSpec.evaluate gives at its x."""
-    import numpy as np
-
-    from . import rows
-    P = rows.Row(np.array(xs))
-    return (rows.bound_row(spec_a, P, nu) - rows.bound_row(spec_b, P, nu)).tolist()
-
-
 def crossover(bound_id_a: str, bound_id_b: str, nu: float,
               x_range: tuple[float, float] = (0.01, 50.0)) -> float:
     """Argument at which two competing bounds exchange dominance.
@@ -339,8 +328,18 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
     finite with 0 < xmin < xmax.  A 200-point pre-scan must find exactly
     one sign change of the difference between consecutive nonzero samples,
     so a root on a sample is bracketed by its neighbours; the root is then
-    bisected to absolute tolerance 1e-4.
+    bisected to absolute tolerance 1e-4.  The pre-scan runs point by point
+    (verify.crossover runs it over one rows.Row).
     """
+    return _crossover(bound_id_a, bound_id_b, nu, x_range, None)
+
+
+def _crossover(bound_id_a: str, bound_id_b: str, nu: float, x_range: tuple[float, float],
+               scan: Optional[Callable]) -> float:
+    """crossover, with the pre-scan's differences from scan(spec_a, spec_b,
+    nu, xs) where a scan is given and point by point where it is not or
+    raises DomainError, which the points raise again naming the bound and
+    the x."""
     spec_a, spec_b = get_bound(bound_id_a), get_bound(bound_id_b)
     for spec in (spec_a, spec_b):
         if needs_y(spec):
@@ -356,12 +355,10 @@ def crossover(bound_id_a: str, bound_id_b: str, nu: float,
         return spec_a.evaluate(nu, x) - spec_b.evaluate(nu, x)
 
     xs = _scan_grid(lo, hi, 200)
-    # one Row where numpy is loaded already, as in a sweep; otherwise point by
-    # point, which costs far less than loading numpy
     ds = map(diff, xs)
-    if "numpy" in sys.modules:
+    if scan is not None:
         try:
-            ds = _row_difference(spec_a, spec_b, nu, xs)
+            ds = scan(spec_a, spec_b, nu, xs)
         except DomainError:  # raised again by the points, which name the bound and the x
             pass
     signed = [(x, math.copysign(1.0, d)) for x, d in zip(xs, ds) if d != 0.0]

@@ -8,8 +8,9 @@ they are asked for, the Row supplying only the steps that compute them, so
 a sweep builds one Row per lane set and computes each lane's work once for
 all its orders.  exact_row and bound_row run a target's exact formula
 and a bound's formula over a Row at an order given to them.  Only this
-module and verify import numpy at module level, so a point query never
-loads it.
+module and verify import numpy, so a point query never loads it; the
+stable M route, which Row.M takes on its cancelling lanes one by one, is
+special_core's pure-Python rule, the one struve_m reads.
 
 No Python runs once per lane where numpy can do the lane's work with the
 same bits: bookkeeping (deduplication, per-order setup, gathers) is numpy
@@ -67,17 +68,19 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
     """The kind series summed at every lane (nu, x) of nus and xs.
 
     nus holds one order per lane, or one for all.  The in-domain lanes are
-    deduplicated by np.unique over (nu, x) packed exactly into one complex
-    number, and each distinct lane is summed once and on its own, so the
-    sorted order changes no value.  Its leading term is formed as _series
-    forms it: _series_setup and the gamma product once per distinct order,
-    math.log once per distinct x/2, each gathered by an inverse index, and
-    math.pow lane by lane, since (x/2)^power differs on every lane.
-    _series's recurrence then runs in _series's order with numpy, so every
-    value is bit-identical to _series's.  A lane out of domain, whose
-    leading term underflows, or that does not converge within MAX_TERMS is
-    NaN (_series raises for the last two).  Stores nothing and forms no
-    error estimate.  Raises only for an unknown kind.
+    deduplicated on an integer key, order index times argument count plus
+    argument index, over the sorted distinct orders and arguments, and each
+    distinct lane is summed once and on its own, so the sorted order changes
+    no value.  Its leading term is formed as _series forms it: _series_setup
+    and the gamma product once per distinct order, math.log once per
+    distinct x/2, each gathered by an index, and math.pow lane by lane,
+    since (x/2)^power differs on every lane.  _series's recurrence then runs
+    in _series's order with numpy, so every value is bit-identical to
+    _series's; a lane that stops is recorded and its magnitude sum set to
+    -inf, so that the stop test stays false for it.  A lane out of domain,
+    whose leading term underflows, or that does not converge within
+    MAX_TERMS is NaN (_series raises for the last two).  Stores nothing and
+    forms no error estimate.  Raises only for an unknown kind.
     """
     g1 = _series_setup(kind, 0.0)[0]
     xs = np.asarray(xs, dtype=float)
@@ -86,21 +89,20 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
     out = np.full(xs.shape, math.nan)
     if not ok.any():
         return out
-    pair = np.empty(np.count_nonzero(ok), dtype=complex)  # (nu, x) exactly, one number
-    pair.real, pair.imag = nus[ok], xs[ok]
-    keys, inverse = np.unique(pair, return_inverse=True)  # each distinct lane once
-    orders, order_at = np.unique(keys.real, return_inverse=True)
+    orders, order_at = np.unique(nus[ok], return_inverse=True)
+    args, arg_at = np.unique(xs[ok], return_inverse=True)
+    keys, inverse = np.unique(order_at * args.size + arg_at, return_inverse=True)  # each lane once
+    order_of, arg_of = np.divmod(keys, args.size)
     setup = []
     for nu in orders.tolist():
         _, shift, power0, n0 = _series_setup(kind, nu)
         setup.append((shift, n0, 2 * n0 + power0, _gamma_pair(n0 + g1, n0 + shift)[0]))
-    shift, nv, power, gammas = (np.array(c, dtype=float)[order_at] for c in zip(*setup))
-    xv, sums = keys.imag, np.full(keys.size, math.nan)
+    shift, nv, power, gammas = (np.array(c, dtype=float)[order_of] for c in zip(*setup))
+    xv, sums = args[arg_of], np.full(keys.size, math.nan)
     # _first_term_err's value lane by lane
-    halves, half_at = np.unique(0.5 * xv, return_inverse=True)
-    log_mag = np.abs(power * _map_lanes(math.log, halves)[half_at])
+    log_mag = np.abs(power * _map_lanes(math.log, 0.5 * args)[arg_of])
     term = np.zeros_like(xv)
-    direct = (gammas != 0.0) & (log_mag < _LOG_MAG_MAX)
+    direct = (gammas != 0.0) & (log_mag < _LOG_MAG_MAX) & (0.5 * xv >= _TINY)
     term[direct] = _map_lanes(math.pow, 0.5 * xv[direct], power[direct]) / gammas[direct]
     for i in np.flatnonzero(~direct).tolist():
         try:
@@ -111,7 +113,7 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
     shift, nv, term, xv = shift[lane], nv[lane], term[lane], xv[lane]
     q = 0.25 * xv * xv
     mag, total, comp, abs_total = np.abs(term), *np.zeros((3, lane.size))
-    active = np.ones(lane.size, dtype=bool)
+    running = lane.size
     # the term cap is read where _series reads it, from special_core
     for _ in range(special_core.MAX_TERMS if lane.size else 0):
         y = term - comp
@@ -122,16 +124,18 @@ def fill_series_row(kind: str, nus, xs) -> np.ndarray:
         term = term * q / ((nv + g1) * (nv + shift))
         nv += 1.0
         mag = np.abs(term)
-        done = (mag < REL_TOL * abs_total) & active
-        if not done.any():
+        done = np.flatnonzero(mag < REL_TOL * abs_total)
+        if not done.size:
             continue
         sums[lane[done]] = total[done]
-        active &= ~done
-        if 2 * np.count_nonzero(active) < active.size:  # drop the finished lanes
+        abs_total[done] = -math.inf
+        running -= done.size
+        if 2 * running < lane.size:  # drop the finished lanes
+            keep = np.flatnonzero(abs_total > -math.inf)
             lane, shift, nv, q, term, mag, total, comp, abs_total = (
-                c[active] for c in (lane, shift, nv, q, term, mag, total, comp, abs_total))
-            active = active[active]
-            if not active.size:
+                c[keep] for c in (lane, shift, nv, q, term, mag, total, comp, abs_total))
+            running = keep.size
+            if not running:
                 break
     out[ok] = sums[inverse]
     return out
@@ -182,15 +186,19 @@ class Row(Point):
     def _b(self, order):
         """kernel_b over the lanes: the gamma factor once per order, the power
         lane by lane, and the quotient in numpy.  A lane whose quotient is
-        not in (0, inf) (the power overflowed, or lv is 0) runs kernel_b
-        itself, which gives its log-space value or raises its error."""
+        not in (0, inf) (the power overflowed, or lv is 0) or whose x/2 is
+        subnormal runs kernel_b itself, which gives its log-space value or
+        raises its error."""
         lv = self.L(order)
         if order + 1.5 >= GAMMA_ARG_MAX:
             return _map_lanes(kernel_b, order, self.x, lv)
-        pw = _map_lanes(_pow_or_inf, 0.5 * self.x, order + 1.0)
+        half = 0.5 * self.x
+        normal = half >= _TINY
+        pw = np.ones_like(half)
+        pw[normal] = _map_lanes(_pow_or_inf, half[normal], order + 1.0)
         with np.errstate(all="ignore"):
             q = pw / (SQRT_PI * math.gamma(order + 1.5) * lv)
-        for i in np.flatnonzero(~((0.0 < q) & (q < math.inf))).tolist():
+        for i in np.flatnonzero(~((0.0 < q) & (q < math.inf) & normal)).tolist():
             q[i] = kernel_b(order, self.x[i].item(), lv[i].item())
         return q
 

@@ -22,8 +22,10 @@ the primitive's name, the order and, for I and L, whether it is read over y
 (("L", order, at_y), ("b", order)), so a repeated read is one dict lookup.
 It is the package's one scalar cache, and the registry reuses the Point of
 its last call.  rows.Row is the same store over numpy lanes: it replaces
-only the compute steps behind it.  Only the tanh-sinh rule uses arrays here,
-and it imports numpy on first use, so most point queries never load it.
+only the compute steps behind it.  This module loads no numpy: the
+tanh-sinh rule below is math's exp summed by math.fsum over nodes built on
+first use, and struve_m, rows.Row.M (lane by lane) and the quadrature
+oracle all read it.
 
 M_nu is the difference of two functions that grow like e^x while M itself
 grows only like a power of x, so once the direct difference would cancel it
@@ -32,8 +34,9 @@ is recomputed from the decaying integral
     M_nu(x) = -2(x/2)^nu / (sqrt(pi) Gamma(nu+1/2)) * int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt
 
 with a fixed tanh-sinh (double-exponential) rule, Takahasi & Mori, Publ.
-RIMS 9 (1974).  Subtracting the endpoint behaviour at t = 1 analytically
-continues the integral to -3/2 < nu <= -1/2.
+RIMS 9 (1974), of 225 nodes, of which those near t = 1 whose terms cannot
+reach 2^-64 of the sum are skipped.  Subtracting the endpoint behaviour at
+t = 1 analytically continues the integral to -3/2 < nu <= -1/2.
 
 The quadrature oracle sums the same integral at -x and at x with the same
 rule, since cosh and sinh of xt are half-sums of e^(xt) and e^(-xt):
@@ -83,6 +86,7 @@ _LOG_MAG_MAX = 690.0
 # REL_TOL times it rounds to 0, so the series stop test could never fire.
 _TINY = sys.float_info.min
 _EPS = 2.0**-52
+_LN2 = math.log(2.0)
 
 
 class FuncValue(Record):
@@ -138,13 +142,20 @@ def _leading_index(shift: float) -> int:
     return 0
 
 
-def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
-    """(x/2)^power / (Gamma(g1_arg) * Gamma(g2_arg)), with log-space fallback."""
+def _log_half(x: float) -> float:
+    """log(x/2) for x > 0, from log(x) where x/2 is subnormal, since halving
+    a subnormal x rounds it (to 0 at the smallest)."""
     half_x = 0.5 * x
-    if half_x == 0.0:
-        raise DomainError(f"argument x={x} underflows: x/2 rounds to 0")
-    log_mag = power * math.log(half_x)
-    if abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX and g2_arg < GAMMA_ARG_MAX:
+    return math.log(half_x) if half_x >= _TINY else math.log(x) - _LN2
+
+
+def _first_term(power: float, g1_arg: float, g2_arg: float, x: float) -> float:
+    """(x/2)^power / (Gamma(g1_arg) * Gamma(g2_arg)), with log-space fallback,
+    which a subnormal x/2 takes too (_log_half)."""
+    half_x = 0.5 * x
+    log_mag = power * _log_half(x)
+    if (half_x >= _TINY and abs(log_mag) < _LOG_MAG_MAX and g1_arg < GAMMA_ARG_MAX
+            and g2_arg < GAMMA_ARG_MAX):
         return half_x**power / (math.gamma(g1_arg) * math.gamma(g2_arg))
     # math.lgamma returns log|Gamma|; Gamma is negative on (-1,0), (-3,-2), ...
     sign = 1.0
@@ -176,11 +187,11 @@ def _first_term_err(power: float, g1_arg: float, g2_arg: float,
     exponentials of logs whose arguments are rounded, so eps times the
     magnitudes of log (x/2)^power and of the log-gammas."""
     half_x = 0.5 * x
-    log_mag = abs(power * math.log(half_x)) if half_x > 0.0 else math.inf
+    log_mag = abs(power * _log_half(x))
     gammas, weight = _gamma_pair(g1_arg, g2_arg)
-    if gammas != 0.0 and log_mag < _LOG_MAG_MAX:
+    if gammas != 0.0 and half_x >= _TINY and log_mag < _LOG_MAG_MAX:
         return half_x**power / gammas, _EPS * (log_mag + weight)
-    term = _first_term(power, g1_arg, g2_arg, x)  # raises where x/2 underflows
+    term = _first_term(power, g1_arg, g2_arg, x)
     return term, _EPS * (log_mag + abs(math.lgamma(g1_arg)) + abs(math.lgamma(g2_arg)))
 
 
@@ -306,25 +317,31 @@ def half_integer_closed(kind: str, nu: float, x: float) -> float:
         elif key == -0.5:
             value = pref * math.sinh(x)
         else:
-            value = pref * _cosh_minus_sinhc(x)
+            value = pref * x * _cosh_minus_sinhc_over_x(x)
     except OverflowError:  # sinh or cosh past x of about 710.5
         value = math.inf
     # a float product that overflows raises nothing: L at 1/2 from x of about
     # 713, and I at -3/2, about -(2/pi)^(1/2) x^(-3/2), below x of about 2e-206
     if not math.isfinite(value):
         raise OverflowRisk(f"closed form of {kind} at order {key} overflows at x={x}")
+    # nor does one that underflows: L at 1/2 and at -3/2, like x^(3/2), at
+    # tiny x, where the series' leading term underflows too
+    if abs(value) < _TINY:
+        raise DomainError(f"closed form of {kind} at order {key} underflows at x={x}")
     return value
 
 
-def _cosh_minus_sinhc(x: float) -> float:
-    """cosh(x) - sinh(x)/x, series-based below x=0.5 to dodge cancellation."""
+def _cosh_minus_sinhc_over_x(x: float) -> float:
+    """(cosh(x) - sinh(x)/x) / x, series-based below x=0.5 to dodge
+    cancellation, and without forming x^2, which underflows below x of
+    about 1.5e-154."""
     if x >= 0.5:
-        return math.cosh(x) - math.sinh(x) / x
-    # sum_{k>=1} x^{2k} * 2k / (2k+1)!
+        return (math.cosh(x) - math.sinh(x) / x) / x
+    # sum_{k>=1} x^{2k-1} * 2k / (2k+1)!
     total = 0.0
-    term = x * x / 3.0
+    term = x / 3.0
     k = 1
-    while abs(term) > 1e-18 * (total if total else 1.0):
+    while term > 1e-18 * total:  # the terms are positive; a term of 0 ends the sum
         total += term
         k += 1
         term *= x * x * (2 * k) / ((2 * k - 2) * (2 * k) * (2 * k + 1))
@@ -365,34 +382,59 @@ _CANCEL_FLAG_RATIO = 1e-6
 # 3e-23 of the ends, far below anything the integrands carry there.
 _DE_STEP = 1.0 / 32.0
 _DE_K = 112
+# Near t = 1 a decaying integrand's terms fall off double-exponentially;
+# nodes are summed there a chunk at a time until the rest cannot reach
+# _DE_NEGLIGIBLE times the near-0 half's sum.
+_DE_CHUNK = 16
+_DE_NEGLIGIBLE = 2.0**-64
 
 
 @cache
-def _de_halves():
-    """The node set as (near-0 half, near-1 half), built on first use.
+def _de_nodes():
+    """The node set, built on first use, with each node's x-independent logs.
 
-    Each half is (t, 1 - t, weights), where weights stacks the rule at step h
-    over the rule at step 2h (every other node, double weight), so that
-    weights @ f gives both sums at once.  The node at t = 1/2 is in the
-    near-0 half.
+    Returns (near0, near1) for orders nu >= 1/2 and the same for orders
+    below, each half in the order of k (near0 from the node at t = 1/2,
+    k = 0; near1 from k = 1), so the even k are near0[0::2] and near1[1::2]:
+    the rule at step 2h is the even nodes at double weight.  For nu >= 1/2
+    a node is (w, log((1-t)(1+t)), t); below, a near-0 node is
+    (w, t, 1-t, log(1+t)) and a near-1 node (w, 1-t, log1p(-(1-t)/2)).
+    Each near1 is cut into chunks of _DE_CHUNK nodes.
     """
-    import numpy as np
-    k = np.arange(_DE_K + 1)
-    u = k * _DE_STEP
-    s = np.pi * np.sinh(u)
-    r = 1.0 / (1.0 + np.exp(s))
-    q = 1.0 / (1.0 + np.exp(-s))
-    w = _DE_STEP * np.pi * np.cosh(u) * r * q  # h dt/du = h pi cosh(u) t (1-t)
-    weights = np.stack([w, np.where(k % 2 == 0, 2.0 * w, 0.0)])
-    return (r, q, weights), (q[1:], r[1:], weights[:, 1:])
+    upper, lower = ([], []), ([], [])
+    for k in range(_DE_K + 1):
+        u = k * _DE_STEP
+        s = math.pi * math.sinh(u)
+        r = 1.0 / (1.0 + math.exp(s))
+        q = 1.0 / (1.0 + math.exp(-s))
+        w = _DE_STEP * math.pi * math.cosh(u) * r * q  # h dt/du = h pi cosh(u) t (1-t)
+        upper[0].append((w, math.log(q * (1.0 + r)), r))
+        lower[0].append((w, r, q, math.log(1.0 + r)))
+        if k:
+            upper[1].append((w, math.log(r * (1.0 + q)), q))
+            lower[1].append((w, r, math.log1p(-0.5 * r)))
+    return tuple((near0, [near1[i:i + _DE_CHUNK] for i in range(0, _DE_K, _DE_CHUNK)])
+                 for near0, near1 in (upper, lower))
 
 
-_DE_NODES = 2 * _DE_K + 1
+def _de_near1(terms, chunks, cut: float) -> list:
+    """terms over the near-1 chunks in turn, stopping once the last term
+    times the number of nodes left is below cut: the terms shrink
+    monotonically toward t = 1 there."""
+    out = []
+    left = _DE_K
+    for chunk in chunks:
+        out += terms(chunk)
+        left -= len(chunk)
+        if abs(out[-1]) * left < cut:
+            break
+    return out
 
 
-def _stable_integral(nu: float, x: float) -> tuple[float, float]:
+def _stable_integral(nu: float, x: float) -> tuple[float, float, int]:
     """J = int_0^1 (1-t^2)^(nu-1/2) e^(-xt) dt for nu > -3/2 and real x of
-    either sign, and a bound on its absolute error.
+    either sign, a bound on its absolute error and the number of nodes
+    summed.
 
     With a = nu - 1/2 and g(t) = (1+t)^a e^(-xt), the integrand is
     (1-t)^a g(t).  For a >= 0 it is bounded and is summed as it stands.  For
@@ -402,44 +444,54 @@ def _stable_integral(nu: float, x: float) -> tuple[float, float]:
     remainder g - g(1)(1 + c (1-t)) is formed from expm1 of
     log(g(t)/g(1)) = a log1p(-(1-t)/2) + x (1-t), near t = 0 directly.
 
-    The error bound is the gap between the sums at steps h and 2h (the rule
-    at step h is far closer than at 2h) plus rounding in the parts of J,
-    which may cancel for orders below -1/2.
+    For x > 0 the near-1 nodes stop where the rest of them sum to less than
+    _DE_NEGLIGIBLE times the near-0 half (_de_near1).  The rule at step h
+    and at 2h are each summed by math.fsum; the error bound is the gap
+    between them (the rule at step h is far closer than at 2h) plus
+    rounding in the parts of J, which may cancel for orders below -1/2.
     """
-    import numpy as np
     a = nu - 0.5
-    (t0, d0, w0), (t1, d1, w1) = _de_halves()
+    exp = math.exp
     if a >= 0.0:
-        f0 = np.exp(a * np.log(d0 * (1.0 + t0)) - x * t0)
-        f1 = np.exp(a * np.log(d1 * (1.0 + t1)) - x * t1)
+        near0, near1 = _de_nodes()[0]
+
+        def terms(nodes):
+            return [w * exp(a * lg - x * t) for w, lg, t in nodes]
+        p0 = terms(near0)
         ends = (0.0, 0.0)
     else:
+        near0, near1 = _de_nodes()[1]
         g1 = 2.0**a * math.exp(-x)
         c = x - 0.5 * a
-        f0 = d0**a * ((1.0 + t0) ** a * np.exp(-x * t0) - g1 * (1.0 + c * d0))
-        f1 = g1 * d1**a * (np.expm1(a * np.log1p(-0.5 * d1) + x * d1) - c * d1)
+        expm1 = math.expm1
+        p0 = [w * (d**a * (exp(a * lp - x * t) - g1 * (1.0 + c * d))) for w, t, d, lp in near0]
+
+        def terms(nodes):
+            return [w * (g1 * d**a * (expm1(a * l1 + x * d) - c * d)) for w, d, l1 in nodes]
         # 1/(a+1) and 1/(a+2) are formed from nu, which keeps them accurate
         # next to the poles at nu = -1/2 and nu = -3/2
         ends = (g1 / (nu + 0.5), g1 * c / (nu + 1.5))
-    fine, coarse = (w0 @ f0 + w1 @ f1).tolist()
+    p1 = _de_near1(terms, near1, _DE_NEGLIGIBLE * abs(sum(p0)) if x > 0.0 else -1.0)
+    even = math.fsum(p0[0::2] + p1[1::2])
+    fine, coarse = even + math.fsum(p0[1::2] + p1[0::2]), 2.0 * even
     size = abs(ends[0]) + abs(ends[1]) + abs(fine)
     fine += ends[0] + ends[1]
     coarse += ends[0] + ends[1]
-    return fine, abs(fine - coarse) + 4.0 * _EPS * size
+    return fine, abs(fine - coarse) + 4.0 * _EPS * size, len(p0) + len(p1)
 
 
 def _quad_oracle(kind: str, nu: float, x: float) -> FuncValue:
     if not math.isfinite(nu) or nu <= -0.5:
         raise DomainError(f"integral representation requires nu > -1/2, got {nu}")
     _check_x(x)
-    grow, grow_err = _stable_integral(nu, -x)
-    decay, decay_err = _stable_integral(nu, x)
+    grow, grow_err, n_grow = _stable_integral(nu, -x)
+    decay, decay_err, n_decay = _stable_integral(nu, x)
     raw = grow + decay if kind == "I" else grow - decay
     lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
     # eps x |J(nu, -x)| covers e^(xt) taken at a rounded xt
     err = grow_err + decay_err + _EPS * x * abs(grow)
     est = (err / abs(raw) if raw != 0.0 else err) + lead_err
-    return FuncValue(lead / SQRT_PI * raw, 2 * _DE_NODES, est)
+    return FuncValue(lead / SQRT_PI * raw, n_grow + n_decay, est)
 
 
 def quad_oracle_i(nu: float, x: float) -> FuncValue:
@@ -468,11 +520,11 @@ def _mv_stable(nu: float, x: float) -> tuple[float, int, float]:
     ):
         if abs(nu - target) <= ORDER_TOL:
             return form(), 0, 1e-15
-    integral, err = _stable_integral(nu, x)
+    integral, err, nodes = _stable_integral(nu, x)
     lead, lead_err = _first_term_err(nu, nu + 0.5, 1.0, x)
     coef = -2.0 / SQRT_PI * lead
     est = (err / abs(integral) if integral != 0.0 else err) + lead_err
-    return coef * integral, _DE_NODES, est
+    return coef * integral, nodes, est
 
 
 def _cancels(lv, iv):
@@ -529,16 +581,16 @@ def recurrence_check(nu: float, x: float) -> tuple[float, float]:
 
 
 def kernel_b(nu: float, x: float, lv: float) -> float:
-    """b_nu(x) from lv = L_nu(x): the direct quotient while it stays normal,
-    else exp(log-numerator - log-denominator)."""
-    if nu + 1.5 < GAMMA_ARG_MAX:
+    """b_nu(x) from lv = L_nu(x): the direct quotient while it stays normal
+    and x/2 is not subnormal, else exp(log-numerator - log-denominator)."""
+    if nu + 1.5 < GAMMA_ARG_MAX and 0.5 * x >= _TINY:
         try:
             q = (0.5 * x) ** (nu + 1.0) / (SQRT_PI * math.gamma(nu + 1.5) * lv)
         except OverflowError:  # from the power
             q = math.inf
         if 0.0 < q < math.inf:
             return q
-    log_num = (nu + 1.0) * math.log(0.5 * x)
+    log_num = (nu + 1.0) * _log_half(x)
     log_den = math.log(SQRT_PI) + math.lgamma(nu + 1.5) + math.log(lv)
     return math.exp(log_num - log_den)
 

@@ -1,5 +1,6 @@
-"""The certification sweeps (certify_all, monotonicity_suite), certify's
-Row path, reference error tables and the eq14 extension probe.
+"""The certification sweeps (certify_all, monotonicity_suite), the array
+engines certify and crossover, reference error tables and the eq14
+extension probe.
 
 Certification works a row at a time: for each (bound, order) the bound's
 formula and its target's exact formula each run once as numpy arrays over
@@ -23,14 +24,14 @@ inside certification always come from the power-series route; the
 quadrature oracle is reserved for cross-validating the series itself, so a
 certification failure can never be self-confirming.
 
-Grid, default_grid, GridReport, report_csv_rows and certify live in
-certification, which loads no numpy: where numpy is not loaded yet, as for
-`verify --bound` in a fresh process, certify runs one bound on
-special_core.Points and never reaches this module; otherwise it comes here
-(_certify_rows).  The relative-error tables are computed point by point
-and live in tables, and crossover lives in registry, whose pre-scan runs
-over one Row where numpy is loaded already and point by point where it is
-not.  This module re-exports all of their names and gives
+This module is the sweeps' engine and needs numpy, the sweeps extra:
+without it, importing it raises ExtraMissing.  Its certify and crossover
+are the array engines of certification.certify and registry.crossover,
+which run point by point and load no numpy; certify_all and the suites call
+these, and a Row gives a point's bits, so both engines give the same
+reports and roots.  Grid, default_grid, GridReport and report_csv_rows live
+in certification and the relative-error tables, computed point by point,
+in tables; this module re-exports their names and gives
 relative_error_table, the cells as an ndarray.
 """
 
@@ -38,15 +39,18 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-import numpy as np
+from .errors import ExtraMissing
+
+try:
+    import numpy as np
+except ImportError:
+    raise ExtraMissing("the sweeps need numpy: install the sweeps extra, "
+                       "pip install 'struvebounds[sweeps]'") from None
 
 from . import registry, rows
-# certify and the names it records in live in certification, which loads no
-# numpy; they stay reachable here
-from .certification import (DEFAULT_TOLERANCE, Grid, GridReport, _check_tolerance, certify,
-                            default_grid, report_csv_rows)
-# crossover lives in registry, which loads no numpy; its name stays reachable here
-from .registry import crossover
+# the names certification records in, and the grid, stay reachable here
+from .certification import (DEFAULT_TOLERANCE, Grid, GridReport, _bound_orders,
+                            _check_tolerance, default_grid, report_csv_rows)
 from .special_core import _L_FLOOR, ORDER_TOL, recurrence_residuals
 # the tables live in tables, which loads no numpy; their names stay reachable here
 from .tables import (TABLES, TableSpec, parse_table_csv, relative_error_cells,
@@ -74,14 +78,17 @@ def _lane_sets(grid: Grid, orders_by_takes_y: dict) -> dict:
     return lanes
 
 
-def _certify_rows(spec: registry.BoundSpec, grid: Grid, nus: list[float],
-                  tolerance: float, lanes: Optional[dict]) -> GridReport:
-    """certify's Row path: the bound reads one lane set, the grid's x lanes
-    or its (x, y) pairs, and at each in-range order nus its formula
-    (rows.bound_row) and its target's exact formula (Row.exact, kept per
-    target and order) run once over the lanes.  lanes maps takes_y to a
-    lane set with its series filled (_lane_sets), as certify_all passes to
-    every bound; without it, this builds and fills its own at nus."""
+def certify(bound_id: str, grid: Optional[Grid] = None,
+            tolerance: float = DEFAULT_TOLERANCE, *,
+            lanes: Optional[dict] = None) -> GridReport:
+    """certification.certify over numpy lanes: the bound reads one lane
+    set, the grid's x lanes or its (x, y) pairs, and at each in-range order
+    its formula (rows.bound_row) and its target's exact formula (Row.exact,
+    kept per target and order) run once over the lanes.  lanes maps
+    takes_y to a lane set with its series filled (_lane_sets), as
+    certify_all passes to every bound; without it, this builds and fills
+    its own at the bound's valid orders."""
+    spec, grid, nus = _bound_orders(bound_id, grid, tolerance)
     report = GridReport(spec.bound_id)
     takes_y = registry.needs_y(spec)
     P = (_lane_sets(grid, {takes_y: nus}) if lanes is None else lanes)[takes_y]
@@ -92,6 +99,21 @@ def _certify_rows(spec: registry.BoundSpec, grid: Grid, nus: list[float],
                                            P.exact(spec.target, nu)),
                       tolerance, spec.is_equality_at(nu))
     return report
+
+
+def crossover(bound_id_a: str, bound_id_b: str, nu: float,
+              x_range: tuple[float, float] = (0.01, 50.0)) -> float:
+    """registry.crossover with its 200-point pre-scan over one rows.Row."""
+    return registry._crossover(bound_id_a, bound_id_b, nu, x_range, _row_difference)
+
+
+def _row_difference(spec_a: registry.BoundSpec, spec_b: registry.BoundSpec, nu: float,
+                    xs: list[float]) -> list[float]:
+    """spec_a - spec_b at order nu over one rows.Row of the lanes xs, as
+    Python floats: a Row gives a point's bits, so each is the difference
+    BoundSpec.evaluate gives at its x."""
+    P = rows.Row(np.array(xs))
+    return (rows.bound_row(spec_a, P, nu) - rows.bound_row(spec_b, P, nu)).tolist()
 
 
 def _relative(diff, ref):

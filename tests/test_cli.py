@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import struvebounds
-from struvebounds import lv_value, registry, struve_m, verify
+from struvebounds import certification, lv_value, registry, struve_m, verify
 from struvebounds.certification import Grid, default_grid
 from struvebounds.cli import main
 from struvebounds.registry import REGISTRY, BoundSpec
@@ -358,23 +358,26 @@ POINT_COMMANDS = [
     ["eval", "--kind", "I", "--nu", "1", "--x", "2"],
     ["eval", "--kind", "L", "--nu", "1", "--x", "2"],
     ["eval", "--kind", "M", "--nu", "1", "--x", "2"],  # L - I does not cancel
+    ["eval", "--kind", "M", "--nu", "1", "--x", "30"],  # it does: the stable route
     ["bracket", "--nu", "1", "--x", "2"],
     ["bracket", "--bound", "eq28_upper", "--nu", "1", "--x", "2"],
     ["cond", "--nu", "1", "--x", "5"],
     ["argratio", "--nu", "0.5", "--x", "1", "--y", "2"],
     ["table", "--id", "1"],  # every cell is a point query
-    # one bound is certified on points where numpy is not loaded yet
+    # one bound is certified on points
     ["verify", "--bound", "eq20_upper"],
     ["verify", "--bound", "eq38_lower"],  # the argument ratio, over (x, y) pairs
+    ["verify", "--bound", "eq15_upper"],  # its exact value reads M's stable route
 ]
 
 # the benchmark's twelve table commands: each table in both formats
 TABLE_COMMANDS = [["table", "--id", str(i), "--format", fmt]
                   for i in range(1, 7) for fmt in ("text", "csv")]
 
+# only the sweeps run over numpy lanes
 ARRAY_COMMANDS = {
-    "eval-M-stable": ["eval", "--kind", "M", "--nu", "1", "--x", "30"],
-    "verify": ["verify", "--all"],  # the sweeps run over numpy lanes
+    "verify": ["verify", "--all"],
+    "eq14-extension": ["verify", "--bound", "eq14_positivity", "--experimental-eq14-extension"],
 }
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -382,9 +385,8 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CLI_POOL = json.loads((BENCH / "reference.json").read_text())["cli_pool"]
 CROSSOVER_COMMANDS = [argv for argv, _ in CLI_POOL["crossover"]]
 
-VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify", "certify_all",
-                "certify_eq14_extension", "crossover", "default_grid", "monotonicity_suite",
-                "relative_error_table", "table_by_id")
+VERIFY_NAMES = ("Grid", "GridReport", "TableSpec", "certify_all", "certify_eq14_extension",
+                "default_grid", "monotonicity_suite", "relative_error_table", "table_by_id")
 
 
 def run_fresh(script, *args):
@@ -420,11 +422,11 @@ FAKES = {
     "fake_line": BoundSpec("fake_line", "b_kernel", "upper", -1.5, True,
                            lambda n, x, P: x - n),
 }
-def outcomes(cases):
+def outcomes(cases, crossover=registry.crossover):
     out = []
     for a, b, nu, x_range in cases:
         try:
-            out.append(registry.crossover(a, b, nu, tuple(x_range)))
+            out.append(crossover(a, b, nu, tuple(x_range)))
         except StruveBoundsError as exc:
             out.append([type(exc).__name__, str(exc)])
     return out
@@ -444,9 +446,10 @@ def _load_workloads():
 
 
 class TestCrossoverScanPaths:
-    """crossover's pre-scan runs over one rows.Row where numpy is loaded
-    already (this process) and point by point where it is not (a fresh
-    one); a Row gives a point's bits, so both give the same answers."""
+    """registry.crossover runs its pre-scan point by point and loads no
+    numpy (a fresh process); verify.crossover, the sweeps' engine, runs it
+    over one rows.Row (this process).  A Row gives a point's bits, so both
+    give the same answers."""
 
     def test_point_and_row_scans_agree(self, monkeypatch):
         on_sample = np.linspace(0.05, 20.0, 200)[100].item()
@@ -473,9 +476,15 @@ class TestCrossoverScanPaths:
         exec(SCAN_SCRIPT, scope)
         for name, spec in scope["FAKES"].items():
             monkeypatch.setitem(REGISTRY, name, spec)
-        assert "numpy" in sys.modules
-        row = scope["outcomes"](cases)
+        scans = []
+        row_difference = verify._row_difference
+        monkeypatch.setattr(verify, "_row_difference",
+                            lambda *args: scans.append(args[2]) or row_difference(*args))
+        row = scope["outcomes"](cases, verify.crossover)
         assert point == row
+        # every case that reached the pre-scan scanned over a Row: all but the
+        # six refused before it
+        assert len(scans) == len(cases) - 6
         # every pool root, and both roots near the sample, were found
         assert all(isinstance(r, float) for r in row[:10] + row[-4:-3] + row[-2:])
         assert [r[0] for r in row[10:-4]] == ["DomainError"] * 6 + [
@@ -488,7 +497,8 @@ class TestCrossoverScanPaths:
 # with two fake bounds registered: one whose slack is NaN, +inf or -inf at
 # some lanes, and one that divides by zero, which raises at a point and
 # gives inf over numpy lanes.  Floats are compared by their repr, so NaN
-# equals NaN and every bit counts.  GRIDS maps each grid name to its Grid.
+# equals NaN and every bit counts.  GRIDS maps each grid name to its Grid;
+# outcome's certify is the engine that checks the "certify" jobs.
 CERTIFY_SCRIPT = """
 import contextlib, io, json, math, sys
 from struvebounds import StruveBoundsError, certify, cli
@@ -501,7 +511,7 @@ FAKES = {
     "fake_zero_division": BoundSpec("fake_zero_division", "b_kernel", "upper", -1.5, True,
                                     lambda n, x, P: 1.0 / (x - x)),
 }
-def outcome(job):
+def outcome(job, certify=certify):
     kind, bound_id, how = job
     if kind == "certify":
         try:
@@ -533,17 +543,14 @@ registry.REGISTRY.update(FAKES)
 print(json.dumps([[outcome(job) for job in json.loads(sys.argv[2])], NumpyWatch.stack]))
 """
 
-# the bounds whose exact value, the product difference, reads M, whose
-# stable route imports numpy
-STABLE_M_BOUNDS = ("eq14_positivity", "eq15_upper", "eq16_upper")
-
 
 class TestCertifyPaths:
-    """certify runs one bound over one rows.Row per lane set where numpy is
-    loaded already (this process) and on special_core.Points where it is
-    not (a fresh one); a Row gives a point's bits, so both give the same
-    reports and verify --bound the same output.  A bound whose Python
-    arithmetic raises at a point goes back to the Row path."""
+    """certification.certify (the package's certify, and verify --bound)
+    runs one bound on special_core.Points and loads no numpy (a fresh
+    process); verify.certify, the sweeps' engine, runs it over one rows.Row
+    per lane set (this process).  A Row gives a point's bits, so both give
+    the same reports.  A bound whose Python arithmetic raises at a point
+    goes to verify.certify, and so loads numpy."""
 
     def test_point_and_row_reports_agree(self, monkeypatch):
         grids = {
@@ -558,60 +565,48 @@ class TestCertifyPaths:
             "past_x_max": Grid((-1.4,), (1000.0,)),
         }
         grid_arg = json.dumps({name: [g.nu_values, g.x_values] for name, g in grids.items()})
-
-        def jobs(bound_id):
-            return [["certify", bound_id, name] for name in grids] + [
-                ["verify", bound_id, fmt] for fmt in ("text", "csv")]
-
-        point_free = [job for bid in registry.bound_ids() + ["fake_nonfinite"]
-                      if bid not in STABLE_M_BOUNDS for job in jobs(bid)]
-        # once numpy is loaded the next bound takes the Row path: one process
-        # per job that loads it, two at a time
-        stable_m = [job for bid in STABLE_M_BOUNDS for job in jobs(bid)]
+        # every bound, eq14-eq16 (whose exact value reads M) among them
+        points = [job for bid in registry.bound_ids() + ["fake_nonfinite"]
+                  for job in [["certify", bid, name] for name in grids]
+                  + [["verify", bid, fmt] for fmt in ("text", "csv")]]
         fallback = ["certify", "fake_zero_division", "small"]
         with ThreadPoolExecutor(max_workers=2) as pool:
             fresh = list(pool.map(lambda some: run_fresh(FRESH_CERTIFY, grid_arg, json.dumps(some)),
-                                  [point_free, [fallback]] + [[job] for job in stable_m]))
+                                  [points, [fallback]]))
         point, numpy_stack = fresh[0]
         assert numpy_stack is None
         (got,), numpy_stack = fresh[1]
         point.append(got)
-        assert numpy_stack is not None  # the Row path's
-        for job, ((got,), numpy_stack) in zip(stable_m, fresh[2:]):
-            point.append(got)
-            if job[2] == "default":
-                assert numpy_stack is not None, job
-            assert numpy_stack is None or "_mv_stable" in numpy_stack, (job, numpy_stack)
+        assert "certify" in numpy_stack  # the Row engine's
 
         scope = {"GRIDS": grids}
         exec(CERTIFY_SCRIPT, scope)
         for name, spec in scope["FAKES"].items():
             monkeypatch.setitem(REGISTRY, name, spec)
-        assert "numpy" in sys.modules
         with np.errstate(divide="ignore"):
-            row = [scope["outcome"](job) for job in point_free + [fallback] + stable_m]
+            row = [scope["outcome"](job, verify.certify) for job in points + [fallback]]
         assert point == row
         # the fake bounds' NaN, +inf and -inf lanes were recorded and reported
-        fake = dict(zip(map(tuple, point_free + [fallback]), row))
-        _, points, violations, worst, gap, _ = fake["certify", "fake_nonfinite", "default"]
-        assert worst == "nan" and gap == "inf" and points == 14 * 60
+        fake = dict(zip(map(tuple, points + [fallback]), row))
+        _, n, violations, worst, gap, _ = fake["certify", "fake_nonfinite", "default"]
+        assert worst == "nan" and gap == "inf" and n == 14 * 60
         assert all(s in violations for s in ("nan", "inf", "-inf"))
         assert fake["verify", "fake_nonfinite", "text"][0] == 2
         assert fake["certify", "eq12_upper", "past_x_max"] == [
             "OverflowRisk", "argument 1000.0 exceeds x_max=600.0"]
         assert fake["certify", "eq17_upper", "past_x_max"][:2] == ["eq17_upper", 0]
-        _, points, _, worst, gap, _ = fake[tuple(fallback)]
-        assert worst == "nan" and gap == "inf" and points == 6 * 10
+        _, n, _, worst, gap, _ = fake[tuple(fallback)]
+        assert worst == "nan" and gap == "inf" and n == 6 * 10
 
 
 class TestNumpyOffThePointPath:
-    """Only sweeps and the stable M route use arrays, so numpy loads only
-    for them (verify --all and a cancelling M): not at import, not for a
-    point command, not for table, whose cells are point queries, and not
-    for crossover or verify --bound, whose pre-scan and certification run
-    point by point unless numpy is loaded already.  The point path's
-    records, TableSpec, Grid and GridReport among them, are plain classes,
-    so dataclasses and inspect stay unloaded there too."""
+    """Only the sweeps use arrays, so numpy loads only for them (verify
+    --all and the eq14 experiment): not at import, not for a point command,
+    M's stable route included, not for table, whose cells are point
+    queries, and not for crossover or verify --bound, whose pre-scan and
+    certification run point by point.  The point path's records, TableSpec,
+    Grid and GridReport among them, are plain classes, so dataclasses and
+    inspect stay unloaded there too."""
 
     def test_import_and_point_commands_leave_numpy_unloaded(self):
         assert guard_report(POINT_COMMANDS) == (
@@ -647,6 +642,11 @@ class TestNumpyOffThePointPath:
         exec(f"from struvebounds import {name}", scope)
         assert scope[name] is getattr(verify, name)
 
+    def test_package_engines_run_point_by_point(self):
+        # verify's certify and crossover are the sweeps' array engines
+        assert struvebounds.certify is certification.certify is not verify.certify
+        assert struvebounds.crossover is registry.crossover is not verify.crossover
+
     def test_star_import_binds_every_export(self):
         scope = {}
         exec("from struvebounds import *", scope)
@@ -656,11 +656,72 @@ class TestNumpyOffThePointPath:
     def test_all_lists_every_public_name(self):
         public = {name for name, value in vars(struvebounds).items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-        assert sorted(struvebounds.__all__) == sorted(public | set(VERIFY_NAMES))
+        assert sorted(struvebounds.__all__) == sorted(public | set(VERIFY_NAMES) | {"certify"})
 
     def test_unknown_names_are_attribute_errors(self):
         assert not hasattr(struvebounds, "no_such_name")
         assert not hasattr(struvebounds, "render_table_text")  # verify's, not exported
+
+
+# a process without numpy, as without the sweeps extra: importing it raises
+# ImportError.  Runs each command of argv[1] through cli.main, and then
+# certification.certify on a bound whose Python arithmetic raises at a point.
+BLOCKED_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from struvebounds import StruveBoundsError, certification, cli, registry
+from struvebounds.registry import BoundSpec
+out = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as text, \\
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    out.append([code, text.getvalue(), err.getvalue()])
+registry.REGISTRY["fake_zero_division"] = BoundSpec(
+    "fake_zero_division", "b_kernel", "upper", -1.5, True, lambda n, x, P: 1.0 / (x - x))
+try:
+    certification.certify("fake_zero_division")
+except StruveBoundsError as exc:
+    out.append([type(exc).__name__, str(exc), isinstance(exc, ImportError)])
+print(json.dumps(out))
+"""
+
+
+def _unique(commands):
+    return list(map(list, dict.fromkeys(map(tuple, commands))))
+
+
+# every point command, every command of the benchmark's cli-cold pool, verify
+# --bound for every id, and a cancelling M
+NUMPY_FREE_COMMANDS = _unique(
+    POINT_COMMANDS + [argv for pool in CLI_POOL.values() for argv, _ in pool]
+    + [["verify", "--bound", bid] for bid in registry.bound_ids()]
+    + [["eval", "--kind", "M", "--nu", "0", "--x", "20"]])
+
+
+class TestWithoutNumpy:
+    """numpy is the sweeps extra: every point command runs without it and
+    prints what it prints with it, and the sweeps, and certify's Row
+    engine, raise ExtraMissing, a StruveBoundsError that names the extra."""
+
+    def test_point_commands_print_the_same_without_numpy(self, capsys):
+        assert len(NUMPY_FREE_COMMANDS) >= 254
+        commands = NUMPY_FREE_COMMANDS + list(ARRAY_COMMANDS.values())
+        blocked = run_fresh(BLOCKED_SCRIPT, json.dumps(commands))
+        point, sweeps = blocked[:len(NUMPY_FREE_COMMANDS)], blocked[len(NUMPY_FREE_COMMANDS):-1]
+        for argv, (code, out, _) in zip(NUMPY_FREE_COMMANDS, point):
+            assert [code, out] == list(run(capsys, *argv)[:2]), argv
+        for argv, (code, _, err) in zip(ARRAY_COMMANDS.values(), sweeps):
+            assert code == 1 and err.startswith("error:") and "struvebounds[sweeps]" in err, argv
+        name, message, is_import_error = blocked[-1]
+        assert name == "ExtraMissing" and "struvebounds[sweeps]" in message and is_import_error
+
+    def test_numpy_is_the_sweeps_extra(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((BENCH.parent / "pyproject.toml").read_text())["project"]
+        assert not any(d.startswith("numpy") for d in project["dependencies"])
+        for extra in ("sweeps", "test"):
+            assert any(d.startswith("numpy") for d in project["optional-dependencies"][extra])
 
 
 def respelled(argv):

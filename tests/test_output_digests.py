@@ -19,9 +19,9 @@ from struvebounds import (StruveBoundsError, b_value, bessel_i, best_bracket, cl
                           registry, struve_l, struve_m, verify)
 
 VERIFY_ALL_TEXT = "452fdab6cd203983238a47a984dfb25a6be2d1004439b48cfdb21e0e59fd1967"
-CERTIFY_ALL_CSV = "90fde43b48b551e940a4a8fad0e9edd74628ee5a29dfeb14723ea70e66db8cd3"
-SUITE_CSV = "78b65768b6d210c69eee382384d38fb6a985a7428da0a80cbb0301a4da09bd97"
-POINT_QUERIES = "58b59e15f3411444734bd4f3a3247a01da558d11e5354c5e873f03cfe50e59fe"
+CERTIFY_ALL_CSV = "9ead9f0f062928866a391f11112f612efc800a5a4ebbed32ee940fa292085088"
+SUITE_CSV = "34bb4f8257ff55c0b1b56134165dea21221e018efb5bf4097f25028e97c94f2a"
+POINT_QUERIES = "56ec263b3ba4b60684aa777dd1b8cbf8128deff461ad89bb64f9132459416eb6"
 
 
 def _sha256(text: str) -> str:

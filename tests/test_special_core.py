@@ -11,6 +11,7 @@ from struvebounds import (
     ConvergenceError,
     DomainError,
     OverflowRisk,
+    StruveBoundsError,
     a_nu_constant,
     asym_large_x,
     bessel_i,
@@ -312,16 +313,36 @@ class TestHalfIntegerClosed:
 
     def test_where_two_over_pi_x_overflows(self):
         # below x of about 3.5e-309, 2/(pi x) overflows, but sqrt(2/(pi x))
-        # does not; L at -3/2 and 1/2 (about x^(3/2)) underflow to 0
+        # does not; L at -3/2 and 1/2 (about x^(3/2)) underflow, as the
+        # series' leading term does
         mpmath = pytest.importorskip("mpmath")
         for kind, nu, x in (("L", -0.5, 5e-324), ("I", 0.5, 1e-310), ("L", -0.5, 1e-310)):
             assert rel(half_integer_closed(kind, nu, x), float(mpmath.sqrt(2 * mpmath.mpf(x) / mpmath.pi))) < 1e-15
         want = float(mpmath.sqrt(2 / (mpmath.pi * mpmath.mpf(1e-310))))
         assert rel(half_integer_closed("I", -0.5, 1e-310), want) < 1e-15
-        assert half_integer_closed("L", -1.5, 1e-310) == half_integer_closed("L", 0.5, 1e-310) == 0.0
+        for nu in (-1.5, 0.5):
+            with pytest.raises(DomainError, match="underflows"):
+                half_integer_closed("L", nu, 1e-310)
         # from x = 1e-300 up the closed forms keep their bits
         x = 1e-300
         assert half_integer_closed("L", -0.5, x) == math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
+
+    @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.5])
+    def test_closed_form_and_series_agree_down_to_the_smallest_x(self, nu):
+        # x log-spaced by quarter decades from 1 to 1e-323, and 5e-324: the
+        # two references of L either agree or raise the same typed error
+        for x in [10.0 ** (-k / 4) for k in range(4 * 323 + 1)] + [5e-324]:
+            got = []
+            for f in (lambda: half_integer_closed("L", nu, x), lambda: struve_l(nu, x).value):
+                try:
+                    got.append(f())
+                except StruveBoundsError as exc:
+                    got.append(type(exc))
+            closed, series = got
+            if isinstance(closed, float) and isinstance(series, float):
+                assert rel(closed, series) <= 1e-13, (nu, x, closed, series)
+            else:
+                assert closed == series, (nu, x, closed, series)
 
     def test_finite_past_x_max(self):
         # the closed forms read no series, so X_MAX does not bound them

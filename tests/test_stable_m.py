@@ -5,6 +5,7 @@ scipy unloaded."""
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import mpmath
 import pytest
 
 import struvebounds
-from struvebounds import iv_value, lv_value, struve_m
+from struvebounds import iv_value, lv_value, special_core, struve_m
 
 
 def mpmath_m(nu, x):
@@ -53,6 +54,39 @@ def test_stable_route_accuracy_and_estimate(nu):
         assert out.est_rel_error >= err, (nu, x, err, out.est_rel_error)
     # the route takes over somewhere between x = 9 and x = 30 for these orders
     assert points >= 10
+
+
+def test_seeded_cancelling_points_against_mpmath():
+    # the pure-Python tanh-sinh rule at seeded points where L - I cancels:
+    # within 1e-14 of mpmath, and within its own estimate
+    rng = random.Random(2028)
+    points = 0
+    for _ in range(80):
+        nu, x = rng.uniform(-1.45, 10.0), rng.uniform(3.0, 200.0)
+        out = struve_m(nu, x)
+        if not out.cancellation:
+            continue
+        points += 1
+        err = rel(out.value, mpmath_m(nu, x))
+        assert err <= 1e-14, (nu, x, err)
+        assert err <= out.est_rel_error, (nu, x, err, out.est_rel_error)
+    assert points >= 60
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_skipped_nodes_are_negligible(seed, monkeypatch):
+    # the near-1 nodes a decaying integrand skips change the sum by less
+    # than 2^-60 of it: summed in full (no cut), the rule agrees
+    rng = random.Random(seed)
+    points = [(rng.uniform(-1.49, 30.0), math.exp(rng.uniform(math.log(0.01), math.log(600.0))))
+              for _ in range(300)]
+    cut = [special_core._stable_integral(nu, x) for nu, x in points]
+    monkeypatch.setattr(special_core, "_DE_NEGLIGIBLE", 0.0)
+    for (nu, x), (value, _, nodes) in zip(points, cut):
+        full, _, all_nodes = special_core._stable_integral(nu, x)
+        assert all_nodes == 225
+        assert abs(value - full) <= 2.0**-60 * abs(full), (nu, x, nodes)
+    assert min(nodes for _, _, nodes in cut) < 150
 
 
 GUARD_SCRIPT = """
