@@ -5,17 +5,18 @@ certify checks a bound at every in-range grid point on special_core.Points:
 it runs the bound's formula and its target's exact formula on one Point per
 x lane or (x, y) pair and records a row of Python floats per order.  One
 bound is a few hundred to a few thousand points, which costs less than
-loading numpy, so `verify --bound` and certify(id) never load it.
+loading the sweeps extra, so `verify --bound` and certify(id) never load it.
 verify.certify is the sweeps' entry for the same check: it runs the
-formulas once per order over numpy lanes (rows.Row), and certify_all and
+formulas once per order over array lanes (rows.Row), and certify_all and
 the suites call it.  A Point gives a Row lane's bits, so both record the
 same report.  Where Python's float arithmetic raises (a division by zero,
-an overflowing power), numpy gives inf or NaN, so such a bound goes to
-verify.certify, which needs the sweeps extra.
+an overflowing power), array arithmetic gives inf or NaN, so such a bound
+goes to verify.certify, which needs the sweeps extra.
 
-This module loads no numpy.  GridReport.record and report_csv_rows take
-Python lists as well as arrays, and reach for numpy only when they are
-given arrays, which only a process that has loaded it can hold.  Grid is a
+This module loads no array library.  GridReport keeps Python values only:
+record takes arrays as well as lists, turns an array into a list once
+(tolist), and runs one body over Python floats, so a report records, reads
+and writes its CSV lines the same way whichever engine made it.  Grid is a
 brackets.Record and GridReport a plain class, so a cold `verify --bound`
 loads neither dataclasses nor the inspect module it imports.
 """
@@ -23,7 +24,7 @@ loads neither dataclasses nor the inspect module it imports.
 from __future__ import annotations
 
 import math
-import sys
+from array import array
 from itertools import chain, compress, repeat
 from operator import attrgetter
 from typing import Iterable, Iterator, Optional
@@ -37,8 +38,8 @@ DEFAULT_TOLERANCE = 1e-12
 _Y_MULTIPLIERS = (1.5, 3.0, 10.0)
 _Y_CAP = 60.0
 
-# np.logspace(-3, log10(50), 60) bit for bit; 10.0 ** v over the exponents
-# misses numpy's bits on five of them
+# the sweeps' logspace(-3, log10(50), 60) bit for bit; 10.0 ** v over the
+# exponents misses its bits on five of them
 _DEFAULT_X = (
     0.001, 0.0012012780991454903, 0.0014430690714866022, 0.0017335272711310713,
     0.002082448345081202, 0.0025015995895478183, 0.003005116799755142, 0.0036099809969200357,
@@ -82,6 +83,15 @@ class Grid(Record):
                 ys.append(y)
         return ys
 
+    def lanes(self, takes_y: bool) -> tuple[list[float], Optional[list[float]]]:
+        """(xs, ys), the lanes a bound is certified on: the x values with ys
+        None, or the (x, y) pairs in x order as two lists.  Both engines
+        take their lanes from here, so their rows pair x and y alike."""
+        if not takes_y:
+            return list(self.x_values), None
+        pairs = [(x, y) for x in self.x_values for y in self.y_values(x)]
+        return [x for x, _ in pairs], [y for _, y in pairs]
+
 
 def default_grid() -> Grid:
     """Fourteen orders spanning every validity edge, sixty log-spaced
@@ -91,20 +101,12 @@ def default_grid() -> Grid:
     return Grid(nus, _DEFAULT_X)
 
 
-def _ndarray():
-    """numpy's array type where numpy is loaded, else () (isinstance is
-    False for every value)."""
-    np = sys.modules.get("numpy")
-    return np.ndarray if np is not None else ()
-
-
 def _lane_tuples(nu, x, y, slack, status) -> Iterator[tuple]:
-    """The (nu, x, y, slack, status) tuple of each lane of one recorded row,
-    in Python values: an array gives its tolist(), a list itself, and a
-    scalar (or None) repeats."""
-    array = _ndarray()
-    return zip(*(v.tolist() if isinstance(v, array) else v if isinstance(v, list)
-                 else repeat(v) for v in (nu, x, y, slack, status)))
+    """The (nu, x, y, slack, status) tuple of each lane of one recorded row:
+    a list (or the slack's array('d')) gives its lanes, and a scalar (or
+    None) repeats."""
+    return zip(*(v if isinstance(v, (list, array)) else repeat(v)
+                 for v in (nu, x, y, slack, status)))
 
 
 class GridReport:
@@ -116,11 +118,12 @@ class GridReport:
     or an exact value that overflowed or came out NaN certifies nothing.
     Equality orders are recorded with slack 0.
 
-    The report keeps each recorded row as the arrays or lists it was given,
-    and the summary fields (points_checked, violations, worst_slack,
-    max_rel_gap) as they go; rows, the (nu, x, y, slack, status) tuple of
-    every point, is built from those on each read.  Two reports are equal
-    when their summary fields and rows are.
+    The report keeps each recorded row in Python values (nu, x and y as
+    lists or scalars, the slack as an array('d')), and the summary fields
+    (points_checked, violations, worst_slack, max_rel_gap) as they go;
+    rows, the (nu, x, y, slack, status) tuple of every point, is built from
+    those on each read.  Two reports are equal when their summary fields
+    and rows are.
     """
 
     def __init__(self, bound_id: str):
@@ -138,47 +141,31 @@ class GridReport:
 
     def record(self, nu, x, y, slack, tolerance: float, equality: bool) -> None:
         """Add one point, or one row of points: nu, x, y (None for
-        single-argument targets) and slack may each be arrays or lists of
-        one length.  The report keeps the arrays and lists it is given, so
-        a caller must not write to them afterwards.  A slack given as a
-        list is recorded in Python floats, and any other slack as an array.
+        single-argument targets) and slack may each be a scalar, or an
+        array or list of one length.  An array is kept as its tolist(),
+        and a list as given, so a caller must not write to it afterwards;
+        a caller that records one x list at every order has its text formed
+        once in report_csv_rows.
 
-        worst_slack is NaN once a lane's slack is NaN or +inf, so that a
-        report is clean exactly when worst_slack >= -tolerance.
+        worst_slack takes the lowest slack, or NaN once a lane's slack is
+        NaN or +inf, so that a report is clean exactly when worst_slack >=
+        -tolerance; max_rel_gap takes the highest slack that is not NaN.
         """
-        if isinstance(slack, list):
-            self._record_list(nu, x, y, list(map(float, slack)), tolerance, equality)
-            return
-        import numpy as np
-        slack = np.atleast_1d(np.asarray(slack, dtype=float))
-        n = slack.size
-        if equality:
-            slack = np.zeros(n)
-        bad = ~np.isfinite(slack) | (slack < -tolerance)
-        status, worst = ("equality" if equality else "ok"), slack
-        if bad.any():
-            status = np.where(bad, "violation", "ok").tolist()
-            worst = np.where(slack == math.inf, math.nan, slack)
-            for lane in compress(_lane_tuples(nu, x, y, slack, status), bad.tolist()):
-                self.violations.append(lane[:4] if y is not None else (*lane[:2], lane[3]))
-        self.points_checked += n
-        self.worst_slack = float(np.minimum.reduce(worst, initial=self.worst_slack))
-        self.max_rel_gap = float(np.fmax.reduce(slack, initial=self.max_rel_gap))
-        self._recorded.append((nu, x, y, slack, status))
-
-    def _record_list(self, nu, x, y, slack: list, tolerance: float, equality: bool) -> None:
-        """record's array branch in Python floats: worst_slack takes the
-        lowest slack, or NaN as np.minimum does once a lane is NaN or +inf,
-        and max_rel_gap the highest slack that is not NaN, as np.fmax."""
+        # an array (anything with tolist) in Python values, once
+        nu, x, y, slack = (v.tolist() if hasattr(v, "tolist") else v for v in (nu, x, y, slack))
+        if not isinstance(slack, list):
+            slack = [slack]
         if equality:
             slack = [0.0] * len(slack)
         status = "equality" if equality else "ok"
-        # false for a NaN, for +-inf and for a slack below the tolerance
-        good = [-tolerance <= s < math.inf for s in slack]
-        if all(good):
-            worst = min(slack, default=math.inf)
-            top = max(slack, default=-math.inf)
-        else:
+        worst = min(slack, default=math.inf)
+        top = max(slack, default=-math.inf)
+        # a NaN or an infinite slack makes the sum NaN or infinite, so a row
+        # skips the lane-by-lane test only if every slack is finite and within
+        # the tolerance (a sum that overflows sends a clean row through it)
+        if not (worst >= -tolerance and math.isfinite(sum(slack))):
+            # false for a NaN, for +-inf and for a slack below the tolerance
+            good = [-tolerance <= s < math.inf for s in slack]
             status = ["ok" if g else "violation" for g in good]
             for lane in compress(_lane_tuples(nu, x, y, slack, status), [not g for g in good]):
                 self.violations.append(lane[:4] if y is not None else (*lane[:2], lane[3]))
@@ -189,17 +176,14 @@ class GridReport:
             self.worst_slack = worst
         if top > self.max_rel_gap:
             self.max_rel_gap = top
-        self._recorded.append((nu, x, y, slack, status))
-
-    def _row_tuples(self) -> Iterator[tuple]:
-        return chain.from_iterable(_lane_tuples(*r) for r in self._recorded)
+        self._recorded.append((nu, x, y, array("d", slack), status))
 
     @property
     def rows(self) -> list[tuple]:
         """(nu, x, y, slack, status) of every recorded point in record
         order, status "ok", "violation" or "equality"; a new list on each
         read."""
-        return list(self._row_tuples())
+        return list(chain.from_iterable(_lane_tuples(*r) for r in self._recorded))
 
     def __eq__(self, other):
         if not isinstance(other, GridReport):
@@ -237,8 +221,8 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     at each in-range order: its formula and its target's exact formula run
     there on one special_core.Point per lane (_certify_points).  A bound
     whose Python arithmetic raises there (a division by zero, an
-    overflowing power) goes to verify.certify's Row engine, where numpy
-    forms inf or NaN and the report records them; that needs the sweeps
+    overflowing power) goes to verify.certify's Row engine, where array
+    arithmetic forms inf or NaN and the report records them; that needs the sweeps
     extra.
     """
     spec, grid, nus = _bound_orders(bound_id, grid, tolerance)
@@ -258,20 +242,15 @@ def _slack(side: str, bound: float, exact: float) -> float:
 
 
 def _certify_points(spec, grid: Grid, nus: list[float], tolerance: float) -> GridReport:
-    """certify on one Point per lane of verify._grid_row's lane set, in its
-    order: each Point is read at every order, the orders outermost, and
+    """certify on one Point per lane of the grid's lane set (Grid.lanes), in
+    its order: each Point is read at every order, the orders outermost, and
     each order records one row of Python floats, so the report's rows and
     CSV lines come out as the Row path makes them."""
     report = GridReport(spec.bound_id)
     if not nus:  # no lane is read, so none is checked, as on the Row path
         return report
-    if registry.needs_y(spec):
-        pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
-        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-        points = [Point(x, y) for x, y in pairs]
-    else:
-        xs, ys = list(grid.x_values), None
-        points = [Point(x) for x in xs]
+    xs, ys = grid.lanes(registry.needs_y(spec))
+    points = list(map(Point, xs)) if ys is None else list(map(Point, xs, ys))
     if not points:
         return report
     f, exact, side = spec.formula, registry.EXACT[spec.target], spec.side
@@ -286,36 +265,25 @@ def _certify_points(spec, grid: Grid, nus: list[float], tolerance: float) -> Gri
 
 
 def _lane_texts(v, memo: dict) -> Iterable[str]:
-    """The repr of each lane of one recorded nu, x or y: a float array's
-    once per distinct value, kept in memo by its bits (so 0.0 and -0.0 stay
-    apart), any other array's or list's lane by lane, and a scalar's once
-    for the row (None is the empty text)."""
-    if isinstance(v, list):
-        return map(repr, v)
-    if not isinstance(v, _ndarray()):
+    """The repr of each lane of one recorded nu, x or y: a list's formed
+    once per report, kept in memo by the list's identity, and a scalar's
+    once for the row (None is the empty text)."""
+    if not isinstance(v, list):
         return repeat("" if v is None else repr(v))
-    import numpy as np
-    if v.dtype == np.float64:
-        bits, at = np.unique(v.view(np.int64), return_inverse=True)
-        texts = []
-        for key, value in zip(bits.tolist(), bits.view(np.float64).tolist()):
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = repr(value)
-            texts.append(text)
-        return map(texts.__getitem__, at.tolist())
-    return map(repr, v.tolist())
+    texts = memo.get(id(v))
+    if texts is None:
+        texts = memo[id(v)] = list(map(repr, v))
+    return texts
 
 
 def report_csv_rows(report: GridReport) -> Iterable[str]:
     """Serialize a report, one line per grid point.  Only the slack's text
-    is formed per lane; nu, x and y recorded as arrays take theirs once per
-    distinct value of the report (_lane_texts)."""
+    is formed per lane; each recorded list of nu, x or y forms its texts
+    once (_lane_texts)."""
     yield "bound_id,nu,x,y,slack,status"
     memo: dict = {}
     for nu, x, y, slack, status in report._recorded:
         for nu_s, x_s, y_s, slack_s, status_s in zip(
                 _lane_texts(nu, memo), _lane_texts(x, memo), _lane_texts(y, memo),
-                map(repr, slack if isinstance(slack, list) else slack.tolist()),
-                repeat(status) if isinstance(status, str) else status):
+                map(repr, slack), repeat(status) if isinstance(status, str) else status):
             yield f"{report.bound_id},{nu_s},{x_s},{y_s},{slack_s},{status_s}"

@@ -291,7 +291,8 @@ def recurrence_term(nu: float, x: float) -> float:
 
 def half_integer_closed(kind: str, nu: float, x: float) -> float:
     """Elementary closed forms at orders -3/2, -1/2 and 1/2.  A value past
-    the double range (large x, or I at -3/2 at tiny x) raises OverflowRisk."""
+    the double range raises OverflowRisk at large x, and DomainError for I
+    at -3/2 at tiny x, as the series does there."""
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"argument must be a finite positive real, got {x}")
     pref = math.sqrt(2.0 / (math.pi * x))
@@ -321,9 +322,11 @@ def half_integer_closed(kind: str, nu: float, x: float) -> float:
     except OverflowError:  # sinh or cosh past x of about 710.5
         value = math.inf
     # a float product that overflows raises nothing: L at 1/2 from x of about
-    # 713, and I at -3/2, about -(2/pi)^(1/2) x^(-3/2), below x of about 2e-206
+    # 713, and I at -3/2, about -(2/pi)^(1/2) x^(-3/2), below x of about 2e-206,
+    # where the series' leading term overflows too and raises DomainError
     if not math.isfinite(value):
-        raise OverflowRisk(f"closed form of {kind} at order {key} overflows at x={x}")
+        error = DomainError if x < 1.0 else OverflowRisk
+        raise error(f"closed form of {kind} at order {key} overflows at x={x}")
     # nor does one that underflows: L at 1/2 and at -3/2, like x^(3/2), at
     # tiny x, where the series' leading term underflows too
     if abs(value) < _TINY:

@@ -9,14 +9,16 @@ GridReport.record call takes the row.  A Row is a lane set that keeps each
 primitive by the order it is asked for, so certify builds one Row for the
 x lanes or one for the (x, y) pairs and reads it at every order, and
 monotonicity_suite builds one Row per grid of lanes; every formula and
-primitive takes its order as an argument.  A GridReport keeps the arrays of
-every row it records and its summary (point count, violations, worst slack
-and largest gap) as it goes; the per-point (nu, x, y, slack, status) tuples
-of GridReport.rows, and the lines of report_csv_rows, are built from those
-arrays when they are read.  The sweeps own their series: each builds its
-lane sets first, sums every series they read with one fill_series_row per
-kind (rows.fill_rows) and hands each lane set its arrays, so neither calls
-the registry's point entries.  certify_all shares the lane sets, and with
+primitive takes its order as an argument.  certify hands the report the
+lane set's x (and y) as one list, recorded at every order, and each order's
+slack as an array, which GridReport.record turns into Python values once;
+the report keeps those and its summary (point count, violations, worst
+slack and largest gap) as it goes, and builds the per-point (nu, x, y,
+slack, status) tuples of GridReport.rows, and the lines of
+report_csv_rows, when they are read.  The sweeps own their series: each
+builds its lane sets first, sums every series they read with one
+fill_series_row per kind (rows.fill_rows) and hands each lane set its
+arrays, so neither calls the registry's point entries.  certify_all shares the lane sets, and with
 them the exact rows they keep, among all bounds and fills every series
 they read up front; certify alone fills the series of its bound's valid
 orders the same way, one fill per kind, before its loop.  Exact values
@@ -58,12 +60,12 @@ from .tables import (TABLES, TableSpec, parse_table_csv, relative_error_cells,
 
 
 def _grid_row(grid: Grid, takes_y: bool) -> Optional[rows.Row]:
-    """The lanes certify checks, x or (x, y) pairs in x order, as a Row;
-    None if there are none."""
-    if not takes_y:
-        return rows.Row(np.array(grid.x_values)) if grid.x_values else None
-    pairs = [(x, y) for x in grid.x_values for y in grid.y_values(x)]
-    return rows.Row(*np.array(pairs).T) if pairs else None
+    """The lanes certify checks (Grid.lanes) as a Row; None if there are
+    none."""
+    xs, ys = grid.lanes(takes_y)
+    if not xs:
+        return None
+    return rows.Row(np.array(xs), None if ys is None else np.array(ys))
 
 
 def _lane_sets(grid: Grid, orders_by_takes_y: dict) -> dict:
@@ -94,9 +96,11 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
     P = (_lane_sets(grid, {takes_y: nus}) if lanes is None else lanes)[takes_y]
     if P is None:
         return report
+    # one list per lane set, recorded at every order, as the point path does
+    xs, ys = P.x.tolist(), None if P.y is None else P.y.tolist()
     for nu in nus:
-        report.record(nu, P.x, P.y, _slack(spec.side, rows.bound_row(spec, P, nu),
-                                           P.exact(spec.target, nu)),
+        report.record(nu, xs, ys, _slack(spec.side, rows.bound_row(spec, P, nu),
+                                         P.exact(spec.target, nu)),
                       tolerance, spec.is_equality_at(nu))
     return report
 

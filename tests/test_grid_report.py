@@ -145,9 +145,13 @@ def _views(rep):
                                             rep.rows)), list(report_csv_rows(rep))]
 
 
+_SHARED_X = [1.0, 2.0]
+
+
 class TestListRows:
     """A row recorded as Python lists, as certify's point path records it,
-    gives the report the same views as the row recorded as arrays."""
+    gives the report the same views as the row recorded as arrays, and its
+    CSV lines are the texts of its rows."""
 
     @pytest.mark.parametrize("rows", [
         # (nu, x, y, slack, tolerance, equality) rows recorded in turn
@@ -163,7 +167,13 @@ class TestListRows:
          (1.0, [1.0, 2.0], None, [-1e-13, 0.0], 0.0, False)],
         [(0.5, [1.0, 2.0], None, [math.nan, math.inf], 1e-12, False),
          (1.0, [1.0, 2.0], None, [-5.0, 7.0], 1e-12, False)],
-    ], ids=["finite", "nan", "inf", "minus-inf-then-nan", "all-nan", "equality", "nan-stays"])
+        # -0.0 == 0.0, so a text memo keyed by value would give both one text
+        [(0.5, [-0.0, 0.0, -0.0], [0.0, -0.0, 1.0], [0.25, -0.0, 0.0], 1e-12, False)],
+        # one x list recorded at two orders, as certify records its lane set
+        [(0.5, _SHARED_X, None, [0.25, 0.125], 1e-12, False),
+         (1.0, _SHARED_X, None, [0.5, -1e-9], 1e-12, False)],
+    ], ids=["finite", "nan", "inf", "minus-inf-then-nan", "all-nan", "equality", "nan-stays",
+            "signed-zeros", "one-x-list-at-two-orders"])
     def test_lists_and_arrays_record_alike(self, rows):
         by_lists, by_arrays = GridReport("r"), GridReport("r")
         for nu, x, y, slack, tolerance, equality in rows:
@@ -173,3 +183,6 @@ class TestListRows:
         assert _views(by_lists) == _views(by_arrays)
         for row in by_lists.rows:
             assert all(type(v) is float for v in row[:4] if v is not None)
+        assert list(report_csv_rows(by_lists))[1:] == [
+            f"r,{nu!r},{x!r},{'' if y is None else repr(y)},{slack!r},{status}"
+            for nu, x, y, slack, status in by_lists.rows]

@@ -99,10 +99,13 @@ class TestBesselSeries:
 
     def test_leading_term_overflow_is_domain_error(self):
         # at negative orders and tiny x the leading term (x/2)^nu / Gamma
-        # itself leaves double range
+        # itself leaves double range; so does I's closed form at -3/2, about
+        # -(2/pi)^(1/2) x^(-3/2), which raises the series' error
         for fn, args in ((bessel_i, (-1.2, 1e-300)), (struve_m, (-1.2, 1e-300)),
                          (get_bound("eq17_upper").evaluate, (-0.2, 1e-300)),
-                         (exact_value, ("cond_L", -1.2, 1e-300))):
+                         (exact_value, ("cond_L", -1.2, 1e-300)),
+                         (half_integer_closed, ("I", -1.5, 1e-300)),
+                         (half_integer_closed, ("I", -1.5, 1e-310))):
             with pytest.raises(DomainError, match="overflows"):
                 fn(*args)
 
@@ -327,13 +330,14 @@ class TestHalfIntegerClosed:
         x = 1e-300
         assert half_integer_closed("L", -0.5, x) == math.sqrt(2.0 / (math.pi * x)) * math.sinh(x)
 
+    @pytest.mark.parametrize("kind, summed", [("L", struve_l), ("I", bessel_i)], ids="LI")
     @pytest.mark.parametrize("nu", [-1.5, -0.5, 0.5])
-    def test_closed_form_and_series_agree_down_to_the_smallest_x(self, nu):
+    def test_closed_form_and_series_agree_down_to_the_smallest_x(self, nu, kind, summed):
         # x log-spaced by quarter decades from 1 to 1e-323, and 5e-324: the
-        # two references of L either agree or raise the same typed error
+        # two references of I or L either agree or raise the same typed error
         for x in [10.0 ** (-k / 4) for k in range(4 * 323 + 1)] + [5e-324]:
             got = []
-            for f in (lambda: half_integer_closed("L", nu, x), lambda: struve_l(nu, x).value):
+            for f in (lambda: half_integer_closed(kind, nu, x), lambda: summed(nu, x).value):
                 try:
                     got.append(f())
                 except StruveBoundsError as exc:
@@ -374,15 +378,12 @@ class TestAsymptotics:
     (asym_large_x, ("L", 1e200, 1.0)),  # inf - inf in the correction
     (asym_large_x, ("L", 1e20, 600.0)),  # a finite correction times e^x / sqrt(2 pi x)
     (asym_large_x, ("L", 1e20, 1e-100)),
-    (half_integer_closed, ("I", -1.5, 1e-300)),  # about -(2/pi)^(1/2) x^(-3/2)
-    (half_integer_closed, ("I", -1.5, 1e-310)),
     (a_nu_constant, (1e308,)),
     (bessel_route_coefficient, (1e308,)),
 ], ids=["closed_I_half", "closed_L_minus_three_halves", "closed_L_half_714",
         "closed_L_half_1000", "closed_L_half_1419", "asym_large_x", "asym_large_x_tiny_x",
         "asym_large_x_small_x", "asym_large_x_huge_order", "asym_large_x_product",
-        "asym_large_x_product_tiny_x", "closed_I_minus_three_halves_tiny_x",
-        "closed_I_minus_three_halves_subnormal_x", "a_nu_constant",
+        "asym_large_x_product_tiny_x", "a_nu_constant",
         "bessel_route_coefficient"])
 def test_overflow_raises_overflow_risk(f, args):
     # never the raw OverflowError of math's sinh, cosh, exp or lgamma, nor the
