@@ -99,13 +99,10 @@ class TestBesselSeries:
 
     def test_leading_term_overflow_is_domain_error(self):
         # at negative orders and tiny x the leading term (x/2)^nu / Gamma
-        # itself leaves double range; so does I's closed form at -3/2, about
-        # -(2/pi)^(1/2) x^(-3/2), which raises the series' error
+        # itself leaves double range
         for fn, args in ((bessel_i, (-1.2, 1e-300)), (struve_m, (-1.2, 1e-300)),
                          (get_bound("eq17_upper").evaluate, (-0.2, 1e-300)),
-                         (exact_value, ("cond_L", -1.2, 1e-300)),
-                         (half_integer_closed, ("I", -1.5, 1e-300)),
-                         (half_integer_closed, ("I", -1.5, 1e-310))):
+                         (exact_value, ("cond_L", -1.2, 1e-300))):
             with pytest.raises(DomainError, match="overflows"):
                 fn(*args)
 
@@ -390,6 +387,18 @@ def test_overflow_raises_overflow_risk(f, args):
     # inf of a product that overflows while its factors are still finite
     with pytest.raises(OverflowRisk, match="overflows"):
         f(*args)
+
+
+@pytest.mark.parametrize("x", [1e-300, 1e-310],
+                         ids=["closed_I_minus_three_halves_tiny_x",
+                              "closed_I_minus_three_halves_subnormal_x"])
+def test_tiny_x_overflow_raises_domain_error(x):
+    # I's closed form at -3/2, about -(2/pi)^(1/2) x^(-3/2), leaves double
+    # range where the series' leading term does, and raises the series' error
+    with pytest.raises(DomainError, match="overflows"):
+        half_integer_closed("I", -1.5, x)
+    with pytest.raises(DomainError, match="overflows"):
+        bessel_i(-1.5, x)
 
 
 class TestLargeOrderPrefactors:
