@@ -56,14 +56,6 @@ def _map_lanes(f, *args):
                                 for a in args)), float)
 
 
-def _pow_or_inf(base: float, power: float) -> float:
-    """base ** power as kernel_b forms it, inf where the power overflows."""
-    try:
-        return base ** power
-    except OverflowError:
-        return math.inf
-
-
 def fill_series_row(kind: str, nus, xs) -> np.ndarray:
     """The kind series summed at every lane (nu, x) of nus and xs.
 
@@ -185,17 +177,21 @@ class Row(Point):
 
     def _b(self, order):
         """kernel_b over the lanes: the gamma factor once per order, the power
-        lane by lane, and the quotient in numpy.  A lane whose quotient is
-        not in (0, inf) (the power overflowed, or lv is 0) or whose x/2 is
-        subnormal runs kernel_b itself, which gives its log-space value or
-        raises its error."""
+        lane by lane (math.pow mapped over the normal lanes, or inf on all of
+        them if one overflows), and the quotient in numpy.  A lane whose
+        quotient is not in (0, inf) (the power overflowed, or lv is 0) or
+        whose x/2 is subnormal runs kernel_b itself, which gives its
+        log-space value or raises its error."""
         lv = self.L(order)
         if order + 1.5 >= GAMMA_ARG_MAX:
             return _map_lanes(kernel_b, order, self.x, lv)
         half = 0.5 * self.x
         normal = half >= _TINY
         pw = np.ones_like(half)
-        pw[normal] = _map_lanes(_pow_or_inf, half[normal], order + 1.0)
+        try:
+            pw[normal] = _map_lanes(math.pow, half[normal], order + 1.0)
+        except OverflowError:
+            pw[normal] = math.inf
         with np.errstate(all="ignore"):
             q = pw / (SQRT_PI * math.gamma(order + 1.5) * lv)
         for i in np.flatnonzero(~((0.0 < q) & (q < math.inf) & normal)).tolist():

@@ -4,27 +4,30 @@ extension probe.
 
 Certification works a row at a time: for each (bound, order) the bound's
 formula and its target's exact formula each run once as numpy arrays over
-a rows.Row of the grid's (x[, y]) lanes, read at that order, and one
-GridReport.record call takes the row.  A Row is a lane set that keeps each
+a rows.Row of the grid's (x[, y]) lanes, read at that order.  certify
+stacks those rows over the bound's valid orders, forms one slack (_slack)
+over the (orders x lanes) arrays and records each order's row of it with
+one GridReport.record call.  A Row is a lane set that keeps each
 primitive by the order it is asked for, so certify builds one Row for the
 x lanes or one for the (x, y) pairs and reads it at every order, and
-monotonicity_suite builds one Row per grid of lanes; every formula and
-primitive takes its order as an argument.  certify hands the report the
-lane set's x (and y) as one list, recorded at every order, and each order's
-slack as an array, which GridReport.record turns into Python values once;
-the report keeps those and its summary (point count, violations, worst
-slack and largest gap) as it goes, and builds the per-point (nu, x, y,
-slack, status) tuples of GridReport.rows, and the lines of
-report_csv_rows, when they are read.  The sweeps own their series: each
-builds its lane sets first, sums every series they read with one
-fill_series_row per kind (rows.fill_rows) and hands each lane set its
-arrays, so neither calls the registry's point entries.  certify_all shares the lane sets, and with
-them the exact rows they keep, among all bounds and fills every series
-they read up front; certify alone fills the series of its bound's valid
-orders the same way, one fill per kind, before its loop.  Exact values
-inside certification always come from the power-series route; the
-quadrature oracle is reserved for cross-validating the series itself, so a
-certification failure can never be self-confirming.
+monotonicity_suite builds one Row per grid of x lanes, except that its two
+checks in the order run on (x, order) lanes, one order per lane
+(_order_lanes); every formula and primitive takes its order as an
+argument.  certify hands the report the lane set's x (and y) as one list,
+recorded at every order, and each order's row of the slack as an array,
+which GridReport.record turns into Python values once; the report keeps
+those and its summary (point count, violations, worst slack and largest
+gap) as it goes, and builds the per-point (nu, x, y, slack, status) tuples
+of GridReport.rows, and the lines of report_csv_rows, when they are read.
+The sweeps own their series: each builds its lane sets first, sums every
+series the Rows read with one fill_series_row per kind (rows.fill_rows),
+and the order lanes' with one call of their own, so neither calls the
+registry's point entries.  certify_all shares the lane sets, and with them
+the exact rows they keep, among all bounds; certify alone fills the series
+of its bound's valid orders the same way, one fill per kind, before its
+loop.  Exact values inside certification always come from the power-series
+route; the quadrature oracle is reserved for cross-validating the series
+itself, so a certification failure can never be self-confirming.
 
 This module is the sweeps' engine and needs numpy, the sweeps extra:
 without it, importing it raises ExtraMissing.  Its certify and crossover
@@ -53,7 +56,7 @@ from . import registry, rows
 # the names certification records in, and the grid, stay reachable here
 from .certification import (DEFAULT_TOLERANCE, Grid, GridReport, _bound_orders,
                             _check_tolerance, default_grid, report_csv_rows)
-from .special_core import _L_FLOOR, ORDER_TOL, recurrence_residuals
+from .special_core import _L_FLOOR, ORDER_TOL, kernel_b, recurrence_residuals
 # the tables live in tables, which loads no numpy; their names stay reachable here
 from .tables import (TABLES, TableSpec, parse_table_csv, relative_error_cells,
                      render_table_csv, render_table_text, table_by_id)
@@ -84,24 +87,24 @@ def certify(bound_id: str, grid: Optional[Grid] = None,
             tolerance: float = DEFAULT_TOLERANCE, *,
             lanes: Optional[dict] = None) -> GridReport:
     """certification.certify over numpy lanes: the bound reads one lane
-    set, the grid's x lanes or its (x, y) pairs, and at each in-range order
-    its formula (rows.bound_row) and its target's exact formula (Row.exact,
-    kept per target and order) run once over the lanes.  lanes maps
-    takes_y to a lane set with its series filled (_lane_sets), as
-    certify_all passes to every bound; without it, this builds and fills
-    its own at the bound's valid orders."""
+    set, the grid's x lanes or its (x, y) pairs, at each in-range order its
+    formula (rows.bound_row) and its target's exact formula (Row.exact,
+    kept) run once over the lanes, and one _slack call takes them all,
+    stacked by order.  lanes maps takes_y to a lane set with its series
+    filled (_lane_sets), as certify_all passes to every bound; without it,
+    this builds and fills its own at the bound's valid orders."""
     spec, grid, nus = _bound_orders(bound_id, grid, tolerance)
     report = GridReport(spec.bound_id)
     takes_y = registry.needs_y(spec)
     P = (_lane_sets(grid, {takes_y: nus}) if lanes is None else lanes)[takes_y]
-    if P is None:
+    if P is None or not nus:
         return report
     # one list per lane set, recorded at every order, as the point path does
     xs, ys = P.x.tolist(), None if P.y is None else P.y.tolist()
-    for nu in nus:
-        report.record(nu, xs, ys, _slack(spec.side, rows.bound_row(spec, P, nu),
-                                         P.exact(spec.target, nu)),
-                      tolerance, spec.is_equality_at(nu))
+    slacks = _slack(spec.side, np.array([rows.bound_row(spec, P, nu) for nu in nus]),
+                    np.array([P.exact(spec.target, nu) for nu in nus]))
+    for nu, slack in zip(nus, slacks):
+        report.record(nu, xs, ys, slack, tolerance, spec.is_equality_at(nu))
     return report
 
 
@@ -192,12 +195,21 @@ def _comparison_report(name: str, rows: Iterable[tuple]) -> GridReport:
     return report
 
 
-def _adjacent_orders(nus: list, xs: tuple, values: list) -> tuple:
-    """(nu, x, value at the previous order, value at nu) over every pair of
-    adjacent orders, x-major as the point-by-point suites ran; values[k] is
-    the row at nus[k] over the lanes xs."""
-    v = np.array(values)
-    return nus[1:] * len(xs), np.repeat(xs, len(nus) - 1), v[:-1].T.ravel(), v[1:].T.ravel()
+_B_NU_X, _RATIO_X = (0.5, 2.0, 10.0), (0.5, 2.0, 10.0, 30.0)
+
+
+def _order_lanes(b_nus: list, ratio_nus: list) -> tuple:
+    """(b over the (x, order) lanes _B_NU_X x b_nus, L(nu + 1)/L(nu) over
+    _RATIO_X x ratio_nus), each an (x, order) array.  Every L they read is
+    summed by one fill_series_row call, one order per lane, and b is
+    kernel_b lane by lane, as a point forms it.  No lane re-runs the scalar
+    kernel, as a Row's NaN lanes do: these fixed lanes are all summable."""
+    bx, rx = np.repeat(_B_NU_X, len(b_nus)), np.repeat(_RATIO_X, len(ratio_nus))
+    bo, ro = np.tile(b_nus, len(_B_NU_X)), np.tile(ratio_nus, len(_RATIO_X))
+    lv = rows.fill_series_row("L", np.concatenate([bo, ro, ro + 1.0]), np.concatenate([bx, rx, rx]))
+    lb, l0, l1 = np.split(lv, [bx.size, bx.size + rx.size])
+    return (rows._map_lanes(kernel_b, bo, bx, lb).reshape(len(_B_NU_X), -1),
+            (l1 / l0).reshape(len(_RATIO_X), -1))
 
 
 def monotonicity_suite() -> list[GridReport]:
@@ -210,8 +222,9 @@ def monotonicity_suite() -> list[GridReport]:
     - domination of the Bessel ratio by the M-ratio from order 1/2 up
     - both three-term recurrence residuals stay at rounding level
 
-    Each grid of lanes is one Row, read at every order it is checked at,
-    and every series is summed up front, one fill per kind.
+    Each grid of x lanes is one Row, read at every order it is checked at,
+    with its series summed up front, one fill per kind.  The two checks in
+    the order are one set of (x, order) lanes each (_order_lanes).
     """
     grid = default_grid()
     xs = np.array(grid.x_values)
@@ -221,13 +234,9 @@ def monotonicity_suite() -> list[GridReport]:
     m_nus = [nu for nu in grid.nu_values if nu >= 0.5]
     # one Row per lane set, each primitive read at an explicit order
     b_x = rows.Row(xs_lin)
-    b_nu = rows.Row(np.array((0.5, 2.0, 10.0)))
-    ratio = rows.Row(np.array((0.5, 2.0, 10.0, 30.0)))
     P = rows.Row(xs)  # Turan and the recurrences
     m_row = rows.Row(xs[xs <= 30.0])
     rows.fill_rows([(b_x, "L", nu, False) for nu in grid.nu_values]
-                   + [(b_nu, "L", nu, False) for nu in nus_lin]
-                   + [(ratio, "L", nu + k, False) for nu in ratio_nus for k in (0.0, 1.0)]
                    + [(P, "L", nu + k, False) for nu in grid.nu_values for k in (-1.0, 0.0, 1.0)]
                    + [(m_row, kind, nu + k, False) for nu in m_nus for kind in "IL" for k in (-1.0, 0.0)])
     reports = []
@@ -235,13 +244,14 @@ def monotonicity_suite() -> list[GridReport]:
     reports.append(_comparison_report("mono_b_decreasing_in_x", [  # b(x) < b(prev x)
         (nu, b_x.x[1:], b[1:], b[:-1]) for nu in grid.nu_values for b in [b_x.b(nu)]]))
 
+    b, ratio = _order_lanes(nus_lin, ratio_nus)
+    # (nu, x) x-major over each pair of adjacent orders, as the point-by-point suites ran
+    pairs = [(nus[1:] * len(x), np.repeat(x, len(nus) - 1))
+             for nus, x in ((nus_lin, _B_NU_X), (ratio_nus, _RATIO_X))]
     reports.append(_comparison_report("mono_b_increasing_in_nu", [  # b(prev nu) < b(nu)
-        _adjacent_orders(nus_lin, (0.5, 2.0, 10.0), [b_nu.b(nu) for nu in nus_lin])]))
-
-    nu, x, prev, cur = _adjacent_orders(ratio_nus, (0.5, 2.0, 10.0, 30.0),
-                                        [ratio.L(nu + 1.0) / ratio.L(nu) for nu in ratio_nus])
-    # decreasing in the order
-    reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", [(nu, x, cur, prev)]))
+        (*pairs[0], b[:, :-1].ravel(), b[:, 1:].ravel())]))
+    reports.append(_comparison_report("mono_succ_ratio_decreasing_in_nu", [  # decreasing in nu
+        (*pairs[1], ratio[:, 1:].ravel(), ratio[:, :-1].ravel())]))
 
     # L_nu^2 by math's pow, which a float's ** 2 calls; x * x differs from it by an ulp at times
     reports.append(_comparison_report("turan_product", [

@@ -20,7 +20,7 @@ import pytest
 from struvebounds import arg_ratio, registry, rows, tables, verify
 from struvebounds.errors import StruveBoundsError
 from struvebounds.registry import EXACT, REGISTRY
-from struvebounds.special_core import GAMMA_ARG_MAX, X_MAX
+from struvebounds.special_core import GAMMA_ARG_MAX, X_MAX, kernel_b, struve_l
 
 _TOP = GAMMA_ARG_MAX - 1.5  # b's gamma factor leaves math.gamma here
 _SPECIAL_ORDERS = (-1.5 + 1e-9, -1.4, -1.0, -0.5, -0.5 + 1e-13, -0.5 - 1e-13, 0.0, 0.5, 1.0,
@@ -223,6 +223,50 @@ def test_certify_alone_matches_certify_all():
     assert [r.bound_id for r in together] == registry.bound_ids()
     for report in together:
         assert verify.certify(report.bound_id, grid) == report, report.bound_id
+
+
+def test_order_lanes_give_the_points_bits(monkeypatch):
+    got = []
+    order_lanes = verify._order_lanes
+
+    def kept_order_lanes(b_nus, ratio_nus):
+        got.append((b_nus, ratio_nus, order_lanes(b_nus, ratio_nus)))
+        return got[-1][2]
+
+    monkeypatch.setattr(verify, "_order_lanes", kept_order_lanes)
+    verify.monotonicity_suite()
+    [(b_nus, ratio_nus, (b, ratio))] = got
+    assert b.shape == (3, 229) and ratio.shape == (4, 39)
+
+    def L(nu, x):
+        return struve_l(nu, x).value
+
+    # each (x, order) lane holds the bits a point gives there
+    assert _bits(b) == _bits([[kernel_b(nu, x, L(nu, x)) for nu in b_nus]
+                              for x in verify._B_NU_X])
+    assert _bits(ratio) == _bits([[L(nu + 1.0, x) / L(nu, x) for nu in ratio_nus]
+                                  for x in verify._RATIO_X])
+
+
+def test_certify_all_forms_one_slack_per_bound(monkeypatch):
+    stacked = []
+    slack = verify._slack
+
+    def counted_slack(side, bound, exact):
+        stacked.append(np.shape(bound))
+        return slack(side, bound, exact)
+
+    monkeypatch.setattr(verify, "_slack", counted_slack)
+    grid = verify.default_grid()
+    verify.certify_all(grid)
+    # one (orders x lanes) slack per bound with a valid order on the grid,
+    # in the registry's order
+    orders = [sum(map(registry.get_bound(bid).valid_at, grid.nu_values))
+              for bid in registry.bound_ids()]
+    assert [n for n, _ in stacked] == [n for n in orders if n]
+    n_x = len(grid.x_values)
+    n_pairs = sum(len(grid.y_values(x)) for x in grid.x_values)
+    assert {lanes for _, lanes in stacked} == {n_x, n_pairs}
 
 
 def test_relative_error_table_is_the_tables_cells():
